@@ -18,6 +18,19 @@ A carries the superderivation action of the algebra and the algebra is in
 turn a module over A:
 
     t^i L_j = L_{i+j},  t^i G_m = G_{m+i},  xi L_j = 1/2 G_{j+1/2},  xi G_m = 0.
+
+Every element type of the package (``LieElement`` and ``AElement`` here,
+``SmashElement`` and ``ModuleVector`` downstream) is a :class:`Combination`,
+an immutable finite Scalar-linear combination of basis keys:
+
+* no zero coefficient is ever stored, so ``is_zero`` is ``not terms``;
+* every construction runs the subclass's key admission check;
+* the ``mode`` (None for a type without modes) must agree on ``+`` and ``-``,
+  which raise :class:`AlgebraError` otherwise, and is part of ``==``;
+* ``items`` and ``render`` list the terms in the subclass's canonical order,
+  so a rendering is a deterministic function of the value.
+
+:func:`accumulate` is the one merge rule for sparse coefficient tables.
 """
 
 from __future__ import annotations
@@ -25,13 +38,125 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from functools import lru_cache
 
 from .scalars import Scalar
 
 
 class AlgebraError(ValueError):
     """Mode violations: bad indices, central element misuse, mode mixing."""
+
+
+def accumulate(table: dict, key, coeff) -> None:
+    """Add ``coeff`` into ``table[key]``, dropping the entry when it sums to
+    zero.  Coefficients may be Scalars or Fractions: both are falsy exactly
+    at zero."""
+    cur = table.get(key)
+    if cur is not None:
+        coeff = cur + coeff
+    if coeff:
+        table[key] = coeff
+    else:
+        table.pop(key, None)
+
+
+class Combination:
+    """Immutable sparse Scalar-linear combination; see the module docstring.
+
+    Subclasses supply key admission (``_admit``), term order (``_order``)
+    and term rendering (``_render_term``).
+    """
+
+    __slots__ = ("terms", "mode")
+    default_mode = None
+
+    def __init__(self, terms: dict | None = None, mode=None):
+        if mode is None:
+            mode = self.default_mode
+        if terms:
+            self._admit(terms, mode)
+            terms = {k: c for k, c in terms.items() if c}
+        object.__setattr__(self, "terms", terms or {})
+        object.__setattr__(self, "mode", mode)
+
+    def __setattr__(self, *a):  # pragma: no cover
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @staticmethod
+    def _admit(terms: dict, mode) -> None:
+        """Raise AlgebraError unless every key of ``terms`` is admissible."""
+
+    @staticmethod
+    def _order(key):
+        return key
+
+    @staticmethod
+    def _times(cs: str, body: str) -> str:
+        """``body`` with a rendered coefficient; 1 and -1 stay implicit."""
+        if cs == "1":
+            return body
+        if cs == "-1":
+            return f"-{body}"
+        return f"{cs}*{body}"
+
+    def _new(self, terms: dict):
+        return type(self)(terms, self.mode)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def parity(self) -> int | None:
+        """0 or 1 when homogeneous, None when mixed or zero (for keys that
+        carry a ``parity``)."""
+        ps = {k.parity for k in self.terms}
+        return ps.pop() if len(ps) == 1 else None
+
+    def _check_mode(self, other: "Combination") -> None:
+        if self.mode is not other.mode:
+            raise AlgebraError(f"mode mismatch: {self.mode.value} vs {other.mode.value}")
+
+    def __add__(self, other):
+        self._check_mode(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            accumulate(out, k, c)
+        return self._new(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def scale(self, c):
+        c = Scalar.of(c)
+        return self._new({k: v * c for k, v in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.mode is other.mode and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.mode, frozenset(self.terms.items())))
+
+    def items(self) -> list:
+        """The terms in canonical order."""
+        return sorted(self.terms.items(), key=lambda kv: self._order(kv[0]))
+
+    def render(self) -> str:
+        pieces = []
+        for key, c in self.items():
+            body = self._render_term(key, c.render_coeff())
+            if not pieces:
+                pieces.append(body)
+            elif body.startswith("-"):
+                pieces.append(f" - {body[1:]}")
+            else:
+                pieces.append(f" + {body}")
+        return "".join(pieces) or "0"
+
+    def __repr__(self):
+        mode = "" if self.mode is None else f", {self.mode.value}"
+        return f"{type(self).__name__}({self.render()}{mode})"
 
 
 @dataclass(frozen=True, order=True)
@@ -209,32 +334,28 @@ A_ONE = AMonomial(0, 0)
 XI = AMonomial(0, 1)
 
 
-def _merge(table: dict, key, coeff: Scalar) -> None:
-    cur = table.get(key)
-    cur = coeff if cur is None else cur + coeff
-    if cur.is_zero():
-        table.pop(key, None)
-    else:
-        table[key] = cur
-
-
-class LieElement:
+class LieElement(Combination):
     """Finite Scalar-linear combination of basis generators in one mode."""
 
-    __slots__ = ("terms", "mode")
+    __slots__ = ()
 
-    def __init__(self, terms: dict[Gen, Scalar], mode: AlgebraMode):
-        clean: dict[Gen, Scalar] = {}
-        for g, c in terms.items():
+    @staticmethod
+    def _admit(terms: dict, mode: AlgebraMode) -> None:
+        for g in terms:
             if not mode.admits(g):
                 raise AlgebraError(f"generator {g.render()} not admissible in mode {mode.value}")
-            if not c.is_zero():
-                clean[g] = c
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "mode", mode)
 
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("LieElement is immutable")
+    @staticmethod
+    def _order(g: Gen) -> tuple[int, int]:
+        # L's by index, then G's by index, then C last
+        if g.kind == "L":
+            return (0, g.index.doubled)
+        if g.kind == "G":
+            return (1, g.index.doubled)
+        return (2, 0)
+
+    def _render_term(self, g: Gen, cs: str) -> str:
+        return self._times(cs, g.render())
 
     @staticmethod
     def zero(mode: AlgebraMode) -> "LieElement":
@@ -244,121 +365,28 @@ class LieElement:
     def basis(gen: Gen, mode: AlgebraMode, coeff=1) -> "LieElement":
         return LieElement({gen: Scalar.of(coeff)}, mode)
 
-    def is_zero(self) -> bool:
-        return not self.terms
 
-    def parity(self) -> int | None:
-        """0 or 1 when homogeneous, None when mixed or zero."""
-        ps = {g.parity for g in self.terms}
-        return ps.pop() if len(ps) == 1 else None
-
-    def __add__(self, other: "LieElement") -> "LieElement":
-        self._check_mode(other)
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            _merge(out, g, c)
-        return LieElement(out, self.mode)
-
-    def __sub__(self, other: "LieElement") -> "LieElement":
-        return self + (-other)
-
-    def __neg__(self) -> "LieElement":
-        return LieElement({g: -c for g, c in self.terms.items()}, self.mode)
-
-    def scale(self, c) -> "LieElement":
-        c = Scalar.of(c)
-        return LieElement({g: v * c for g, v in self.terms.items()}, self.mode)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LieElement)
-            and self.mode is other.mode
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.mode, frozenset(self.terms.items())))
-
-    def _check_mode(self, other: "LieElement") -> None:
-        if self.mode is not other.mode:
-            raise AlgebraError(f"mode mismatch: {self.mode.value} vs {other.mode.value}")
-
-    def items(self) -> Iterator[tuple[Gen, Scalar]]:
-        return iter(sorted(self.terms.items(), key=lambda kv: _render_order(kv[0])))
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for g, c in self.items():
-            cs = c.render_coeff()
-            if cs == "1":
-                body = g.render()
-            elif cs == "-1":
-                body = f"-{g.render()}"
-            else:
-                body = f"{cs}*{g.render()}"
-            if not pieces:
-                pieces.append(body)
-            elif body.startswith("-"):
-                pieces.append(f" - {body[1:]}")
-            else:
-                pieces.append(f" + {body}")
-        return "".join(pieces)
-
-    def __repr__(self):
-        return f"LieElement({self.render()}, {self.mode.value})"
-
-
-def _render_order(g: Gen) -> tuple[int, int]:
-    # L's by index, then G's by index, then C last
-    if g.kind == "L":
-        return (0, g.index.doubled)
-    if g.kind == "G":
-        return (1, g.index.doubled)
-    return (2, 0)
-
-
-class AElement:
+class AElement(Combination):
     """Finite Scalar-linear combination of A-monomials."""
 
-    __slots__ = ("terms", "mode")
+    __slots__ = ()
+    default_mode = AMode.A
 
-    def __init__(self, terms: dict[AMonomial, Scalar], mode: AMode = AMode.A):
-        clean: dict[AMonomial, Scalar] = {}
-        for m, c in terms.items():
+    @staticmethod
+    def _admit(terms: dict, mode: AMode) -> None:
+        for m in terms:
             if not mode.admits(m):
                 raise AlgebraError(f"monomial {m.render()} not admissible in mode {mode.value}")
-            if not c.is_zero():
-                clean[m] = c
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "mode", mode)
 
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("AElement is immutable")
+    _order = staticmethod(AMonomial.sort_key)
+
+    def _render_term(self, m: AMonomial, cs: str) -> str:
+        mono = m.render()
+        return cs if mono == "1" else self._times(cs, mono)
 
     @staticmethod
     def monomial(k: int, eps: int = 0, mode: AMode = AMode.A, coeff=1) -> "AElement":
         return AElement({AMonomial(k, eps): Scalar.of(coeff)}, mode)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def parity(self) -> int | None:
-        ps = {m.parity for m in self.terms}
-        return ps.pop() if len(ps) == 1 else None
-
-    def __add__(self, other: "AElement") -> "AElement":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _merge(out, m, c)
-        return AElement(out, self.mode)
-
-    def __neg__(self) -> "AElement":
-        return AElement({m: -c for m, c in self.terms.items()}, self.mode)
-
-    def __sub__(self, other: "AElement") -> "AElement":
-        return self + (-other)
 
     def __mul__(self, other: "AElement") -> "AElement":
         out: dict[AMonomial, Scalar] = {}
@@ -366,45 +394,8 @@ class AElement:
             for m2, c2 in other.terms.items():
                 prod = m1.times(m2)
                 if prod is not None:
-                    _merge(out, prod, c1 * c2)
+                    accumulate(out, prod, c1 * c2)
         return AElement(out, self.mode)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AElement)
-            and self.mode is other.mode
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.mode, frozenset(self.terms.items())))
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for m in sorted(self.terms, key=AMonomial.sort_key):
-            c = self.terms[m]
-            cs = c.render_coeff()
-            mono = m.render()
-            if mono == "1":
-                body = cs
-            elif cs == "1":
-                body = mono
-            elif cs == "-1":
-                body = f"-{mono}"
-            else:
-                body = f"{cs}*{mono}"
-            if not pieces:
-                pieces.append(body)
-            elif body.startswith("-"):
-                pieces.append(f" - {body[1:]}")
-            else:
-                pieces.append(f" + {body}")
-        return "".join(pieces)
-
-    def __repr__(self):
-        return f"AElement({self.render()})"
 
 
 def bracket_basis(x: Gen, y: Gen, with_center: bool) -> list[tuple[Gen, Fraction]]:
@@ -453,35 +444,46 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
         for gy, cy in y.terms.items():
             c = cx * cy
             for g, k in bracket_basis(gx, gy, wc):
-                _merge(out, g, c * Scalar.of(k))
+                accumulate(out, g, c * Scalar.of(k))
     return LieElement(out, x.mode)
 
 
-def k_action_on_A(x: LieElement, a: AElement) -> AElement:
-    """Superderivation action of the centerless algebra on A.
+@lru_cache(maxsize=None)
+def gen_act_amon(g: Gen, m: AMonomial) -> tuple[tuple[AMonomial, Fraction], ...]:
+    """Superderivation action g o (t^k xi^e) of a generator L or G on an
+    A-monomial, as (monomial, coefficient) pairs:
 
-    L_i . t^k xi^e = (k + e (i+1)/2) t^{i+k} xi^e
-    G_m . t^k      = k t^{m+k-1/2} xi
-    G_m . t^k xi   = -t^{m+k+1/2}
+        L_i . t^k xi^e = (k + e (i+1)/2) t^{i+k} xi^e
+        G_m . t^k      = k t^{m+k-1/2} xi
+        G_m . t^k xi   = -t^{m+k+1/2}
     """
+    if g.kind == "L":
+        i = g.index.as_int()
+        coeff = Fraction(m.k) + Fraction(m.eps) * Fraction(i + 1, 2)
+        if coeff:
+            return ((AMonomial(i + m.k, m.eps), coeff),)
+        return ()
+    r = g.index.as_fraction()
+    if m.eps == 0:
+        if m.k:
+            return ((AMonomial(int(r - Fraction(1, 2)) + m.k, 1), Fraction(m.k)),)
+        return ()
+    return ((AMonomial(int(r + Fraction(1, 2)) + m.k, 0), Fraction(-1)),)
+
+
+def k_action_on_A(x: LieElement, a: AElement) -> AElement:
+    """Superderivation action of the centerless algebra on A, extended
+    bilinearly from :func:`gen_act_amon`."""
     out: dict[AMonomial, Scalar] = {}
     for g, cg in x.terms.items():
         if g.kind == "C":
             raise AlgebraError("the central element does not act on A")
         for m, cm in a.terms.items():
             c = cg * cm
-            if g.kind == "L":
-                i = g.index.as_int()
-                coeff = Fraction(m.k) + Fraction(m.eps) * Fraction(i + 1, 2)
-                if coeff:
-                    _merge(out, AMonomial(i + m.k, m.eps), c * Scalar.of(coeff))
-            else:
-                r = g.index.as_fraction()
-                if m.eps == 0:
-                    if m.k:
-                        _merge(out, AMonomial(int(r - Fraction(1, 2)) + m.k, 1), c * Scalar.of(m.k))
-                else:
-                    _merge(out, AMonomial(int(r + Fraction(1, 2)) + m.k, 0), -c)
+            for mono, coeff in gen_act_amon(g, m):
+                # G_m . t^k xi has coefficient -1: a negation is far cheaper
+                # than a Scalar product on this hot path
+                accumulate(out, mono, -c if coeff == -1 else c * Scalar.of(coeff))
     return AElement(out, a.mode)
 
 
@@ -502,7 +504,7 @@ def A_action_on_k(a: AElement, x: LieElement) -> LieElement:
                     raise AlgebraError(
                         f"action result {shifted.render()} violates mode {x.mode.value}"
                     )
-                _merge(out, shifted, c)
+                accumulate(out, shifted, c)
             else:
                 if g.kind == "L":
                     target = G(g.index.as_fraction() + m.k + Fraction(1, 2))
@@ -510,7 +512,7 @@ def A_action_on_k(a: AElement, x: LieElement) -> LieElement:
                         raise AlgebraError(
                             f"action result {target.render()} violates mode {x.mode.value}"
                         )
-                    _merge(out, target, c * Scalar.of(Fraction(1, 2)))
+                    accumulate(out, target, c * Scalar.of(Fraction(1, 2)))
                 # xi G_m = 0
     return LieElement(out, x.mode)
 

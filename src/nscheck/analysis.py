@@ -52,6 +52,7 @@ from .modules import (
     Window,
     act,
     gamma,
+    source_key,
 )
 from .scalars import B, LAMBDA, Scalar
 
@@ -120,6 +121,23 @@ def _ok(name, anchor, params, residual_render: str | None) -> CheckReport:
     return CheckReport(name, anchor, "fail", params, residual_render)
 
 
+def first_witness(cases, where) -> tuple[str | None, str]:
+    """The rendered first nonzero residual of ``cases`` and its location.
+
+    ``cases`` yields (location, residual) pairs and is consumed lazily, so
+    the search stops at the first hit; ``where(*location)`` renders the
+    location of that hit.  Returns (None, "") when every residual is zero.
+    """
+    for loc, r in cases:
+        if not r.is_zero():
+            return r.render(), where(*loc)
+    return None, ""
+
+
+def _at(*objs) -> str:
+    return f" at ({','.join(o.render() for o in objs)})"
+
+
 # ---------------------------------------------------------------------------
 # structural suites: Jacobi, compatibility, derivation action
 # ---------------------------------------------------------------------------
@@ -161,17 +179,12 @@ def verify_jacobi(index_range: int, family: str | None = None) -> CheckReport:
     |index| <= index_range, central contributions included."""
     if index_range < 2:
         raise ValueError("index_range must be at least 2")
-    gens = khat_basis(index_range)
-    witness = None
-    culprit = ""
-    for x, y, z in product(gens, repeat=3):
-        if family is not None and _triple_family(x, y, z) != family:
-            continue
-        r = jacobi_residual(x, y, z)
-        if not r.is_zero():
-            witness = r.render()
-            culprit = f" at ({x.render()},{y.render()},{z.render()})"
-            break
+    witness, culprit = first_witness(
+        (((x, y, z), jacobi_residual(x, y, z))
+         for x, y, z in product(khat_basis(index_range), repeat=3)
+         if family is None or _triple_family(x, y, z) == family),
+        _at,
+    )
     name = f"jacobi/{family or 'all'}/range={index_range}"
     return _ok(name, JACOBI_ANCHOR, f"range={index_range}{culprit}", witness)
 
@@ -192,24 +205,14 @@ def compat_reports(index_range: int) -> list[CheckReport]:
              ("G", [G(Fraction(d, 2)) for d in range(-2 * index_range + 1, 2 * index_range, 2)])]
     for vkind, vs in vgens:
         for aeps, aname in ((0, "t"), (1, "t*xi")):
+            amons = [AElement.monomial(i, aeps) for i in range(-index_range, index_range + 1)]
             for xkind, xs in vgens:
-                witness = None
-                culprit = ""
-                for v in vs:
-                    for i in range(-index_range, index_range + 1):
-                        a = AElement.monomial(i, aeps)
-                        for x in xs:
-                            r = compatibility_residual(
-                                LieElement.basis(v, mode), a, LieElement.basis(x, mode)
-                            )
-                            if not r.is_zero():
-                                witness = r.render()
-                                culprit = f" at ({v.render()},{a.render()},{x.render()})"
-                                break
-                        if witness:
-                            break
-                    if witness:
-                        break
+                witness, culprit = first_witness(
+                    (((v, a, x), compatibility_residual(
+                        LieElement.basis(v, mode), a, LieElement.basis(x, mode)))
+                     for v in vs for a in amons for x in xs),
+                    _at,
+                )
                 name = f"compat/({vkind},{aname},{xkind})"
                 out.append(_ok(name, COMPAT_ANCHOR, f"range={index_range}{culprit}", witness))
     return out
@@ -219,34 +222,23 @@ def action_rep_reports(index_range: int) -> list[CheckReport]:
     """The derivation action is a representation on the coefficient algebra."""
     mode = AlgebraMode.K
     gens = khat_basis(index_range, with_center=False)
+    amons = [AElement.monomial(i, eps) for i in range(-index_range, index_range + 1)
+             for eps in (0, 1)]
+
+    def cases(xkind: str, ykind: str):
+        for x in (g for g in gens if g.kind == xkind):
+            for y in (g for g in gens if g.kind == ykind):
+                ex, ey = LieElement.basis(x, mode), LieElement.basis(y, mode)
+                exy = bracket(ex, ey)
+                for a in amons:
+                    r = k_action_on_A(ex, k_action_on_A(ey, a))
+                    swap = k_action_on_A(ey, k_action_on_A(ex, a))
+                    r = r + swap if (x.parity and y.parity) else r - swap
+                    yield (x, y, a), r - k_action_on_A(exy, a)
+
     out = []
     for xkind, ykind in (("L", "L"), ("L", "G"), ("G", "L"), ("G", "G")):
-        witness = None
-        culprit = ""
-        for x in gens:
-            if x.kind != xkind:
-                continue
-            for y in gens:
-                if y.kind != ykind:
-                    continue
-                ex, ey = LieElement.basis(x, mode), LieElement.basis(y, mode)
-                for i in range(-index_range, index_range + 1):
-                    for eps in (0, 1):
-                        a = AElement.monomial(i, eps)
-                        r = k_action_on_A(ex, k_action_on_A(ey, a))
-                        swap = k_action_on_A(ey, k_action_on_A(ex, a))
-                        r = r + swap if (x.parity and y.parity) else r - swap
-                        r = r - k_action_on_A(bracket(ex, ey), a)
-                        if not r.is_zero():
-                            witness = r.render()
-                            culprit = f" at ({x.render()},{y.render()},{a.render()})"
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
+        witness, culprit = first_witness(cases(xkind, ykind), _at)
         out.append(_ok(f"action-rep/({xkind},{ykind})", ACTION_ANCHOR,
                        f"range={index_range}{culprit}", witness))
     return out
@@ -290,19 +282,15 @@ def centralizer_reports(max_n: int, max_k: int) -> list[CheckReport]:
     mode = SmashMode.AK
     gm = SmashElement.gen(G(Fraction(-1, 2)), mode)
     out = []
-
-    def a_bracket_witness(x: SmashElement) -> tuple[str | None, str]:
-        for k in range(-max_k, max_k + 1):
-            for eps in (0, 1):
-                r = smash_bracket(x, SmashElement.amon(k, eps, mode))
-                if not r.is_zero():
-                    return r.render(), f" at t^{k}{'*xi' if eps else ''}"
-        return None, ""
-
     a_labels = [TElementLabel("L", n) for n in range(0, max_n + 1)]
     a_labels += [TElementLabel("G", n) for n in range(1, max_n + 1)]
     for label in a_labels:
-        wit, where = a_bracket_witness(label.build(mode))
+        x = label.build(mode)
+        wit, where = first_witness(
+            (((k, eps), smash_bracket(x, SmashElement.amon(k, eps, mode)))
+             for k in range(-max_k, max_k + 1) for eps in (0, 1)),
+            lambda k, eps: f" at t^{k}{'*xi' if eps else ''}",
+        )
         out.append(_ok(f"centralizer/{label.render()}/A", CENTRALIZER_ANCHOR,
                        f"n={label.n}; |k|<={max_k}{where}", wit))
     g_labels = [TElementLabel("L", n) for n in range(-1, max_n + 1)]
@@ -361,21 +349,10 @@ def window_keys(mod: GammaModule, window: Window, interior_only: bool = False) -
     return [BasisKey(k, eps) for k in rng for eps in (0, 1) if mod.admissible(BasisKey(k, eps))]
 
 
-def _smash_mode_for(mod: GammaModule) -> SmashMode:
-    if mod.algebra_mode is AlgebraMode.KPLUS:
-        return SmashMode.APKP
-    if mod.algebra_mode is AlgebraMode.KHAT:
-        return SmashMode.U
-    return SmashMode.AK
-
-
-def _annihilates(elem: SmashElement, keys, mod: GammaModule):
-    """First nonzero image, or None when the operator kills every key."""
+def _images(elem: SmashElement, keys, mod: GammaModule):
+    """(key, image of the basis vector) pairs of ``elem``, lazily."""
     for key in keys:
-        img = act(elem, ModuleVector.basis(key), mod)
-        if not img.is_zero():
-            return key, img
-    return None
+        yield key, act(elem, ModuleVector.basis(key), mod)
 
 
 def a_l_chain(a: int, s: int, order: int, mode: SmashMode) -> SmashElement:
@@ -409,7 +386,7 @@ def minimal_annihilator(
     if max_m < 1:
         raise ValueError("max_m must be at least 1")
     kplus = mod.algebra_mode is AlgebraMode.KPLUS
-    smode = _smash_mode_for(mod)
+    smode = SmashMode.for_algebra(mod.algebra_mode)
     keys = window_keys(mod, window)
 
     def omega_pairs(m: int):
@@ -417,18 +394,14 @@ def minimal_annihilator(
             return [(k + m - 1, s - 1) for k in range(0, sweep + 1) for s in range(0, sweep + 1)]
         return list(product(range(-sweep, sweep + 1), repeat=2))
 
-    def omega_witness(m: int):
-        for k, s in omega_pairs(m):
-            hit = _annihilates(omega(k, s, m, smode), keys, mod)
-            if hit is not None:
-                return (k, s), hit
-        return None
+    def omega_witness(m: int) -> tuple[str | None, str]:
+        return first_witness(
+            (((k, s, key), img) for k, s in omega_pairs(m)
+             for key, img in _images(omega(k, s, m, smode), keys, mod)),
+            lambda k, s, key: f"Omega^({m})_{{{k},{s}}} {key.render()}",
+        )
 
-    found = None
-    for m in range(1, max_m + 1):
-        if omega_witness(m) is None:
-            found = m
-            break
+    found = next((m for m in range(1, max_m + 1) if omega_witness(m)[0] is None), None)
     if found is None:
         raise AnnihilatorBoundError(
             f"annihilator order exceeds bound {max_m} on {mod.descriptor()}"
@@ -437,27 +410,24 @@ def minimal_annihilator(
     params = [f"module={mod.descriptor()}", f"window={window.render()}",
               f"sweep={sweep}", f"m={found}"]
     if found > 1:
-        (k, s), (key, img) = omega_witness(found - 1)
-        params.append(
-            f"minimality: Omega^({found - 1})_{{{k},{s}}} {key.render()} = {img.render()}"
-        )
+        wit, where = omega_witness(found - 1)
+        params.append(f"minimality: {where} = {wit}")
     else:
         params.append("minimality: m=1 is the least admissible order")
 
     # odd companion sums at the discovered order
-    witness = None
     if kplus:
         gl_args = [(HalfInt(2 * (found - 1) + 2 * j + 1), p - 1)
                    for j in range(0, sweep + 1) for p in range(0, sweep + 1)]
     else:
         gl_args = [(HalfInt(2 * j + 1), p)
                    for j in range(-sweep, sweep + 1) for p in range(-sweep, sweep + 1)]
-    for q, p in gl_args:
-        hit = _annihilates(gl_sum(q, p, found, smode), keys, mod)
-        if hit is not None:
-            witness = (f"G-L sum m={found}, k={q.render()}, p={p} "
-                       f"on {hit[0].render()}: {hit[1].render()}")
-            break
+    wit, where = first_witness(
+        (((q, p, key), img) for q, p in gl_args
+         for key, img in _images(gl_sum(q, p, found, smode), keys, mod)),
+        lambda q, p, key: f"G-L sum m={found}, k={q.render()}, p={p} on {key.render()}",
+    )
+    witness = None if wit is None else f"{where}: {wit}"
     report = _ok(f"annihilator/{mod.descriptor()}", f"{OMEGA_ANCHOR} ; {GL_ANCHOR}",
                  "; ".join(params), witness)
     return found, report
@@ -474,64 +444,34 @@ def chain_reports(
     """
     kplus = mod.algebra_mode is AlgebraMode.KPLUS
     smode = SmashMode.APKP if kplus else SmashMode.AK
+    smode_u = SmashMode.for_algebra(mod.algebra_mode)
     keys = window_keys(mod, window)
+
+    def sweep_range(lo_shift: int):
+        return range(lo_shift, lo_shift + sweep + 1) if kplus else range(-sweep, sweep + 1)
+
+    # name, anchor, order, shift of the inner sweep in contact mode, the
+    # operator at sweep indices (i, j), and the rendering of (i, j)
+    chains = (
+        ("chain/t-L", CHAIN_TL_ANCHOR, m + 2, -1,
+         lambda i, j, order: a_l_chain(i, j, order, smode),
+         lambda i, j: f"a={i}, s={j}"),
+        ("chain/t-G", CHAIN_TG_ANCHOR, m + 3, 0,
+         lambda i, j, order: a_g_chain(i, 2 * j + 1, order, smode),
+         lambda i, j: f"a={i}, p={2 * j + 1}/2"),
+        ("chain/G-L", CHAIN_GL_ANCHOR, m + 2, -1,
+         lambda i, j, order: gl_sum(HalfInt(2 * i + 1), j, order, smode_u),
+         lambda i, j: f"q={2 * i + 1}/2, p={j}"),
+    )
     out = []
-
-    def sweep_range(lo_shift: int = 0):
-        if kplus:
-            return range(lo_shift, lo_shift + sweep + 1)
-        return range(-sweep, sweep + 1)
-
-    # t-L chain at order m+2
-    order = m + 2
-    wit = None
-    where = ""
-    for a in (sweep_range(order) if kplus else sweep_range()):
-        for s in (sweep_range(-1) if kplus else sweep_range()):
-            hit = _annihilates(a_l_chain(a, s, order, smode), keys, mod)
-            if hit is not None:
-                wit = hit[1].render()
-                where = f" at a={a}, s={s}, {hit[0].render()}"
-                break
-        if wit:
-            break
-    out.append(_ok("chain/t-L", CHAIN_TL_ANCHOR,
-                   f"module={mod.descriptor()}; order={order}; sweep={sweep}{where}", wit))
-
-    # t-G chain at order m+3
-    order = m + 3
-    wit = None
-    where = ""
-    for a in (sweep_range(order) if kplus else sweep_range()):
-        for j in (sweep_range() if kplus else sweep_range()):
-            p_doubled = 2 * j + 1
-            hit = _annihilates(a_g_chain(a, p_doubled, order, smode), keys, mod)
-            if hit is not None:
-                wit = hit[1].render()
-                where = f" at a={a}, p={p_doubled}/2, {hit[0].render()}"
-                break
-        if wit:
-            break
-    out.append(_ok("chain/t-G", CHAIN_TG_ANCHOR,
-                   f"module={mod.descriptor()}; order={order}; sweep={sweep}{where}", wit))
-
-    # G-L chain at order m+2
-    order = m + 2
-    wit = None
-    where = ""
-    smode_u = _smash_mode_for(mod)
-    for j in (sweep_range(order) if kplus else sweep_range()):
-        q = HalfInt(2 * j + 1)
-        for p in (sweep_range(-1) if kplus else sweep_range()):
-            hit = _annihilates(gl_sum(q, p, order, smode_u), keys, mod)
-            if hit is not None:
-                wit = hit[1].render()
-                where = f" at q={q.render()}, p={p}, {hit[0].render()}"
-                break
-        if wit:
-            break
-    out.append(_ok("chain/G-L", CHAIN_GL_ANCHOR,
-                   f"module={mod.descriptor()}; order={order}; sweep={sweep}{where}", wit))
+    for name, anchor, order, shift, build, label in chains:
+        wit, where = first_witness(
+            (((i, j, key), img) for i in sweep_range(order) for j in sweep_range(shift)
+             for key, img in _images(build(i, j, order), keys, mod)),
+            lambda i, j, key: f" at {label(i, j)}, {key.render()}",
+        )
+        out.append(_ok(name, anchor,
+                       f"module={mod.descriptor()}; order={order}; sweep={sweep}{where}", wit))
 
     if algebra_level:
         probes = [
@@ -683,13 +623,7 @@ def _generic_locus(mod: GammaModule, gen_range: int) -> dict:
         for g in gens:
             for _, coeff in plain.gen_action(g, key):
                 outs.add(coeff.render())
-            if g.kind == "L":
-                src = BasisKey(0 - g.index.as_int(), eps)
-            elif eps == 1:
-                src = BasisKey(-int(g.index.as_fraction() - Fraction(1, 2)), 0)
-            else:
-                src = BasisKey(-int(g.index.as_fraction() + Fraction(1, 2)), 1)
-            for target, coeff in plain.gen_action(g, src):
+            for target, coeff in plain.gen_action(g, source_key(g, key)):
                 if target == key:
                     ins.add(coeff.render())
         locus[f"out@{key.render()}"] = sorted(outs)

@@ -34,6 +34,7 @@ from .analysis import (
     compat_reports,
     action_rep_reports,
     find_intertwiner,
+    first_witness,
     jacobi_family_reports,
     khat_basis,
     minimal_annihilator,
@@ -193,14 +194,10 @@ def cmd_module_axiom(args) -> int:
     reports = []
     for i, x in enumerate(gens):
         for y in gens[i:]:
-            witness = None
-            where = ""
-            for key in keys:
-                r = module_axiom_residual(x, y, key, mod)
-                if not r.is_zero():
-                    witness = r.render()
-                    where = f" at {key.render()}"
-                    break
+            witness, where = first_witness(
+                (((key,), module_axiom_residual(x, y, key, mod)) for key in keys),
+                lambda key: f" at {key.render()}",
+            )
             reports.append(
                 CheckReport(
                     f"module-axiom/{mod.convention.value}/({x.render()},{y.render()})",

@@ -36,12 +36,15 @@ from .algebra import (
     AlgebraError,
     AlgebraMode,
     C,
+    Combination,
     G,
     Gen,
     HalfInt,
     L,
     LieElement,
+    accumulate,
     bracket_basis,
+    gen_act_amon,
 )
 from .scalars import Scalar
 
@@ -58,11 +61,12 @@ class SmashMode(enum.Enum):
 
     @property
     def algebra_mode(self) -> AlgebraMode:
-        return {
-            SmashMode.U: AlgebraMode.KHAT,
-            SmashMode.AK: AlgebraMode.K,
-            SmashMode.APKP: AlgebraMode.KPLUS,
-        }[self]
+        return _ALGEBRA_MODE[self]
+
+    @staticmethod
+    def for_algebra(mode: AlgebraMode) -> "SmashMode":
+        """The smash algebra built on the algebra in ``mode``."""
+        return _SMASH_MODE[mode]
 
     @property
     def a_mode(self) -> AMode:
@@ -71,6 +75,14 @@ class SmashMode(enum.Enum):
     @property
     def pure(self) -> bool:
         return self is SmashMode.U
+
+
+_ALGEBRA_MODE = {
+    SmashMode.U: AlgebraMode.KHAT,
+    SmashMode.AK: AlgebraMode.K,
+    SmashMode.APKP: AlgebraMode.KPLUS,
+}
+_SMASH_MODE = {amode: smode for smode, amode in _ALGEBRA_MODE.items()}
 
 
 def _validate_pbw(p: PBWMonomial, mode: SmashMode) -> None:
@@ -89,23 +101,6 @@ def _validate_pbw(p: PBWMonomial, mode: SmashMode) -> None:
 
 
 @lru_cache(maxsize=None)
-def _gen_act_amon(g: Gen, m: AMonomial) -> tuple[tuple[AMonomial, Fraction], ...]:
-    """Action g o (t^k xi^e) as a list of (monomial, coefficient)."""
-    if g.kind == "L":
-        i = g.index.as_int()
-        coeff = Fraction(m.k) + Fraction(m.eps) * Fraction(i + 1, 2)
-        if coeff:
-            return ((AMonomial(i + m.k, m.eps), coeff),)
-        return ()
-    r = g.index.as_fraction()
-    if m.eps == 0:
-        if m.k:
-            return ((AMonomial(int(r - Fraction(1, 2)) + m.k, 1), Fraction(m.k)),)
-        return ()
-    return ((AMonomial(int(r + Fraction(1, 2)) + m.k, 0), Fraction(-1)),)
-
-
-@lru_cache(maxsize=None)
 def _insert_gen(p: PBWMonomial, g: Gen, with_center: bool) -> tuple[tuple[PBWMonomial, Fraction], ...]:
     """Normal form of the product (p) * g as sorted PBW monomials."""
     if not p:
@@ -121,25 +116,17 @@ def _insert_gen(p: PBWMonomial, g: Gen, with_center: bool) -> tuple[tuple[PBWMon
         # odd square: g*g = 1/2 [g, g]
         for h, c in bracket_basis(g, g, with_center):
             for q, c2 in _insert_gen(p[:-1], h, with_center):
-                _acc(out, q, Fraction(1, 2) * c * c2)
+                accumulate(out, q, Fraction(1, 2) * c * c2)
         return tuple(out.items())
     # last > g: swap, p * g = +/- (p' * g) * last + p' * [last, g]
     sign = Fraction(-1) if (last.parity and g.parity) else Fraction(1)
     for q, c in _insert_gen(p[:-1], g, with_center):
         for q2, c2 in _insert_gen(q, last, with_center):
-            _acc(out, q2, sign * c * c2)
+            accumulate(out, q2, sign * c * c2)
     for h, c in bracket_basis(last, g, with_center):
         for q, c2 in _insert_gen(p[:-1], h, with_center):
-            _acc(out, q, c * c2)
+            accumulate(out, q, c * c2)
     return tuple(out.items())
-
-
-def _acc(table: dict, key, coeff: Fraction) -> None:
-    s = table.get(key, Fraction(0)) + coeff
-    if s:
-        table[key] = s
-    else:
-        table.pop(key, None)
 
 
 @lru_cache(maxsize=None)
@@ -149,7 +136,7 @@ def _pbw_mul(p: PBWMonomial, q: PBWMonomial, with_center: bool) -> tuple[tuple[P
         nxt: dict[PBWMonomial, Fraction] = {}
         for mono, c in acc.items():
             for m2, c2 in _insert_gen(mono, g, with_center):
-                _acc(nxt, m2, c * c2)
+                accumulate(nxt, m2, c * c2)
         acc = nxt
     return tuple(acc.items())
 
@@ -165,36 +152,37 @@ def _pbw_past_amon(p: PBWMonomial, b: AMonomial) -> tuple[tuple[AMonomial, PBWMo
     last = p[-1]
     sign = Fraction(-1) if (last.parity and b.parity) else Fraction(1)
     pieces: list[tuple[AMonomial, PBWMonomial, Fraction]] = [(b, (last,), sign)]
-    for m2, c in _gen_act_amon(last, b):
+    for m2, c in gen_act_amon(last, b):
         pieces.append((m2, (), c))
     out: dict[tuple[AMonomial, PBWMonomial], Fraction] = {}
     for bmid, tail, c in pieces:
         for bout, mid, c2 in _pbw_past_amon(p[:-1], bmid):
-            _acc(out, (bout, mid + tail), c * c2)
+            accumulate(out, (bout, mid + tail), c * c2)
     return tuple((a, m, c) for (a, m), c in out.items())
 
 
-class SmashElement:
+class SmashElement(Combination):
     """Normal-formed element of one of the smash algebras."""
 
-    __slots__ = ("terms", "mode")
+    __slots__ = ()
 
-    def __init__(self, terms: dict[tuple[AMonomial, PBWMonomial], Scalar], mode: SmashMode):
-        clean: dict[tuple[AMonomial, PBWMonomial], Scalar] = {}
-        for (a, p), c in terms.items():
-            if c.is_zero():
-                continue
+    @staticmethod
+    def _admit(terms: dict, mode: SmashMode) -> None:
+        for a, p in terms:
             if mode.pure and a != A_ONE:
                 raise AlgebraError("pure enveloping mode admits no A-part")
             if not mode.a_mode.admits(a):
                 raise AlgebraError(f"A-monomial {a.render()} not admissible in mode {mode.value}")
             _validate_pbw(p, mode)
-            clean[(a, p)] = c
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "mode", mode)
 
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("SmashElement is immutable")
+    @staticmethod
+    def _order(key: tuple[AMonomial, PBWMonomial]):
+        a, p = key
+        return (a.sort_key(), tuple(g.sort_key() for g in p))
+
+    def _render_term(self, key: tuple[AMonomial, PBWMonomial], cs: str) -> str:
+        a, p = key
+        return self._times(cs, f"{a.render()} (x) {''.join(g.render() for g in p) or '1'}")
 
     @staticmethod
     def zero(mode: SmashMode) -> "SmashElement":
@@ -218,15 +206,8 @@ class SmashElement:
 
     @staticmethod
     def from_lie(x: LieElement) -> "SmashElement":
-        mode = {
-            AlgebraMode.KHAT: SmashMode.U,
-            AlgebraMode.K: SmashMode.AK,
-            AlgebraMode.KPLUS: SmashMode.APKP,
-        }[x.mode]
-        return SmashElement({(A_ONE, (g,)): c for g, c in x.terms.items()}, mode)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return SmashElement({(A_ONE, (g,)): c for g, c in x.terms.items()},
+                            SmashMode.for_algebra(x.mode))
 
     def parity(self) -> int | None:
         ps = {(a.eps + sum(g.parity for g in p)) % 2 for a, p in self.terms}
@@ -234,67 +215,6 @@ class SmashElement:
 
     def pbw_degree(self) -> int:
         return max((len(p) for _, p in self.terms), default=0)
-
-    def __add__(self, other: "SmashElement") -> "SmashElement":
-        self._check_mode(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            cur = out.get(key)
-            cur = c if cur is None else cur + c
-            if cur.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = cur
-        return SmashElement(out, self.mode)
-
-    def __sub__(self, other: "SmashElement") -> "SmashElement":
-        return self + (-other)
-
-    def __neg__(self) -> "SmashElement":
-        return SmashElement({k: -c for k, c in self.terms.items()}, self.mode)
-
-    def scale(self, c) -> "SmashElement":
-        c = Scalar.of(c)
-        return SmashElement({k: v * c for k, v in self.terms.items()}, self.mode)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SmashElement)
-            and self.mode is other.mode
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.mode, frozenset(self.terms.items())))
-
-    def _check_mode(self, other: "SmashElement") -> None:
-        if self.mode is not other.mode:
-            raise AlgebraError(f"mode mismatch: {self.mode.value} vs {other.mode.value}")
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        def key(item):
-            (a, p), _ = item
-            return (a.sort_key(), tuple(g.sort_key() for g in p))
-        pieces = []
-        for (a, p), c in sorted(self.terms.items(), key=key):
-            body = f"{a.render()} (x) {''.join(g.render() for g in p) or '1'}"
-            cs = c.render_coeff()
-            if cs == "-1":
-                body = f"-{body}"
-            elif cs != "1":
-                body = f"{cs}*{body}"
-            if not pieces:
-                pieces.append(body)
-            elif body.startswith("-"):
-                pieces.append(f" - {body[1:]}")
-            else:
-                pieces.append(f" + {body}")
-        return "".join(pieces)
-
-    def __repr__(self):
-        return f"SmashElement({self.render()}, {self.mode.value})"
 
 
 def smash_product(x: SmashElement, y: SmashElement, degree_guard: int | None = None) -> SmashElement:
@@ -315,14 +235,7 @@ def smash_product(x: SmashElement, y: SmashElement, degree_guard: int | None = N
                 if afull is None:
                     continue
                 for pout, c2 in _pbw_mul(pmid, py, wc):
-                    key = (afull, pout)
-                    add = base * Scalar.of(c1 * c2)
-                    cur = out.get(key)
-                    cur = add if cur is None else cur + add
-                    if cur.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = cur
+                    accumulate(out, (afull, pout), base * Scalar.of(c1 * c2))
     return SmashElement(out, x.mode)
 
 
@@ -381,10 +294,10 @@ def l_prime(n: int, mode: SmashMode = SmashMode.AK) -> SmashElement:
     terms: dict[tuple[AMonomial, PBWMonomial], Scalar] = {}
     for i in range(n + 2):
         c = Fraction((-1) ** (i + 1) * comb(n + 1, i))
-        _sm_acc(terms, AMonomial(n - i + 1, 0), (L(i - 1),), c)
+        accumulate(terms, (AMonomial(n - i + 1, 0), (L(i - 1),)), Scalar.of(c))
     for i in range(n + 1):
         c = Fraction(n + 1, 2) * Fraction((-1) ** i * comb(n, i))
-        _sm_acc(terms, AMonomial(n - i, 1), (G(Fraction(2 * i - 1, 2)),), c)
+        accumulate(terms, (AMonomial(n - i, 1), (G(Fraction(2 * i - 1, 2)),)), Scalar.of(c))
     return SmashElement(terms, mode)
 
 
@@ -401,8 +314,8 @@ def g_prime(n: int, mode: SmashMode = SmashMode.AK) -> SmashElement:
     terms: dict[tuple[AMonomial, PBWMonomial], Scalar] = {}
     for i in range(n + 1):
         c = Fraction((-1) ** i * comb(n, i))
-        _sm_acc(terms, AMonomial(n - i, 0), (G(Fraction(2 * i - 1, 2)),), c)
-        _sm_acc(terms, AMonomial(n - i, 1), (L(i - 1),), -2 * c)
+        accumulate(terms, (AMonomial(n - i, 0), (G(Fraction(2 * i - 1, 2)),)), Scalar.of(c))
+        accumulate(terms, (AMonomial(n - i, 1), (L(i - 1),)), Scalar.of(-2 * c))
     return SmashElement(terms, mode)
 
 
@@ -433,16 +346,6 @@ class TElementLabel:
         if self.kind == "L":
             return f"L'({self.n})"
         return f"G'({2 * self.n - 1}/2)"
-
-
-def _sm_acc(table: dict, a: AMonomial, p: PBWMonomial, c: Fraction) -> None:
-    key = (a, p)
-    cur = table.get(key)
-    cur = Scalar.of(c) if cur is None else cur + Scalar.of(c)
-    if cur.is_zero():
-        table.pop(key, None)
-    else:
-        table[key] = cur
 
 
 def verify_reconstruction(n: int, mutate_extension: bool = False, mode: SmashMode = SmashMode.APKP):

@@ -34,12 +34,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import (
+    A_ONE,
     AElement,
     AMonomial,
     AlgebraMode,
+    Combination,
     Gen,
     HalfInt,
     LieElement,
+    accumulate,
     bracket_basis,
 )
 from .enveloping import SmashElement
@@ -119,66 +122,17 @@ class ModuleParams:
     parity_flipped: bool = False
 
 
-class ModuleVector:
-    """Finite Scalar combination of basis keys."""
+class ModuleVector(Combination):
+    """Finite Scalar combination of basis keys (no mode)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: dict[BasisKey, Scalar] | None = None):
-        clean = {k: c for k, c in (terms or {}).items() if not c.is_zero()}
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("ModuleVector is immutable")
+    def _render_term(self, key: BasisKey, cs: str) -> str:
+        return f"{cs} * {key.render()}"
 
     @staticmethod
     def basis(key: BasisKey, coeff=1) -> "ModuleVector":
         return ModuleVector({key: Scalar.of(coeff)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            cur = out.get(k)
-            cur = c if cur is None else cur + c
-            if cur.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = cur
-        return ModuleVector(out)
-
-    def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "ModuleVector":
-        c = Scalar.of(c)
-        return ModuleVector({k: v * c for k, v in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ModuleVector) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for key in sorted(self.terms):
-            cs = self.terms[key].render_coeff()
-            body = f"{cs} * {key.render()}"
-            if not pieces:
-                pieces.append(body)
-            elif body.startswith("-"):
-                pieces.append(f" - {body[1:]}")
-            else:
-                pieces.append(f" + {body}")
-        return "".join(pieces)
-
-    def __repr__(self):
-        return f"ModuleVector({self.render()})"
 
 
 @dataclass(frozen=True)
@@ -350,25 +304,26 @@ def make_module(params: ModuleParams) -> GammaModule:
     return mod
 
 
+def source_key(gen: Gen, key: BasisKey) -> BasisKey:
+    """The key that an L or G generator maps onto ``key``: the inverse of
+    the index shift in :meth:`GammaModule.gen_action`."""
+    if gen.kind == "L":
+        return BasisKey(key.k - gen.index.as_int(), key.eps)
+    n = (gen.index.doubled - 1) // 2  # gen = G(n + 1/2)
+    if key.eps:
+        return BasisKey(key.k - n, 0)
+    return BasisKey(key.k - n - 1, 1)
+
+
 def _edge_coeffs_at(mod: GammaModule, key: BasisKey, incoming: bool) -> list[Scalar]:
     """Coefficients of all probe edges into or out of ``key``."""
     plain = GammaModule(replace(mod.params, family=Family.GAMMA, excluded=None))
     coeffs = []
     for n in range(-_PROBE, _PROBE + 1):
-        gens = [Gen("L", HalfInt(2 * n)), Gen("G", HalfInt(2 * n + 1))]
-        for g in gens:
-            if incoming:
-                # source key that would land on `key` under g
-                if g.kind == "L":
-                    src = BasisKey(key.k - n, key.eps)
-                elif key.eps == 1:
-                    src = BasisKey(key.k - n, 0)
-                else:
-                    src = BasisKey(key.k - n - 1, 1)
-            else:
-                src = key
+        for g in (Gen("L", HalfInt(2 * n)), Gen("G", HalfInt(2 * n + 1))):
+            src = source_key(g, key) if incoming else key
             for target, c in plain.gen_action(g, src):
-                if (target == key) if incoming else True:
+                if target == key or not incoming:
                     coeffs.append(c)
     return coeffs
 
@@ -397,23 +352,21 @@ def _validate_exclusion(mod: GammaModule) -> None:
 def gamma(lam, b, algebra_mode: AlgebraMode = AlgebraMode.KHAT,
           convention: SignConvention = SignConvention.CORRECTED) -> GammaModule:
     return make_module(
-        ModuleParams(Scalar.of(lam) if not isinstance(lam, Scalar) else lam,
-                     Scalar.of(b) if not isinstance(b, Scalar) else b,
-                     Family.GAMMA, None, convention, algebra_mode)
+        ModuleParams(Scalar.of(lam), Scalar.of(b), Family.GAMMA, None, convention, algebra_mode)
     )
 
 
 def gamma_plus(b, convention: SignConvention = SignConvention.CORRECTED) -> GammaModule:
     return make_module(
-        ModuleParams(Scalar.of(0), Scalar.of(b) if not isinstance(b, Scalar) else b,
-                     Family.GAMMA_PLUS, None, convention, AlgebraMode.KPLUS)
+        ModuleParams(Scalar.of(0), Scalar.of(b), Family.GAMMA_PLUS, None, convention,
+                     AlgebraMode.KPLUS)
     )
 
 
 def gamma_minus(b, convention: SignConvention = SignConvention.CORRECTED) -> GammaModule:
     return make_module(
-        ModuleParams(Scalar.of(0), Scalar.of(b) if not isinstance(b, Scalar) else b,
-                     Family.GAMMA_MINUS, None, convention, AlgebraMode.KPLUS)
+        ModuleParams(Scalar.of(0), Scalar.of(b), Family.GAMMA_MINUS, None, convention,
+                     AlgebraMode.KPLUS)
     )
 
 
@@ -425,8 +378,7 @@ def gamma_prime(lam, b, algebra_mode: AlgebraMode = AlgebraMode.KHAT,
     key and its role are derived; elsewhere the module coincides with
     gamma(lambda, b).
     """
-    lam_s = Scalar.of(lam) if not isinstance(lam, Scalar) else lam
-    b_s = Scalar.of(b) if not isinstance(b, Scalar) else b
+    lam_s, b_s = Scalar.of(lam), Scalar.of(b)
     excluded = None
     if lam_s.is_numeric() and b_s.is_numeric():
         lv, bv = lam_s.numeric_value(), b_s.numeric_value()
@@ -454,60 +406,33 @@ def act(x, v: ModuleVector, mod: GammaModule) -> ModuleVector:
     SmashElement; smash terms apply PBW factors right-to-left and the
     A-part last."""
     if isinstance(x, Gen):
-        return _act_gen(x, v, mod)
+        return _apply(mod.gen_action, x, v)
     if isinstance(x, LieElement):
-        out = ModuleVector()
-        for g, c in x.terms.items():
-            out = out + _act_gen(g, v, mod).scale(c)
-        return out
-    if isinstance(x, AElement):
-        out = ModuleVector()
-        for m, c in x.terms.items():
-            out = out + _act_amon(m, v, mod).scale(c)
-        return out
-    if isinstance(x, SmashElement):
-        out = ModuleVector()
-        for (a, pbw), c in x.terms.items():
-            w = v
-            for g in reversed(pbw):
-                w = _act_gen(g, w, mod)
-                if w.is_zero():
-                    break
-            if w.is_zero():
-                continue
-            w = _act_amon(a, w, mod)
-            out = out + w.scale(c)
-        return out
-    raise ModuleError(f"cannot act with object of type {type(x).__name__}")
+        terms = (((A_ONE, (g,)), c) for g, c in x.terms.items())
+    elif isinstance(x, AElement):
+        terms = (((m, ()), c) for m, c in x.terms.items())
+    elif isinstance(x, SmashElement):
+        terms = x.terms.items()
+    else:
+        raise ModuleError(f"cannot act with object of type {type(x).__name__}")
+    out = ModuleVector()
+    for (a, pbw), c in terms:
+        w = v
+        for g in reversed(pbw):
+            w = _apply(mod.gen_action, g, w)
+        if a != A_ONE:
+            w = _apply(mod.amon_action, a, w)
+        out = out + w.scale(c)
+    return out
 
 
-def _act_gen(g: Gen, v: ModuleVector, mod: GammaModule) -> ModuleVector:
+def _apply(action, x, v: ModuleVector) -> ModuleVector:
+    """Image of v under the basis element x, given the basis-level action
+    ``action(x, key) -> [(target, coeff)]``."""
     out: dict[BasisKey, Scalar] = {}
     for key, c in v.terms.items():
-        for target, coeff in mod.gen_action(g, key):
-            cur = out.get(target)
-            add = c * coeff
-            cur = add if cur is None else cur + add
-            if cur.is_zero():
-                out.pop(target, None)
-            else:
-                out[target] = cur
-    return ModuleVector(out)
-
-
-def _act_amon(m: AMonomial, v: ModuleVector, mod: GammaModule) -> ModuleVector:
-    if m == AMonomial(0, 0):
-        return v
-    out: dict[BasisKey, Scalar] = {}
-    for key, c in v.terms.items():
-        for target, coeff in mod.amon_action(m, key):
-            cur = out.get(target)
-            add = c * coeff
-            cur = add if cur is None else cur + add
-            if cur.is_zero():
-                out.pop(target, None)
-            else:
-                out[target] = cur
+        for target, coeff in action(x, key):
+            accumulate(out, target, c * coeff)
     return ModuleVector(out)
 
 

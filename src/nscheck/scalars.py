@@ -423,6 +423,9 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def __bool__(self) -> bool:
+        return bool(self.num.terms)
+
     def is_numeric(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
 
@@ -528,51 +531,7 @@ LAMBDA = Scalar.lam()
 B = Scalar.bparam()
 
 
-def scalar_normalize(raw_num: ParamPoly, raw_den: ParamPoly) -> Scalar:
-    """Canonical representative of raw_num / raw_den.
-
-    Idempotent: two inputs representing the same rational function return
-    identical Scalars.  Raises :class:`ScalarError` on a zero denominator.
-    """
-    return Scalar(raw_num, raw_den)
-
-
-def scalar_arith(a: Scalar, c: Scalar, op: str) -> Scalar:
-    """Field operation on canonical Scalars; op is add|sub|mul|div."""
-    if op == "add":
-        return a + c
-    if op == "sub":
-        return a - c
-    if op == "mul":
-        return a * c
-    if op == "div":
-        return a / c
-    raise ValueError(f"unknown op {op!r}")
-
-
-def scalar_substitute(s: Scalar, lambda_val=None, b_val=None) -> Scalar:
-    """Specialize l and/or b to rational values.
-
-    Partial substitution is allowed.  Raises :class:`PoleError` carrying
-    the vanishing polynomial when the denominator dies at the point.
-    """
-    return s.substitute(lambda_val, b_val)
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse an exact rational given as "p/q" or "p"."""
     return Fraction(text.strip())
 
-
-def poly_from_coeffs(const=0, l=0, b=0, lb=0, l2=0, b2=0) -> ParamPoly:
-    """Convenience builder for small polynomials c + l*L + b*B + ..."""
-    return ParamPoly(
-        {
-            (0, 0): Fraction(const),
-            (1, 0): Fraction(l),
-            (0, 1): Fraction(b),
-            (1, 1): Fraction(lb),
-            (2, 0): Fraction(l2),
-            (0, 2): Fraction(b2),
-        }
-    )

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from nscheck.algebra import (
     AElement,
+    AMode,
     AlgebraError,
     AlgebraMode,
     A_action_on_k,
@@ -118,6 +119,15 @@ class TestActions:
 
     def test_a_action_xi_on_g(self):
         assert A_action_on_k(AElement.monomial(0, 1), lie(G(half(1)), K)).is_zero()
+
+    def test_a_mode_mixing_rejected(self):
+        a = AElement.monomial(1)
+        a_plus = AElement.monomial(1, mode=AMode.APLUS)
+        with pytest.raises(AlgebraError):
+            a + a_plus
+        with pytest.raises(AlgebraError):
+            a_plus - a
+        assert a != a_plus
 
     def test_a_action_kplus_bound_violation(self):
         with pytest.raises(AlgebraError) as err:

@@ -1,7 +1,10 @@
 """CLI behavior: exit codes, deterministic JSON, atomic report files."""
 
+import hashlib
 import json
 import os
+
+import pytest
 
 from nscheck.cli import run
 
@@ -68,6 +71,27 @@ class TestDeterminism:
         assert names == sorted(names)
         for c in doc["checks"]:
             assert set(c) - {"witness"} == {"name", "paper_anchor", "status", "params"}
+
+    # smoke-size invocations with the exit code and the sha256 of the report
+    # bytes recorded when the report format was fixed
+    GOLDEN = [
+        (["verify", "--suite", "all", "--range", "2"], 0,
+         "19cd593d1a5cf0ce25d7b100a1f76686af88e5d78c0b3e247662056a19117981"),
+        (["identities", "--max-n", "2", "--window=-4..4"], 0,
+         "dbed716df39664af76dc62095e7e214b957889413b1a05b9b1e8d3e4887ab53c"),
+        (["annihilator", "--module", "gamma(l,b)", "--window=-6..6"], 0,
+         "dda61e66083e3186aaeca3c6fab57659b901a093a8fd1fa011d48ab52e55975a"),
+        (["module-axiom", "--module", "gamma(l,b)", "--convention", "paper-printed",
+          "--gen-range", "1", "--window=-4..4"], 1,
+         "179facdc702e0ae4b2975deaf611fe34fd749b4e9a992813ceb9ff4877839a3d"),
+    ]
+
+    @pytest.mark.parametrize("argv, want_code, want_digest", GOLDEN,
+                             ids=[argv[0] for argv, _, _ in GOLDEN])
+    def test_golden_report_bytes(self, tmp_path, argv, want_code, want_digest):
+        code, _, raw = invoke(tmp_path, *argv, out_name="golden.json")
+        assert code == want_code
+        assert hashlib.sha256(raw).hexdigest() == want_digest
 
     def test_no_temp_files_left(self, tmp_path):
         invoke(tmp_path, "classify", out_name="out.json")
