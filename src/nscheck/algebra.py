@@ -444,7 +444,7 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
         for gy, cy in y.terms.items():
             c = cx * cy
             for g, k in bracket_basis(gx, gy, wc):
-                accumulate(out, g, c * Scalar.of(k))
+                accumulate(out, g, c * k)
     return LieElement(out, x.mode)
 
 
@@ -481,9 +481,7 @@ def k_action_on_A(x: LieElement, a: AElement) -> AElement:
         for m, cm in a.terms.items():
             c = cg * cm
             for mono, coeff in gen_act_amon(g, m):
-                # G_m . t^k xi has coefficient -1: a negation is far cheaper
-                # than a Scalar product on this hot path
-                accumulate(out, mono, -c if coeff == -1 else c * Scalar.of(coeff))
+                accumulate(out, mono, c * coeff)
     return AElement(out, a.mode)
 
 
@@ -512,7 +510,7 @@ def A_action_on_k(a: AElement, x: LieElement) -> LieElement:
                         raise AlgebraError(
                             f"action result {target.render()} violates mode {x.mode.value}"
                         )
-                    accumulate(out, target, c * Scalar.of(Fraction(1, 2)))
+                    accumulate(out, target, c * Fraction(1, 2))
                 # xi G_m = 0
     return LieElement(out, x.mode)
 

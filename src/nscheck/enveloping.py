@@ -235,7 +235,7 @@ def smash_product(x: SmashElement, y: SmashElement, degree_guard: int | None = N
                 if afull is None:
                     continue
                 for pout, c2 in _pbw_mul(pmid, py, wc):
-                    accumulate(out, (afull, pout), base * Scalar.of(c1 * c2))
+                    accumulate(out, (afull, pout), base * (c1 * c2))
     return SmashElement(out, x.mode)
 
 

@@ -455,7 +455,7 @@ def module_axiom_residual(x: Gen, y: Gen, key: BasisKey, mod: GammaModule) -> Mo
     for g, c in bracket_basis(x, y, wc):
         if g.kind == "C":
             continue  # central charge zero on these modules
-        br = br + act(g, e, mod).scale(Scalar.of(c))
+        br = br + act(g, e, mod).scale(c)
     return comp - br
 
 

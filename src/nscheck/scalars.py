@@ -9,7 +9,20 @@ Canonical form of a Scalar:
 
 * numerator and denominator share no polynomial factor (gcd removed),
 * the denominator is monic with respect to the fixed term order,
-* zero is ``0/1``, purely numeric values are ``c/1``.
+* zero is ``0/1``, purely numeric values are ``c/1``; a denominator 1 is
+  always the one shared ``ParamPoly``.
+
+Arithmetic forms the textbook numerator and denominator and reduces them
+with :func:`_canonicalize` (gcd, then monic), except in three cases whose
+result is canonical by construction:
+
+* rational scaling: ``x * c`` for an int, Fraction or numeric Scalar
+  ``c`` (and ``x / c``, which is ``x * (1/c)``) scales the numerator and
+  keeps the denominator; a nonzero constant keeps the pair coprime;
+* sums over denominator one: the numerators add over the denominator 1,
+  which is coprime to anything and monic;
+* adding a rational ``q`` to ``n/d`` gives ``(n + q d)/d``, because
+  ``gcd(n + q d, d) = gcd(n, d) = 1``.
 
 The term order is graded lexicographic with ``l`` before ``b``.  All
 polynomial coefficients are :class:`fractions.Fraction`, so the whole
@@ -51,10 +64,21 @@ def _sorted_exponents(terms: Mapping[Expt, Fraction]) -> list[Expt]:
     return sorted(terms, key=_order_key, reverse=True)
 
 
-def _p_add(f: dict, g: dict) -> dict:
+# polynomial kernels, shared by Q[l, b] (Fraction coefficients) and the
+# integer gcd machinery below (int coefficients)
+
+
+def _add_scaled(f: dict, g: dict, c=1, shift: Expt = (0, 0)) -> dict:
+    """f + c * l^shift[0] b^shift[1] * g, dropping terms that sum to zero."""
     out = dict(f)
-    for e, c in g.items():
-        s = out.get(e, Fraction(0)) + c
+    scaled = c != 1
+    sl, sb = shift
+    for (a, b), k in g.items():
+        e = (a + sl, b + sb)
+        if scaled:
+            k = c * k
+        cur = out.get(e)
+        s = k if cur is None else cur + k
         if s:
             out[e] = s
         else:
@@ -62,25 +86,15 @@ def _p_add(f: dict, g: dict) -> dict:
     return out
 
 
+def _mul(f: dict, g: dict) -> dict:
+    out: dict = {}
+    for e, c in f.items():
+        out = _add_scaled(out, g, c, e)
+    return out
+
+
 def _p_neg(f: dict) -> dict:
     return {e: -c for e, c in f.items()}
-
-
-def _p_sub(f: dict, g: dict) -> dict:
-    return _p_add(f, _p_neg(g))
-
-
-def _p_mul(f: dict, g: dict) -> dict:
-    out: dict = {}
-    for (a1, b1), c1 in f.items():
-        for (a2, b2), c2 in g.items():
-            e = (a1 + a2, b1 + b2)
-            s = out.get(e, Fraction(0)) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
 
 
 def _p_scale(f: dict, c: Fraction) -> dict:
@@ -94,8 +108,8 @@ def _p_leading(f: dict) -> tuple[Expt, Fraction]:
     return e, f[e]
 
 
-def _p_divexact(f: dict, g: dict) -> dict:
-    """Exact multivariate division; raises if ``g`` does not divide ``f``."""
+def _divexact(f: dict, g: dict) -> dict:
+    """Exact division in Q[l, b] or in Z[l, b]; raises unless ``g`` divides ``f``."""
     if not g:
         raise ScalarError("division by zero polynomial")
     q: dict = {}
@@ -104,11 +118,11 @@ def _p_divexact(f: dict, g: dict) -> dict:
     while r:
         re, rc = _p_leading(r)
         de = (re[0] - ge[0], re[1] - ge[1])
-        if de[0] < 0 or de[1] < 0:
+        qc, rem = divmod(rc, gc) if isinstance(gc, int) else (rc / gc, 0)
+        if de[0] < 0 or de[1] < 0 or rem:
             raise ScalarError("inexact polynomial division")
-        qc = rc / gc
-        q[de] = q.get(de, Fraction(0)) + qc
-        r = _p_sub(r, _p_mul({de: qc}, g))
+        q[de] = qc
+        r = _add_scaled(r, g, -qc, de)
     return q
 
 
@@ -116,41 +130,9 @@ def _deg_l(f: dict) -> int:
     return max((e[0] for e in f), default=-1)
 
 
-def _p_monic(f: dict) -> dict:
-    if not f:
-        return {}
-    _, c = _p_leading(f)
-    return _p_scale(f, 1 / c)
-
-
 # gcd machinery: cleared to integer coefficients (Gauss's lemma), primitive
 # pseudo-remainder sequences with the main variable l; plain int arithmetic
 # keeps the tiny inputs fast
-
-
-def _ip_add_scaled(f: dict, g: dict, c: int, shift: Expt) -> dict:
-    out = dict(f)
-    for e, k in g.items():
-        key = (e[0] + shift[0], e[1] + shift[1])
-        s = out.get(key, 0) + c * k
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
-
-
-def _ip_mul(f: dict, g: dict) -> dict:
-    out: dict = {}
-    for (a1, b1), c1 in f.items():
-        for (a2, b2), c2 in g.items():
-            e = (a1 + a2, b1 + b2)
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
 
 
 def _ip_content_int(f: dict) -> int:
@@ -172,22 +154,6 @@ def _ip_normalize(f: dict) -> dict:
     return {e: v // c for e, v in f.items()}
 
 
-def _ip_divexact(f: dict, g: dict) -> dict:
-    q: dict = {}
-    r = dict(f)
-    ge = max(g, key=_order_key)
-    gc = g[ge]
-    while r:
-        re = max(r, key=_order_key)
-        de = (re[0] - ge[0], re[1] - ge[1])
-        if de[0] < 0 or de[1] < 0 or r[re] % gc:
-            raise ScalarError("inexact polynomial division")
-        qc = r[re] // gc
-        q[de] = qc
-        r = _ip_add_scaled(r, g, -qc, de)
-    return q
-
-
 def _ip_gcd_uni_b(f: dict, g: dict) -> dict:
     """Primitive gcd of integer polynomials in b alone."""
     f, g = _ip_normalize(f), _ip_normalize(g)
@@ -198,7 +164,7 @@ def _ip_gcd_uni_b(f: dict, g: dict) -> dict:
         while r and max(e[1] for e in r) >= dg:
             dr = max(e[1] for e in r)
             rc = r[(0, dr)]
-            r = _ip_add_scaled({e: gc * v for e, v in r.items()}, g, -rc, (0, dr - dg))
+            r = _add_scaled({e: gc * v for e, v in r.items()}, g, -rc, (0, dr - dg))
         f, g = g, _ip_normalize(r)
     return f
 
@@ -219,7 +185,7 @@ def _ip_primitive_l(f: dict) -> dict:
     cont = _ip_content_l(f)
     if cont == {(0, 0): 1}:
         return _ip_normalize(f)
-    return _ip_normalize(_ip_divexact(f, cont))
+    return _ip_normalize(_divexact(f, cont))
 
 
 def _ip_prem_l(f: dict, g: dict) -> dict:
@@ -229,8 +195,7 @@ def _ip_prem_l(f: dict, g: dict) -> dict:
     while r and _deg_l(r) >= dg:
         dr = _deg_l(r)
         lcr = {(0, e[1]): c for e, c in r.items() if e[0] == dr}
-        shifted = _ip_mul(lcr, {(dr - dg, 0): 1})
-        r = _ip_add_scaled(_ip_mul(lcg, r), _ip_mul(shifted, g), -1, (0, 0))
+        r = _add_scaled(_mul(lcg, r), _mul(lcr, g), -1, (dr - dg, 0))
     return r
 
 
@@ -248,7 +213,7 @@ def _ip_gcd(f: dict, g: dict) -> dict:
     while b_:
         r = _ip_prem_l(a, b_)
         a, b_ = b_, _ip_primitive_l(r)
-    return _ip_normalize(_ip_mul(cont, a))
+    return _ip_normalize(_mul(cont, a))
 
 
 def _clear_denominators(f: dict) -> dict:
@@ -263,7 +228,8 @@ def _clear_denominators(f: dict) -> dict:
 def _p_gcd(f: dict, g: dict) -> dict:
     """Monic gcd in Q[l, b]."""
     if not f or not g:
-        return _p_monic(f or g)
+        f = f or g
+        return _p_scale(f, 1 / _p_leading(f)[1]) if f else {}
     got = _ip_gcd(_clear_denominators(f), _clear_denominators(g))
     lead = got[max(got, key=_order_key)]
     return {e: Fraction(c, lead) for e, c in got.items()}
@@ -304,7 +270,8 @@ class ParamPoly:
     """Polynomial in the formal parameters l and b over Q.
 
     Immutable; ``terms`` maps exponent pairs (deg l, deg b) to nonzero
-    Fractions.
+    Fractions.  The constructor validates outside input; the kernels hand
+    their already-clean dicts to :func:`_poly`.
     """
 
     __slots__ = ("terms",)
@@ -339,22 +306,17 @@ class ParamPoly:
     def is_constant(self) -> bool:
         return all(e == (0, 0) for e in self.terms)
 
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ScalarError(f"{self.render()} is not constant")
-        return self.terms.get((0, 0), Fraction(0))
-
     def __add__(self, other: "ParamPoly") -> "ParamPoly":
-        return ParamPoly(_p_add(self.terms, other.terms))
+        return _poly(_add_scaled(self.terms, other.terms))
 
     def __sub__(self, other: "ParamPoly") -> "ParamPoly":
-        return ParamPoly(_p_sub(self.terms, other.terms))
+        return _poly(_add_scaled(self.terms, other.terms, -1))
 
     def __neg__(self) -> "ParamPoly":
-        return ParamPoly(_p_neg(self.terms))
+        return _poly(_p_neg(self.terms))
 
     def __mul__(self, other: "ParamPoly") -> "ParamPoly":
-        return ParamPoly(_p_mul(self.terms, other.terms))
+        return _poly(_mul(self.terms, other.terms))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ParamPoly) and self.terms == other.terms
@@ -365,21 +327,14 @@ class ParamPoly:
     def substitute(self, l_val: Fraction | None, b_val: Fraction | None) -> "ParamPoly":
         out: dict = {}
         for (dl, db), c in self.terms.items():
-            v = c
-            el, eb = dl, db
             if l_val is not None:
-                v *= Fraction(l_val) ** dl
-                el = 0
+                c *= Fraction(l_val) ** dl
+                dl = 0
             if b_val is not None:
-                v *= Fraction(b_val) ** db
-                eb = 0
-            e = (el, eb)
-            s = out.get(e, Fraction(0)) + v
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return ParamPoly(out)
+                c *= Fraction(b_val) ** db
+                db = 0
+            out = _add_scaled(out, _ONE_TERMS, c, (dl, db))
+        return _poly(out)
 
     def render(self) -> str:
         return _p_render(self.terms)
@@ -388,19 +343,39 @@ class ParamPoly:
         return f"ParamPoly({self.render()})"
 
 
+def _poly(terms: dict) -> ParamPoly:
+    """ParamPoly over a dict that is already clean: int exponent pairs,
+    nonzero Fraction coefficients."""
+    p = object.__new__(ParamPoly)
+    object.__setattr__(p, "terms", terms)
+    return p
+
+
+_ONE_TERMS = {(0, 0): Fraction(1)}
+_ONE_POLY = _poly(_ONE_TERMS)
+
+
+def _rational(x):
+    """The value of a rational operand (int, Fraction or numeric Scalar);
+    None for a Scalar that involves l or b."""
+    if isinstance(x, Scalar):
+        t = x.num.terms
+        one = x.den is _ONE_POLY or x.den.terms == _ONE_TERMS
+        if one and (not t or (len(t) == 1 and (0, 0) in t)):
+            return t.get((0, 0), 0)
+        return None
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
 class Scalar:
     """Canonical element of Q(l, b); see the module docstring."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: ParamPoly, den: ParamPoly, _canonical: bool = False):
-        if _canonical:
-            object.__setattr__(self, "num", num)
-            object.__setattr__(self, "den", den)
-            return
+    def __init__(self, num: ParamPoly, den: ParamPoly):
         n, d = _canonicalize(num.terms, den.terms)
-        object.__setattr__(self, "num", ParamPoly(n))
-        object.__setattr__(self, "den", ParamPoly(d))
+        object.__setattr__(self, "num", _poly(n))
+        object.__setattr__(self, "den", _ONE_POLY if d == _ONE_TERMS else _poly(d))
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Scalar is immutable")
@@ -410,15 +385,16 @@ class Scalar:
         """Scalar from an int, Fraction or Scalar."""
         if isinstance(value, Scalar):
             return value
-        return Scalar(ParamPoly.const(Fraction(value)), ParamPoly.const(1))
+        value = Fraction(value)
+        return _scalar({(0, 0): value} if value else {}, _ONE_POLY)
 
     @staticmethod
     def lam() -> "Scalar":
-        return Scalar(ParamPoly.variable("l"), ParamPoly.const(1))
+        return _scalar({(1, 0): Fraction(1)}, _ONE_POLY)
 
     @staticmethod
     def bparam() -> "Scalar":
-        return Scalar(ParamPoly.variable("b"), ParamPoly.const(1))
+        return _scalar({(0, 1): Fraction(1)}, _ONE_POLY)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -427,51 +403,63 @@ class Scalar:
         return bool(self.num.terms)
 
     def is_numeric(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
+        return _rational(self) is not None
 
     def numeric_value(self) -> Fraction:
-        if not self.is_numeric():
+        q = _rational(self)
+        if q is None:
             raise ScalarError(f"{self.render()} is not numeric")
-        return self.num.constant_value() / self.den.constant_value()
+        return Fraction(q)
 
     def __add__(self, other) -> "Scalar":
-        other = Scalar.of(other)
-        return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
+        return _sum(self, other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Scalar":
-        other = Scalar.of(other)
-        return Scalar(self.num * other.den - other.num * self.den, self.den * other.den)
+        return _sum(self, other, -1)
 
     def __rsub__(self, other) -> "Scalar":
-        return Scalar.of(other) - self
+        return _sum(-self, other, 1)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.num, self.den, _canonical=True)
+        return _scalar(_p_neg(self.num.terms), self.den)
 
     def __mul__(self, other) -> "Scalar":
-        other = Scalar.of(other)
-        return Scalar(self.num * other.num, self.den * other.den)
+        x, q = self, _rational(other)
+        if q is None:
+            x, q = other, _rational(self)
+            if q is None:
+                return Scalar(self.num * other.num, self.den * other.den)
+        # rational scaling: a nonzero constant keeps num and den coprime
+        if not q:
+            return ZERO
+        return x if q == 1 else _scalar(_p_scale(x.num.terms, q), x.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Scalar":
-        other = Scalar.of(other)
-        if other.is_zero():
-            raise ScalarError("division by zero Scalar")
+        q = _rational(other)
+        if q is not None:
+            if not q:
+                raise ScalarError("division by zero Scalar")
+            return _scalar(_p_scale(self.num.terms, 1 / Fraction(q)), self.den)
         return Scalar(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other) -> "Scalar":
         return Scalar.of(other) / self
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, Scalar):
+            return self.num.terms == other.num.terms and self.den.terms == other.den.terms
         if isinstance(other, (int, Fraction)):
-            other = Scalar.of(other)
-        return isinstance(other, Scalar) and self.num == other.num and self.den == other.den
+            return _rational(self) == other
+        return False
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # a numeric Scalar hashes as the rational it equals
+        q = _rational(self)
+        return hash((self.num, self.den)) if q is None else hash(q)
 
     def substitute(self, l_val=None, b_val=None) -> "Scalar":
         l_val = None if l_val is None else Fraction(l_val)
@@ -483,7 +471,7 @@ class Scalar:
 
     def render(self) -> str:
         ns = self.num.render()
-        if self.den == ParamPoly.const(1):
+        if self.den == _ONE_POLY:
             return ns
         ds = self.den.render()
         if len(self.num.terms) > 1:
@@ -504,20 +492,44 @@ class Scalar:
         return f"Scalar({self.render()})"
 
 
+def _scalar(num: dict, den: ParamPoly) -> Scalar:
+    """Scalar over a pair that is already canonical."""
+    s = object.__new__(Scalar)
+    object.__setattr__(s, "num", _poly(num))
+    object.__setattr__(s, "den", den)
+    return s
+
+
+def _sum(x: Scalar, y, sign: int) -> Scalar:
+    """x + sign * y for sign = 1 or -1, through the shortcuts where they apply."""
+    q = _rational(y)
+    if q is not None:
+        # (n + q d)/d: gcd(n + q d, d) = gcd(n, d) = 1
+        return _scalar(_add_scaled(x.num.terms, x.den.terms, sign * q), x.den) if q else x
+    q = _rational(x)
+    if q is not None:
+        n = y.num.terms if sign == 1 else _p_neg(y.num.terms)
+        return _scalar(_add_scaled(n, y.den.terms, q), y.den)
+    if x.den is _ONE_POLY and y.den is _ONE_POLY:
+        return _scalar(_add_scaled(x.num.terms, y.num.terms, sign), _ONE_POLY)
+    n, m = x.num * y.den, y.num * x.den
+    return Scalar(n + m if sign == 1 else n - m, x.den * y.den)
+
+
 def _canonicalize(num: dict, den: dict) -> tuple[dict, dict]:
     if not den:
         raise ScalarError("division by zero polynomial")
     if not num:
-        return {}, {(0, 0): Fraction(1)}
+        return {}, _ONE_TERMS
     # constant numerator or denominator: the gcd is a unit
     if den.keys() == {(0, 0)}:
         c = den[(0, 0)]
-        return (dict(num) if c == 1 else _p_scale(num, 1 / c)), {(0, 0): Fraction(1)}
+        return (dict(num) if c == 1 else _p_scale(num, 1 / c)), _ONE_TERMS
     if num.keys() != {(0, 0)}:
         g = _p_gcd(num, den)
-        if g != {(0, 0): Fraction(1)}:
-            num = _p_divexact(num, g)
-            den = _p_divexact(den, g)
+        if g != _ONE_TERMS:
+            num = _divexact(num, g)
+            den = _divexact(den, g)
     _, lead = _p_leading(den)
     if lead != 1:
         num = _p_scale(num, 1 / lead)
@@ -534,4 +546,3 @@ B = Scalar.bparam()
 def parse_rational(text: str) -> Fraction:
     """Parse an exact rational given as "p/q" or "p"."""
     return Fraction(text.strip())
-

@@ -1,6 +1,7 @@
 """Exact scalar arithmetic: canonical forms, field axioms, substitution."""
 
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -171,3 +172,101 @@ def test_substitute_commutes_with_arith(a, c, op, lv, bv):
     except PoleError:
         return
     assert lhs == op(asub, csub)
+
+
+def test_numeric_hash_agrees_with_rational_equality():
+    assert Scalar.of(1) == 1
+    assert len({Scalar.of(1), 1}) == 1
+    assert Scalar.of(Fraction(1, 2)) in {Fraction(1, 2)}
+    assert hash(Scalar.of(Fraction(-3, 7))) == hash(Fraction(-3, 7))
+    assert {0: "zero"}[ZERO] == "zero"
+
+
+def random_poly(rng):
+    return ParamPoly({(rng.randint(0, 2), rng.randint(0, 2)):
+                      Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                      for _ in range(rng.randint(1, 3))})
+
+
+def random_operand(rng):
+    """Zero, one, a bare int or Fraction, or a numeric, polynomial or true
+    rational-function Scalar."""
+    kind = rng.randrange(7)
+    q = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+    if kind == 0:
+        return rng.choice([0, 1, -1, ZERO, ONE])
+    if kind == 1:
+        return rng.randint(-6, 6)
+    if kind == 2:
+        return q
+    if kind == 3:
+        return Scalar.of(q)
+    if kind == 4:
+        return Scalar(random_poly(rng), ONE_POLY)
+    den = random_poly(rng)
+    while den.is_constant():
+        den = random_poly(rng)
+    return Scalar(random_poly(rng), den)
+
+
+def random_pairs(seed, count):
+    """Operand pairs with at least one Scalar side."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        x, y = random_operand(rng), random_operand(rng)
+        yield (x if isinstance(x, Scalar) or isinstance(y, Scalar) else Scalar.of(x)), y
+
+
+ARITH = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+def general_formula(op, x, y):
+    """The textbook numerator and denominator, reduced by the constructor."""
+    x, y = Scalar.of(x), Scalar.of(y)
+    n1, d1, n2, d2 = x.num, x.den, y.num, y.den
+    if op is operator.add:
+        return Scalar(n1 * d2 + n2 * d1, d1 * d2)
+    if op is operator.sub:
+        return Scalar(n1 * d2 - n2 * d1, d1 * d2)
+    if op is operator.mul:
+        return Scalar(n1 * n2, d1 * d2)
+    return Scalar(n1 * d2, d1 * n2)
+
+
+def test_shortcuts_agree_with_general_path():
+    for x, y in random_pairs("nscheck-scalar-paths", 600):
+        for op in ARITH:
+            if op is operator.truediv and not y:
+                with pytest.raises(ScalarError):
+                    op(x, y)
+                continue
+            got = op(x, y)
+            rebuilt = Scalar(got.num, got.den)
+            where = (op.__name__, x, y, got)
+            assert (got.num, got.den) == (rebuilt.num, rebuilt.den), where
+            assert got == general_formula(op, x, y), where
+            assert got.is_numeric() == (got.num.is_constant() and got.den.is_constant()), where
+            assert hash(got) == hash(rebuilt), where
+
+
+def test_canonical_form_matches_sympy_cancel():
+    sympy = pytest.importorskip("sympy")
+    l, b = sympy.symbols("l b")
+
+    def parse(text):
+        return sympy.sympify(text.replace("^", "**"), locals={"l": l, "b": b})
+
+    for x, y in random_pairs("nscheck-sympy-oracle", 100):
+        for op in ARITH:
+            if op is operator.truediv and not y:
+                continue
+            s = op(x, y)
+            num, den = parse(s.num.render()), parse(s.den.render())
+            reduced_num, reduced_den = sympy.fraction(sympy.cancel(num / den))
+            if s.is_zero():
+                assert reduced_num == 0 and den == 1
+                continue
+            unit = sympy.cancel(num / reduced_num)
+            assert unit.is_Rational and sympy.expand(den - unit * reduced_den) == 0, s
+            assert sympy.gcd(num, den).is_number, s
+            assert sympy.Poly(den, l, b).LC(order="grlex") == 1, s
