@@ -51,8 +51,8 @@ from .modules import (
     ModuleVector,
     Window,
     act,
+    edge_coeffs,
     gamma,
-    source_key,
 )
 from .scalars import B, LAMBDA, Scalar
 
@@ -525,7 +525,7 @@ def module_edges(
     Symbolic coefficients count as nonzero unless identically zero.
     """
     interior = set(window_keys(mod, window, interior_only=True))
-    gens = [g for g in edge_generators(mod.algebra_mode, gen_range) if mod.gen_admissible(g)]
+    gens = [g for g in edge_generators(mod.algebra_mode, gen_range) if mod.algebra_mode.admits(g)]
     amons = [AMonomial(1, 0), AMonomial(0, 1)] if _uses_a_edges(mod, include_a_action) else []
     edges: dict[BasisKey, list[EdgeRecord]] = {key: [] for key in interior}
     for key in sorted(interior):
@@ -614,20 +614,13 @@ def _generic_locus(mod: GammaModule, gen_range: int) -> dict:
     certificate at a translate of that key; vanishing of an "in" list
     creates a complement (quotient-type) certificate.
     """
-    plain = gamma(mod.lam, mod.b, mod.algebra_mode, mod.convention)
     gens = edge_generators(mod.algebra_mode, gen_range)
     locus: dict[str, list[str]] = {}
     for eps in (0, 1):
         key = BasisKey(0, eps)
-        outs, ins = set(), set()
-        for g in gens:
-            for _, coeff in plain.gen_action(g, key):
-                outs.add(coeff.render())
-            for target, coeff in plain.gen_action(g, source_key(g, key)):
-                if target == key:
-                    ins.add(coeff.render())
-        locus[f"out@{key.render()}"] = sorted(outs)
-        locus[f"in@{key.render()}"] = sorted(ins)
+        outs, ins = edge_coeffs(mod, key, gens)
+        locus[f"out@{key.render()}"] = sorted({c.render() for c in outs})
+        locus[f"in@{key.render()}"] = sorted({c.render() for c in ins})
     return locus
 
 
@@ -729,7 +722,7 @@ def find_intertwiner(
     if not tracked:
         return None
     tracked_set = set(tracked)
-    gens = [g for g in edge_generators(m1.algebra_mode, gen_range) if m1.gen_admissible(g)]
+    gens = [g for g in edge_generators(m1.algebra_mode, gen_range) if m1.algebra_mode.admits(g)]
 
     def constraints(gen_list):
         for key in sorted(tracked_set):
@@ -771,7 +764,7 @@ def find_intertwiner(
                     scale[nxt] = val
                     stack.append(nxt)
     # re-verify on a fresh, wider batch of (generator, key) pairs
-    wide = [g for g in edge_generators(m1.algebra_mode, gen_range + 1) if m1.gen_admissible(g)]
+    wide = [g for g in edge_generators(m1.algebra_mode, gen_range + 1) if m1.algebra_mode.admits(g)]
     for key, g, a1, a2 in constraints(wide):
         if a1 and a2:
             (t1, c1), (t2, c2) = a1[0], a2[0]

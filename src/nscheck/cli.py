@@ -41,9 +41,9 @@ from .analysis import (
     simplicity_verdict,
     sort_reports,
     verify_identity_catalogue,
+    window_keys,
 )
 from .modules import (
-    BasisKey,
     ModuleError,
     module_axiom_residual,
     SignConvention,
@@ -189,8 +189,8 @@ def cmd_identities(args) -> int:
 def cmd_module_axiom(args) -> int:
     mod = _module_from_args(args, default="gamma(l,b)")
     window = _parse_window(args.window, 0)
-    gens = [g for g in khat_basis(args.gen_range, with_center=False) if mod.gen_admissible(g)]
-    keys = [BasisKey(k, e) for k in window.full() for e in (0, 1) if mod.admissible(BasisKey(k, e))]
+    gens = [g for g in khat_basis(args.gen_range, with_center=False) if mod.algebra_mode.admits(g)]
+    keys = window_keys(mod, window)
     reports = []
     for i, x in enumerate(gens):
         for y in gens[i:]:

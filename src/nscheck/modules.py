@@ -24,14 +24,19 @@ Families:
   coefficients targeting k >= 0 projected away;
 * ``GAMMA_PRIME``  - an excluded-key sub or quotient at the reducibility
   locus (integral lambda with b in {0, 1/2}).
+
+The handle contract: a :class:`GammaModule` is one frozen record that
+checks its family rules when it is built, by the constructor or by
+``dataclasses.replace``, so an invalid handle cannot exist.  It memoises
+its basis-level action itself: the cache lives and dies with the handle,
+and equal handles do not share one.  Errors are never cached.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
 
 from .algebra import (
     A_ONE,
@@ -88,6 +93,10 @@ class BasisKey:
         return f"t^{self.k}" + (" xi" if self.eps else "")
 
 
+# the basis-level action: at most one (target key, coefficient) pair
+Action = tuple[tuple[BasisKey, Scalar], ...]
+
+
 @dataclass(frozen=True)
 class Window:
     """Finite truncation [kmin, kmax] of the integer key line, with an
@@ -111,17 +120,6 @@ class Window:
         return f"{self.kmin}..{self.kmax}(margin {self.margin})"
 
 
-@dataclass(frozen=True)
-class ModuleParams:
-    lam: Scalar
-    b: Scalar
-    family: Family = Family.GAMMA
-    excluded: tuple[BasisKey, ExclusionRole] | None = None
-    convention: SignConvention = SignConvention.CORRECTED
-    algebra_mode: AlgebraMode = AlgebraMode.KHAT
-    parity_flipped: bool = False
-
-
 class ModuleVector(Combination):
     """Finite Scalar combination of basis keys (no mode)."""
 
@@ -137,37 +135,29 @@ class ModuleVector(Combination):
 
 @dataclass(frozen=True)
 class GammaModule:
-    """Handle for one member of the weight-module family."""
+    """One member of the weight-module family, checked on construction;
+    see the module docstring for the handle contract."""
 
-    params: ModuleParams
+    lam: Scalar
+    b: Scalar
+    family: Family = Family.GAMMA
+    excluded: tuple[BasisKey, ExclusionRole] | None = None
+    convention: SignConvention = SignConvention.CORRECTED
+    algebra_mode: AlgebraMode = AlgebraMode.KHAT
+    parity_flipped: bool = False
+    _actions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def lam(self) -> Scalar:
-        return self.params.lam
-
-    @property
-    def b(self) -> Scalar:
-        return self.params.b
-
-    @property
-    def family(self) -> Family:
-        return self.params.family
-
-    @property
-    def algebra_mode(self) -> AlgebraMode:
-        return self.params.algebra_mode
-
-    @property
-    def convention(self) -> SignConvention:
-        return self.params.convention
-
-    @property
-    def parity_flipped(self) -> bool:
-        return self.params.parity_flipped
-
-    @property
-    def excluded(self) -> tuple[BasisKey, ExclusionRole] | None:
-        return self.params.excluded
+    def __post_init__(self):
+        fam = self.family
+        if fam in (Family.GAMMA_PLUS, Family.GAMMA_MINUS):
+            if not self.lam.is_zero():
+                raise ModuleError(f"{fam.value} requires lambda = 0, got {self.lam.render()}")
+            if self.algebra_mode is not AlgebraMode.KPLUS:
+                raise ModuleError(f"{fam.value} is a contact-subalgebra module; use kplus mode")
+        if self.excluded is not None:
+            if fam is not Family.GAMMA_PRIME:
+                raise ModuleError("excluded keys are reserved for the gamma' family")
+            _validate_exclusion(self)
 
     def is_numeric(self) -> bool:
         return self.lam.is_numeric() and self.b.is_numeric()
@@ -184,26 +174,24 @@ class GammaModule:
     def vector_parity(self, key: BasisKey) -> int:
         return key.eps ^ (1 if self.parity_flipped else 0)
 
-    def gen_admissible(self, gen: Gen) -> bool:
-        if gen.kind == "C":
-            return self.algebra_mode is AlgebraMode.KHAT
-        return self.algebra_mode.admits(gen)
-
-    def gen_action(self, gen: Gen, key: BasisKey) -> list[tuple[BasisKey, Scalar]]:
+    def gen_action(self, gen: Gen, key: BasisKey) -> Action:
         """Action of a basis generator on a basis vector: at most one
         target key with its exact coefficient, after family filtering."""
-        return list(_gen_action_cached(self, gen, key))
+        out = self._actions.get((gen, key))
+        if out is None:
+            out = self._actions[gen, key] = self._gen_action_raw(gen, key)
+        return out
 
-    def _gen_action_raw(self, gen: Gen, key: BasisKey) -> list[tuple[BasisKey, Scalar]]:
+    def _gen_action_raw(self, gen: Gen, key: BasisKey) -> Action:
         if not self.admissible(key):
             raise ModuleError(f"key {key.render()} not admissible for {self.descriptor()}")
-        if not self.gen_admissible(gen):
+        if not self.algebra_mode.admits(gen):
             raise ModuleError(
                 f"generator {gen.render()} not admissible on {self.descriptor()} "
                 f"in mode {self.algebra_mode.value}"
             )
         if gen.kind == "C":
-            return []
+            return ()
         lam, b = self.lam, self.b
         k = key.k
         if gen.kind == "L":
@@ -225,7 +213,7 @@ class GammaModule:
                 target = BasisKey(k + n + 1, 0)
         return self._filter(coeff, target)
 
-    def amon_action(self, mono: AMonomial, key: BasisKey) -> list[tuple[BasisKey, Scalar]]:
+    def amon_action(self, mono: AMonomial, key: BasisKey) -> Action:
         """Multiplication action of an A-monomial."""
         if not self.admissible(key):
             raise ModuleError(f"key {key.render()} not admissible for {self.descriptor()}")
@@ -239,69 +227,43 @@ class GammaModule:
                 f"the coefficient algebra does not act on the sub-quotient {self.descriptor()}"
             )
         if mono.eps and key.eps:
-            return []
+            return ()
         return self._filter(Scalar.of(1), BasisKey(key.k + mono.k, key.eps + mono.eps))
 
-    def _filter(self, coeff: Scalar, target: BasisKey) -> list[tuple[BasisKey, Scalar]]:
+    def _filter(self, coeff: Scalar, target: BasisKey) -> Action:
         if coeff.is_zero():
-            return []
+            return ()
         if self.family is Family.GAMMA_PLUS and target.k < 0:
             raise ModuleError(
                 f"nonzero coefficient escapes the submodule at {target.render()}"
             )
         if self.family is Family.GAMMA_MINUS and target.k >= 0:
-            return []  # projected away by the quotient
+            return ()  # projected away by the quotient
         if self.excluded is not None and target == self.excluded[0]:
             if self.excluded[1] is ExclusionRole.QUOTIENT:
-                return []
+                return ()
             raise ModuleError(
                 f"nonzero coefficient into excluded key {target.render()} of a sub-type module"
             )
-        return [(target, coeff)]
+        return ((target, coeff),)
 
     def weight(self, key: BasisKey) -> Scalar:
         """The diagonal eigenvalue l + k + b + eps/2 of the grading operator."""
         return self.lam + key.k + self.b + Scalar.of(Fraction(key.eps, 2))
 
     def descriptor(self) -> str:
-        def par(s: Scalar) -> str:
-            return s.render()
-
-        body = f"{self.family.value}({par(self.lam)},{par(self.b)})"
-        if self.parity_flipped:
-            return f"pi({body})"
-        return body
+        body = f"{self.family.value}({self.lam.render()},{self.b.render()})"
+        return f"pi({body})" if self.parity_flipped else body
 
     def __repr__(self):
         return f"GammaModule({self.descriptor()}, {self.algebra_mode.value})"
 
 
-@lru_cache(maxsize=None)
-def _gen_action_cached(mod: GammaModule, gen: Gen, key: BasisKey):
-    return tuple(mod._gen_action_raw(gen, key))
-
-
 # family validation probes: action coefficients are affine in the generator
 # index, so vanishing at three consecutive indices decides identical vanishing
 _PROBE = 3
-
-
-def make_module(params: ModuleParams) -> GammaModule:
-    """Validate parameters and return a module handle."""
-    fam = params.family
-    if fam in (Family.GAMMA_PLUS, Family.GAMMA_MINUS):
-        if not params.lam.is_zero():
-            raise ModuleError(f"{fam.value} requires lambda = 0, got {params.lam.render()}")
-        if params.algebra_mode is not AlgebraMode.KPLUS:
-            raise ModuleError(f"{fam.value} is a contact-subalgebra module; use kplus mode")
-        if params.excluded is not None:
-            raise ModuleError(f"{fam.value} carries no excluded key")
-    if params.excluded is not None and fam is not Family.GAMMA_PRIME:
-        raise ModuleError("excluded keys are reserved for the gamma' family")
-    mod = GammaModule(params)
-    if fam is Family.GAMMA_PRIME and params.excluded is not None:
-        _validate_exclusion(mod)
-    return mod
+_PROBE_GENS = [g for n in range(-_PROBE, _PROBE + 1)
+               for g in (Gen("L", HalfInt(2 * n)), Gen("G", HalfInt(2 * n + 1)))]
 
 
 def source_key(gen: Gen, key: BasisKey) -> BasisKey:
@@ -315,30 +277,29 @@ def source_key(gen: Gen, key: BasisKey) -> BasisKey:
     return BasisKey(key.k - n - 1, 1)
 
 
-def _edge_coeffs_at(mod: GammaModule, key: BasisKey, incoming: bool) -> list[Scalar]:
-    """Coefficients of all probe edges into or out of ``key``."""
-    plain = GammaModule(replace(mod.params, family=Family.GAMMA, excluded=None))
-    coeffs = []
-    for n in range(-_PROBE, _PROBE + 1):
-        for g in (Gen("L", HalfInt(2 * n)), Gen("G", HalfInt(2 * n + 1))):
-            src = source_key(g, key) if incoming else key
-            for target, c in plain.gen_action(g, src):
-                if target == key or not incoming:
-                    coeffs.append(c)
-    return coeffs
+def edge_coeffs(mod: GammaModule, key: BasisKey, gens) -> tuple[list[Scalar], list[Scalar]]:
+    """Nonzero coefficients of the edges out of and into ``key`` along the
+    generators of ``gens`` that the algebra mode admits, read on the plain
+    twin gamma(lambda, b) so that no family filtering hides an edge."""
+    plain = replace(mod, family=Family.GAMMA, excluded=None)
+    outs, ins = [], []
+    for g in gens:
+        if mod.algebra_mode.admits(g):
+            outs += [c for _, c in plain.gen_action(g, key)]
+            ins += [c for _, c in plain.gen_action(g, source_key(g, key))]
+    return outs, ins
 
 
 def _validate_exclusion(mod: GammaModule) -> None:
     key, role = mod.excluded
-    out_zero = all(c.is_zero() for c in _edge_coeffs_at(mod, key, incoming=False))
-    in_zero = all(c.is_zero() for c in _edge_coeffs_at(mod, key, incoming=True))
-    if role is ExclusionRole.QUOTIENT and not out_zero:
+    outs, ins = edge_coeffs(mod, key, _PROBE_GENS)
+    if role is ExclusionRole.QUOTIENT and outs:
         raise ModuleError(
             f"excluded key {key.render()} does not span an invariant line; "
             "quotient-type exclusion is invalid here"
         )
-    if role is ExclusionRole.SUB and not in_zero:
-        if out_zero:
+    if role is ExclusionRole.SUB and ins:
+        if not outs:
             raise ModuleError(
                 f"excluded key {key.render()} spans an invariant line; "
                 "the exclusion role must be \"quotient\", not \"sub\""
@@ -351,23 +312,17 @@ def _validate_exclusion(mod: GammaModule) -> None:
 
 def gamma(lam, b, algebra_mode: AlgebraMode = AlgebraMode.KHAT,
           convention: SignConvention = SignConvention.CORRECTED) -> GammaModule:
-    return make_module(
-        ModuleParams(Scalar.of(lam), Scalar.of(b), Family.GAMMA, None, convention, algebra_mode)
-    )
+    return GammaModule(Scalar.of(lam), Scalar.of(b), Family.GAMMA, None, convention, algebra_mode)
 
 
 def gamma_plus(b, convention: SignConvention = SignConvention.CORRECTED) -> GammaModule:
-    return make_module(
-        ModuleParams(Scalar.of(0), Scalar.of(b), Family.GAMMA_PLUS, None, convention,
-                     AlgebraMode.KPLUS)
-    )
+    return GammaModule(Scalar.of(0), Scalar.of(b), Family.GAMMA_PLUS, None, convention,
+                       AlgebraMode.KPLUS)
 
 
 def gamma_minus(b, convention: SignConvention = SignConvention.CORRECTED) -> GammaModule:
-    return make_module(
-        ModuleParams(Scalar.of(0), Scalar.of(b), Family.GAMMA_MINUS, None, convention,
-                     AlgebraMode.KPLUS)
-    )
+    return GammaModule(Scalar.of(0), Scalar.of(b), Family.GAMMA_MINUS, None, convention,
+                       AlgebraMode.KPLUS)
 
 
 def gamma_prime(lam, b, algebra_mode: AlgebraMode = AlgebraMode.KHAT,
@@ -387,18 +342,12 @@ def gamma_prime(lam, b, algebra_mode: AlgebraMode = AlgebraMode.KHAT,
                 excluded = (BasisKey(-int(lv), 0), ExclusionRole.QUOTIENT)
             elif bv == Fraction(1, 2):
                 excluded = (BasisKey(-int(lv) - 1, 1), ExclusionRole.SUB)
-    return make_module(
-        ModuleParams(lam_s, b_s, Family.GAMMA_PRIME, excluded, convention, algebra_mode)
-    )
+    return GammaModule(lam_s, b_s, Family.GAMMA_PRIME, excluded, convention, algebra_mode)
 
 
 def parity_change(mod: GammaModule) -> GammaModule:
     """The parity-change twin: same vectors, same action, flipped parity."""
-    return GammaModule(replace(mod.params, parity_flipped=not mod.parity_flipped))
-
-
-def weight(key: BasisKey, mod: GammaModule) -> Scalar:
-    return mod.weight(key)
+    return replace(mod, parity_flipped=not mod.parity_flipped)
 
 
 def act(x, v: ModuleVector, mod: GammaModule) -> ModuleVector:
@@ -504,16 +453,12 @@ def parse_module_descriptor(
     lam_s = param(parts[0], lam_value, LAMBDA)
     b_s = param(parts[1], b_value, B)
 
-    if family in (Family.GAMMA_PLUS, Family.GAMMA_MINUS):
-        if algebra_mode not in (None, AlgebraMode.KPLUS):
-            raise ModuleError(f"{family.value} modules live over the contact subalgebra")
-        if not lam_s.is_zero():
-            raise ModuleError(f"{family.value} requires lambda = 0")
-        mod = gamma_plus(b_s, convention) if family is Family.GAMMA_PLUS else gamma_minus(b_s, convention)
-    elif family is Family.GAMMA_PRIME:
+    if family is Family.GAMMA_PRIME:
         mod = gamma_prime(lam_s, b_s, algebra_mode or AlgebraMode.KHAT, convention)
     else:
-        mod = gamma(lam_s, b_s, algebra_mode or AlgebraMode.KHAT, convention)
+        contact = family in (Family.GAMMA_PLUS, Family.GAMMA_MINUS)
+        default = AlgebraMode.KPLUS if contact else AlgebraMode.KHAT
+        mod = GammaModule(lam_s, b_s, family, None, convention, algebra_mode or default)
     for _ in range(flips):
         mod = parity_change(mod)
     return mod

@@ -476,7 +476,7 @@ class Scalar:
         ds = self.den.render()
         if len(self.num.terms) > 1:
             ns = f"({ns})"
-        if len(self.den.terms) > 1:
+        if len(self.den.terms) > 1 or "*" in ds:
             ds = f"({ds})"
         return f"{ns}/{ds}"
 

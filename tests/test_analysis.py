@@ -1,5 +1,7 @@
 """Verification suites, reachability verdicts, intertwiners, annihilators."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -185,6 +187,19 @@ class TestIntertwiner:
     def test_scalings_are_nonzero(self):
         got = find_intertwiner(gamma(F(1, 3), F(1, 2)), gamma(F(4, 3), 0), W, 3)
         assert all(not c.is_zero() for _, _, c in got.mapping)
+
+
+def test_module_handles_die_after_verdicts():
+    # the action cache lives on the handle, so no verdict keeps a module alive
+    mods = [gamma(F(1, 3), F(1, 4)), gamma(2, 0), gamma(F(-1, 2), F(1, 2))]
+    for m in mods:
+        simplicity_verdict(m, W, 3)
+    pair = (gamma_prime(0, 0), parity_change(gamma_prime(0, F(1, 2))))
+    assert find_intertwiner(*pair, W, 3) is not None
+    refs = [weakref.ref(m) for m in mods + list(pair)]
+    del mods, pair, m
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
 
 
 class TestAnnihilator:

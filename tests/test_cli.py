@@ -140,6 +140,9 @@ class TestVerdictCommands:
         assert "certificate=[" in entry["params"]
         assert "t^-1 xi" not in entry["params"].split("certificate=")[1]
 
+    def test_gamma_prime_over_kplus_exits_zero(self):
+        assert run(["module-simplicity", "--module", "gamma'(0,0)", "--algebra", "kplus"]) == 0
+
     def test_lambda_override(self, tmp_path):
         code, doc, _ = invoke(
             tmp_path, "module-simplicity", "--module", "gamma(l,b)",

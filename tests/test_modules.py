@@ -13,8 +13,8 @@ from nscheck.modules import (
     BasisKey,
     ExclusionRole,
     Family,
+    GammaModule,
     ModuleError,
-    ModuleParams,
     ModuleVector,
     SignConvention,
     Window,
@@ -23,11 +23,9 @@ from nscheck.modules import (
     gamma_minus,
     gamma_plus,
     gamma_prime,
-    make_module,
     module_axiom_residual,
     parity_change,
     parse_module_descriptor,
-    weight,
 )
 from nscheck.scalars import B, LAMBDA, Scalar
 
@@ -52,22 +50,22 @@ class TestMakeModule:
 
     def test_gamma_plus_requires_zero_lambda(self):
         with pytest.raises(ModuleError):
-            make_module(ModuleParams(Scalar.of(1), Scalar.of(0), Family.GAMMA_PLUS,
-                                     algebra_mode=AlgebraMode.KPLUS))
+            GammaModule(Scalar.of(1), Scalar.of(0), Family.GAMMA_PLUS,
+                        algebra_mode=AlgebraMode.KPLUS)
 
     def test_gamma_plus_requires_contact_mode(self):
         with pytest.raises(ModuleError):
-            make_module(ModuleParams(Scalar.of(0), Scalar.of(0), Family.GAMMA_PLUS,
-                                     algebra_mode=AlgebraMode.KHAT))
+            GammaModule(Scalar.of(0), Scalar.of(0), Family.GAMMA_PLUS,
+                        algebra_mode=AlgebraMode.KHAT)
 
     def test_gamma_prime_wrong_role_rejected(self):
         # at lambda = b = 0 the key (0,0) spans an invariant line, so the
         # exclusion must be quotient-type
         with pytest.raises(ModuleError) as err:
-            make_module(ModuleParams(
+            GammaModule(
                 Scalar.of(0), Scalar.of(0), Family.GAMMA_PRIME,
                 excluded=(BasisKey(0, 0), ExclusionRole.SUB),
-            ))
+            )
         assert "quotient" in str(err.value)
 
     def test_gamma_prime_derivations(self):
@@ -79,12 +77,19 @@ class TestMakeModule:
         assert m.excluded == (BasisKey(-2, 0), ExclusionRole.QUOTIENT)
         assert gamma_prime(F(1, 3), F(1, 4)).excluded is None
 
+    def test_gamma_prime_over_kplus(self):
+        # the exclusion check probes only generators the contact mode admits
+        for b in (0, F(1, 2)):
+            m = gamma_prime(0, b, AlgebraMode.KPLUS)
+            assert m.algebra_mode is AlgebraMode.KPLUS
+            assert m.excluded == gamma_prime(0, b).excluded
+
     def test_gamma_prime_bogus_exclusion(self):
         with pytest.raises(ModuleError):
-            make_module(ModuleParams(
+            GammaModule(
                 Scalar.of(F(1, 3)), Scalar.of(F(1, 4)), Family.GAMMA_PRIME,
                 excluded=(BasisKey(0, 0), ExclusionRole.QUOTIENT),
-            ))
+            )
 
 
 class TestAction:
@@ -198,15 +203,15 @@ class TestModuleAxiom:
 class TestWeights:
     def test_examples(self):
         m = gamma(LAMBDA, B)
-        assert weight(BasisKey(0, 0), m) == LAMBDA + B
-        assert weight(BasisKey(0, 1), m) == LAMBDA + B + F(1, 2)
+        assert m.weight(BasisKey(0, 0)) == LAMBDA + B
+        assert m.weight(BasisKey(0, 1)) == LAMBDA + B + F(1, 2)
 
     def test_distinct_keys_distinct_weights(self):
         m = gamma(F(1, 3), F(1, 4))
         seen = set()
         for k in range(-5, 6):
             for eps in (0, 1):
-                w = weight(BasisKey(k, eps), m)
+                w = m.weight(BasisKey(k, eps))
                 assert w not in seen
                 seen.add(w)
 
@@ -217,7 +222,7 @@ class TestWeights:
         m = gamma(LAMBDA, B)
         key = BasisKey(k, eps)
         for target, _ in m.gen_action(g, key):
-            assert weight(target, m) == weight(key, m) + g.degree.as_scalar()
+            assert m.weight(target) == m.weight(key) + g.degree.as_scalar()
 
 
 class TestParityChange:

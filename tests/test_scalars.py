@@ -110,6 +110,8 @@ def test_rendering():
     assert (ONE / (LAMBDA + 1)).render() == "1/(l + 1)"
     assert Scalar.of(Fraction(-3, 7)).render() == "-3/7"
     assert (LAMBDA * LAMBDA + LAMBDA * B + B).render() == "l^2 + l*b + b"
+    s = (Fraction(-4, 25) * LAMBDA * LAMBDA * B * B - Fraction(4, 15)) / (LAMBDA * LAMBDA * B)
+    assert s.render() == "(-4/25*l^2*b^2 - 4/15)/(l^2*b)"
 
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -262,6 +264,7 @@ def test_canonical_form_matches_sympy_cancel():
                 continue
             s = op(x, y)
             num, den = parse(s.num.render()), parse(s.den.render())
+            assert sympy.cancel(parse(s.render()) - num / den) == 0, s
             reduced_num, reduced_den = sympy.fraction(sympy.cancel(num / den))
             if s.is_zero():
                 assert reduced_num == 0 and den == 1
