@@ -9,10 +9,10 @@ Run with:  python demos/02_normal_forms_and_reconstruction.py
 """
 
 from nscheck import (
+    AlgebraMode,
     G,
     L,
     SmashElement,
-    SmashMode,
     g_prime,
     half,
     l_prime,
@@ -22,7 +22,7 @@ from nscheck import (
     verify_reconstruction,
 )
 
-AK = SmashMode.AK
+AK = AlgebraMode.K
 
 
 def show(label, value):

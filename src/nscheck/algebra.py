@@ -8,6 +8,10 @@ Three algebra modes share one code path:
 * ``K``     - the quotient by C (no central terms);
 * ``KPLUS`` - the contact subalgebra: L(n) for n >= -1, G(r) for r >= -1/2.
 
+:class:`AlgebraMode` is the one mode table: it also names the smash algebra
+built on each algebra (``enveloping``), and :func:`basis` enumerates the
+generators it admits.
+
 Bracket table on basis elements (Koszul convention, [x,y] = -(-1)^{|x||y|}[y,x]):
 
     [L_m, L_n] = (n - m) L_{m+n} + delta_{m+n,0} (m^3 - m)/12 C
@@ -217,7 +221,13 @@ class AlgebraMode(enum.Enum):
 
     @property
     def has_center(self) -> bool:
+        """KHAT keeps C; its smash algebra is U(khat), with no A-part."""
         return self is AlgebraMode.KHAT
+
+    @property
+    def a_mode(self) -> "AMode":
+        """The coefficient algebra of the smash algebra on this mode."""
+        return AMode.APLUS if self is AlgebraMode.KPLUS else AMode.A
 
     def admits(self, gen: "Gen") -> bool:
         if gen.kind == "C":
@@ -288,6 +298,16 @@ def G(r) -> Gen:
 
 
 C = Gen("C")
+
+
+def basis(index_range: int, mode: AlgebraMode = AlgebraMode.KHAT) -> list[Gen]:
+    """The generators with |index| <= index_range that ``mode`` admits: C
+    first, then the L's and the G's by ascending index."""
+    if index_range < 1:
+        raise AlgebraError(f"index range must be at least 1, got {index_range}")
+    gens = [C] + [L(n) for n in range(-index_range, index_range + 1)]
+    gens += [G(half(d)) for d in range(1 - 2 * index_range, 2 * index_range, 2)]
+    return [g for g in gens if mode.admits(g)]
 
 
 @dataclass(frozen=True)

@@ -21,20 +21,20 @@ from math import comb
 from .algebra import (
     AElement,
     AMonomial,
+    AlgebraError,
     AlgebraMode,
-    C,
     G,
     Gen,
     HalfInt,
     L,
     LieElement,
+    basis,
     bracket,
     compatibility_residual,
     k_action_on_A,
 )
 from .enveloping import (
     SmashElement,
-    SmashMode,
     TElementLabel,
     g_prime,
     gl_sum,
@@ -147,14 +147,6 @@ COMPAT_ANCHOR = "v(a x) - (-1)^{|v||a|} a(v x) = (v o a) x"
 ACTION_ANCHOR = "x o (y o a) - (-1)^{|x||y|} y o (x o a) = [x,y] o a"
 
 
-def khat_basis(index_range: int, with_center: bool = True) -> list[Gen]:
-    """Basis generators with |index| bounded, half-integers included."""
-    gens: list[Gen] = [C] if with_center else []
-    gens += [L(n) for n in range(-index_range, index_range + 1)]
-    gens += [G(Fraction(d, 2)) for d in range(-2 * index_range + 1, 2 * index_range, 2)]
-    return gens
-
-
 def jacobi_residual(x: Gen, y: Gen, z: Gen, mode: AlgebraMode = AlgebraMode.KHAT) -> LieElement:
     ex, ey, ez = (LieElement.basis(g, mode) for g in (x, y, z))
     lhs = bracket(ex, bracket(ey, ez))
@@ -178,10 +170,10 @@ def verify_jacobi(index_range: int, family: str | None = None) -> CheckReport:
     """Graded Jacobi residual over all homogeneous basis triples with
     |index| <= index_range, central contributions included."""
     if index_range < 2:
-        raise ValueError("index_range must be at least 2")
+        raise AlgebraError("index_range must be at least 2")
     witness, culprit = first_witness(
         (((x, y, z), jacobi_residual(x, y, z))
-         for x, y, z in product(khat_basis(index_range), repeat=3)
+         for x, y, z in product(basis(index_range), repeat=3)
          if family is None or _triple_family(x, y, z) == family),
         _at,
     )
@@ -201,8 +193,8 @@ def compat_reports(index_range: int) -> list[CheckReport]:
     action and the module action of the coefficient algebra."""
     mode = AlgebraMode.K
     out = []
-    vgens = [("L", [L(m) for m in range(-index_range, index_range + 1)]),
-             ("G", [G(Fraction(d, 2)) for d in range(-2 * index_range + 1, 2 * index_range, 2)])]
+    gens = basis(index_range, mode)
+    vgens = [(kind, [g for g in gens if g.kind == kind]) for kind in ("L", "G")]
     for vkind, vs in vgens:
         for aeps, aname in ((0, "t"), (1, "t*xi")):
             amons = [AElement.monomial(i, aeps) for i in range(-index_range, index_range + 1)]
@@ -221,7 +213,7 @@ def compat_reports(index_range: int) -> list[CheckReport]:
 def action_rep_reports(index_range: int) -> list[CheckReport]:
     """The derivation action is a representation on the coefficient algebra."""
     mode = AlgebraMode.K
-    gens = khat_basis(index_range, with_center=False)
+    gens = basis(index_range, mode)
     amons = [AElement.monomial(i, eps) for i in range(-index_range, index_range + 1)
              for eps in (0, 1)]
 
@@ -279,7 +271,7 @@ def centralizer_reports(max_n: int, max_k: int) -> list[CheckReport]:
     for n >= 1); the G_{-1/2} brackets extend to the boundary elements
     L'(-1) and G'(-1/2), where they also vanish.
     """
-    mode = SmashMode.AK
+    mode = AlgebraMode.K
     gm = SmashElement.gen(G(Fraction(-1, 2)), mode)
     out = []
     a_labels = [TElementLabel("L", n) for n in range(0, max_n + 1)]
@@ -306,7 +298,7 @@ def psi_table_reports(max_index: int, mutate_lg_entry: bool = False) -> list[Che
     """The bracket table of the primed family, verified by normal-form
     computation.  ``mutate_lg_entry`` corrupts the (m, n) = (0, 1)
     coefficient 3/2 -> 1 to demonstrate failure detection."""
-    mode = SmashMode.AK
+    mode = AlgebraMode.K
     out = []
     for m in range(0, max_index + 1):
         for n in range(0, max_index + 1):
@@ -355,7 +347,7 @@ def _images(elem: SmashElement, keys, mod: GammaModule):
         yield key, act(elem, ModuleVector.basis(key), mod)
 
 
-def a_l_chain(a: int, s: int, order: int, mode: SmashMode) -> SmashElement:
+def a_l_chain(a: int, s: int, order: int, mode: AlgebraMode) -> SmashElement:
     terms = SmashElement.zero(mode)
     for i in range(order + 1):
         terms = terms + SmashElement.term(
@@ -364,7 +356,7 @@ def a_l_chain(a: int, s: int, order: int, mode: SmashMode) -> SmashElement:
     return terms
 
 
-def a_g_chain(a: int, p_doubled: int, order: int, mode: SmashMode) -> SmashElement:
+def a_g_chain(a: int, p_doubled: int, order: int, mode: AlgebraMode) -> SmashElement:
     terms = SmashElement.zero(mode)
     for i in range(order + 1):
         terms = terms + SmashElement.term(
@@ -372,6 +364,16 @@ def a_g_chain(a: int, p_doubled: int, order: int, mode: SmashMode) -> SmashEleme
             Fraction((-1) ** i * comb(order, i)),
         )
     return terms
+
+
+def _sweep(mod: GammaModule, sweep: int, contact_start: int) -> range:
+    """The sweep indices -sweep..sweep; in contact mode the sweep + 1
+    indices from ``contact_start``, so that every generator is admitted."""
+    if sweep < 0:
+        raise ModuleError(f"sweep must be non-negative, got {sweep}")
+    if mod.algebra_mode is AlgebraMode.KPLUS:
+        return range(contact_start, contact_start + sweep + 1)
+    return range(-sweep, sweep + 1)
 
 
 def minimal_annihilator(
@@ -384,20 +386,14 @@ def minimal_annihilator(
     stays within bounds.
     """
     if max_m < 1:
-        raise ValueError("max_m must be at least 1")
-    kplus = mod.algebra_mode is AlgebraMode.KPLUS
-    smode = SmashMode.for_algebra(mod.algebra_mode)
+        raise ModuleError("max_m must be at least 1")
     keys = window_keys(mod, window)
-
-    def omega_pairs(m: int):
-        if kplus:
-            return [(k + m - 1, s - 1) for k in range(0, sweep + 1) for s in range(0, sweep + 1)]
-        return list(product(range(-sweep, sweep + 1), repeat=2))
 
     def omega_witness(m: int) -> tuple[str | None, str]:
         return first_witness(
-            (((k, s, key), img) for k, s in omega_pairs(m)
-             for key, img in _images(omega(k, s, m, smode), keys, mod)),
+            (((k, s, key), img)
+             for k, s in product(_sweep(mod, sweep, m - 1), _sweep(mod, sweep, -1))
+             for key, img in _images(omega(k, s, m, mod.algebra_mode), keys, mod)),
             lambda k, s, key: f"Omega^({m})_{{{k},{s}}} {key.render()}",
         )
 
@@ -416,15 +412,11 @@ def minimal_annihilator(
         params.append("minimality: m=1 is the least admissible order")
 
     # odd companion sums at the discovered order
-    if kplus:
-        gl_args = [(HalfInt(2 * (found - 1) + 2 * j + 1), p - 1)
-                   for j in range(0, sweep + 1) for p in range(0, sweep + 1)]
-    else:
-        gl_args = [(HalfInt(2 * j + 1), p)
-                   for j in range(-sweep, sweep + 1) for p in range(-sweep, sweep + 1)]
+    gl_args = [(HalfInt(2 * j + 1), p)
+               for j in _sweep(mod, sweep, found - 1) for p in _sweep(mod, sweep, -1)]
     wit, where = first_witness(
         (((q, p, key), img) for q, p in gl_args
-         for key, img in _images(gl_sum(q, p, found, smode), keys, mod)),
+         for key, img in _images(gl_sum(q, p, found, mod.algebra_mode), keys, mod)),
         lambda q, p, key: f"G-L sum m={found}, k={q.render()}, p={p} on {key.render()}",
     )
     witness = None if wit is None else f"{where}: {wit}"
@@ -443,15 +435,13 @@ def chain_reports(
     the module-level check is the normative one.
     """
     kplus = mod.algebra_mode is AlgebraMode.KPLUS
-    smode = SmashMode.APKP if kplus else SmashMode.AK
-    smode_u = SmashMode.for_algebra(mod.algebra_mode)
+    # the chains with an A-part live in A # k, or A+ # k+ in contact mode
+    smode = AlgebraMode.K if mod.algebra_mode.has_center else mod.algebra_mode
     keys = window_keys(mod, window)
 
-    def sweep_range(lo_shift: int):
-        return range(lo_shift, lo_shift + sweep + 1) if kplus else range(-sweep, sweep + 1)
-
-    # name, anchor, order, shift of the inner sweep in contact mode, the
-    # operator at sweep indices (i, j), and the rendering of (i, j)
+    # name, anchor, order, contact start of the inner sweep (the outer one
+    # starts at the order), the operator at sweep indices (i, j), and the
+    # rendering of (i, j)
     chains = (
         ("chain/t-L", CHAIN_TL_ANCHOR, m + 2, -1,
          lambda i, j, order: a_l_chain(i, j, order, smode),
@@ -460,13 +450,14 @@ def chain_reports(
          lambda i, j, order: a_g_chain(i, 2 * j + 1, order, smode),
          lambda i, j: f"a={i}, p={2 * j + 1}/2"),
         ("chain/G-L", CHAIN_GL_ANCHOR, m + 2, -1,
-         lambda i, j, order: gl_sum(HalfInt(2 * i + 1), j, order, smode_u),
+         lambda i, j, order: gl_sum(HalfInt(2 * i + 1), j, order, mod.algebra_mode),
          lambda i, j: f"q={2 * i + 1}/2, p={j}"),
     )
     out = []
     for name, anchor, order, shift, build, label in chains:
         wit, where = first_witness(
-            (((i, j, key), img) for i in sweep_range(order) for j in sweep_range(shift)
+            (((i, j, key), img)
+             for i in _sweep(mod, sweep, order) for j in _sweep(mod, sweep, shift)
              for key, img in _images(build(i, j, order), keys, mod)),
             lambda i, j, key: f" at {label(i, j)}, {key.render()}",
         )
@@ -477,7 +468,7 @@ def chain_reports(
         probes = [
             ("chain/t-L/algebra-level", a_l_chain(m + 2 + (m + 2 if kplus else 0), -1 if kplus else 0, m + 2, smode)),
             ("chain/t-G/algebra-level", a_g_chain(m + 3 + (m + 3 if kplus else 0), 1, m + 3, smode)),
-            ("chain/G-L/algebra-level", gl_sum(HalfInt(2 * (m + 2) + 1 if kplus else 1), 0, m + 2, smode_u)),
+            ("chain/G-L/algebra-level", gl_sum(HalfInt(2 * (m + 2) + 1 if kplus else 1), 0, m + 2, mod.algebra_mode)),
         ]
         for name, elem in probes:
             zero = elem.is_zero()
@@ -499,11 +490,8 @@ ISO_ANCHOR = "weight-matched per-key scalings commuting with every generator"
 
 
 def edge_generators(algebra_mode: AlgebraMode, gen_range: int) -> list[Gen]:
-    lmin = -1 if algebra_mode is AlgebraMode.KPLUS else -gen_range
-    gens = [L(n) for n in range(lmin, gen_range + 1)]
-    dmin = -1 if algebra_mode is AlgebraMode.KPLUS else -(2 * gen_range - 1)
-    gens += [G(Fraction(d, 2)) for d in range(dmin, 2 * gen_range, 2)]
-    return gens
+    """The generators that move keys: :func:`basis` without C."""
+    return [g for g in basis(gen_range, algebra_mode) if g.kind != "C"]
 
 
 def _uses_a_edges(mod: GammaModule, include_a_action: bool | None) -> bool:
@@ -525,7 +513,7 @@ def module_edges(
     Symbolic coefficients count as nonzero unless identically zero.
     """
     interior = set(window_keys(mod, window, interior_only=True))
-    gens = [g for g in edge_generators(mod.algebra_mode, gen_range) if mod.algebra_mode.admits(g)]
+    gens = edge_generators(mod.algebra_mode, gen_range)
     amons = [AMonomial(1, 0), AMonomial(0, 1)] if _uses_a_edges(mod, include_a_action) else []
     edges: dict[BasisKey, list[EdgeRecord]] = {key: [] for key in interior}
     for key in sorted(interior):
@@ -686,6 +674,7 @@ def find_intertwiner(
         raise ModuleError("numeric parameters required for intertwiner search")
     if m1.algebra_mode is not m2.algebra_mode:
         raise ModuleError("intertwiner search needs a common algebra mode")
+    gens = edge_generators(m1.algebra_mode, gen_range)
     off = (m1.lam.numeric_value() + m1.b.numeric_value()
            - m2.lam.numeric_value() - m2.b.numeric_value())
     if (2 * off).denominator != 1:
@@ -722,7 +711,6 @@ def find_intertwiner(
     if not tracked:
         return None
     tracked_set = set(tracked)
-    gens = [g for g in edge_generators(m1.algebra_mode, gen_range) if m1.algebra_mode.admits(g)]
 
     def constraints(gen_list):
         for key in sorted(tracked_set):
@@ -764,7 +752,7 @@ def find_intertwiner(
                     scale[nxt] = val
                     stack.append(nxt)
     # re-verify on a fresh, wider batch of (generator, key) pairs
-    wide = [g for g in edge_generators(m1.algebra_mode, gen_range + 1) if m1.algebra_mode.admits(g)]
+    wide = edge_generators(m1.algebra_mode, gen_range + 1)
     for key, g, a1, a2 in constraints(wide):
         if a1 and a2:
             (t1, c1), (t2, c2) = a1[0], a2[0]
@@ -803,7 +791,7 @@ def verify_identity_catalogue(
     reconstruction identities, the centralizer suite, the primed bracket
     table, and the consequence chains on a formal-parameter module window."""
     if max_n < 2:
-        raise ValueError("max_n must be at least 2")
+        raise AlgebraError("max_n must be at least 2")
     window = window or Window(-8, 8, 0)
     small = min(max_n, 3)
     reports: list[CheckReport] = []

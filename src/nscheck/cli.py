@@ -11,7 +11,9 @@ Subcommands run the verification suites and emit deterministic reports:
 * ``classify``           - the classification table
 
 Exit codes: 0 when every executed check passes (info entries never fail a
-run), 1 on any check failure, 2 on usage or parse errors.  JSON output is
+run), 1 on any check failure, 2 on a usage, parse or parameter error (a
+``UsageError``, ``ModuleError``, ``AlgebraError`` or ``ScalarError``), 3 on
+any other exception, which is an internal error of nscheck.  JSON output is
 byte-identical across runs of the same invocation and is written
 atomically when ``--out`` is given.
 """
@@ -27,16 +29,18 @@ import tempfile
 from . import __version__
 from .algebra import AlgebraError, AlgebraMode
 from .analysis import (
+    ISO_ANCHOR,
+    SIMPLE_ANCHOR,
     AnnihilatorBoundError,
     CheckReport,
     chain_reports,
     classification_table,
     compat_reports,
     action_rep_reports,
+    edge_generators,
     find_intertwiner,
     first_witness,
     jacobi_family_reports,
-    khat_basis,
     minimal_annihilator,
     simplicity_verdict,
     sort_reports,
@@ -74,7 +78,7 @@ def _parse_param(text: str | None):
         return None
     try:
         return parse_rational(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise UsageError(f"malformed rational {text!r}") from None
 
 
@@ -189,7 +193,7 @@ def cmd_identities(args) -> int:
 def cmd_module_axiom(args) -> int:
     mod = _module_from_args(args, default="gamma(l,b)")
     window = _parse_window(args.window, 0)
-    gens = [g for g in khat_basis(args.gen_range, with_center=False) if mod.algebra_mode.admits(g)]
+    gens = edge_generators(mod.algebra_mode, args.gen_range)
     keys = window_keys(mod, window)
     reports = []
     for i, x in enumerate(gens):
@@ -233,7 +237,7 @@ def cmd_module_simplicity(args) -> int:
         params.append(f"locus={{{locus}}}")
     report = CheckReport(
         f"simplicity/{mod.descriptor()}/{mod.algebra_mode.value}",
-        "simple iff the interior action digraph is strongly connected",
+        SIMPLE_ANCHOR,
         "info",
         "; ".join(params),
     )
@@ -265,7 +269,7 @@ def cmd_module_iso(args) -> int:
         params.append(witness.render())
     report = CheckReport(
         f"iso/{m1.descriptor()}~{m2.descriptor()}",
-        "weight-matched per-key scalings commuting with every generator",
+        ISO_ANCHOR,
         "info",
         "; ".join(params),
     )
@@ -429,10 +433,13 @@ def run(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (UsageError, ModuleError, AlgebraError, ScalarError, ValueError) as exc:
+    except (UsageError, ModuleError, AlgebraError, ScalarError) as exc:
         sys.stderr.write(f"nscheck: error: {exc}\n")
         sys.stderr.write("run `nscheck <command> --help` for usage\n")
         return 2
+    except Exception as exc:
+        sys.stderr.write(f"nscheck: internal error: {type(exc).__name__}: {exc}\n")
+        return 3
 
 
 def main() -> None:

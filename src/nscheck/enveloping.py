@@ -9,12 +9,12 @@ are reduced to this normal form by the rewriting rules
     x * y      = (-1)^{|x||y|} y * x + [x, y]          (x, y out of order)
     g * g      = 1/2 [g, g]                            (g odd)
 
-Three modes:
+The :class:`AlgebraMode` of an element names its algebra:
 
-* ``U``    - the enveloping algebra of the centered algebra alone
+* ``KHAT``  - U(khat), the enveloping algebra of the centered algebra alone
   (unit A-part, central terms kept);
-* ``AK``   - the smash product of A with the centerless algebra;
-* ``APKP`` - the smash product of A+ with the contact subalgebra.
+* ``K``     - A # k, the smash product of A with the centerless algebra;
+* ``KPLUS`` - A+ # k+, the smash product of A+ with the contact subalgebra.
 
 The named quadratic elements Omega and the degree-one families L'(n),
 G'(n - 1/2) live here, together with the identities rebuilding L_n and
@@ -23,7 +23,6 @@ G_{n-1/2} from them.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,11 +30,9 @@ from math import comb
 
 from .algebra import (
     A_ONE,
-    AMode,
     AMonomial,
     AlgebraError,
     AlgebraMode,
-    C,
     Combination,
     G,
     Gen,
@@ -54,42 +51,10 @@ DEGREE_GUARD = 6
 PBWMonomial = tuple[Gen, ...]
 
 
-class SmashMode(enum.Enum):
-    U = "U"        # pure enveloping algebra, center kept
-    AK = "A-k"     # A smash centerless algebra
-    APKP = "A+-k+"  # A+ smash contact subalgebra
-
-    @property
-    def algebra_mode(self) -> AlgebraMode:
-        return _ALGEBRA_MODE[self]
-
-    @staticmethod
-    def for_algebra(mode: AlgebraMode) -> "SmashMode":
-        """The smash algebra built on the algebra in ``mode``."""
-        return _SMASH_MODE[mode]
-
-    @property
-    def a_mode(self) -> AMode:
-        return AMode.APLUS if self is SmashMode.APKP else AMode.A
-
-    @property
-    def pure(self) -> bool:
-        return self is SmashMode.U
-
-
-_ALGEBRA_MODE = {
-    SmashMode.U: AlgebraMode.KHAT,
-    SmashMode.AK: AlgebraMode.K,
-    SmashMode.APKP: AlgebraMode.KPLUS,
-}
-_SMASH_MODE = {amode: smode for smode, amode in _ALGEBRA_MODE.items()}
-
-
-def _validate_pbw(p: PBWMonomial, mode: SmashMode) -> None:
-    amode = mode.algebra_mode
+def _validate_pbw(p: PBWMonomial, mode: AlgebraMode) -> None:
     prev = None
     for g in p:
-        if not amode.admits(g):
+        if not mode.admits(g):
             raise AlgebraError(f"generator {g.render()} not admissible in mode {mode.value}")
         key = g.sort_key()
         if prev is not None:
@@ -167,10 +132,10 @@ class SmashElement(Combination):
     __slots__ = ()
 
     @staticmethod
-    def _admit(terms: dict, mode: SmashMode) -> None:
+    def _admit(terms: dict, mode: AlgebraMode) -> None:
         for a, p in terms:
-            if mode.pure and a != A_ONE:
-                raise AlgebraError("pure enveloping mode admits no A-part")
+            if mode.has_center and a != A_ONE:
+                raise AlgebraError("the enveloping algebra U(khat) admits no A-part")
             if not mode.a_mode.admits(a):
                 raise AlgebraError(f"A-monomial {a.render()} not admissible in mode {mode.value}")
             _validate_pbw(p, mode)
@@ -185,29 +150,28 @@ class SmashElement(Combination):
         return self._times(cs, f"{a.render()} (x) {''.join(g.render() for g in p) or '1'}")
 
     @staticmethod
-    def zero(mode: SmashMode) -> "SmashElement":
+    def zero(mode: AlgebraMode) -> "SmashElement":
         return SmashElement({}, mode)
 
     @staticmethod
-    def one(mode: SmashMode) -> "SmashElement":
+    def one(mode: AlgebraMode) -> "SmashElement":
         return SmashElement({(A_ONE, ()): Scalar.of(1)}, mode)
 
     @staticmethod
-    def gen(g: Gen, mode: SmashMode, coeff=1) -> "SmashElement":
+    def gen(g: Gen, mode: AlgebraMode, coeff=1) -> "SmashElement":
         return SmashElement({(A_ONE, (g,)): Scalar.of(coeff)}, mode)
 
     @staticmethod
-    def amon(k: int, eps: int = 0, mode: SmashMode = SmashMode.AK, coeff=1) -> "SmashElement":
+    def amon(k: int, eps: int = 0, mode: AlgebraMode = AlgebraMode.K, coeff=1) -> "SmashElement":
         return SmashElement({(AMonomial(k, eps), ()): Scalar.of(coeff)}, mode)
 
     @staticmethod
-    def term(a: AMonomial, gens: PBWMonomial, mode: SmashMode, coeff=1) -> "SmashElement":
+    def term(a: AMonomial, gens: PBWMonomial, mode: AlgebraMode, coeff=1) -> "SmashElement":
         return SmashElement({(a, gens): Scalar.of(coeff)}, mode)
 
     @staticmethod
     def from_lie(x: LieElement) -> "SmashElement":
-        return SmashElement({(A_ONE, (g,)): c for g, c in x.terms.items()},
-                            SmashMode.for_algebra(x.mode))
+        return SmashElement({(A_ONE, (g,)): c for g, c in x.terms.items()}, x.mode)
 
     def parity(self) -> int | None:
         ps = {(a.eps + sum(g.parity for g in p)) % 2 for a, p in self.terms}
@@ -225,7 +189,7 @@ def smash_product(x: SmashElement, y: SmashElement, degree_guard: int | None = N
         raise AlgebraError(
             f"product would exceed PBW degree guard {guard}; raise degree_guard explicitly"
         )
-    wc = x.mode.algebra_mode.has_center
+    wc = x.mode.has_center
     out: dict[tuple[AMonomial, PBWMonomial], Scalar] = {}
     for (ax, px), cx in x.terms.items():
         for (ay, py), cy in y.terms.items():
@@ -254,7 +218,7 @@ def smash_bracket(x: SmashElement, y: SmashElement, degree_guard: int | None = N
     return xy - yx
 
 
-def omega(k: int, s: int, m: int, mode: SmashMode = SmashMode.U) -> SmashElement:
+def omega(k: int, s: int, m: int, mode: AlgebraMode = AlgebraMode.KHAT) -> SmashElement:
     """Normal form of sum_i (-1)^i binom(m, i) L_{k-i} L_{s+i}."""
     if m < 0:
         raise AlgebraError("omega order m must be non-negative")
@@ -268,7 +232,7 @@ def omega(k: int, s: int, m: int, mode: SmashMode = SmashMode.U) -> SmashElement
     return out
 
 
-def gl_sum(k: HalfInt, p: int, m: int, mode: SmashMode = SmashMode.U) -> SmashElement:
+def gl_sum(k: HalfInt, p: int, m: int, mode: AlgebraMode = AlgebraMode.KHAT) -> SmashElement:
     """Normal form of sum_i (-1)^i binom(m, i) G_{k-i} L_{p+i}."""
     out = SmashElement.zero(mode)
     for i in range(m + 1):
@@ -280,7 +244,7 @@ def gl_sum(k: HalfInt, p: int, m: int, mode: SmashMode = SmashMode.U) -> SmashEl
     return out
 
 
-def l_prime(n: int, mode: SmashMode = SmashMode.AK) -> SmashElement:
+def l_prime(n: int, mode: AlgebraMode = AlgebraMode.K) -> SmashElement:
     """The degree-one element
 
     L'(n) = sum_{i=0}^{n+1} (-1)^{i+1} binom(n+1, i) t^{n-i+1} (x) L_{i-1}
@@ -301,7 +265,7 @@ def l_prime(n: int, mode: SmashMode = SmashMode.AK) -> SmashElement:
     return SmashElement(terms, mode)
 
 
-def g_prime(n: int, mode: SmashMode = SmashMode.AK) -> SmashElement:
+def g_prime(n: int, mode: AlgebraMode = AlgebraMode.K) -> SmashElement:
     """The degree-one element
 
     G'(n - 1/2) = sum_{i=0}^{n} (-1)^i binom(n, i)
@@ -337,7 +301,7 @@ class TElementLabel:
         else:
             raise AlgebraError(f"unknown primed kind {self.kind!r}")
 
-    def build(self, mode: SmashMode = SmashMode.AK) -> SmashElement:
+    def build(self, mode: AlgebraMode = AlgebraMode.K) -> SmashElement:
         if self.kind == "L":
             return l_prime(self.n, mode)
         return g_prime(self.n, mode)
@@ -348,7 +312,7 @@ class TElementLabel:
         return f"G'({2 * self.n - 1}/2)"
 
 
-def verify_reconstruction(n: int, mutate_extension: bool = False, mode: SmashMode = SmashMode.APKP):
+def verify_reconstruction(n: int, mutate_extension: bool = False, mode: AlgebraMode = AlgebraMode.KPLUS):
     """Residuals of the two identities rebuilding L_n and G_{n-1/2} from
     the primed family:
 

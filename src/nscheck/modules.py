@@ -400,8 +400,7 @@ def module_axiom_residual(x: Gen, y: Gen, key: BasisKey, mod: GammaModule) -> Mo
     else:
         comp = comp - swap
     br = ModuleVector()
-    wc = mod.algebra_mode is AlgebraMode.KHAT
-    for g, c in bracket_basis(x, y, wc):
+    for g, c in bracket_basis(x, y, mod.algebra_mode.has_center):
         if g.kind == "C":
             continue  # central charge zero on these modules
         br = br + act(g, e, mod).scale(c)

@@ -12,12 +12,11 @@ from itertools import product
 
 import pytest
 
-from nscheck.algebra import AlgebraMode, G, L, half
+from nscheck.algebra import AlgebraMode, G, L, basis, half
 from nscheck.analysis import (
     centralizer_reports,
     chain_reports,
     find_intertwiner,
-    khat_basis,
     minimal_annihilator,
     psi_table_reports,
     reconstruction_reports,
@@ -79,7 +78,7 @@ def test_criterion_4_psi_bracket_table():
 
 
 def test_criterion_5_module_axiom_symbolic():
-    gens = [g for g in khat_basis(3, with_center=False)]
+    gens = [g for g in basis(3, AlgebraMode.K)]
     keys = [BasisKey(k, eps) for k in range(-8, 9) for eps in (0, 1)]
     corrected = gamma(LAMBDA, B, convention=SignConvention.CORRECTED)
     printed = gamma(LAMBDA, B, convention=SignConvention.PAPER_PRINTED)

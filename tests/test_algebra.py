@@ -18,6 +18,7 @@ from nscheck.algebra import (
     HalfInt,
     L,
     LieElement,
+    basis,
     bracket,
     compatibility_residual,
     half,
@@ -32,6 +33,24 @@ KPLUS = AlgebraMode.KPLUS
 
 def lie(g, mode=KHAT):
     return LieElement.basis(g, mode)
+
+
+class TestBasis:
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_ranges_per_mode(self, r):
+        ls = [L(n) for n in range(-r, r + 1)]
+        gs = [G(half(d)) for d in range(1 - 2 * r, 2 * r, 2)]
+        assert basis(r) == [C] + ls + gs
+        assert basis(r, K) == ls + gs
+        # contact bound: L(n) for n >= -1, G(r) for r >= -1/2
+        assert basis(r, KPLUS) == ([L(n) for n in range(-1, r + 1)]
+                                   + [G(half(d)) for d in range(-1, 2 * r, 2)])
+
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_empty_range_rejected(self, r):
+        for mode in AlgebraMode:
+            with pytest.raises(AlgebraError, match="at least 1"):
+                basis(r, mode)
 
 
 class TestHalfInt:

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+import nscheck.cli as cli
 from nscheck.cli import run
 
 
@@ -21,6 +22,16 @@ def invoke(tmp_path, *argv, out_name=None):
         return code, None, b""
     raw = path.read_bytes()
     return code, json.loads(raw), raw
+
+
+def command_ids(rows) -> list[str]:
+    """Test ids: the command name, with a counter from its second row on."""
+    seen: dict[str, int] = {}
+    ids = []
+    for argv, _, _ in rows:
+        seen[argv[0]] = seen.get(argv[0], 0) + 1
+        ids.append(argv[0] if seen[argv[0]] == 1 else f"{argv[0]}-{seen[argv[0]]}")
+    return ids
 
 
 class TestExitCodes:
@@ -44,6 +55,42 @@ class TestExitCodes:
         assert run(["module-simplicity", "--module", "gamma(0,0)",
                     "--window", "10..0"]) == 2
         assert run(["module-axiom", "--module", "gamma(l,b)", "--lambda", "x/y"]) == 2
+
+    @pytest.mark.parametrize("option", ["--lambda", "--b"])
+    def test_zero_denominator_parameter_exits_two(self, capsys, option):
+        assert run(["module-simplicity", "--module", "gamma(l,b)", option, "1/0"]) == 2
+        assert "malformed rational '1/0'" in capsys.readouterr().err
+
+    # a range too small to check anything is rejected, never reported as a
+    # verdict or as checks passed over no instances
+    @pytest.mark.parametrize("argv", [
+        ["module-simplicity", "--module", "gamma(1/3,1/4)", "--gen-range", "0"],
+        ["module-iso", "--module", "gamma(1/3,0)", "--module2", "gamma(4/3,0)",
+         "--gen-range", "0"],
+        ["module-axiom", "--gen-range", "-1", "--window=-4..4"],
+        ["annihilator", "--sweep", "-1", "--window=-6..6"],
+        ["identities", "--sweep", "-1", "--max-n", "2", "--window=-4..4"],
+        ["verify", "--suite", "action", "--range", "-1"],
+        ["verify", "--suite", "compat", "--range", "0"],
+    ], ids=["simplicity-gen-range-0", "iso-gen-range-0", "axiom-gen-range-minus-1",
+            "annihilator-sweep-minus-1", "identities-sweep-minus-1", "action-range-minus-1",
+            "compat-range-0"])
+    def test_degenerate_range_exits_two(self, capsys, argv):
+        assert run(argv) == 2
+        assert "--help" in capsys.readouterr().err
+
+    def test_domain_bound_stays_a_usage_error(self, capsys):
+        assert run(["verify", "--range", "1"]) == 2
+        assert "index_range must be at least 2" in capsys.readouterr().err
+
+    def test_internal_error_exits_three(self, capsys, monkeypatch):
+        def broken(index_range):
+            raise ValueError("invariant broken")
+
+        monkeypatch.setattr(cli, "compat_reports", broken)
+        assert run(["verify", "--suite", "compat", "--range", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err == "nscheck: internal error: ValueError: invariant broken\n"
 
     def test_info_never_fails_a_run(self, tmp_path):
         code, doc, _ = invoke(tmp_path, "classify", out_name="classify.json")
@@ -84,10 +131,23 @@ class TestDeterminism:
         (["module-axiom", "--module", "gamma(l,b)", "--convention", "paper-printed",
           "--gen-range", "1", "--window=-4..4"], 1,
          "179facdc702e0ae4b2975deaf611fe34fd749b4e9a992813ceb9ff4877839a3d"),
+        # contact-mode sweeps and verdict reports
+        (["annihilator", "--module", "gamma+(0,b)", "--window=-6..6"], 0,
+         "2da7ad03a2ffe1a89b1066b05b6a089b88152382e22fc0060392866ca4795324"),
+        (["annihilator", "--module", "gamma-(0,1/3)", "--window=-6..6", "--algebra-level"], 0,
+         "997a6c11c1e9833d38df04fc0c5996d6a1dcbb6367d567839f1b103eb7ec86fd"),
+        (["module-simplicity", "--module", "gamma(0,b)", "--algebra", "kplus"], 0,
+         "00f35333a8db63bdc83daadb30e88d21acee8a4b28a66a24d20ed9a1de495fe0"),
+        (["module-simplicity", "--module", "gamma(l,b)"], 0,
+         "af84a0e941a712fa8124e973892c9310ca8ae536b56a7c48343d010e0e18d5d5"),
+        (["module-iso", "--module", "gamma'(0,0)", "--module2", "pi(gamma'(0,1/2))"], 0,
+         "eff1347c18994246ca1b2349aa15fc4b42b6772fe5be3b688f15ace22c93d19b"),
+        (["module-axiom", "--module", "gamma+(0,b)", "--gen-range", "2", "--window=-4..4"], 0,
+         "4a04afc09e53fee0730e840f40d678daac8948b6dc5f9951a1b78c36c5eaa7c0"),
     ]
 
     @pytest.mark.parametrize("argv, want_code, want_digest", GOLDEN,
-                             ids=[argv[0] for argv, _, _ in GOLDEN])
+                             ids=command_ids(GOLDEN))
     def test_golden_report_bytes(self, tmp_path, argv, want_code, want_digest):
         code, _, raw = invoke(tmp_path, *argv, out_name="golden.json")
         assert code == want_code

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nscheck.algebra import AMonomial, AlgebraError, C, G, L, half
+from nscheck.algebra import AMonomial, AlgebraError, AlgebraMode, C, G, L, half
 from nscheck.enveloping import (
     SmashElement,
-    SmashMode,
     TElementLabel,
     g_prime,
     gl_sum,
@@ -21,9 +20,9 @@ from nscheck.enveloping import (
 )
 from nscheck.scalars import Scalar
 
-U = SmashMode.U
-AK = SmashMode.AK
-APKP = SmashMode.APKP
+U = AlgebraMode.KHAT
+AK = AlgebraMode.K
+APKP = AlgebraMode.KPLUS
 
 
 def gen(g, mode=U):

@@ -15,7 +15,7 @@ import pytest
 import nscheck.algebra as algebra
 import nscheck.analysis as analysis
 import nscheck.enveloping as enveloping
-from nscheck.algebra import L
+from nscheck.algebra import AlgebraMode, L
 from nscheck.analysis import (
     action_rep_reports,
     centralizer_reports,
@@ -26,7 +26,7 @@ from nscheck.analysis import (
     verify_jacobi,
 )
 from nscheck.cli import run
-from nscheck.enveloping import SmashElement, SmashMode
+from nscheck.enveloping import SmashElement
 from nscheck.modules import Window, gamma, gamma_plus
 from nscheck.scalars import B, LAMBDA
 
@@ -74,7 +74,7 @@ def test_centralizer_witness(monkeypatch):
     original = enveloping.l_prime
     monkeypatch.setattr(
         enveloping, "l_prime",
-        lambda n, mode=SmashMode.AK: original(n, mode) + SmashElement.gen(L(n), mode),
+        lambda n, mode=AlgebraMode.K: original(n, mode) + SmashElement.gen(L(n), mode),
     )
     assert sorted(failures(centralizer_reports(2, 2))) == [
         ("centralizer/L'(0)/A", "n=0; |k|<=2 at t^-2", "-2*t^-2 (x) 1"),
@@ -108,7 +108,7 @@ def test_annihilator_minimality_witness(mod):
 def test_annihilator_companion_witness(monkeypatch, mod, witness):
     original = analysis.gl_sum
     monkeypatch.setattr(analysis, "gl_sum",
-                        lambda q, p, m, mode=SmashMode.U: original(q, p, m - 1, mode))
+                        lambda q, p, m, mode=AlgebraMode.KHAT: original(q, p, m - 1, mode))
     _, report = minimal_annihilator(mod, Window(-6, 6, 0), 6, sweep=1)
     assert report.status == "fail"
     assert report.params == (f"module={mod.descriptor()}; window=-6..6(margin 0); "
