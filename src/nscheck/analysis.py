@@ -481,6 +481,25 @@ def chain_reports(
     return out
 
 
+def annihilator_reports(
+    mod: GammaModule, window: Window, max_m: int, sweep: int = 2, algebra_level: bool = False
+) -> tuple[int | None, list[CheckReport]]:
+    """The annihilator order with its report and the consequence chains at
+    that order; (None, one failed report) when no order up to ``max_m``
+    annihilates the window."""
+    try:
+        m, report = minimal_annihilator(mod, window, max_m, sweep)
+    except AnnihilatorBoundError as exc:
+        return None, [CheckReport(
+            f"annihilator/{mod.descriptor()}",
+            "quadratic operators annihilate the window for some bounded order",
+            "fail",
+            f"module={mod.descriptor()}; window={window.render()}; max_m={max_m}",
+            str(exc),
+        )]
+    return m, [report] + chain_reports(mod, m, window, sweep, algebra_level)
+
+
 # ---------------------------------------------------------------------------
 # reachability, simplicity, intertwiners
 # ---------------------------------------------------------------------------
@@ -679,25 +698,13 @@ def find_intertwiner(
            - m2.lam.numeric_value() - m2.b.numeric_value())
     if (2 * off).denominator != 1:
         return None
-    flip = off.denominator == 2
-
-    def match(key: BasisKey) -> BasisKey:
-        if not flip:
-            return BasisKey(key.k + int(off), key.eps)
-        return BasisKey(key.k + int(off - Fraction(1, 2)) + key.eps, 1 - key.eps)
-
-    def match_inverse(key: BasisKey) -> BasisKey:
-        if not flip:
-            return BasisKey(key.k - int(off), key.eps)
-        if key.eps:
-            return BasisKey(key.k - int(off - Fraction(1, 2)), 0)
-        return BasisKey(key.k - int(off + Fraction(1, 2)), 1)
-
+    # key.shifted(shift) is the key of m2 with the weight of the key of m1
+    shift = HalfInt.of(off)
     interior_k = set(window.interior())
     keys1 = list(window_keys(m1, window, interior_only=True))
     tracked = []
     for key in keys1:
-        img = match(key)
+        img = key.shifted(shift)
         if img.k in interior_k:
             if not m2.admissible(img):
                 return None  # weight space present on one side only
@@ -705,7 +712,7 @@ def find_intertwiner(
     # bijectivity: every matched key of m2 needs an admissible preimage,
     # otherwise the solved map is a proper embedding, not an isomorphism
     for key2 in window_keys(m2, window, interior_only=True):
-        pre = match_inverse(key2)
+        pre = key2.shifted(-shift)
         if pre.k in interior_k and not m1.admissible(pre):
             return None
     if not tracked:
@@ -714,7 +721,7 @@ def find_intertwiner(
 
     def constraints(gen_list):
         for key in sorted(tracked_set):
-            img = match(key)
+            img = key.shifted(shift)
             for g in gen_list:
                 a1 = m1.gen_action(g, key)
                 a2 = m2.gen_action(g, img)
@@ -726,7 +733,7 @@ def find_intertwiner(
         if a1 and a2:
             (t1, c1), (t2, c2) = a1[0], a2[0]
             if t1 in tracked_set:
-                if match(t1) != t2:
+                if t1.shifted(shift) != t2:
                     return None
                 ratio = c2 / c1
                 adj[key].append((t1, ratio))
@@ -757,20 +764,20 @@ def find_intertwiner(
         if a1 and a2:
             (t1, c1), (t2, c2) = a1[0], a2[0]
             if t1 in tracked_set:
-                if match(t1) != t2 or not (c1 * scale[t1] == c2 * scale[key]):
+                if t1.shifted(shift) != t2 or not (c1 * scale[t1] == c2 * scale[key]):
                     return None
         elif a1 and a1[0][0] in tracked_set:
             return None
         elif a2 and not a1:
             return None
-    parities = {(m1.vector_parity(k), m2.vector_parity(match(k))) for k in tracked_set}
+    parities = {(m1.vector_parity(k), m2.vector_parity(k.shifted(shift))) for k in tracked_set}
     if all(p == q for p, q in parities):
         parity = "even"
     elif all(p != q for p, q in parities):
         parity = "odd"
     else:
         parity = "mixed"
-    mapping = tuple((k, match(k), scale[k]) for k in sorted(tracked_set))
+    mapping = tuple((k, k.shifted(shift), scale[k]) for k in sorted(tracked_set))
     return IntertwinerWitness(mapping, parity)
 
 
@@ -800,10 +807,7 @@ def verify_identity_catalogue(
     reports += reconstruction_reports(max_n)
     reports += centralizer_reports(max_n, max_n)
     reports += psi_table_reports(min(max_n, 5), mutate_lg_entry=mutate_lg_entry)
-    formal = gamma(LAMBDA, B)
-    m, ann_report = minimal_annihilator(formal, window, max_m, sweep)
-    reports.append(ann_report)
-    reports += chain_reports(formal, m, window, sweep, algebra_level=algebra_level)
+    reports += annihilator_reports(gamma(LAMBDA, B), window, max_m, sweep, algebra_level)[1]
     return sort_reports(reports)
 
 

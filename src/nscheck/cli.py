@@ -31,9 +31,8 @@ from .algebra import AlgebraError, AlgebraMode
 from .analysis import (
     ISO_ANCHOR,
     SIMPLE_ANCHOR,
-    AnnihilatorBoundError,
     CheckReport,
-    chain_reports,
+    annihilator_reports,
     classification_table,
     compat_reports,
     action_rep_reports,
@@ -41,7 +40,6 @@ from .analysis import (
     find_intertwiner,
     first_witness,
     jacobi_family_reports,
-    minimal_annihilator,
     simplicity_verdict,
     sort_reports,
     verify_identity_catalogue,
@@ -285,29 +283,11 @@ def cmd_module_iso(args) -> int:
 def cmd_annihilator(args) -> int:
     mod = _module_from_args(args, default="gamma(l,b)")
     window = _parse_window(args.window, 0)
-    try:
-        m, report = minimal_annihilator(mod, window, args.max_m, args.sweep)
-    except AnnihilatorBoundError as exc:
-        report = CheckReport(
-            f"annihilator/{mod.descriptor()}",
-            "quadratic operators annihilate the window for some bounded order",
-            "fail",
-            f"module={mod.descriptor()}; window={window.render()}; max_m={args.max_m}",
-            str(exc),
-        )
-        return _emit([report],
-                     _meta("annihilator", args,
-                           ["module", "window", "max_m", "sweep", "format"]),
-                     args.format, args.out)
-    reports = [report]
-    reports += chain_reports(mod, m, window, args.sweep, algebra_level=args.algebra_level)
-    return _emit(
-        reports,
-        _meta("annihilator", args,
-              ["module", "window", "max_m", "sweep", "algebra_level", "format"]),
-        args.format,
-        args.out,
-    )
+    m, reports = annihilator_reports(mod, window, args.max_m, args.sweep, args.algebra_level)
+    fields = ["module", "window", "max_m", "sweep", "format"]
+    if m is not None:
+        fields.append("algebra_level")
+    return _emit(reports, _meta("annihilator", args, fields), args.format, args.out)
 
 
 def cmd_classify(args) -> int:

@@ -1,7 +1,16 @@
 """The intermediate-series weight modules Gamma(lambda, b) and variants.
 
 The underlying space is spanned by keys (k, eps) standing for t^k xi^eps.
-Generators act by
+Gamma(lambda, b) is the rank-one jet module A_lambda (x) C_b: A acts on
+t^{lambda+k} xi^eps by multiplication, L'(0) acts on C_b as b and every
+primed element of positive degree acts as 0.  A generator g then acts on
+t^k xi^eps as A's superderivation action (``algebra.gen_act_amon``) plus
+multiplication by the jet term
+
+    mu(L_n)       = (l + (n+1) b) t^n
+    mu(G_{n+1/2}) = (l + 2(n+1) b) t^n xi
+
+which, written out, is
 
     L_n . t^k          = (l + k + b(n+1)) t^{n+k}
     L_n . t^k xi       = (l + k + (n+1)(b + 1/2)) t^{n+k} xi
@@ -15,6 +24,11 @@ one of the two consistent repairs (they differ by G -> -G and give
 identical classification data).  Lambda and b may be exact rationals or
 the formal parameters; everything stays symbolic in that case.
 
+Every key move is one degree rule: t^k xi^eps has degree k + eps/2, and
+an element of degree d moves it to the key of degree k + eps/2 + d
+(:meth:`BasisKey.shifted`).  The weight of a key is lambda + b plus its
+degree.
+
 Families:
 
 * ``GAMMA``        - the full family over any algebra mode (center acts 0);
@@ -23,7 +37,8 @@ Families:
 * ``GAMMA_MINUS``  - the quotient by GAMMA_PLUS: keys k <= -1, action
   coefficients targeting k >= 0 projected away;
 * ``GAMMA_PRIME``  - an excluded-key sub or quotient at the reducibility
-  locus (integral lambda with b in {0, 1/2}).
+  locus (integral lambda with b in {0, 1/2}); the excluded key is the key
+  of weight 0.
 
 The handle contract: a :class:`GammaModule` is one frozen record that
 checks its family rules when it is built, by the constructor or by
@@ -49,9 +64,10 @@ from .algebra import (
     LieElement,
     accumulate,
     bracket_basis,
+    gen_act_amon,
 )
 from .enveloping import SmashElement
-from .scalars import B, LAMBDA, Scalar, parse_rational
+from .scalars import B, LAMBDA, ONE, ZERO, Scalar, parse_rational
 
 
 class ModuleError(ValueError):
@@ -88,6 +104,16 @@ class BasisKey:
 
     k: int
     eps: int
+
+    @property
+    def degree(self) -> HalfInt:
+        """Degree k + eps/2 of t^k xi^eps."""
+        return HalfInt(2 * self.k + self.eps)
+
+    def shifted(self, by: HalfInt) -> "BasisKey":
+        """The key of degree ``self.degree + by``."""
+        d = 2 * self.k + self.eps + by.doubled
+        return BasisKey(d // 2, d % 2)
 
     def render(self) -> str:
         return f"t^{self.k}" + (" xi" if self.eps else "")
@@ -192,26 +218,22 @@ class GammaModule:
             )
         if gen.kind == "C":
             return ()
-        lam, b = self.lam, self.b
-        k = key.k
-        if gen.kind == "L":
-            n = gen.index.as_int()
-            if key.eps == 0:
-                coeff = lam + k + b * (n + 1)
-                target = BasisKey(k + n, 0)
-            else:
-                coeff = lam + k + (b + Fraction(1, 2)) * (n + 1)
-                target = BasisKey(k + n, 1)
-        else:
-            n = int(gen.index.as_fraction() - Fraction(1, 2))
-            if key.eps == 0:
-                sigma = 1 if self.convention is SignConvention.CORRECTED else -1
-                coeff = (lam + k + 2 * b * (n + 1)) * sigma
-                target = BasisKey(k + n, 1)
-            else:
-                coeff = Scalar.of(-1)
-                target = BasisKey(k + n + 1, 0)
-        return self._filter(coeff, target)
+        # the derivation action of g on A plus multiplication by mu_g
+        here = AMonomial(key.k, key.eps)
+        coeff = self.jet_term(gen, here)
+        for _, c in gen_act_amon(gen, here):
+            coeff = coeff + c
+        if gen.parity and not key.eps and self.convention is SignConvention.PAPER_PRINTED:
+            coeff = -coeff
+        return self._filter(coeff, key.shifted(gen.degree))
+
+    def jet_term(self, gen: Gen, mono: AMonomial) -> Scalar:
+        """The coefficient of mu_g * mono for L_n or G_{n+1/2}, where mu_g is
+        (l + (n+1) b) t^n or (l + 2(n+1) b) t^n xi; zero when xi * xi = 0."""
+        n = gen.index.doubled // 2
+        if AMonomial(n, gen.parity).times(mono) is None:
+            return ZERO
+        return self.lam + self.b * ((n + 1) * (1 + gen.parity))
 
     def amon_action(self, mono: AMonomial, key: BasisKey) -> Action:
         """Multiplication action of an A-monomial."""
@@ -226,9 +248,10 @@ class GammaModule:
             raise ModuleError(
                 f"the coefficient algebra does not act on the sub-quotient {self.descriptor()}"
             )
-        if mono.eps and key.eps:
+        prod = mono.times(AMonomial(key.k, key.eps))
+        if prod is None:
             return ()
-        return self._filter(Scalar.of(1), BasisKey(key.k + mono.k, key.eps + mono.eps))
+        return self._filter(ONE, BasisKey(prod.k, prod.eps))
 
     def _filter(self, coeff: Scalar, target: BasisKey) -> Action:
         if coeff.is_zero():
@@ -248,8 +271,8 @@ class GammaModule:
         return ((target, coeff),)
 
     def weight(self, key: BasisKey) -> Scalar:
-        """The diagonal eigenvalue l + k + b + eps/2 of the grading operator."""
-        return self.lam + key.k + self.b + Scalar.of(Fraction(key.eps, 2))
+        """The diagonal eigenvalue l + b + k + eps/2 of the grading operator."""
+        return self.lam + self.b + key.degree.as_fraction()
 
     def descriptor(self) -> str:
         body = f"{self.family.value}({self.lam.render()},{self.b.render()})"
@@ -266,17 +289,6 @@ _PROBE_GENS = [g for n in range(-_PROBE, _PROBE + 1)
                for g in (Gen("L", HalfInt(2 * n)), Gen("G", HalfInt(2 * n + 1)))]
 
 
-def source_key(gen: Gen, key: BasisKey) -> BasisKey:
-    """The key that an L or G generator maps onto ``key``: the inverse of
-    the index shift in :meth:`GammaModule.gen_action`."""
-    if gen.kind == "L":
-        return BasisKey(key.k - gen.index.as_int(), key.eps)
-    n = (gen.index.doubled - 1) // 2  # gen = G(n + 1/2)
-    if key.eps:
-        return BasisKey(key.k - n, 0)
-    return BasisKey(key.k - n - 1, 1)
-
-
 def edge_coeffs(mod: GammaModule, key: BasisKey, gens) -> tuple[list[Scalar], list[Scalar]]:
     """Nonzero coefficients of the edges out of and into ``key`` along the
     generators of ``gens`` that the algebra mode admits, read on the plain
@@ -286,7 +298,7 @@ def edge_coeffs(mod: GammaModule, key: BasisKey, gens) -> tuple[list[Scalar], li
     for g in gens:
         if mod.algebra_mode.admits(g):
             outs += [c for _, c in plain.gen_action(g, key)]
-            ins += [c for _, c in plain.gen_action(g, source_key(g, key))]
+            ins += [c for _, c in plain.gen_action(g, key.shifted(-g.degree))]
     return outs, ins
 
 
@@ -337,11 +349,10 @@ def gamma_prime(lam, b, algebra_mode: AlgebraMode = AlgebraMode.KHAT,
     excluded = None
     if lam_s.is_numeric() and b_s.is_numeric():
         lv, bv = lam_s.numeric_value(), b_s.numeric_value()
-        if lv.denominator == 1:
-            if bv == 0:
-                excluded = (BasisKey(-int(lv), 0), ExclusionRole.QUOTIENT)
-            elif bv == Fraction(1, 2):
-                excluded = (BasisKey(-int(lv) - 1, 1), ExclusionRole.SUB)
+        if lv.denominator == 1 and bv in (0, Fraction(1, 2)):
+            # the key of weight lambda + b + degree = 0
+            key = BasisKey(0, 0).shifted(-HalfInt.of(lv + bv))
+            excluded = (key, ExclusionRole.QUOTIENT if bv == 0 else ExclusionRole.SUB)
     return GammaModule(lam_s, b_s, Family.GAMMA_PRIME, excluded, convention, algebra_mode)
 
 

@@ -505,7 +505,9 @@ def _sum(x: Scalar, y, sign: int) -> Scalar:
     q = _rational(y)
     if q is not None:
         # (n + q d)/d: gcd(n + q d, d) = gcd(n, d) = 1
-        return _scalar(_add_scaled(x.num.terms, x.den.terms, sign * q), x.den) if q else x
+        if not q:
+            return x
+        return _scalar(_add_scaled(x.num.terms, x.den.terms, q if sign == 1 else -q), x.den)
     q = _rational(x)
     if q is not None:
         n = y.num.terms if sign == 1 else _p_neg(y.num.terms)

@@ -10,6 +10,7 @@ from nscheck.algebra import AlgebraMode, G, L, half
 from nscheck.analysis import (
     AnnihilatorBoundError,
     CheckReport,
+    annihilator_reports,
     chain_reports,
     classification_table,
     compat_reports,
@@ -228,6 +229,23 @@ class TestAnnihilator:
         assert m1 == m2
 
 
+class TestAnnihilatorReports:
+    def test_order_then_chains(self):
+        m, reports = annihilator_reports(gamma(LAMBDA, B), Window(-6, 6, 0), 6, 1)
+        assert m == 3
+        assert [r.name for r in reports] == [
+            "annihilator/gamma(l,b)", "chain/t-L", "chain/t-G", "chain/G-L"]
+        assert all(r.status == "pass" for r in reports)
+
+    def test_bound_exceeded_is_one_failed_report(self):
+        m, reports = annihilator_reports(gamma(F(1, 3), F(1, 4)), Window(-6, 6, 0), 2, 1)
+        assert m is None
+        (report,) = reports
+        assert report.status == "fail"
+        assert report.params == "module=gamma(1/3,1/4); window=-6..6(margin 0); max_m=2"
+        assert report.residual_witness == "annihilator order exceeds bound 2 on gamma(1/3,1/4)"
+
+
 class TestChains:
     def test_module_level_chains_vanish(self):
         mod = gamma(LAMBDA, B)
@@ -253,6 +271,12 @@ class TestCatalogue:
         assert all(r.status in ("pass", "info") for r in reports)
         names = [r.name for r in reports]
         assert names == sorted(names)
+
+    def test_annihilator_bound_exceeded_fails(self):
+        reports = verify_identity_catalogue(2, window=Window(-4, 4, 0), max_m=1)
+        (failed,) = [r for r in reports if r.status == "fail"]
+        assert failed.name == "annihilator/gamma(l,b)"
+        assert not [r for r in reports if r.name.startswith("chain/")]
 
     def test_mutated_entry_fails_with_witness(self):
         reports = verify_identity_catalogue(2, window=Window(-5, 5, 0), mutate_lg_entry=True)

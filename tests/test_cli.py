@@ -144,6 +144,9 @@ class TestDeterminism:
          "eff1347c18994246ca1b2349aa15fc4b42b6772fe5be3b688f15ace22c93d19b"),
         (["module-axiom", "--module", "gamma+(0,b)", "--gen-range", "2", "--window=-4..4"], 0,
          "4a04afc09e53fee0730e840f40d678daac8948b6dc5f9951a1b78c36c5eaa7c0"),
+        # the annihilator bound exceeded: one failed check, no chains
+        (["annihilator", "--module", "gamma(l,b)", "--max-m", "1", "--window=-6..6"], 1,
+         "c45723d862037accadaf75a6e4c16a773840c741eec1ac9ea676c339e8938f79"),
     ]
 
     @pytest.mark.parametrize("argv, want_code, want_digest", GOLDEN,
@@ -251,6 +254,19 @@ class TestAnnihilatorCommand:
         )
         assert code == 1
         assert doc["checks"][0]["status"] == "fail"
+
+    def test_identities_bound_exceeded_fails(self, tmp_path):
+        # an annihilator order above --max-m is a failed check, as in
+        # `annihilator`, and no chain runs without an order
+        code, doc, _ = invoke(
+            tmp_path, "identities", "--max-n", "2", "--max-m", "1", "--window=-4..4",
+            out_name="ids.json",
+        )
+        assert code == 1
+        (failed,) = [c for c in doc["checks"] if c["status"] == "fail"]
+        assert failed["name"] == "annihilator/gamma(l,b)"
+        assert failed["witness"] == "annihilator order exceeds bound 1 on gamma(l,b)"
+        assert not [c for c in doc["checks"] if c["name"].startswith("chain/")]
 
 
 def test_classify_lists_all_families(tmp_path):

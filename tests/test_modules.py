@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nscheck.algebra import AElement, AlgebraMode, C, G, L, half
-from nscheck.enveloping import omega
+from nscheck.algebra import AElement, AlgebraMode, AMonomial, C, G, L, basis, half
+from nscheck.enveloping import g_prime, l_prime, omega
 from nscheck.modules import (
     BasisKey,
     ExclusionRole,
@@ -27,7 +27,7 @@ from nscheck.modules import (
     parity_change,
     parse_module_descriptor,
 )
-from nscheck.scalars import B, LAMBDA, Scalar
+from nscheck.scalars import B, LAMBDA, ZERO, Scalar
 
 F = Fraction
 CORRECTED = SignConvention.CORRECTED
@@ -198,6 +198,97 @@ class TestModuleAxiom:
         for x, y in product(gens, repeat=2):
             for key in (BasisKey(-1, 0), BasisKey(2, 1)):
                 assert module_axiom_residual(x, y, key, m).is_zero(), (x.render(), y.render())
+
+
+def displayed_action(lam, b, sigma, gen, key):
+    """The module docstring's four displayed formulas, written out:
+    (target, coefficient) of gen on key, or None for the center."""
+    k = key.k
+    if gen.kind == "C":
+        return None
+    if gen.kind == "L":
+        n = gen.index.as_int()
+        if key.eps == 0:
+            return BasisKey(n + k, 0), lam + k + b * (n + 1)
+        return BasisKey(n + k, 1), lam + k + (n + 1) * (b + F(1, 2))
+    n = int(gen.index.as_fraction() - F(1, 2))
+    if key.eps == 0:
+        return BasisKey(n + k, 1), sigma * (k + lam + 2 * b * (n + 1))
+    return BasisKey(n + k + 1, 0), Scalar.of(-1)
+
+
+class TestDisplayedFormulas:
+    """gen_action on the plain family equals the displayed formulas."""
+
+    @pytest.mark.parametrize("mode", list(AlgebraMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("conv", [CORRECTED, PRINTED], ids=lambda c: c.value)
+    @pytest.mark.parametrize("lam,b", [(LAMBDA, B), (F(1, 3), F(1, 4)), (0, F(1, 2)),
+                                       (-2, 0)], ids=["formal", "generic", "locus-half", "locus-0"])
+    def test_oracle(self, mode, conv, lam, b):
+        sigma = 1 if conv is CORRECTED else -1
+        lam_s, b_s = Scalar.of(lam), Scalar.of(b)
+        gens = basis(5, mode)
+        for m in (gamma(lam, b, mode, conv), parity_change(gamma(lam, b, mode, conv))):
+            for g in gens:
+                for k in range(-10, 11):
+                    for eps in (0, 1):
+                        key = BasisKey(k, eps)
+                        want = displayed_action(lam_s, b_s, sigma, g, key)
+                        if want is None or want[1].is_zero():
+                            want = ()
+                        else:
+                            want = (want,)
+                        assert m.gen_action(g, key) == want, (m, g.render(), key.render())
+
+
+def jet_failures(mod: GammaModule) -> list[BasisKey]:
+    """Keys in -6..6 on which L'(0) does not act as b or some primed element
+    of positive degree, L'(1..4) or G'(1/2..7/2), does not act as 0."""
+    # the primed elements live in A # k, or A+ # k+ in contact mode
+    mode = AlgebraMode.K if mod.algebra_mode.has_center else mod.algebra_mode
+    l0 = l_prime(0, mode)
+    zero = [l_prime(n, mode) for n in range(1, 5)] + [g_prime(n, mode) for n in range(1, 5)]
+    bad = []
+    for k in range(-6, 7):
+        for eps in (0, 1):
+            key = BasisKey(k, eps)
+            if not mod.admissible(key):
+                continue
+            v = ModuleVector.basis(key)
+            if act(l0, v, mod) != v.scale(mod.b) or any(not act(x, v, mod).is_zero()
+                                                        for x in zero):
+                bad.append(key)
+    return bad
+
+
+JET_MODULES = {
+    "gamma(l,b)/k": lambda: gamma(LAMBDA, B, AlgebraMode.K),
+    "gamma(l,b)/khat": lambda: gamma(LAMBDA, B),
+    "pi(gamma(l,b))/k": lambda: parity_change(gamma(LAMBDA, B, AlgebraMode.K)),
+    "gamma+(0,b)": lambda: gamma_plus(B),
+    "gamma-(0,b)": lambda: gamma_minus(B),
+}
+
+
+class TestJetCertificate:
+    """gamma(l,b) = A_l (x) C_b: L'(0) acts as b and every primed element of
+    positive degree acts as 0."""
+
+    @pytest.mark.parametrize("name", list(JET_MODULES))
+    def test_certificate_holds(self, name):
+        assert jet_failures(JET_MODULES[name]()) == []
+
+    def test_halved_g_jet_coefficient_is_killed(self, monkeypatch):
+        def halved(self, gen, mono):
+            # mutant: 2b(n+1) -> b(n+1) in the G jet term; L is unchanged
+            n = gen.index.doubled // 2
+            if AMonomial(n, gen.parity).times(mono) is None:
+                return ZERO
+            return self.lam + self.b * (n + 1)
+
+        monkeypatch.setattr(GammaModule, "jet_term", halved)
+        counts = [len(jet_failures(build())) for build in JET_MODULES.values()]
+        assert counts == [13, 13, 13, 7, 6]
 
 
 class TestWeights:
