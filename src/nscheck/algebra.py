@@ -23,14 +23,28 @@ turn a module over A:
 
     t^i L_j = L_{i+j},  t^i G_m = G_{m+i},  xi L_j = 1/2 G_{j+1/2},  xi G_m = 0.
 
+These displayed tables are the anchor; the code derives both from one
+structure table.  The centerless algebra is itself the rank-one jet module
+A_1 (x) C_{-1} (see ``modules``) under
+
+    phi(L_n) = t^n,  phi(G_r) = 2 t^{r-1/2} xi,
+
+so [x, y] is phi^-1 of A's derivation action x o phi(y)
+(:func:`gen_act_amon`) plus the jet term mu_x phi(y) at (lambda, b) =
+(1, -1) (:func:`jet_coefficient`), and a x is phi^-1(a phi(x)).  The
+structure table is thus ``gen_act_amon``'s three rules, mu, phi and the
+two central cells.  phi keeps degrees, and every target is the monomial of
+the summed degree (:meth:`AMonomial.shifted`).
+
 Every element type of the package (``LieElement`` and ``AElement`` here,
 ``SmashElement`` and ``ModuleVector`` downstream) is a :class:`Combination`,
 an immutable finite Scalar-linear combination of basis keys:
 
 * no zero coefficient is ever stored, so ``is_zero`` is ``not terms``;
 * every construction runs the subclass's key admission check;
-* the ``mode`` (None for a type without modes) must agree on ``+`` and ``-``,
-  which raise :class:`AlgebraError` otherwise, and is part of ``==``;
+* ``+`` and ``-`` combine only elements of one type and one ``mode`` (None
+  for a type without modes) and raise :class:`AlgebraError` otherwise; the
+  type and the mode are part of ``==``;
 * ``items`` and ``render`` list the terms in the subclass's canonical order,
   so a rendering is a deterministic function of the value.
 
@@ -116,6 +130,8 @@ class Combination:
         return ps.pop() if len(ps) == 1 else None
 
     def _check_mode(self, other: "Combination") -> None:
+        if type(other) is not type(self):
+            raise AlgebraError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
         if self.mode is not other.mode:
             raise AlgebraError(f"mode mismatch: {self.mode.value} vs {other.mode.value}")
 
@@ -310,9 +326,9 @@ def basis(index_range: int, mode: AlgebraMode = AlgebraMode.KHAT) -> list[Gen]:
     return [g for g in gens if mode.admits(g)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class AMonomial:
-    """Monomial t^k xi^eps of A; parity equals eps."""
+    """Monomial t^k xi^eps of A, ordered by (k, eps); parity equals eps."""
 
     k: int
     eps: int = 0
@@ -327,17 +343,19 @@ class AMonomial:
 
     @property
     def degree(self) -> HalfInt:
-        """Eigenvalue of L_0 acting by superderivation."""
+        """Eigenvalue k + eps/2 of L_0 acting by superderivation."""
         return HalfInt(2 * self.k + self.eps)
 
-    def sort_key(self) -> tuple[int, int]:
-        return (self.k, self.eps)
+    def shifted(self, by: HalfInt) -> "AMonomial":
+        """The monomial of degree ``self.degree + by``, of this one's type."""
+        d = 2 * self.k + self.eps + by.doubled
+        return type(self)(d // 2, d % 2)
 
     def times(self, other: "AMonomial") -> "AMonomial | None":
-        """Product in A; None encodes xi*xi = 0."""
+        """Product in A, of ``other``'s type; None encodes xi*xi = 0."""
         if self.eps and other.eps:
             return None
-        return AMonomial(self.k + other.k, self.eps + other.eps)
+        return other.shifted(self.degree)
 
     def render(self) -> str:
         if self.eps == 0:
@@ -398,8 +416,6 @@ class AElement(Combination):
             if not mode.admits(m):
                 raise AlgebraError(f"monomial {m.render()} not admissible in mode {mode.value}")
 
-    _order = staticmethod(AMonomial.sort_key)
-
     def _render_term(self, m: AMonomial, cs: str) -> str:
         mono = m.render()
         return cs if mono == "1" else self._times(cs, mono)
@@ -418,38 +434,32 @@ class AElement(Combination):
         return AElement(out, self.mode)
 
 
-def bracket_basis(x: Gen, y: Gen, with_center: bool) -> list[tuple[Gen, Fraction]]:
-    """Structure constants of [x, y] on basis generators."""
+def _phi(g: Gen) -> tuple[AMonomial, int]:
+    """(m, s) with phi(g) = s m: the monomial of g's degree and parity."""
+    return A_ONE.shifted(g.degree), 1 + g.parity
+
+
+def _phi_inv(m: AMonomial) -> tuple[Gen, int]:
+    """(g, s) with phi(g) = s m."""
+    return Gen("G" if m.eps else "L", m.degree), 1 + m.eps
+
+
+@lru_cache(maxsize=None)
+def bracket_basis(x: Gen, y: Gen, with_center: bool) -> tuple[tuple[Gen, Fraction], ...]:
+    """Structure constants of [x, y] on basis generators: phi^-1 of x acting
+    on phi(y) in A_1 (x) C_{-1}, plus the central cell on degree 0."""
     if x.kind == "C" or y.kind == "C":
-        return []
-    out: list[tuple[Gen, Fraction]] = []
-    if x.kind == "L" and y.kind == "L":
-        m, n = x.index.as_int(), y.index.as_int()
-        if m != n:
-            out.append((L(m + n), Fraction(n - m)))
-        if with_center and m + n == 0:
-            c = Fraction(m**3 - m, 12)
-            if c:
-                out.append((C, c))
-    elif x.kind == "L" and y.kind == "G":
-        m, r = x.index.as_int(), y.index.as_fraction()
-        coeff = r - Fraction(m, 2)
-        if coeff:
-            out.append((G(r + m), coeff))
-    elif x.kind == "G" and y.kind == "L":
-        # [G_r, L_n] = -[L_n, G_r]
-        n, r = y.index.as_int(), x.index.as_fraction()
-        coeff = -(r - Fraction(n, 2))
-        if coeff:
-            out.append((G(r + n), coeff))
-    else:
-        r, s = x.index.as_fraction(), y.index.as_fraction()
-        out.append((L(int(r + s)), Fraction(-2)))
-        if with_center and r + s == 0:
-            c = Fraction(1, 3) * (r * r - Fraction(1, 4))
-            if c:
-                out.append((C, c))
-    return out
+        return ()
+    mono, scale = _phi(y)
+    coeff = jet_coefficient(x, mono, 1, -1) + sum(c for _, c in gen_act_amon(x, mono))
+    target, target_scale = _phi_inv(mono.shifted(x.degree))
+    out = [(target, Fraction(coeff * scale, target_scale))] if coeff else []
+    if with_center and target == L(0):
+        a = x.index.as_fraction()
+        c = (a**3 - a) / 12 if x.kind == "L" else (a * a - Fraction(1, 4)) / 3
+        if c:
+            out.append((C, c))
+    return tuple(out)
 
 
 def bracket(x: LieElement, y: LieElement) -> LieElement:
@@ -476,19 +486,26 @@ def gen_act_amon(g: Gen, m: AMonomial) -> tuple[tuple[AMonomial, Fraction], ...]
         L_i . t^k xi^e = (k + e (i+1)/2) t^{i+k} xi^e
         G_m . t^k      = k t^{m+k-1/2} xi
         G_m . t^k xi   = -t^{m+k+1/2}
+
+    The target is the monomial of degree deg(m) + deg(g), of m's type.
     """
+    if g.kind == "C":
+        return ()  # the center acts as 0
     if g.kind == "L":
-        i = g.index.as_int()
-        coeff = Fraction(m.k) + Fraction(m.eps) * Fraction(i + 1, 2)
-        if coeff:
-            return ((AMonomial(i + m.k, m.eps), coeff),)
-        return ()
-    r = g.index.as_fraction()
-    if m.eps == 0:
-        if m.k:
-            return ((AMonomial(int(r - Fraction(1, 2)) + m.k, 1), Fraction(m.k)),)
-        return ()
-    return ((AMonomial(int(r + Fraction(1, 2)) + m.k, 0), Fraction(-1)),)
+        coeff = m.k + Fraction(m.eps * (g.index.as_int() + 1), 2)
+    else:
+        coeff = Fraction(-1 if m.eps else m.k)
+    return ((m.shifted(g.degree), coeff),) if coeff else ()
+
+
+def jet_coefficient(g: Gen, m: AMonomial, lam, b):
+    """The coefficient of mu_g m in the jet module A_lam (x) C_b, where mu_g
+    is (lam + (n+1) b) t^n for L_n and (lam + 2(n+1) b) t^n xi for
+    G_{n+1/2}; 0 when xi * xi = 0.  The product mu_g m has the degree of
+    g o m."""
+    if g.parity and m.eps:
+        return 0
+    return lam + b * ((g.index.doubled // 2 + 1) * (1 + g.parity))
 
 
 def k_action_on_A(x: LieElement, a: AElement) -> AElement:
@@ -506,32 +523,24 @@ def k_action_on_A(x: LieElement, a: AElement) -> AElement:
 
 
 def A_action_on_k(a: AElement, x: LieElement) -> LieElement:
-    """Module action of A on the algebra:
-
-    t^i L_j = L_{i+j}, t^i G_m = G_{m+i}, xi L_j = 1/2 G_{j+1/2}, xi G_m = 0.
-    """
+    """Module action a x = phi^-1(a phi(x)) of A on the algebra; see the
+    module docstring for the table."""
     out: dict[Gen, Scalar] = {}
     for g, cg in x.terms.items():
         if g.kind == "C":
             raise AlgebraError("A does not act on the central element")
+        mono, scale = _phi(g)
         for m, cm in a.terms.items():
             c = cg * cm
-            if m.eps == 0:
-                shifted = Gen(g.kind, g.index + HalfInt(2 * m.k))
-                if not x.mode.admits(shifted):
-                    raise AlgebraError(
-                        f"action result {shifted.render()} violates mode {x.mode.value}"
-                    )
-                accumulate(out, shifted, c)
-            else:
-                if g.kind == "L":
-                    target = G(g.index.as_fraction() + m.k + Fraction(1, 2))
-                    if not x.mode.admits(target):
-                        raise AlgebraError(
-                            f"action result {target.render()} violates mode {x.mode.value}"
-                        )
-                    accumulate(out, target, c * Fraction(1, 2))
-                # xi G_m = 0
+            prod = m.times(mono)
+            if prod is None:
+                continue  # xi G_m = 0
+            target, target_scale = _phi_inv(prod)
+            if not x.mode.admits(target):
+                raise AlgebraError(f"action result {target.render()} violates mode {x.mode.value}")
+            if scale != target_scale:
+                c = c * Fraction(scale, target_scale)
+            accumulate(out, target, c)
     return LieElement(out, x.mode)
 
 

@@ -283,10 +283,8 @@ def cmd_module_iso(args) -> int:
 def cmd_annihilator(args) -> int:
     mod = _module_from_args(args, default="gamma(l,b)")
     window = _parse_window(args.window, 0)
-    m, reports = annihilator_reports(mod, window, args.max_m, args.sweep, args.algebra_level)
-    fields = ["module", "window", "max_m", "sweep", "format"]
-    if m is not None:
-        fields.append("algebra_level")
+    _, reports = annihilator_reports(mod, window, args.max_m, args.sweep, args.algebra_level)
+    fields = ["module", "window", "max_m", "sweep", "algebra_level", "format"]
     return _emit(reports, _meta("annihilator", args, fields), args.format, args.out)
 
 

@@ -143,7 +143,7 @@ class SmashElement(Combination):
     @staticmethod
     def _order(key: tuple[AMonomial, PBWMonomial]):
         a, p = key
-        return (a.sort_key(), tuple(g.sort_key() for g in p))
+        return (a, tuple(g.sort_key() for g in p))
 
     def _render_term(self, key: tuple[AMonomial, PBWMonomial], cs: str) -> str:
         a, p = key

@@ -5,7 +5,8 @@ Gamma(lambda, b) is the rank-one jet module A_lambda (x) C_b: A acts on
 t^{lambda+k} xi^eps by multiplication, L'(0) acts on C_b as b and every
 primed element of positive degree acts as 0.  A generator g then acts on
 t^k xi^eps as A's superderivation action (``algebra.gen_act_amon``) plus
-multiplication by the jet term
+multiplication by the jet term (``algebra.jet_coefficient``, which also
+builds the bracket: the centerless algebra is A_1 (x) C_{-1})
 
     mu(L_n)       = (l + (n+1) b) t^n
     mu(G_{n+1/2}) = (l + 2(n+1) b) t^n xi
@@ -26,7 +27,7 @@ the formal parameters; everything stays symbolic in that case.
 
 Every key move is one degree rule: t^k xi^eps has degree k + eps/2, and
 an element of degree d moves it to the key of degree k + eps/2 + d
-(:meth:`BasisKey.shifted`).  The weight of a key is lambda + b plus its
+(a key is an A-monomial, so this is ``AMonomial.shifted``).  The weight of a key is lambda + b plus its
 degree.
 
 Families:
@@ -65,9 +66,10 @@ from .algebra import (
     accumulate,
     bracket_basis,
     gen_act_amon,
+    jet_coefficient,
 )
 from .enveloping import SmashElement
-from .scalars import B, LAMBDA, ONE, ZERO, Scalar, parse_rational
+from .scalars import B, LAMBDA, ONE, Scalar, parse_rational
 
 
 class ModuleError(ValueError):
@@ -98,22 +100,9 @@ class ExclusionRole(enum.Enum):
     QUOTIENT = "quotient"
 
 
-@dataclass(frozen=True, order=True)
-class BasisKey:
-    """Key (k, eps) for the basis vector t^k xi^eps."""
-
-    k: int
-    eps: int
-
-    @property
-    def degree(self) -> HalfInt:
-        """Degree k + eps/2 of t^k xi^eps."""
-        return HalfInt(2 * self.k + self.eps)
-
-    def shifted(self, by: HalfInt) -> "BasisKey":
-        """The key of degree ``self.degree + by``."""
-        d = 2 * self.k + self.eps + by.doubled
-        return BasisKey(d // 2, d % 2)
+class BasisKey(AMonomial):
+    """Key (k, eps) for the basis vector t^k xi^eps: an A-monomial, so it
+    has A's degree rule (``degree``, ``shifted``, ``times``)."""
 
     def render(self) -> str:
         return f"t^{self.k}" + (" xi" if self.eps else "")
@@ -219,21 +208,16 @@ class GammaModule:
         if gen.kind == "C":
             return ()
         # the derivation action of g on A plus multiplication by mu_g
-        here = AMonomial(key.k, key.eps)
-        coeff = self.jet_term(gen, here)
-        for _, c in gen_act_amon(gen, here):
+        coeff = self.jet_term(gen, key)
+        for _, c in gen_act_amon(gen, key):
             coeff = coeff + c
         if gen.parity and not key.eps and self.convention is SignConvention.PAPER_PRINTED:
             coeff = -coeff
         return self._filter(coeff, key.shifted(gen.degree))
 
     def jet_term(self, gen: Gen, mono: AMonomial) -> Scalar:
-        """The coefficient of mu_g * mono for L_n or G_{n+1/2}, where mu_g is
-        (l + (n+1) b) t^n or (l + 2(n+1) b) t^n xi; zero when xi * xi = 0."""
-        n = gen.index.doubled // 2
-        if AMonomial(n, gen.parity).times(mono) is None:
-            return ZERO
-        return self.lam + self.b * ((n + 1) * (1 + gen.parity))
+        """The coefficient of mu_g * mono (``algebra.jet_coefficient``)."""
+        return Scalar.of(jet_coefficient(gen, mono, self.lam, self.b))
 
     def amon_action(self, mono: AMonomial, key: BasisKey) -> Action:
         """Multiplication action of an A-monomial."""
@@ -248,10 +232,10 @@ class GammaModule:
             raise ModuleError(
                 f"the coefficient algebra does not act on the sub-quotient {self.descriptor()}"
             )
-        prod = mono.times(AMonomial(key.k, key.eps))
+        prod = mono.times(key)
         if prod is None:
             return ()
-        return self._filter(ONE, BasisKey(prod.k, prod.eps))
+        return self._filter(ONE, prod)
 
     def _filter(self, coeff: Scalar, target: BasisKey) -> Action:
         if coeff.is_zero():

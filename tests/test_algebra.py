@@ -10,20 +10,26 @@ from hypothesis import strategies as st
 from nscheck.algebra import (
     AElement,
     AMode,
+    AMonomial,
     AlgebraError,
     AlgebraMode,
     A_action_on_k,
     C,
     G,
+    Gen,
     HalfInt,
     L,
     LieElement,
     basis,
     bracket,
+    bracket_basis,
     compatibility_residual,
+    gen_act_amon,
     half,
     k_action_on_A,
 )
+from nscheck.enveloping import SmashElement
+from nscheck.modules import BasisKey, ModuleVector
 from nscheck.scalars import Scalar
 
 KHAT = AlgebraMode.KHAT
@@ -98,6 +104,74 @@ class TestBracket:
         assert bracket(lie(L(-1), KPLUS), lie(G(half(-1)), KPLUS)).is_zero()
 
 
+class TestDisplayedTables:
+    """The module docstring's bracket table, its cocycles and its A-action
+    table, written out here as an oracle for the derived structure table."""
+
+    @staticmethod
+    def displayed_bracket(x, y, with_center):
+        if C in (x, y):
+            return {}
+        sign = 1
+        if x.kind == "G" and y.kind == "L":
+            # [G_r, L_m] = -[L_m, G_r]
+            x, y, sign = y, x, -1
+        a, b = x.index.as_fraction(), y.index.as_fraction()
+        out = {}
+        if x.kind == "L" and y.kind == "L":
+            out[L(int(a + b))] = b - a
+            if with_center and a + b == 0:
+                out[C] = (a**3 - a) / 12
+        elif x.kind == "L":
+            out[G(a + b)] = sign * (b - a / 2)
+        else:
+            out[L(int(a + b))] = Fraction(-2)
+            if with_center and a + b == 0:
+                out[C] = (a * a - Fraction(1, 4)) / 3
+        return {g: c for g, c in out.items() if c}
+
+    @staticmethod
+    def displayed_action(i, eps, g):
+        """(target, coefficient) of t^i g or xi g, or None for xi G_m = 0."""
+        if eps == 0:
+            return Gen(g.kind, g.index + HalfInt(2 * i)), Fraction(1)
+        if g.kind == "L":
+            return G(g.index.as_fraction() + Fraction(1, 2)), Fraction(1, 2)
+        return None
+
+    @pytest.mark.parametrize("with_center", [True, False])
+    def test_bracket_table(self, with_center):
+        for x, y in product(basis(8), repeat=2):
+            got = list(bracket_basis(x, y, with_center))
+            want = self.displayed_bracket(x, y, with_center)
+            assert dict(got) == want and len(got) == len(want), (x.render(), y.render())
+
+    @pytest.mark.parametrize("mode", [K, KPLUS])
+    def test_a_action_table(self, mode):
+        monomials = [(i, 0) for i in range(-5, 6)] + [(0, 1)]
+        violations = 0
+        for (i, eps), g in product(monomials, basis(8, mode)):
+            a = AElement.monomial(i, eps)
+            shown = self.displayed_action(i, eps, g)
+            if shown is not None and not mode.admits(shown[0]):
+                with pytest.raises(AlgebraError) as err:
+                    A_action_on_k(a, lie(g, mode))
+                want = f"action result {shown[0].render()} violates mode {mode.value}"
+                assert str(err.value) == want
+                violations += 1
+                continue
+            want = LieElement.zero(mode)
+            if shown is not None:
+                want = lie(shown[0], mode).scale(shown[1])
+            assert A_action_on_k(a, lie(g, mode)) == want, (i, eps, g.render())
+        # only the contact subalgebra has targets outside its mode
+        assert (violations > 0) == (mode is KPLUS)
+
+    def test_central_element_not_acted_on(self):
+        with pytest.raises(AlgebraError, match="central element"):
+            A_action_on_k(AElement.monomial(1), lie(C))
+
+
 def test_super_antisymmetry_on_basis():
     gens = [L(n) for n in range(-2, 3)] + [G(half(d)) for d in (-3, -1, 1, 3)]
     for x, y in product(gens, repeat=2):
@@ -129,6 +203,10 @@ class TestActions:
         with pytest.raises(AlgebraError):
             k_action_on_A(lie(C, KHAT), AElement.monomial(0))
 
+    def test_center_acts_as_zero_in_the_table(self):
+        # the PBW rewriting passes C to the table; C is central
+        assert [gen_act_amon(C, AMonomial(k, e)) for k in (-1, 0, 2) for e in (0, 1)] == [()] * 6
+
     def test_a_action_shift(self):
         assert A_action_on_k(AElement.monomial(2), lie(L(3), K)) == lie(L(5), K)
 
@@ -147,6 +225,18 @@ class TestActions:
         with pytest.raises(AlgebraError):
             a_plus - a
         assert a != a_plus
+
+    @pytest.mark.parametrize("pair", ["lie+vector", "vector+a", "lie+smash", "smash+lie"])
+    def test_type_mixing_rejected(self, pair):
+        elements = {
+            "lie": lie(L(1)),
+            "vector": ModuleVector.basis(BasisKey(0, 0)),
+            "a": AElement.monomial(1),
+            "smash": SmashElement.gen(L(1), KHAT),
+        }
+        left, right = pair.split("+")
+        with pytest.raises(AlgebraError, match="cannot combine"):
+            elements[left] + elements[right]
 
     def test_a_action_kplus_bound_violation(self):
         with pytest.raises(AlgebraError) as err:

@@ -146,7 +146,7 @@ class TestDeterminism:
          "4a04afc09e53fee0730e840f40d678daac8948b6dc5f9951a1b78c36c5eaa7c0"),
         # the annihilator bound exceeded: one failed check, no chains
         (["annihilator", "--module", "gamma(l,b)", "--max-m", "1", "--window=-6..6"], 1,
-         "c45723d862037accadaf75a6e4c16a773840c741eec1ac9ea676c339e8938f79"),
+         "90505d4d4efd8bb5ad776c882cc118544f20bf6f42020cfdf7d54eeb3656e571"),
     ]
 
     @pytest.mark.parametrize("argv, want_code, want_digest", GOLDEN,
@@ -254,6 +254,16 @@ class TestAnnihilatorCommand:
         )
         assert code == 1
         assert doc["checks"][0]["status"] == "fail"
+
+    def test_options_do_not_depend_on_the_outcome(self, tmp_path):
+        # a found order and an exceeded bound echo the same options
+        common = ("annihilator", "--module", "gamma(1/3,1/4)", "--window", "-6..6",
+                  "--sweep", "0", "--algebra-level")
+        found_code, found, _ = invoke(tmp_path, *common, out_name="found.json")
+        over_code, over, _ = invoke(tmp_path, *common, "--max-m", "2", out_name="over.json")
+        assert (found_code, over_code) == (0, 1)
+        assert found["meta"]["options"].keys() == over["meta"]["options"].keys()
+        assert over["meta"]["options"]["algebra_level"] is True
 
     def test_identities_bound_exceeded_fails(self, tmp_path):
         # an annihilator order above --max-m is a failed check, as in

@@ -1,12 +1,34 @@
-"""The benchmark's layer tracer finds every entry point it wraps."""
+"""Tooling contracts: the runtime is stdlib-only, and the benchmark's layer
+tracer finds every entry point it wraps."""
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
 
-LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
+ROOT = Path(__file__).resolve().parent.parent
+LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
+SOURCES = sorted((ROOT / "src" / "nscheck").glob("*.py"))
+
+
+def absolute_imports(path: Path) -> list[str]:
+    """The top-level package of every absolute import in ``path``, at any
+    depth (function-local imports included)."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names += [alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module.partition(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_runtime_imports_only_the_standard_library(path):
+    outside = [n for n in absolute_imports(path) if n not in sys.stdlib_module_names]
+    assert outside == []
 
 
 def traced_names() -> list[tuple[str, str]]:

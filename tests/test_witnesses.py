@@ -15,6 +15,7 @@ import pytest
 import nscheck.algebra as algebra
 import nscheck.analysis as analysis
 import nscheck.enveloping as enveloping
+import nscheck.modules as modules
 from nscheck.algebra import AlgebraMode, L
 from nscheck.analysis import (
     action_rep_reports,
@@ -158,3 +159,43 @@ def test_module_axiom_command_witnesses(tmp_path):
         ("module-axiom/paper-printed/(G(-1/2),G(1/2))", where, "(4*l + 4*b - 16) * t^-4"),
         ("module-axiom/paper-printed/(G(1/2),G(1/2))", where, "(4*l + 8*b - 16) * t^-3"),
     ]
+
+
+@pytest.fixture
+def fresh_tables():
+    """Clear every structure-table cache before and after the test, so a
+    mutant reaches every engine and leaks into no other test."""
+    caches = (algebra.bracket_basis, algebra.gen_act_amon, enveloping._insert_gen,
+              enveloping._pbw_mul, enveloping._pbw_past_amon)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def mu_shifted(g, m, lam, b):
+    # mutant of algebra.jet_coefficient: (n+1) -> n in mu
+    if g.parity and m.eps:
+        return 0
+    return lam + b * ((g.index.doubled // 2) * (1 + g.parity))
+
+
+def module_axiom_failures(tmp_path) -> list[str]:
+    path = tmp_path / "axiom.json"
+    run(["module-axiom", "--module", "gamma(l,b)", "--gen-range", "1", "--window", "-2..2",
+         "--format", "json", "--out", str(path)])
+    return [c["name"] for c in json.loads(path.read_text())["checks"] if c["status"] == "fail"]
+
+
+@pytest.mark.parametrize("mutated", [False, True], ids=["control", "mu-mutant"])
+def test_shared_jet_term_mutant(monkeypatch, fresh_tables, tmp_path, mutated):
+    """The bracket and the module action read one jet coefficient, so one
+    mutant of it fails both the Jacobi suite and the gamma(l,b) module axiom."""
+    if mutated:
+        for namespace in (algebra, modules):
+            monkeypatch.setattr(namespace, "jet_coefficient", mu_shifted)
+    jacobi = verify_jacobi(2)
+    assert (jacobi.status, jacobi.residual_witness) == (
+        ("fail", "-3*L(-6)") if mutated else ("pass", None))
+    assert len(module_axiom_failures(tmp_path)) == (15 if mutated else 0)
