@@ -36,6 +36,11 @@ structure table is thus ``gen_act_amon``'s three rules, mu, phi and the
 two central cells.  phi keeps degrees, and every target is the monomial of
 the summed degree (:meth:`AMonomial.shifted`).
 
+Four suites check one law, :func:`rep_residual`: rho(x) rho(y) -
+(-1)^{|x||y|} rho(y) rho(x) = rho([x, y]), for rho = ad (Jacobi), A # k on
+the algebra (compatibility, [v, a] = v o a), the algebra on A (derivation
+action) and the algebra on a module (the module axiom, ``modules``).
+
 Every element type of the package (``LieElement`` and ``AElement`` here,
 ``SmashElement`` and ``ModuleVector`` downstream) is a :class:`Combination`,
 an immutable finite Scalar-linear combination of basis keys:
@@ -544,20 +549,28 @@ def A_action_on_k(a: AElement, x: LieElement) -> LieElement:
     return LieElement(out, x.mode)
 
 
+def rep_residual(rho, x, y, xy, v, odd):
+    """rho(x) rho(y) v - (-1)^{|x||y|} rho(y) rho(x) v - rho(xy) v, where
+    ``rho(e, w)`` is the action of e on w, ``xy`` is [x, y] and ``odd`` is
+    true when x and y are both odd; zero when rho respects [x, y]."""
+    first = rho(x, rho(y, v))
+    swap = rho(y, rho(x, v))
+    return (first + swap if odd else first - swap) - rho(xy, v)
+
+
 def compatibility_residual(v: LieElement, a: AElement, x: LieElement):
-    """Residual of v(ax) - (-1)^{|v||a|} a(vx) - (v o a) x on the module
-    structure of the algebra over A; expected zero for all homogeneous
-    inputs.  Returned embedded in the smash algebra.
+    """Residual of v(ax) - (-1)^{|v||a|} a(vx) - (v o a) x, the law of A # k
+    acting on the algebra; expected zero for all homogeneous inputs.
+    Returned embedded in the smash algebra.
     """
     pv, pa = v.parity(), a.parity()
     if pv is None or pa is None or x.parity() is None:
         raise AlgebraError("compatibility residual needs homogeneous inputs")
-    first = bracket(v, A_action_on_k(a, x))
-    second = A_action_on_k(a, bracket(v, x))
-    if pv and pa:
-        second = -second
-    third = A_action_on_k(k_action_on_A(v, a), x)
-    residual = first - second - third
+
+    def rho(e, w):
+        return bracket(e, w) if isinstance(e, LieElement) else A_action_on_k(e, w)
+
+    residual = rep_residual(rho, v, a, k_action_on_A(v, a), x, pv and pa)
     from .enveloping import SmashElement  # local import: no cycle at module load
 
     return SmashElement.from_lie(residual)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb
 
 from .algebra import (
     AElement,
@@ -32,10 +31,12 @@ from .algebra import (
     bracket,
     compatibility_residual,
     k_action_on_A,
+    rep_residual,
 )
 from .enveloping import (
     SmashElement,
     TElementLabel,
+    alternating_sum,
     g_prime,
     gl_sum,
     l_prime,
@@ -148,15 +149,9 @@ ACTION_ANCHOR = "x o (y o a) - (-1)^{|x||y|} y o (x o a) = [x,y] o a"
 
 
 def jacobi_residual(x: Gen, y: Gen, z: Gen, mode: AlgebraMode = AlgebraMode.KHAT) -> LieElement:
+    """The Jacobi identity as the representation law of ad."""
     ex, ey, ez = (LieElement.basis(g, mode) for g in (x, y, z))
-    lhs = bracket(ex, bracket(ey, ez))
-    rhs = bracket(bracket(ex, ey), ez)
-    inner = bracket(ey, bracket(ex, ez))
-    if x.parity and y.parity:
-        rhs = rhs - inner
-    else:
-        rhs = rhs + inner
-    return lhs - rhs
+    return rep_residual(bracket, ex, ey, bracket(ex, ey), ez, x.parity and y.parity)
 
 
 def _triple_family(x: Gen, y: Gen, z: Gen) -> str:
@@ -223,10 +218,8 @@ def action_rep_reports(index_range: int) -> list[CheckReport]:
                 ex, ey = LieElement.basis(x, mode), LieElement.basis(y, mode)
                 exy = bracket(ex, ey)
                 for a in amons:
-                    r = k_action_on_A(ex, k_action_on_A(ey, a))
-                    swap = k_action_on_A(ey, k_action_on_A(ex, a))
-                    r = r + swap if (x.parity and y.parity) else r - swap
-                    yield (x, y, a), r - k_action_on_A(exy, a)
+                    yield (x, y, a), rep_residual(k_action_on_A, ex, ey, exy, a,
+                                                  x.parity and y.parity)
 
     out = []
     for xkind, ykind in (("L", "L"), ("L", "G"), ("G", "L"), ("G", "G")):
@@ -348,22 +341,14 @@ def _images(elem: SmashElement, keys, mod: GammaModule):
 
 
 def a_l_chain(a: int, s: int, order: int, mode: AlgebraMode) -> SmashElement:
-    terms = SmashElement.zero(mode)
-    for i in range(order + 1):
-        terms = terms + SmashElement.term(
-            AMonomial(a - i, 0), (L(s + i),), mode, Fraction((-1) ** i * comb(order, i))
-        )
-    return terms
+    """sum_i (-1)^i binom(order, i) t^{a-i} (x) L_{s+i}."""
+    return alternating_sum(order, lambda i: {(AMonomial(a - i, 0), (L(s + i),)): 1}, mode)
 
 
 def a_g_chain(a: int, p_doubled: int, order: int, mode: AlgebraMode) -> SmashElement:
-    terms = SmashElement.zero(mode)
-    for i in range(order + 1):
-        terms = terms + SmashElement.term(
-            AMonomial(a - i, 0), (G(Fraction(p_doubled + 2 * i, 2)),), mode,
-            Fraction((-1) ** i * comb(order, i)),
-        )
-    return terms
+    """sum_i (-1)^i binom(order, i) t^{a-i} (x) G_{p+i}, with p = p_doubled/2."""
+    return alternating_sum(
+        order, lambda i: {(AMonomial(a - i, 0), (G(Fraction(p_doubled + 2 * i, 2)),)): 1}, mode)
 
 
 def _sweep(mod: GammaModule, sweep: int, contact_start: int) -> range:
@@ -719,30 +704,34 @@ def find_intertwiner(
         return None
     tracked_set = set(tracked)
 
-    def constraints(gen_list):
+    def edges(gen_list):
+        """The per-edge rule: (key, target, c1, c2) for each edge of m1 between
+        tracked keys, whose image in m2 needs scale[target] c1 = scale[key] c2;
+        None, and stop, at an edge that no nonzero scaling matches."""
         for key in sorted(tracked_set):
             img = key.shifted(shift)
             for g in gen_list:
                 a1 = m1.gen_action(g, key)
                 a2 = m2.gen_action(g, img)
-                yield key, g, a1, a2
+                if a1 and a1[0][0] in tracked_set:
+                    t1, c1 = a1[0]
+                    if not a2 or a2[0][0] != t1.shifted(shift):
+                        yield None  # forces a zero scaling, or breaks the weight match
+                        return
+                    yield key, t1, c1, a2[0][1]
+                elif a2 and not a1:
+                    yield None
+                    return
 
     scale: dict[BasisKey, Scalar] = {}
     adj: dict[BasisKey, list[tuple[BasisKey, Scalar]]] = {k: [] for k in tracked_set}
-    for key, g, a1, a2 in constraints(gens):
-        if a1 and a2:
-            (t1, c1), (t2, c2) = a1[0], a2[0]
-            if t1 in tracked_set:
-                if t1.shifted(shift) != t2:
-                    return None
-                ratio = c2 / c1
-                adj[key].append((t1, ratio))
-                adj[t1].append((key, Scalar.of(1) / ratio))
-        elif a1 and not a2:
-            if a1[0][0] in tracked_set:
-                return None  # forces a zero scaling
-        elif a2 and not a1:
+    for edge in edges(gens):
+        if edge is None:
             return None
+        key, t1, c1, c2 = edge
+        ratio = c2 / c1
+        adj[key].append((t1, ratio))
+        adj[t1].append((key, Scalar.of(1) / ratio))
     for start in sorted(tracked_set):
         if start in scale:
             continue
@@ -759,16 +748,11 @@ def find_intertwiner(
                     scale[nxt] = val
                     stack.append(nxt)
     # re-verify on a fresh, wider batch of (generator, key) pairs
-    wide = edge_generators(m1.algebra_mode, gen_range + 1)
-    for key, g, a1, a2 in constraints(wide):
-        if a1 and a2:
-            (t1, c1), (t2, c2) = a1[0], a2[0]
-            if t1 in tracked_set:
-                if t1.shifted(shift) != t2 or not (c1 * scale[t1] == c2 * scale[key]):
-                    return None
-        elif a1 and a1[0][0] in tracked_set:
+    for edge in edges(edge_generators(m1.algebra_mode, gen_range + 1)):
+        if edge is None:
             return None
-        elif a2 and not a1:
+        key, t1, c1, c2 = edge
+        if c1 * scale[t1] != c2 * scale[key]:
             return None
     parities = {(m1.vector_parity(k), m2.vector_parity(k.shifted(shift))) for k in tracked_set}
     if all(p == q for p, q in parities):

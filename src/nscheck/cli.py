@@ -12,7 +12,8 @@ Subcommands run the verification suites and emit deterministic reports:
 
 Exit codes: 0 when every executed check passes (info entries never fail a
 run), 1 on any check failure, 2 on a usage, parse or parameter error (a
-``UsageError``, ``ModuleError``, ``AlgebraError`` or ``ScalarError``), 3 on
+``UsageError``, ``ModuleError``, ``AlgebraError`` or ``ScalarError``; an
+``--out`` path that cannot be written is a ``UsageError``), 3 on
 any other exception, which is an internal error of nscheck.  JSON output is
 byte-identical across runs of the same invocation and is written
 atomically when ``--out`` is given.
@@ -119,15 +120,17 @@ def _emit(reports: list[CheckReport], meta: dict, fmt: str, out: str | None) -> 
         )
         text = "\n".join(lines) + "\n"
     if out:
-        directory = os.path.dirname(os.path.abspath(out))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".nscheck-")
+        tmp = None
         try:
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out)), prefix=".nscheck-")
             with os.fdopen(fd, "w") as handle:
                 handle.write(text)
             os.replace(tmp, out)
-        except BaseException:
-            if os.path.exists(tmp):
+        except BaseException as exc:
+            if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
+            if isinstance(exc, OSError):
+                raise UsageError(f"cannot write report to {out}: {exc.strerror or exc}") from None
             raise
     else:
         sys.stdout.write(text)

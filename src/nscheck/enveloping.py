@@ -18,7 +18,11 @@ The :class:`AlgebraMode` of an element names its algebra:
 
 The named quadratic elements Omega and the degree-one families L'(n),
 G'(n - 1/2) live here, together with the identities rebuilding L_n and
-G_{n-1/2} from them.
+G_{n-1/2} from them.  Every binomial sum of the package but one is a finite
+difference sum_i (-1)^i binom(m, i) term(i), built by :func:`alternating_sum`:
+Omega, the G-L sum, the two A-chains of ``analysis``, both sums of L'(n),
+G'(n - 1/2) and the G reconstruction identity.  The L reconstruction
+identity weighs its terms by binom(n+1, k+1) and stays as displayed.
 """
 
 from __future__ import annotations
@@ -181,14 +185,11 @@ class SmashElement(Combination):
         return max((len(p) for _, p in self.terms), default=0)
 
 
-def smash_product(x: SmashElement, y: SmashElement, degree_guard: int | None = None) -> SmashElement:
+def smash_product(x: SmashElement, y: SmashElement) -> SmashElement:
     """Associative product in normal form."""
     x._check_mode(y)
-    guard = DEGREE_GUARD if degree_guard is None else degree_guard
-    if x.pbw_degree() + y.pbw_degree() > guard:
-        raise AlgebraError(
-            f"product would exceed PBW degree guard {guard}; raise degree_guard explicitly"
-        )
+    if x.pbw_degree() + y.pbw_degree() > DEGREE_GUARD:
+        raise AlgebraError(f"product would exceed PBW degree guard {DEGREE_GUARD}")
     wc = x.mode.has_center
     out: dict[tuple[AMonomial, PBWMonomial], Scalar] = {}
     for (ax, px), cx in x.terms.items():
@@ -203,7 +204,7 @@ def smash_product(x: SmashElement, y: SmashElement, degree_guard: int | None = N
     return SmashElement(out, x.mode)
 
 
-def smash_bracket(x: SmashElement, y: SmashElement, degree_guard: int | None = None) -> SmashElement:
+def smash_bracket(x: SmashElement, y: SmashElement) -> SmashElement:
     """Super-commutator x y - (-1)^{|x||y|} y x of homogeneous elements."""
     if x.is_zero() or y.is_zero():
         x._check_mode(y)
@@ -211,37 +212,38 @@ def smash_bracket(x: SmashElement, y: SmashElement, degree_guard: int | None = N
     px, py = x.parity(), y.parity()
     if px is None or py is None:
         raise AlgebraError("smash_bracket needs parity-homogeneous inputs")
-    xy = smash_product(x, y, degree_guard)
-    yx = smash_product(y, x, degree_guard)
+    xy = smash_product(x, y)
+    yx = smash_product(y, x)
     if px and py:
         return xy + yx
     return xy - yx
+
+
+def alternating_sum(order: int, term, mode: AlgebraMode) -> SmashElement:
+    """The finite difference sum_{i=0}^{order} (-1)^i binom(order, i) term(i),
+    where ``term(i)`` is a table {(A-monomial, PBW monomial): coefficient}
+    such as ``SmashElement.terms``; see the module docstring."""
+    out: dict[tuple[AMonomial, PBWMonomial], Scalar] = {}
+    for i in range(order + 1):
+        c = Scalar.of((-1) ** i * comb(order, i))
+        for key, v in term(i).items():
+            accumulate(out, key, c * v)
+    return SmashElement(out, mode)
 
 
 def omega(k: int, s: int, m: int, mode: AlgebraMode = AlgebraMode.KHAT) -> SmashElement:
     """Normal form of sum_i (-1)^i binom(m, i) L_{k-i} L_{s+i}."""
     if m < 0:
         raise AlgebraError("omega order m must be non-negative")
-    out = SmashElement.zero(mode)
-    for i in range(m + 1):
-        term = smash_product(
-            SmashElement.gen(L(k - i), mode),
-            SmashElement.gen(L(s + i), mode),
-        )
-        out = out + term.scale(Fraction((-1) ** i * comb(m, i)))
-    return out
+    return alternating_sum(m, lambda i: smash_product(
+        SmashElement.gen(L(k - i), mode), SmashElement.gen(L(s + i), mode)).terms, mode)
 
 
 def gl_sum(k: HalfInt, p: int, m: int, mode: AlgebraMode = AlgebraMode.KHAT) -> SmashElement:
     """Normal form of sum_i (-1)^i binom(m, i) G_{k-i} L_{p+i}."""
-    out = SmashElement.zero(mode)
-    for i in range(m + 1):
-        term = smash_product(
-            SmashElement.gen(Gen("G", k - HalfInt.of(i)), mode),
-            SmashElement.gen(L(p + i), mode),
-        )
-        out = out + term.scale(Fraction((-1) ** i * comb(m, i)))
-    return out
+    return alternating_sum(m, lambda i: smash_product(
+        SmashElement.gen(Gen("G", k - HalfInt.of(i)), mode),
+        SmashElement.gen(L(p + i), mode)).terms, mode)
 
 
 def l_prime(n: int, mode: AlgebraMode = AlgebraMode.K) -> SmashElement:
@@ -255,14 +257,10 @@ def l_prime(n: int, mode: AlgebraMode = AlgebraMode.K) -> SmashElement:
     """
     if n < -1:
         raise AlgebraError("l_prime defined for n >= -1 only")
-    terms: dict[tuple[AMonomial, PBWMonomial], Scalar] = {}
-    for i in range(n + 2):
-        c = Fraction((-1) ** (i + 1) * comb(n + 1, i))
-        accumulate(terms, (AMonomial(n - i + 1, 0), (L(i - 1),)), Scalar.of(c))
-    for i in range(n + 1):
-        c = Fraction(n + 1, 2) * Fraction((-1) ** i * comb(n, i))
-        accumulate(terms, (AMonomial(n - i, 1), (G(Fraction(2 * i - 1, 2)),)), Scalar.of(c))
-    return SmashElement(terms, mode)
+    l_part = alternating_sum(n + 1, lambda i: {(AMonomial(n - i + 1, 0), (L(i - 1),)): -1}, mode)
+    g_part = alternating_sum(
+        n, lambda i: {(AMonomial(n - i, 1), (G(Fraction(2 * i - 1, 2)),)): Fraction(n + 1, 2)}, mode)
+    return l_part + g_part
 
 
 def g_prime(n: int, mode: AlgebraMode = AlgebraMode.K) -> SmashElement:
@@ -275,12 +273,10 @@ def g_prime(n: int, mode: AlgebraMode = AlgebraMode.K) -> SmashElement:
     """
     if n < 0:
         raise AlgebraError("g_prime defined for n >= 0 only")
-    terms: dict[tuple[AMonomial, PBWMonomial], Scalar] = {}
-    for i in range(n + 1):
-        c = Fraction((-1) ** i * comb(n, i))
-        accumulate(terms, (AMonomial(n - i, 0), (G(Fraction(2 * i - 1, 2)),)), Scalar.of(c))
-        accumulate(terms, (AMonomial(n - i, 1), (L(i - 1),)), Scalar.of(-2 * c))
-    return SmashElement(terms, mode)
+    return alternating_sum(n, lambda i: {
+        (AMonomial(n - i, 0), (G(Fraction(2 * i - 1, 2)),)): 1,
+        (AMonomial(n - i, 1), (L(i - 1),)): -2,
+    }, mode)
 
 
 @dataclass(frozen=True)
@@ -344,11 +340,9 @@ def verify_reconstruction(n: int, mutate_extension: bool = False, mode: AlgebraM
     )
     res_l = lhs_l - SmashElement.gen(L(n), mode)
 
-    lhs_g = SmashElement.zero(mode)
-    for k in range(n + 1):
-        c = Fraction((-1) ** k * comb(n, k))
-        inner = g_prime(k, mode) - smash_product(xi_mono, lp(k - 1)).scale(Fraction(2))
-        lhs_g = lhs_g + smash_product(SmashElement.amon(n - k, 0, mode), inner).scale(c)
+    lhs_g = alternating_sum(n, lambda k: smash_product(
+        SmashElement.amon(n - k, 0, mode),
+        g_prime(k, mode) - smash_product(xi_mono, lp(k - 1)).scale(Fraction(2))).terms, mode)
     res_g = lhs_g - SmashElement.gen(G(Fraction(2 * n - 1, 2)), mode)
 
     return res_l, res_g

@@ -28,7 +28,8 @@ the formal parameters; everything stays symbolic in that case.
 Every key move is one degree rule: t^k xi^eps has degree k + eps/2, and
 an element of degree d moves it to the key of degree k + eps/2 + d
 (a key is an A-monomial, so this is ``AMonomial.shifted``).  The weight of a key is lambda + b plus its
-degree.
+degree.  The module axiom (:func:`module_axiom_residual`) is the one
+representation law ``algebra.rep_residual`` that the structural suites check.
 
 Families:
 
@@ -53,6 +54,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import (
     A_ONE,
@@ -67,6 +69,7 @@ from .algebra import (
     bracket_basis,
     gen_act_amon,
     jet_coefficient,
+    rep_residual,
 )
 from .enveloping import SmashElement
 from .scalars import B, LAMBDA, ONE, Scalar, parse_rational
@@ -381,25 +384,25 @@ def _apply(action, x, v: ModuleVector) -> ModuleVector:
 
 
 def module_axiom_residual(x: Gen, y: Gen, key: BasisKey, mod: GammaModule) -> ModuleVector:
-    """Residual of the module axiom on a basis vector:
+    """Residual of the module axiom on a basis vector, the representation
+    law (``algebra.rep_residual``) of the algebra acting on ``mod``:
 
         (x (y v) - (-1)^{|x||y|} y (x v)) - [x, y] v
 
     Zero for every pair exactly when the action is a representation.
     """
-    e = ModuleVector.basis(key)
-    comp = act(x, act(y, e, mod), mod)
-    swap = act(y, act(x, e, mod), mod)
-    if x.parity and y.parity:
-        comp = comp + swap
-    else:
-        comp = comp - swap
-    br = ModuleVector()
-    for g, c in bracket_basis(x, y, mod.algebra_mode.has_center):
-        if g.kind == "C":
-            continue  # central charge zero on these modules
-        br = br + act(g, e, mod).scale(c)
-    return comp - br
+    mode = mod.algebra_mode
+    xy = _acting_part(bracket_basis(x, y, mode.has_center), mode)
+    return rep_residual(lambda e, w: act(e, w, mod), x, y, xy, ModuleVector.basis(key),
+                        x.parity and y.parity)
+
+
+@lru_cache(maxsize=None)
+def _acting_part(terms: tuple, mode: AlgebraMode) -> LieElement:
+    """The element with structure constants ``terms``, without C: the central
+    charge is zero on these modules.  Memoised on the constants themselves,
+    so that a changed structure table never meets a stale entry."""
+    return LieElement({g: Scalar.of(c) for g, c in terms if g.kind != "C"}, mode)
 
 
 def parse_module_descriptor(

@@ -92,6 +92,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "nscheck: internal error: ValueError: invariant broken\n"
 
+    # an --out path in a missing directory, or naming a directory, is the
+    # user's mistake: exit 2, and no temporary file is left behind
+    @pytest.mark.parametrize("target, reason", [
+        ("missing/r.json", "No such file or directory"),
+        ("existing", "Is a directory"),
+    ], ids=["missing-directory", "directory"])
+    def test_unwritable_out_exits_two(self, capsys, tmp_path, target, reason):
+        (tmp_path / "existing").mkdir()
+        out = tmp_path / target
+        assert run(["classify", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"nscheck: error: cannot write report to {out}: {reason}\n")
+        assert [p.name for p in tmp_path.rglob(".nscheck-*")] == []
+
     def test_info_never_fails_a_run(self, tmp_path):
         code, doc, _ = invoke(tmp_path, "classify", out_name="classify.json")
         assert code == 0

@@ -1,12 +1,14 @@
 """Smash-algebra normal forms, named elements, reconstruction identities."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nscheck.algebra import AMonomial, AlgebraError, AlgebraMode, C, G, L, half
+from nscheck.analysis import a_g_chain, a_l_chain
 from nscheck.enveloping import (
     SmashElement,
     TElementLabel,
@@ -147,6 +149,90 @@ class TestReconstruction:
         assert res_g == want
         # the n = 0 instance of the first identity does not involve L'(-1)
         assert res_l.is_zero()
+
+
+class TestDisplayedSums:
+    """The binomial sums written term by term from their displays, against
+    the builders, in every algebra mode whose generators they admit."""
+
+    @staticmethod
+    def signed(order, i):
+        return (-1) ** i * comb(order, i)
+
+    @staticmethod
+    def total(mode, pieces):
+        out = SmashElement.zero(mode)
+        for piece in pieces:
+            out = out + piece
+        return out
+
+    # (k, s, m): k - m and s stay >= -1, so kplus admits every generator
+    @pytest.mark.parametrize("mode", [U, AK, APKP], ids=lambda m: m.value)
+    @pytest.mark.parametrize("k, s, m", [(0, 0, 0), (1, -1, 2), (3, 0, 3), (2, 1, 1)])
+    def test_omega(self, mode, k, s, m):
+        # Omega^(m)_{k,s} = sum_i (-1)^i binom(m,i) L_{k-i} L_{s+i}
+        want = self.total(mode, (
+            smash_product(gen(L(k - i), mode), gen(L(s + i), mode)).scale(self.signed(m, i))
+            for i in range(m + 1)))
+        assert omega(k, s, m, mode) == want
+
+    @pytest.mark.parametrize("mode", [U, AK, APKP], ids=lambda m: m.value)
+    @pytest.mark.parametrize("k2, p, m", [(1, 0, 1), (5, -1, 2), (3, 1, 0), (7, 0, 3)])
+    def test_gl_sum(self, mode, k2, p, m):
+        # sum_i (-1)^i binom(m,i) G_{k-i} L_{p+i}, with k = k2/2
+        want = self.total(mode, (
+            smash_product(gen(G(half(k2 - 2 * i)), mode), gen(L(p + i), mode)).scale(self.signed(m, i))
+            for i in range(m + 1)))
+        assert gl_sum(half(k2), p, m, mode) == want
+
+    @pytest.mark.parametrize("mode", [AK, APKP], ids=lambda m: m.value)
+    @pytest.mark.parametrize("a, s, order", [(2, -1, 2), (3, 0, 3), (4, -1, 4)])
+    def test_a_l_chain(self, mode, a, s, order):
+        # sum_i (-1)^i binom(order,i) t^{a-i} (x) L_{s+i}
+        want = self.total(mode, (term(a - i, 0, [L(s + i)], mode, self.signed(order, i))
+                                 for i in range(order + 1)))
+        assert a_l_chain(a, s, order, mode) == want
+
+    @pytest.mark.parametrize("mode", [AK, APKP], ids=lambda m: m.value)
+    @pytest.mark.parametrize("a, p2, order", [(3, 1, 3), (4, -1, 2), (5, 3, 4)])
+    def test_a_g_chain(self, mode, a, p2, order):
+        # sum_i (-1)^i binom(order,i) t^{a-i} (x) G_{p+i}, with p = p2/2
+        want = self.total(mode, (term(a - i, 0, [G(half(p2 + 2 * i))], mode, self.signed(order, i))
+                                 for i in range(order + 1)))
+        assert a_g_chain(a, p2, order, mode) == want
+
+    @pytest.mark.parametrize("mode", [AK, APKP], ids=lambda m: m.value)
+    @pytest.mark.parametrize("n", [-1, 0, 1, 2, 3])
+    def test_l_prime(self, mode, n):
+        # sum_{i=0}^{n+1} (-1)^{i+1} binom(n+1,i) t^{n-i+1} (x) L_{i-1}
+        #   + (n+1)/2 sum_{i=0}^{n} (-1)^i binom(n,i) t^{n-i} xi (x) G_{i-1/2}
+        first = self.total(mode, (term(n - i + 1, 0, [L(i - 1)], mode, -self.signed(n + 1, i))
+                                  for i in range(n + 2)))
+        second = self.total(mode, (term(n - i, 1, [G(half(2 * i - 1))], mode, self.signed(n, i))
+                                   for i in range(n + 1)))
+        assert l_prime(n, mode) == first + second.scale(Fraction(n + 1, 2))
+
+    @pytest.mark.parametrize("mode", [AK, APKP], ids=lambda m: m.value)
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_g_prime(self, mode, n):
+        # sum_{i=0}^{n} (-1)^i binom(n,i) (t^{n-i} (x) G_{i-1/2} - 2 t^{n-i} xi (x) L_{i-1})
+        want = self.total(mode, (
+            (term(n - i, 0, [G(half(2 * i - 1))], mode)
+             - term(n - i, 1, [L(i - 1)], mode, 2)).scale(self.signed(n, i))
+            for i in range(n + 1)))
+        assert g_prime(n, mode) == want
+
+    @pytest.mark.parametrize("mode", [AK, APKP], ids=lambda m: m.value)
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_g_reconstruction(self, mode, n):
+        # sum_{k=0}^n (-1)^k binom(n,k) t^{n-k} (G'_{k-1/2} - 2 xi L'_{k-1}) - G_{n-1/2}
+        xi = SmashElement.amon(0, 1, mode)
+        lhs = self.total(mode, (
+            smash_product(SmashElement.amon(n - k, 0, mode),
+                      g_prime(k, mode) - smash_product(xi, l_prime(k - 1, mode)).scale(2),
+                      ).scale(self.signed(n, k))
+            for k in range(n + 1)))
+        assert verify_reconstruction(n, mode=mode)[1] == lhs - gen(G(half(2 * n - 1)), mode)
 
 
 class TestCentralizerSmall:

@@ -1,15 +1,20 @@
-"""Tooling contracts: the runtime is stdlib-only, and the benchmark's layer
-tracer finds every entry point it wraps."""
+"""Tooling contracts: the runtime is stdlib-only, the benchmark's layer
+tracer finds every entry point it wraps, and the benchmark's golden CLI
+invocations reproduce their recorded exit codes and report bytes."""
 
 import ast
+import hashlib
 import importlib
 import sys
 from pathlib import Path
 
 import pytest
 
+from nscheck.cli import run
+
 ROOT = Path(__file__).resolve().parent.parent
 LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 SOURCES = sorted((ROOT / "src" / "nscheck").glob("*.py"))
 
 
@@ -31,14 +36,19 @@ def test_runtime_imports_only_the_standard_library(path):
     assert outside == []
 
 
+def literal_table(path: Path, name: str):
+    """The literal assigned to ``name`` at the top level of ``path``, read
+    from the source so that nothing under perfbench/ is imported or written."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no {name} table in {path.name}")
+
+
 def traced_names() -> list[tuple[str, str]]:
-    """(layer, dotted name) for every entry of ``TRACED``, read from the
-    source so that nothing under perfbench/ is imported or written."""
-    for node in ast.parse(LAYERTRACE.read_text()).body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]:
-            table = ast.literal_eval(node.value)
-            return [(layer, name) for layer, names in table.items() for name in names]
-    raise AssertionError("no TRACED table in layertrace.py")
+    """(layer, dotted name) for every entry of ``TRACED``."""
+    table = literal_table(LAYERTRACE, "TRACED")
+    return [(layer, name) for layer, names in table.items() for name in names]
 
 
 @pytest.mark.parametrize("layer,dotted", traced_names(), ids=lambda x: x)
@@ -49,3 +59,14 @@ def test_traced_name_resolves(layer, dotted):
     for part in path:
         owner = getattr(owner, part)
     assert owner.__dict__.get(attr) is not None
+
+
+GOLDEN = literal_table(WORKLOADS, "GOLDEN")
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_benchmark_golden_replays(capsys, command):
+    # the benchmark checks the same exit code and sha256 of stdout
+    code = run(command.split(" "))
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == GOLDEN[command]

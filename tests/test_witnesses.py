@@ -199,3 +199,31 @@ def test_shared_jet_term_mutant(monkeypatch, fresh_tables, tmp_path, mutated):
     assert (jacobi.status, jacobi.residual_witness) == (
         ("fail", "-3*L(-6)") if mutated else ("pass", None))
     assert len(module_axiom_failures(tmp_path)) == (15 if mutated else 0)
+
+
+def sign_blind(rho, x, y, xy, v, odd):
+    # mutant of algebra.rep_residual: the sign rule ignores odd
+    return rho(x, rho(y, v)) - rho(y, rho(x, v)) - rho(xy, v)
+
+
+SIGN_BLIND_FAILURES = [
+    "jacobi/GGG/range=2",
+    "compat/(G,t*xi,G)",
+    "action-rep/(G,G)",
+    "module-axiom/corrected/(G(-1/2),G(-1/2))",
+    "module-axiom/corrected/(G(-1/2),G(1/2))",
+    "module-axiom/corrected/(G(1/2),G(1/2))",
+]
+
+
+@pytest.mark.parametrize("mutated", [False, True], ids=["control", "sign-mutant"])
+def test_shared_representation_law_mutant(monkeypatch, tmp_path, mutated):
+    """Jacobi, compatibility, the derivation action and the module axiom
+    check one representation law, so one sign mutant of it fails all four
+    suites, each exactly on its odd-odd checks."""
+    if mutated:
+        for namespace in (algebra, analysis, modules):
+            monkeypatch.setattr(namespace, "rep_residual", sign_blind)
+    reports = jacobi_family_reports(2) + compat_reports(2) + action_rep_reports(2)
+    got = [r.name for r in reports if r.status == "fail"] + module_axiom_failures(tmp_path)
+    assert got == (SIGN_BLIND_FAILURES if mutated else [])
