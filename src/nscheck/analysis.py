@@ -269,8 +269,12 @@ def centralizer_reports(max_n: int, max_k: int) -> list[CheckReport]:
     out = []
     a_labels = [TElementLabel("L", n) for n in range(0, max_n + 1)]
     a_labels += [TElementLabel("G", n) for n in range(1, max_n + 1)]
+    g_labels = [TElementLabel("L", n) for n in range(-1, max_n + 1)]
+    g_labels += [TElementLabel("G", n) for n in range(0, max_n + 1)]
+    # each primed element once; g_labels holds every label of a_labels
+    built = {label: label.build(mode) for label in g_labels}
     for label in a_labels:
-        x = label.build(mode)
+        x = built[label]
         wit, where = first_witness(
             (((k, eps), smash_bracket(x, SmashElement.amon(k, eps, mode)))
              for k in range(-max_k, max_k + 1) for eps in (0, 1)),
@@ -278,10 +282,8 @@ def centralizer_reports(max_n: int, max_k: int) -> list[CheckReport]:
         )
         out.append(_ok(f"centralizer/{label.render()}/A", CENTRALIZER_ANCHOR,
                        f"n={label.n}; |k|<={max_k}{where}", wit))
-    g_labels = [TElementLabel("L", n) for n in range(-1, max_n + 1)]
-    g_labels += [TElementLabel("G", n) for n in range(0, max_n + 1)]
     for label in g_labels:
-        r = smash_bracket(gm, label.build(mode))
+        r = smash_bracket(gm, built[label])
         out.append(_ok(f"centralizer/{label.render()}/G(-1/2)", CENTRALIZER_ANCHOR,
                        f"n={label.n}", None if r.is_zero() else r.render()))
     return out
@@ -292,11 +294,14 @@ def psi_table_reports(max_index: int, mutate_lg_entry: bool = False) -> list[Che
     computation.  ``mutate_lg_entry`` corrupts the (m, n) = (0, 1)
     coefficient 3/2 -> 1 to demonstrate failure detection."""
     mode = AlgebraMode.K
+    # each primed element once: L'(0..2 max) and G'(1/2..(4 max - 1)/2)
+    lp = {n: l_prime(n, mode) for n in range(2 * max_index + 1)}
+    gp = {n: g_prime(n, mode) for n in range(1, 2 * max_index + 1)}
     out = []
     for m in range(0, max_index + 1):
         for n in range(0, max_index + 1):
-            r = smash_bracket(l_prime(m, mode), l_prime(n, mode))
-            r = r - l_prime(m + n, mode).scale(Fraction(n - m))
+            r = smash_bracket(lp[m], lp[n])
+            r = r - lp[m + n].scale(Fraction(n - m))
             out.append(_ok(f"psi-table/LL/m={m}/n={n}", PSI_LL_ANCHOR, f"m={m}, n={n}",
                            None if r.is_zero() else r.render()))
     for m in range(0, max_index + 1):
@@ -304,14 +309,14 @@ def psi_table_reports(max_index: int, mutate_lg_entry: bool = False) -> list[Che
             coeff = Fraction(2 * n + 1 - m, 2)
             if mutate_lg_entry and (m, n) == (0, 1):
                 coeff = Fraction(1)
-            r = smash_bracket(l_prime(m, mode), g_prime(n + 1, mode))
-            r = r - g_prime(m + n + 1, mode).scale(coeff)
+            r = smash_bracket(lp[m], gp[n + 1])
+            r = r - gp[m + n + 1].scale(coeff)
             out.append(_ok(f"psi-table/LG/m={m}/n={n}", PSI_LG_ANCHOR, f"m={m}, n={n}",
                            None if r.is_zero() else r.render()))
     for n1 in range(0, max_index):
         for n2 in range(0, max_index):
-            r = smash_bracket(g_prime(n1 + 1, mode), g_prime(n2 + 1, mode))
-            r = r - l_prime(n1 + n2 + 1, mode).scale(Fraction(2))
+            r = smash_bracket(gp[n1 + 1], gp[n2 + 1])
+            r = r - lp[n1 + n2 + 1].scale(Fraction(2))
             out.append(_ok(f"psi-table/GG/r={2*n1+1}/2/s={2*n2+1}/2", PSI_GG_ANCHOR,
                            f"r={n1}+1/2, s={n2}+1/2",
                            None if r.is_zero() else r.render()))

@@ -323,17 +323,17 @@ def verify_reconstruction(n: int, mutate_extension: bool = False, mode: AlgebraM
     if n < 0:
         raise AlgebraError("reconstruction defined for n >= 0")
 
-    def lp(k: int) -> SmashElement:
-        e = l_prime(k, mode)
-        if k == -1 and mutate_extension:
-            return -e
-        return e
+    # each primed element once: L'(-1..n) and G'(-1/2..n-1/2)
+    lp = {k: l_prime(k, mode) for k in range(-1, n + 1)}
+    if mutate_extension:
+        lp[-1] = -lp[-1]
+    gp = {k: g_prime(k, mode) for k in range(n + 1)}
 
     xi_mono = SmashElement.amon(0, 1, mode)
     lhs_l = SmashElement.zero(mode)
     for k in range(n + 1):
         c = Fraction((-1) ** k * comb(n + 1, k + 1))
-        inner = lp(k) - smash_product(xi_mono, g_prime(k, mode)).scale(Fraction(k + 1, 2))
+        inner = lp[k] - smash_product(xi_mono, gp[k]).scale(Fraction(k + 1, 2))
         lhs_l = lhs_l + smash_product(SmashElement.amon(n - k, 0, mode), inner).scale(c)
     lhs_l = lhs_l + smash_product(
         SmashElement.amon(n + 1, 0, mode), SmashElement.gen(L(-1), mode)
@@ -342,7 +342,7 @@ def verify_reconstruction(n: int, mutate_extension: bool = False, mode: AlgebraM
 
     lhs_g = alternating_sum(n, lambda k: smash_product(
         SmashElement.amon(n - k, 0, mode),
-        g_prime(k, mode) - smash_product(xi_mono, lp(k - 1)).scale(Fraction(2))).terms, mode)
+        gp[k] - smash_product(xi_mono, lp[k - 1]).scale(Fraction(2))).terms, mode)
     res_g = lhs_g - SmashElement.gen(G(Fraction(2 * n - 1, 2)), mode)
 
     return res_l, res_g

@@ -24,9 +24,16 @@ result is canonical by construction:
 * adding a rational ``q`` to ``n/d`` gives ``(n + q d)/d``, because
   ``gcd(n + q d, d) = gcd(n, d) = 1``.
 
-The term order is graded lexicographic with ``l`` before ``b``.  All
-polynomial coefficients are :class:`fractions.Fraction`, so the whole
-tower is exact; no floating point appears anywhere.
+The term order is graded lexicographic with ``l`` before ``b``.
+
+Coefficient rule: every stored polynomial coefficient is exact, and an
+integral one is a plain ``int``; any other is a :class:`fractions.Fraction`
+whose denominator is greater than 1.  The kernels and the constructors
+normalise their results to this rule, so most arithmetic runs on machine
+ints.  Every division of a coefficient goes through ``Fraction``
+(``1 / Fraction(c)``), so ``int / int`` never yields a float.  Operands
+must be ints, Fractions or Scalars: a float raises :class:`ScalarError`,
+and no floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -41,7 +48,8 @@ Expt = tuple[int, int]
 
 
 class ScalarError(ArithmeticError):
-    """Division by the zero polynomial or zero Scalar."""
+    """Division by the zero polynomial or zero Scalar, or an operand that
+    is not an exact rational (a float, say)."""
 
 
 class PoleError(ScalarError):
@@ -60,12 +68,21 @@ def _order_key(e: Expt) -> tuple[int, int]:
     return (e[0] + e[1], e[0])
 
 
-def _sorted_exponents(terms: Mapping[Expt, Fraction]) -> list[Expt]:
+def _sorted_exponents(terms: Mapping[Expt, int | Fraction]) -> list[Expt]:
     return sorted(terms, key=_order_key, reverse=True)
 
 
-# polynomial kernels, shared by Q[l, b] (Fraction coefficients) and the
-# integer gcd machinery below (int coefficients)
+def _coefficient(x) -> int | Fraction:
+    """An int or Fraction operand under the coefficient rule (int when
+    integral); ScalarError for anything else, a float in particular."""
+    if isinstance(x, (int, Fraction)):
+        # int.numerator is a plain int, also for a bool
+        return x.numerator if x.denominator == 1 else x
+    raise ScalarError(f"{x!r} is not an exact rational (int or Fraction)")
+
+
+# polynomial kernels, shared by Q[l, b] and the integer gcd machinery below;
+# each result obeys the coefficient rule of the module docstring
 
 
 def _add_scaled(f: dict, g: dict, c=1, shift: Expt = (0, 0)) -> dict:
@@ -80,7 +97,7 @@ def _add_scaled(f: dict, g: dict, c=1, shift: Expt = (0, 0)) -> dict:
         cur = out.get(e)
         s = k if cur is None else cur + k
         if s:
-            out[e] = s
+            out[e] = s.numerator if type(s) is Fraction and s.denominator == 1 else s
         else:
             out.pop(e, None)
     return out
@@ -97,19 +114,25 @@ def _p_neg(f: dict) -> dict:
     return {e: -c for e, c in f.items()}
 
 
-def _p_scale(f: dict, c: Fraction) -> dict:
+def _p_scale(f: dict, c: int | Fraction) -> dict:
     if not c:
         return {}
-    return {e: k * c for e, k in f.items()}
+    out = {}
+    for e, k in f.items():
+        k *= c
+        out[e] = k.numerator if type(k) is Fraction and k.denominator == 1 else k
+    return out
 
 
-def _p_leading(f: dict) -> tuple[Expt, Fraction]:
+def _p_leading(f: dict) -> tuple[Expt, int | Fraction]:
     e = max(f, key=_order_key)
     return e, f[e]
 
 
-def _divexact(f: dict, g: dict) -> dict:
-    """Exact division in Q[l, b] or in Z[l, b]; raises unless ``g`` divides ``f``."""
+def _divexact(f: dict, g: dict, ring: str) -> dict:
+    """Exact division f / g in ``ring``: "Z" for Z[l, b], where every
+    quotient coefficient must be an integer, or "Q" for Q[l, b].  Raises
+    unless ``g`` divides ``f`` in that ring."""
     if not g:
         raise ScalarError("division by zero polynomial")
     q: dict = {}
@@ -118,7 +141,10 @@ def _divexact(f: dict, g: dict) -> dict:
     while r:
         re, rc = _p_leading(r)
         de = (re[0] - ge[0], re[1] - ge[1])
-        qc, rem = divmod(rc, gc) if isinstance(gc, int) else (rc / gc, 0)
+        if ring == "Z":
+            qc, rem = divmod(rc, gc)
+        else:
+            qc, rem = _coefficient(Fraction(rc) / gc), 0
         if de[0] < 0 or de[1] < 0 or rem:
             raise ScalarError("inexact polynomial division")
         q[de] = qc
@@ -185,7 +211,7 @@ def _ip_primitive_l(f: dict) -> dict:
     cont = _ip_content_l(f)
     if cont == {(0, 0): 1}:
         return _ip_normalize(f)
-    return _ip_normalize(_divexact(f, cont))
+    return _ip_normalize(_divexact(f, cont, "Z"))
 
 
 def _ip_prem_l(f: dict, g: dict) -> dict:
@@ -229,10 +255,10 @@ def _p_gcd(f: dict, g: dict) -> dict:
     """Monic gcd in Q[l, b]."""
     if not f or not g:
         f = f or g
-        return _p_scale(f, 1 / _p_leading(f)[1]) if f else {}
+        return _p_scale(f, 1 / Fraction(_p_leading(f)[1])) if f else {}
     got = _ip_gcd(_clear_denominators(f), _clear_denominators(g))
-    lead = got[max(got, key=_order_key)]
-    return {e: Fraction(c, lead) for e, c in got.items()}
+    lead = _p_leading(got)[1]
+    return got if lead == 1 else _p_scale(got, 1 / Fraction(lead))
 
 
 def _render_monomial(e: Expt) -> str:
@@ -270,7 +296,9 @@ class ParamPoly:
     """Polynomial in the formal parameters l and b over Q.
 
     Immutable; ``terms`` maps exponent pairs (deg l, deg b) to nonzero
-    Fractions.  The constructor validates outside input; the kernels hand
+    coefficients under the coefficient rule: an int when integral, else a
+    Fraction with denominator > 1.  The constructor validates and
+    normalises outside input (a float raises ScalarError); the kernels hand
     their already-clean dicts to :func:`_poly`.
     """
 
@@ -280,7 +308,7 @@ class ParamPoly:
         clean: dict = {}
         if terms:
             for e, c in terms.items():
-                c = Fraction(c)
+                c = _coefficient(c)
                 if c:
                     clean[(int(e[0]), int(e[1]))] = c
         object.__setattr__(self, "terms", clean)
@@ -290,14 +318,14 @@ class ParamPoly:
 
     @staticmethod
     def const(c) -> "ParamPoly":
-        return ParamPoly({(0, 0): Fraction(c)})
+        return ParamPoly({(0, 0): c})
 
     @staticmethod
     def variable(name: str) -> "ParamPoly":
         if name == "l":
-            return ParamPoly({(1, 0): Fraction(1)})
+            return ParamPoly({(1, 0): 1})
         if name == "b":
-            return ParamPoly({(0, 1): Fraction(1)})
+            return ParamPoly({(0, 1): 1})
         raise ValueError(f"unknown parameter {name!r}; only l and b exist")
 
     def is_zero(self) -> bool:
@@ -324,14 +352,16 @@ class ParamPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def substitute(self, l_val: Fraction | None, b_val: Fraction | None) -> "ParamPoly":
+    def substitute(self, l_val: int | Fraction | None, b_val: int | Fraction | None) -> "ParamPoly":
+        l_val = None if l_val is None else _coefficient(l_val)
+        b_val = None if b_val is None else _coefficient(b_val)
         out: dict = {}
         for (dl, db), c in self.terms.items():
             if l_val is not None:
-                c *= Fraction(l_val) ** dl
+                c *= l_val ** dl
                 dl = 0
             if b_val is not None:
-                c *= Fraction(b_val) ** db
+                c *= b_val ** db
                 db = 0
             out = _add_scaled(out, _ONE_TERMS, c, (dl, db))
         return _poly(out)
@@ -345,26 +375,27 @@ class ParamPoly:
 
 def _poly(terms: dict) -> ParamPoly:
     """ParamPoly over a dict that is already clean: int exponent pairs,
-    nonzero Fraction coefficients."""
+    nonzero coefficients under the coefficient rule."""
     p = object.__new__(ParamPoly)
     object.__setattr__(p, "terms", terms)
     return p
 
 
-_ONE_TERMS = {(0, 0): Fraction(1)}
+_ONE_TERMS = {(0, 0): 1}
 _ONE_POLY = _poly(_ONE_TERMS)
 
 
 def _rational(x):
-    """The value of a rational operand (int, Fraction or numeric Scalar);
-    None for a Scalar that involves l or b."""
+    """The value of a rational operand (int, Fraction or numeric Scalar)
+    under the coefficient rule; None for a Scalar that involves l or b.
+    Any other operand, a float in particular, raises ScalarError."""
     if isinstance(x, Scalar):
         t = x.num.terms
         one = x.den is _ONE_POLY or x.den.terms == _ONE_TERMS
         if one and (not t or (len(t) == 1 and (0, 0) in t)):
             return t.get((0, 0), 0)
         return None
-    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+    return _coefficient(x)
 
 
 class Scalar:
@@ -382,19 +413,19 @@ class Scalar:
 
     @staticmethod
     def of(value) -> "Scalar":
-        """Scalar from an int, Fraction or Scalar."""
+        """Scalar from an int, Fraction or Scalar; a float raises ScalarError."""
         if isinstance(value, Scalar):
             return value
-        value = Fraction(value)
+        value = _coefficient(value)
         return _scalar({(0, 0): value} if value else {}, _ONE_POLY)
 
     @staticmethod
     def lam() -> "Scalar":
-        return _scalar({(1, 0): Fraction(1)}, _ONE_POLY)
+        return _scalar({(1, 0): 1}, _ONE_POLY)
 
     @staticmethod
     def bparam() -> "Scalar":
-        return _scalar({(0, 1): Fraction(1)}, _ONE_POLY)
+        return _scalar({(0, 1): 1}, _ONE_POLY)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -462,8 +493,6 @@ class Scalar:
         return hash((self.num, self.den)) if q is None else hash(q)
 
     def substitute(self, l_val=None, b_val=None) -> "Scalar":
-        l_val = None if l_val is None else Fraction(l_val)
-        b_val = None if b_val is None else Fraction(b_val)
         den = self.den.substitute(l_val, b_val)
         if den.is_zero():
             raise PoleError(self.den.render())
@@ -526,16 +555,17 @@ def _canonicalize(num: dict, den: dict) -> tuple[dict, dict]:
     # constant numerator or denominator: the gcd is a unit
     if den.keys() == {(0, 0)}:
         c = den[(0, 0)]
-        return (dict(num) if c == 1 else _p_scale(num, 1 / c)), _ONE_TERMS
+        return (dict(num) if c == 1 else _p_scale(num, 1 / Fraction(c))), _ONE_TERMS
     if num.keys() != {(0, 0)}:
         g = _p_gcd(num, den)
         if g != _ONE_TERMS:
-            num = _divexact(num, g)
-            den = _divexact(den, g)
+            num = _divexact(num, g, "Q")
+            den = _divexact(den, g, "Q")
     _, lead = _p_leading(den)
     if lead != 1:
-        num = _p_scale(num, 1 / lead)
-        den = _p_scale(den, 1 / lead)
+        inv = 1 / Fraction(lead)
+        num = _p_scale(num, inv)
+        den = _p_scale(den, inv)
     return num, den
 
 

@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nscheck.algebra import AlgebraMode, L, LieElement
+from nscheck.analysis import edge_generators, window_keys
+from nscheck.modules import Window, module_axiom_residual, parse_module_descriptor
 from nscheck.scalars import (
     B,
     LAMBDA,
@@ -17,6 +20,8 @@ from nscheck.scalars import (
     Scalar,
     ScalarError,
     ZERO,
+    _divexact,
+    _p_gcd,
 )
 
 
@@ -273,3 +278,97 @@ def test_canonical_form_matches_sympy_cancel():
             assert unit.is_Rational and sympy.expand(den - unit * reduced_den) == 0, s
             assert sympy.gcd(num, den).is_number, s
             assert sympy.Poly(den, l, b).LC(order="grlex") == 1, s
+
+
+# the coefficient rule: an integral coefficient is stored as an int, any
+# other as a Fraction with denominator > 1; == cannot tell 1 from Fraction(1)
+
+
+def obeys_rule(c):
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def rule_breakers(s):
+    """The stored coefficients of ``s`` (a Scalar or ParamPoly) that break
+    the coefficient rule, with their types."""
+    polys = (s.num, s.den) if isinstance(s, Scalar) else (s,)
+    return [(c, type(c)) for p in polys for c in p.terms.values() if not obeys_rule(c)]
+
+
+def test_coefficient_rule_on_seeded_operations():
+    for x, y in random_pairs("nscheck-scalar-paths", 600):
+        results = []
+        for op in ARITH:
+            if not (op is operator.truediv and not y):
+                results.append(op(x, y))
+        if x and not isinstance(y, Scalar):
+            results.append(y / x)  # __rtruediv__ of an int or Fraction
+        for s in list(results):
+            for lv, bv in ((Fraction(1, 3), 2), (2, None), (None, Fraction(-1, 2))):
+                try:
+                    results.append(s.substitute(lv, bv))
+                except PoleError:
+                    pass
+        for s in results:
+            assert rule_breakers(s) == [], (x, y, s)
+
+
+def test_coefficient_rule_on_every_division_path():
+    p = LAMBDA + 2 * B
+    q = (LAMBDA + 1) / (2 * B - 3)
+    results = [
+        p / 2, p / Fraction(2, 3), p / Scalar.of(4), p / q, q / p,  # Scalar / rational or Scalar
+        1 / p, Fraction(3, 2) / q, 2 / Scalar.of(4),  # __rtruediv__
+        Scalar(ParamPoly({(1, 0): 2, (0, 0): 4}), ParamPoly.const(2)),  # constant denominator
+        Scalar(ParamPoly({(1, 1): 3, (0, 2): 6}), ParamPoly({(1, 0): 3, (0, 1): 6})),  # gcd
+        Scalar(ParamPoly({(0, 1): 1}), ParamPoly({(1, 0): 2, (0, 0): 4})),  # monic only
+        Scalar(ParamPoly({(2, 0): 1, (0, 0): -1}), ParamPoly({(1, 0): 2, (0, 0): 2})),
+    ]
+    for s in results:
+        assert rule_breakers(s) == [], s
+    assert results[-3] == B and results[-1] == (LAMBDA - 1) / 2
+    half = Fraction(1, 2)
+    for f, g in (({}, {(1, 0): 2, (0, 0): 4}), ({(1, 0): half, (0, 0): half}, {(1, 0): 3, (0, 0): 3})):
+        got = _p_gcd(f, g)
+        assert got == {(1, 0): 1, (0, 0): 2 if not f else 1}
+        assert all(obeys_rule(c) for c in got.values()), got
+
+
+def test_divexact_takes_its_ring_explicitly():
+    # l + 1 over 2: exact in Q[l, b], not in Z[l, b], although every
+    # coefficient is an int
+    half = Fraction(1, 2)
+    assert _divexact({(1, 0): 1, (0, 0): 1}, {(0, 0): 2}, "Q") == {(1, 0): half, (0, 0): half}
+    with pytest.raises(ScalarError):
+        _divexact({(1, 0): 1, (0, 0): 1}, {(0, 0): 2}, "Z")
+    assert _divexact({(1, 0): 2, (0, 0): 4}, {(0, 0): 2}, "Z") == {(1, 0): 1, (0, 0): 2}
+
+
+def test_gamma_action_cache_obeys_the_coefficient_rule():
+    mod = parse_module_descriptor("gamma(l,b)")
+    gens = edge_generators(mod.algebra_mode, 3)
+    keys = window_keys(mod, Window(-8, 8))
+    for i, x in enumerate(gens):
+        for y in gens[i:]:
+            for key in keys:
+                assert module_axiom_residual(x, y, key, mod).is_zero()
+    assert mod._actions
+    for (gen, key), action in mod._actions.items():
+        for _, c in action:
+            assert rule_breakers(c) == [], (gen, key, c)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Scalar.of(0.1),
+    lambda: LAMBDA * 0.1,
+    lambda: 0.1 * LAMBDA,
+    lambda: LAMBDA + 0.1,
+    lambda: LAMBDA / 0.5,
+    lambda: ParamPoly({(0, 0): 0.1}),
+    lambda: LieElement.basis(L(1), AlgebraMode.KHAT, 0.3),
+    lambda: LAMBDA.substitute(0.5, None),
+], ids=["Scalar.of", "mul", "rmul", "add", "truediv", "ParamPoly", "LieElement.basis",
+        "substitute"])
+def test_floats_never_enter_the_exact_field(build):
+    with pytest.raises(ScalarError):
+        build()

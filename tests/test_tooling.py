@@ -1,6 +1,7 @@
-"""Tooling contracts: the runtime is stdlib-only, the benchmark's layer
-tracer finds every entry point it wraps, and the benchmark's golden CLI
-invocations reproduce their recorded exit codes and report bytes."""
+"""Tooling contracts: the runtime is stdlib-only and free of floating
+point, the benchmark's layer tracer finds every entry point it wraps, and
+the benchmark's golden CLI invocations reproduce their recorded exit codes
+and report bytes."""
 
 import ast
 import hashlib
@@ -34,6 +35,26 @@ def absolute_imports(path: Path) -> list[str]:
 def test_runtime_imports_only_the_standard_library(path):
     outside = [n for n in absolute_imports(path) if n not in sys.stdlib_module_names]
     assert outside == []
+
+
+def float_uses(path: Path) -> list[str]:
+    """Every float (or imaginary) literal and every ``float(...)`` call in
+    ``path``, as "line: source"."""
+    text = path.read_text()
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        literal = isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+        call = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "float")
+        if literal or call:
+            found.append(f"{node.lineno}: {ast.get_source_segment(text, node)}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_runtime_has_no_floating_point(path):
+    # README: "There is no floating point anywhere."
+    assert float_uses(path) == []
 
 
 def literal_table(path: Path, name: str):
