@@ -53,7 +53,15 @@ an immutable finite Scalar-linear combination of basis keys:
 * ``items`` and ``render`` list the terms in the subclass's canonical order,
   so a rendering is a deterministic function of the value.
 
-:func:`accumulate` is the one merge rule for sparse coefficient tables.
+:func:`accumulate` is the one merge rule for sparse coefficient tables, and
+:func:`extend` the one linear extension of a basis-level table: the module
+action, the PBW rewriting and the finite-difference sums are each
+``extend`` over plain dicts.  The four bilinear products (:func:`bracket`,
+:func:`k_action_on_A`, :func:`A_action_on_k` and
+``enveloping.smash_product``) keep their double loops: they multiply the
+two coefficients once per pair of keys before the table lookup, and a
+shared bilinear helper behind ``bracket`` and ``k_action_on_A`` cost the
+``structure`` benchmark workload 2-4 % of its wall time.
 """
 
 from __future__ import annotations
@@ -81,6 +89,17 @@ def accumulate(table: dict, key, coeff) -> None:
         table[key] = coeff
     else:
         table.pop(key, None)
+
+
+def extend(terms, table) -> dict:
+    """The linear extension sum_k c_k table(k) of a basis-level table: for
+    (k, c_k) pairs ``terms`` and ``table(k)`` giving (target, coefficient)
+    pairs, the merged {target: coefficient} (see :func:`accumulate`)."""
+    out: dict = {}
+    for key, c in terms:
+        for target, coeff in table(key):
+            accumulate(out, target, c * coeff)
+    return out
 
 
 class Combination:
@@ -194,12 +213,11 @@ class HalfInt:
     def of(value) -> "HalfInt":
         if isinstance(value, HalfInt):
             return value
-        if isinstance(value, int):
+        if type(value) is int:
             return HalfInt(2 * value)
-        f = Fraction(value)
-        if f.denominator not in (1, 2):
-            raise AlgebraError(f"{value} is not a half-integer")
-        return HalfInt(int(f * 2))
+        if type(value) is not Fraction or value.denominator not in (1, 2):
+            raise AlgebraError(f"{value!r} is not an exact half-integer")
+        return HalfInt(int(value * 2))
 
     def __add__(self, other) -> "HalfInt":
         return HalfInt(self.doubled + HalfInt.of(other).doubled)
@@ -290,6 +308,8 @@ class Gen:
                 raise AlgebraError(f"G index must be strictly half-integral, got {self.index.render()}")
         elif self.kind != "C":
             raise AlgebraError(f"unknown generator kind {self.kind!r}")
+        elif self.index.doubled:
+            raise AlgebraError(f"the central element C takes no index, got {self.index.render()}")
 
     @property
     def parity(self) -> int:
@@ -339,6 +359,8 @@ class AMonomial:
     eps: int = 0
 
     def __post_init__(self):
+        if type(self.k) is not int:
+            raise AlgebraError(f"t exponent must be an int, got {self.k!r}")
         if self.eps not in (0, 1):
             raise AlgebraError("xi exponent must be 0 or 1")
 
@@ -428,15 +450,6 @@ class AElement(Combination):
     @staticmethod
     def monomial(k: int, eps: int = 0, mode: AMode = AMode.A, coeff=1) -> "AElement":
         return AElement({AMonomial(k, eps): Scalar.of(coeff)}, mode)
-
-    def __mul__(self, other: "AElement") -> "AElement":
-        out: dict[AMonomial, Scalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                prod = m1.times(m2)
-                if prod is not None:
-                    accumulate(out, prod, c1 * c2)
-        return AElement(out, self.mode)
 
 
 def _phi(g: Gen) -> tuple[AMonomial, int]:

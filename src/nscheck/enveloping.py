@@ -45,6 +45,7 @@ from .algebra import (
     LieElement,
     accumulate,
     bracket_basis,
+    extend,
     gen_act_amon,
 )
 from .scalars import Scalar
@@ -76,58 +77,47 @@ def _insert_gen(p: PBWMonomial, g: Gen, with_center: bool) -> tuple[tuple[PBWMon
         return (((g,), Fraction(1)),)
     last = p[-1]
     lk, gk = last.sort_key(), g.sort_key()
-    if lk < gk:
+    if lk < gk or (lk == gk and g.parity == 0):
         return ((p + (g,), Fraction(1)),)
-    out: dict[PBWMonomial, Fraction] = {}
+    # each piece (q, h) with coefficient c stands for c * (q * h)
     if lk == gk:
-        if g.parity == 0:
-            return ((p + (g,), Fraction(1)),)
         # odd square: g*g = 1/2 [g, g]
-        for h, c in bracket_basis(g, g, with_center):
-            for q, c2 in _insert_gen(p[:-1], h, with_center):
-                accumulate(out, q, Fraction(1, 2) * c * c2)
-        return tuple(out.items())
-    # last > g: swap, p * g = +/- (p' * g) * last + p' * [last, g]
-    sign = Fraction(-1) if (last.parity and g.parity) else Fraction(1)
-    for q, c in _insert_gen(p[:-1], g, with_center):
-        for q2, c2 in _insert_gen(q, last, with_center):
-            accumulate(out, q2, sign * c * c2)
-    for h, c in bracket_basis(last, g, with_center):
-        for q, c2 in _insert_gen(p[:-1], h, with_center):
-            accumulate(out, q, c * c2)
-    return tuple(out.items())
+        pieces = [((p[:-1], h), Fraction(1, 2) * c) for h, c in bracket_basis(g, g, with_center)]
+    else:
+        # last > g: swap, p * g = +/- (p' * g) * last + p' * [last, g]
+        sign = Fraction(-1) if (last.parity and g.parity) else Fraction(1)
+        pieces = [((q, last), sign * c) for q, c in _insert_gen(p[:-1], g, with_center)]
+        pieces += [((p[:-1], h), c) for h, c in bracket_basis(last, g, with_center)]
+    return tuple(extend(pieces, lambda qh: _insert_gen(*qh, with_center)).items())
 
 
 @lru_cache(maxsize=None)
 def _pbw_mul(p: PBWMonomial, q: PBWMonomial, with_center: bool) -> tuple[tuple[PBWMonomial, Fraction], ...]:
     acc: dict[PBWMonomial, Fraction] = {p: Fraction(1)}
     for g in q:
-        nxt: dict[PBWMonomial, Fraction] = {}
-        for mono, c in acc.items():
-            for m2, c2 in _insert_gen(mono, g, with_center):
-                accumulate(nxt, m2, c * c2)
-        acc = nxt
+        acc = extend(acc.items(), lambda mono: _insert_gen(mono, g, with_center))
     return tuple(acc.items())
 
 
 @lru_cache(maxsize=None)
-def _pbw_past_amon(p: PBWMonomial, b: AMonomial) -> tuple[tuple[AMonomial, PBWMonomial, Fraction], ...]:
-    """Normal form of (p) * b: the A-monomial commuted fully to the left.
+def _pbw_past_amon(p: PBWMonomial, b: AMonomial) -> tuple[tuple[tuple[AMonomial, PBWMonomial], Fraction], ...]:
+    """Normal form of (p) * b: the A-monomial commuted fully to the left,
+    as ((A-monomial, PBW monomial), coefficient) pairs.
 
     Generator subsequences stay sorted, so no PBW reordering is needed.
     """
     if not p:
-        return ((b, (), Fraction(1)),)
+        return (((b, ()), Fraction(1)),)
     last = p[-1]
     sign = Fraction(-1) if (last.parity and b.parity) else Fraction(1)
-    pieces: list[tuple[AMonomial, PBWMonomial, Fraction]] = [(b, (last,), sign)]
-    for m2, c in gen_act_amon(last, b):
-        pieces.append((m2, (), c))
-    out: dict[tuple[AMonomial, PBWMonomial], Fraction] = {}
-    for bmid, tail, c in pieces:
-        for bout, mid, c2 in _pbw_past_amon(p[:-1], bmid):
-            accumulate(out, (bout, mid + tail), c * c2)
-    return tuple((a, m, c) for (a, m), c in out.items())
+    # last * b = +/- b * last + (last o b); each piece is (A-monomial, tail)
+    pieces = [((b, (last,)), sign)] + [((m2, ()), c) for m2, c in gen_act_amon(last, b)]
+
+    def rest(piece):
+        bmid, tail = piece
+        return (((bout, mid + tail), c) for (bout, mid), c in _pbw_past_amon(p[:-1], bmid))
+
+    return tuple(extend(pieces, rest).items())
 
 
 class SmashElement(Combination):
@@ -195,7 +185,7 @@ def smash_product(x: SmashElement, y: SmashElement) -> SmashElement:
     for (ax, px), cx in x.terms.items():
         for (ay, py), cy in y.terms.items():
             base = cx * cy
-            for amid, pmid, c1 in _pbw_past_amon(px, ay):
+            for (amid, pmid), c1 in _pbw_past_amon(px, ay):
                 afull = ax.times(amid)
                 if afull is None:
                     continue
@@ -223,12 +213,8 @@ def alternating_sum(order: int, term, mode: AlgebraMode) -> SmashElement:
     """The finite difference sum_{i=0}^{order} (-1)^i binom(order, i) term(i),
     where ``term(i)`` is a table {(A-monomial, PBW monomial): coefficient}
     such as ``SmashElement.terms``; see the module docstring."""
-    out: dict[tuple[AMonomial, PBWMonomial], Scalar] = {}
-    for i in range(order + 1):
-        c = Scalar.of((-1) ** i * comb(order, i))
-        for key, v in term(i).items():
-            accumulate(out, key, c * v)
-    return SmashElement(out, mode)
+    weights = ((i, Scalar.of((-1) ** i * comb(order, i))) for i in range(order + 1))
+    return SmashElement(extend(weights, lambda i: term(i).items()), mode)
 
 
 def omega(k: int, s: int, m: int, mode: AlgebraMode = AlgebraMode.KHAT) -> SmashElement:

@@ -42,6 +42,11 @@ Families:
   locus (integral lambda with b in {0, 1/2}); the excluded key is the key
   of weight 0.
 
+The action contract: :func:`act` extends the basis-level actions
+(``GammaModule.gen_action`` and ``amon_action``) linearly with
+``algebra.extend``, folding each term's factors on plain coefficient
+tables, and builds exactly one ModuleVector per call, its result.
+
 The handle contract: a :class:`GammaModule` is one frozen record that
 checks its family rules when it is built, by the constructor or by
 ``dataclasses.replace``, so an invalid handle cannot exist.  It memoises
@@ -54,7 +59,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .algebra import (
     A_ONE,
@@ -65,8 +70,8 @@ from .algebra import (
     Gen,
     HalfInt,
     LieElement,
-    accumulate,
     bracket_basis,
+    extend,
     gen_act_amon,
     jet_coefficient,
     rep_residual,
@@ -351,9 +356,9 @@ def parity_change(mod: GammaModule) -> GammaModule:
 def act(x, v: ModuleVector, mod: GammaModule) -> ModuleVector:
     """Evaluate x on v.  x may be a Gen, LieElement, AElement or
     SmashElement; smash terms apply PBW factors right-to-left and the
-    A-part last."""
+    A-part last; see the module docstring for the action contract."""
     if isinstance(x, Gen):
-        return _apply(mod.gen_action, x, v)
+        return ModuleVector(_image((A_ONE, (x,)), v.terms, mod))
     if isinstance(x, LieElement):
         terms = (((A_ONE, (g,)), c) for g, c in x.terms.items())
     elif isinstance(x, AElement):
@@ -362,25 +367,19 @@ def act(x, v: ModuleVector, mod: GammaModule) -> ModuleVector:
         terms = x.terms.items()
     else:
         raise ModuleError(f"cannot act with object of type {type(x).__name__}")
-    out = ModuleVector()
-    for (a, pbw), c in terms:
-        w = v
-        for g in reversed(pbw):
-            w = _apply(mod.gen_action, g, w)
-        if a != A_ONE:
-            w = _apply(mod.amon_action, a, w)
-        out = out + w.scale(c)
-    return out
+    return ModuleVector(extend(terms, lambda term: _image(term, v.terms, mod).items()))
 
 
-def _apply(action, x, v: ModuleVector) -> ModuleVector:
-    """Image of v under the basis element x, given the basis-level action
-    ``action(x, key) -> [(target, coeff)]``."""
-    out: dict[BasisKey, Scalar] = {}
-    for key, c in v.terms.items():
-        for target, coeff in action(x, key):
-            accumulate(out, target, c * coeff)
-    return ModuleVector(out)
+def _image(term: tuple[AMonomial, tuple[Gen, ...]], vec: dict, mod: GammaModule) -> dict:
+    """The coefficient table of (a (x) g_1 ... g_r) applied to the table
+    ``vec``: the factors right-to-left, each extended linearly from the
+    basis-level action that ``mod`` looks up at call time."""
+    a, pbw = term
+    for g in reversed(pbw):
+        vec = extend(vec.items(), partial(mod.gen_action, g))
+    if a != A_ONE:
+        vec = extend(vec.items(), partial(mod.amon_action, a))
+    return vec
 
 
 def module_axiom_residual(x: Gen, y: Gen, key: BasisKey, mod: GammaModule) -> ModuleVector:

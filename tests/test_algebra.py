@@ -24,6 +24,7 @@ from nscheck.algebra import (
     bracket,
     bracket_basis,
     compatibility_residual,
+    extend,
     gen_act_amon,
     half,
     k_action_on_A,
@@ -67,6 +68,59 @@ class TestHalfInt:
         assert HalfInt.of(Fraction(3, 2)).doubled == 3
         with pytest.raises(AlgebraError):
             HalfInt.of(Fraction(1, 3))
+
+
+class TestExactIndices:
+    """Indices enter the exact pipeline only as ints, Fractions or HalfInts."""
+
+    def test_center_takes_no_index(self):
+        with pytest.raises(AlgebraError, match="no index"):
+            Gen("C", HalfInt(4))
+        assert Gen("C", HalfInt(0)) == C
+
+    @pytest.mark.parametrize("k", [1.5, 2.0, Fraction(3), True],
+                             ids=["float", "integral-float", "Fraction", "bool"])
+    def test_amonomial_exponent_is_an_int(self, k):
+        with pytest.raises(AlgebraError, match="t exponent"):
+            AMonomial(k, 0)
+        with pytest.raises(AlgebraError, match="t exponent"):
+            AElement.monomial(k)
+        with pytest.raises(AlgebraError, match="t exponent"):
+            BasisKey(k, 0)
+
+    @pytest.mark.parametrize("value", [1.0, 0.5, "1/2", True],
+                             ids=["integral-float", "float", "str", "bool"])
+    def test_half_int_of_rejects_inexact_values(self, value):
+        with pytest.raises(AlgebraError, match="exact half-integer"):
+            HalfInt.of(value)
+        with pytest.raises(AlgebraError):
+            L(value)
+        with pytest.raises(AlgebraError):
+            G(value)
+
+    def test_half_int_of_accepts_exact_values(self):
+        assert HalfInt.of(3) == HalfInt(6)
+        assert HalfInt.of(Fraction(-1, 2)) == HalfInt(-1)
+        assert HalfInt.of(Fraction(4, 2)) == HalfInt(4)
+        assert HalfInt.of(half(5)) == half(5)
+
+
+class TestExtend:
+    def test_cancellation_onto_one_target(self):
+        table = {"a": [("x", Fraction(1))], "b": [("x", Fraction(-2))]}
+        assert extend([("a", Fraction(2)), ("b", Fraction(1))], table.__getitem__) == {}
+
+    def test_fraction_and_scalar_coefficients(self):
+        table = {"a": [("x", Fraction(1, 2)), ("y", 3)], "b": [("y", Fraction(1))]}
+        got = extend([("a", Fraction(2, 3)), ("b", Fraction(-2))], table.__getitem__)
+        assert got == {"x": Fraction(1, 3)}
+        got = extend([("a", Scalar.of(6)), ("b", Scalar.of(1))], table.__getitem__)
+        assert got == {"x": Scalar.of(3), "y": Scalar.of(19)}
+        assert all(isinstance(c, Scalar) for c in got.values())
+
+    def test_empty_terms_and_empty_images(self):
+        assert extend([], None) == {}
+        assert extend([("a", Fraction(5))], lambda k: ()) == {}
 
 
 class TestBracket:

@@ -7,8 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nscheck.algebra import AElement, AlgebraMode, AMonomial, C, G, L, basis, half
-from nscheck.enveloping import g_prime, l_prime, omega
+from nscheck.algebra import (
+    A_ONE,
+    XI,
+    AElement,
+    AlgebraMode,
+    AMonomial,
+    C,
+    G,
+    L,
+    LieElement,
+    basis,
+    half,
+)
+from nscheck.enveloping import SmashElement, g_prime, l_prime, omega
 from nscheck.modules import (
     BasisKey,
     ExclusionRole,
@@ -169,6 +181,40 @@ class TestAction:
         m = gamma_prime(0, F(1, 2))
         with pytest.raises(ModuleError):
             act(AElement.monomial(1), vec(0), m)
+
+
+class TestActBuildsOneVector:
+    """``act`` folds on plain coefficient tables and builds one
+    ModuleVector per call, its result."""
+
+    MOD = gamma(LAMBDA, B, AlgebraMode.K)
+    ELEMENTS = {
+        "gen": G(half(1)),
+        "lie": LieElement({L(1): Scalar.of(1), L(-1): Scalar.of(2), G(half(-1)): LAMBDA},
+                          AlgebraMode.K),
+        "a": AElement({AMonomial(2): Scalar.of(1), XI: Scalar.of(3), AMonomial(-1, 1): B}),
+        "smash": SmashElement({
+            (A_ONE, (L(-1), L(0), L(2))): Scalar.of(1),
+            (AMonomial(1), (G(half(-1)), L(1))): Scalar.of(2),
+            (XI, (L(0),)): B,
+            (AMonomial(-2), ()): Scalar.of(F(1, 2)),
+        }, AlgebraMode.K),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ELEMENTS))
+    def test_one_construction_per_call(self, name, monkeypatch):
+        v = vec(0) + vec(2, 1) + vec(-1, coeff=LAMBDA)
+        built = []
+        init = ModuleVector.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ModuleVector, "__init__", counting)
+        out = act(self.ELEMENTS[name], v, self.MOD)
+        assert len(built) == 1
+        assert not out.is_zero()
 
 
 class TestModuleAxiom:
