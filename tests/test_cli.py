@@ -55,6 +55,11 @@ class TestExitCodes:
         assert run(["module-simplicity", "--module", "gamma(0,0)",
                     "--window", "10..0"]) == 2
         assert run(["module-axiom", "--module", "gamma(l,b)", "--lambda", "x/y"]) == 2
+        # a cut that is not out-closed, or a half-line cut outside kplus
+        assert run(["module-simplicity", "--module", "gamma+(1,0)"]) == 2
+        assert run(["module-simplicity", "--module", "gamma+(0,0)", "--algebra", "khat"]) == 2
+        # A does not act on the sub-quotient
+        assert run(["annihilator", "--module", "gamma'(0,0)"]) == 2
 
     @pytest.mark.parametrize("option", ["--lambda", "--b"])
     def test_zero_denominator_parameter_exits_two(self, capsys, option):
@@ -158,6 +163,25 @@ class TestDeterminism:
          "eff1347c18994246ca1b2349aa15fc4b42b6772fe5be3b688f15ace22c93d19b"),
         (["module-axiom", "--module", "gamma+(0,b)", "--gen-range", "2", "--window=-4..4"], 0,
          "4a04afc09e53fee0730e840f40d678daac8948b6dc5f9951a1b78c36c5eaa7c0"),
+        # the sub-quotients: gamma' at the locus, gamma+ and gamma- over kplus
+        (["module-simplicity", "--module", "gamma'(0,0)", "--algebra", "khat"], 0,
+         "67281a890b3b2e9eb1d75c20074d8f472f137985fc56587dbe4aafaf4a6d7390"),
+        (["module-simplicity", "--module", "gamma'(0,0)", "--algebra", "kplus"], 0,
+         "47bfcc6a8bb4946b1a8843a0ccb4e11b5f6070fcafd0ba8568e50a22c2883753"),
+        (["module-simplicity", "--module", "gamma'(0,1/2)", "--algebra", "khat"], 0,
+         "604c39f3a804a3d0e921c60a13122e00ab7af635112fdf7fc5544a69f15ae05e"),
+        (["module-simplicity", "--module", "gamma'(0,1/2)", "--algebra", "kplus"], 0,
+         "bbcde61ef91da54d407d8996036cd43319c52967d9aee3756ffdf74604b3464a"),
+        (["module-simplicity", "--module", "gamma+(0,1/4)"], 0,
+         "3fa58d62186326ac92bc5d87248d0d5127a0ebd222a01dd27ad37d07fd3014f1"),
+        (["module-simplicity", "--module", "gamma-(0,b)"], 0,
+         "8e77655880fa027ade32d6558d5a930fbdb8d98a6e17587a9d93a54664437995"),
+        (["module-simplicity", "--module", "pi(gamma-(0,1/2))"], 0,
+         "c7a27d1196092cc442372be3d283a83a26896f38db814adad42b2c84118a8178"),
+        (["module-axiom", "--module", "gamma'(0,1/2)", "--gen-range", "2", "--window=-4..4"], 0,
+         "52a01549bb4728d3ff997baffbf9574d80ef67ce1e5d80424cd1fe3dcb950f68"),
+        (["module-axiom", "--module", "gamma-(0,b)", "--gen-range", "2", "--window=-4..4"], 0,
+         "5a9d563d543d586d54fae1b12b8ac5e89572b89294f47b1e96f945d6baf52b81"),
         # the annihilator bound exceeded: one failed check, no chains
         (["annihilator", "--module", "gamma(l,b)", "--max-m", "1", "--window=-6..6"], 1,
          "90505d4d4efd8bb5ad776c882cc118544f20bf6f42020cfdf7d54eeb3656e571"),

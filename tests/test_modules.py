@@ -1,5 +1,6 @@
 """The weight-module family: actions, axiom residuals, parity, weights."""
 
+import hashlib
 from fractions import Fraction
 from itertools import product
 
@@ -418,3 +419,52 @@ class TestDescriptors:
 def test_vector_rendering():
     v = ModuleVector({BasisKey(3, 0): Scalar.of(2), BasisKey(3, 1): LAMBDA + B})
     assert v.render() == "2 * t^3 + (l + b) * t^3 xi"
+
+
+def _outcome(action, *args) -> str:
+    try:
+        return " + ".join(f"{c.render()} * {t.render()}" for t, c in action(*args))
+    except Exception as exc:
+        return type(exc).__name__
+
+
+def action_table_lines(index: int, kmin: int, kmax: int):
+    """One canonical dump of the basis-level action: per module (or its
+    construction error), every key's admissibility, weight and parity, and
+    every generator's and A-monomial's action or error class."""
+    points = ("0,0", "0,1/2", "1/3,1/4", "2,0", "-1,1/2", "l,b")
+    descriptors = ([f"gamma({p})" for p in points] + [f"gamma'({p})" for p in points]
+                   + [f"gamma{s}(0,{b})" for s in "+-" for b in ("0", "1/2", "1/4", "b")])
+    gens = basis(index)
+    monos = [AMonomial(m, e) for m in range(-index, index + 1) for e in (0, 1)]
+    keys = [BasisKey(k, eps) for k in range(kmin, kmax + 1) for eps in (0, 1)]
+    for text, mode, conv in product(descriptors, AlgebraMode, SignConvention):
+        head = f"{text}/{mode.value}/{conv.value}"
+        try:
+            plain = parse_module_descriptor(text, algebra_mode=mode, convention=conv)
+        except ModuleError:
+            yield f"{head}: ModuleError"
+            continue
+        for m in (plain, parity_change(plain)):
+            yield f"{head}: {m.descriptor()}"
+            for key in keys:
+                yield (f"{key.render()}: {m.admissible(key)} {m.weight(key).render()} "
+                       f"{m.vector_parity(key)}")
+                for g in gens:
+                    yield f"{g.render()} {key.render()}: {_outcome(m.gen_action, g, key)}"
+                for a in monos:
+                    yield f"{a.render()} {key.render()}: {_outcome(m.amon_action, a, key)}"
+
+
+class TestActionTableDigest:
+    """The basis-level action of every family, pinned byte for byte: the
+    sha256 of :func:`action_table_lines` was recorded before the sub-quotient
+    rule replaced the per-family branches."""
+
+    DIGEST = "c63e688c04b39dea594bd1f3da3f2ffc01f46683dfbf73b8241a62e2df6db9e0"
+
+    def test_digest(self):
+        h = hashlib.sha256()
+        for line in action_table_lines(2, -4, 4):
+            h.update(line.encode() + b"\n")
+        assert h.hexdigest() == self.DIGEST
