@@ -46,7 +46,6 @@ from .enveloping import (
 )
 from .modules import (
     BasisKey,
-    Family,
     GammaModule,
     ModuleError,
     ModuleVector,
@@ -503,12 +502,15 @@ def edge_generators(algebra_mode: AlgebraMode, gen_range: int) -> list[Gen]:
     return [g for g in basis(gen_range, algebra_mode) if g.kind != "C"]
 
 
+A_EDGES = (AMonomial(1, 0), AMonomial(0, 1))  # the A-edges of a jet-module verdict
+
+
 def _uses_a_edges(mod: GammaModule, include_a_action: bool | None) -> bool:
     if include_a_action is not None:
         return include_a_action
-    # the plus/minus families are classified as jet modules: the polynomial
-    # coefficient algebra is part of their structure
-    return mod.family in (Family.GAMMA_PLUS, Family.GAMMA_MINUS)
+    # a proper cut on which t and xi act is classified as a jet module (gamma+
+    # and gamma-): the polynomial coefficient algebra is part of its structure
+    return mod.is_cut() and all(mod.a_acts(a) for a in A_EDGES)
 
 
 def module_edges(
@@ -523,7 +525,7 @@ def module_edges(
     """
     interior = set(window_keys(mod, window, interior_only=True))
     gens = edge_generators(mod.algebra_mode, gen_range)
-    amons = [AMonomial(1, 0), AMonomial(0, 1)] if _uses_a_edges(mod, include_a_action) else []
+    amons = A_EDGES if _uses_a_edges(mod, include_a_action) else ()
     edges: dict[BasisKey, list[EdgeRecord]] = {key: [] for key in interior}
     for key in sorted(interior):
         for g in gens:

@@ -25,22 +25,20 @@ one of the two consistent repairs (they differ by G -> -G and give
 identical classification data).  Lambda and b may be exact rationals or
 the formal parameters; everything stays symbolic in that case.
 
-Every key move is one degree rule: t^k xi^eps has degree k + eps/2, and
-an element of degree d moves it to the key of degree k + eps/2 + d
-(a key is an A-monomial, so this is ``AMonomial.shifted``).  The weight of a key is lambda + b plus its
+Every key move is one degree rule: t^k xi^eps has degree k + eps/2, and an
+element of degree d moves it to the key of degree k + eps/2 + d (a key is
+an A-monomial: ``AMonomial.shifted``), of weight lambda + b plus that
 degree.  The module axiom (:func:`module_axiom_residual`) is the one
 representation law ``algebra.rep_residual`` that the structural suites check.
 
-Families:
-
-* ``GAMMA``        - the full family over any algebra mode (center acts 0);
-* ``GAMMA_PLUS``   - the submodule on keys k >= 0 at lambda = 0 (contact
-  mode only; it is a module over A+ and the contact subalgebra);
-* ``GAMMA_MINUS``  - the quotient by GAMMA_PLUS: keys k <= -1, action
-  coefficients targeting k >= 0 projected away;
-* ``GAMMA_PRIME``  - an excluded-key sub or quotient at the reducibility
-  locus (integral lambda with b in {0, 1/2}); the excluded key is the key
-  of weight 0.
+Sub-quotients: a module is gamma(lambda, b) with a cut, two out-closed
+key sets S and T (:class:`KeySet`: no or all keys, finite, cofinite, or a
+degree half-line), checked on construction (:func:`_check_out_closed`).
+Its vectors are the keys of T outside S (the sub-quotient T/(S cap T)), an
+action target in S is projected away, and an A-monomial acts iff it maps
+S into S and T into T.  The label only names the module: ``gamma`` has no
+cut; ``gamma+`` (T) and ``gamma-`` (S) cut at the keys k >= 0 over kplus;
+``gamma'`` cuts at the key of weight 0 where its edges allow it.
 
 The action contract: :func:`act` extends the basis-level actions
 (``GammaModule.gen_action`` and ``amon_action``) linearly with
@@ -48,7 +46,7 @@ The action contract: :func:`act` extends the basis-level actions
 tables, and builds exactly one ModuleVector per call, its result.
 
 The handle contract: a :class:`GammaModule` is one frozen record that
-checks its family rules when it is built, by the constructor or by
+checks its cut when it is built, by the constructor or by
 ``dataclasses.replace``, so an invalid handle cannot exist.  It memoises
 its basis-level action itself: the cache lives and dies with the handle,
 and equal handles do not share one.  Errors are never cached.
@@ -70,6 +68,7 @@ from .algebra import (
     Gen,
     HalfInt,
     LieElement,
+    basis,
     bracket_basis,
     extend,
     gen_act_amon,
@@ -77,7 +76,7 @@ from .algebra import (
     rep_residual,
 )
 from .enveloping import SmashElement
-from .scalars import B, LAMBDA, ONE, Scalar, parse_rational
+from .scalars import B, LAMBDA, ONE, ZERO, Scalar, parse_rational
 
 
 class ModuleError(ValueError):
@@ -101,11 +100,6 @@ class SignConvention(enum.Enum):
             return SignConvention(text)
         except ValueError:
             raise ModuleError(f"unknown sign convention {text!r}") from None
-
-
-class ExclusionRole(enum.Enum):
-    SUB = "sub"
-    QUOTIENT = "quotient"
 
 
 class BasisKey(AMonomial):
@@ -157,49 +151,74 @@ class ModuleVector(Combination):
 
 
 @dataclass(frozen=True)
+class KeySet:
+    """The keys in ``keys``, or all others if ``cofinite``, or those of degree >= ``floor``."""
+
+    keys: frozenset = frozenset()
+    cofinite: bool = False
+    floor: HalfInt | None = None
+
+    def __contains__(self, key: AMonomial) -> bool:
+        if self.floor is not None:
+            return key.degree >= self.floor
+        return (key in self.keys) != self.cofinite if self.keys else self.cofinite
+
+    def stable_under(self, mono: AMonomial) -> bool:
+        """Whether multiplication by ``mono`` maps this set into itself."""
+        if self.floor is not None:
+            return mono.k >= 0
+        if self.cofinite:  # no kept key may map onto an omitted one
+            return all(pre in self.keys or mono.times(pre) is None
+                       for pre in (key.shifted(-mono.degree) for key in self.keys))
+        return all(p is None or p in self.keys for p in map(mono.times, self.keys))
+
+
+NOTHING, EVERYTHING = KeySet(), KeySet(cofinite=True)
+NONNEGATIVE = KeySet(floor=HalfInt(0))  # the keys t^k xi^eps with k >= 0
+
+
+@dataclass(frozen=True)
 class GammaModule:
-    """One member of the weight-module family, checked on construction;
-    see the module docstring for the handle contract."""
+    """The sub-quotient T/(S cap T) of gamma(lam, b), S = ``sub`` and T =
+    ``top``; ``family`` only names it.  See the module docstring."""
 
     lam: Scalar
     b: Scalar
     family: Family = Family.GAMMA
-    excluded: tuple[BasisKey, ExclusionRole] | None = None
+    sub: KeySet = NOTHING
+    top: KeySet = EVERYTHING
     convention: SignConvention = SignConvention.CORRECTED
     algebra_mode: AlgebraMode = AlgebraMode.KHAT
     parity_flipped: bool = False
     _actions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        fam = self.family
-        if fam in (Family.GAMMA_PLUS, Family.GAMMA_MINUS):
-            if not self.lam.is_zero():
-                raise ModuleError(f"{fam.value} requires lambda = 0, got {self.lam.render()}")
-            if self.algebra_mode is not AlgebraMode.KPLUS:
-                raise ModuleError(f"{fam.value} is a contact-subalgebra module; use kplus mode")
-        if self.excluded is not None:
-            if fam is not Family.GAMMA_PRIME:
-                raise ModuleError("excluded keys are reserved for the gamma' family")
-            _validate_exclusion(self)
+        for part in (self.sub, self.top):
+            _check_out_closed(self, part)
+
+    def is_cut(self) -> bool:
+        return self.sub != NOTHING or self.top != EVERYTHING
+
+    def plain(self) -> "GammaModule":
+        """gamma(lam, b) in the same mode and convention: no cut."""
+        return replace(self, family=Family.GAMMA, sub=NOTHING, top=EVERYTHING)
+
+    def a_acts(self, mono: AMonomial) -> bool:
+        """Whether ``mono`` acts: it maps S into S and T into T."""
+        return self.sub.stable_under(mono) and self.top.stable_under(mono)
 
     def is_numeric(self) -> bool:
         return self.lam.is_numeric() and self.b.is_numeric()
 
     def admissible(self, key: BasisKey) -> bool:
-        if self.family is Family.GAMMA_PLUS and key.k < 0:
-            return False
-        if self.family is Family.GAMMA_MINUS and key.k >= 0:
-            return False
-        if self.excluded is not None and key == self.excluded[0]:
-            return False
-        return True
+        return key in self.top and key not in self.sub
 
     def vector_parity(self, key: BasisKey) -> int:
         return key.eps ^ (1 if self.parity_flipped else 0)
 
     def gen_action(self, gen: Gen, key: BasisKey) -> Action:
         """Action of a basis generator on a basis vector: at most one
-        target key with its exact coefficient, after family filtering."""
+        target key with its exact coefficient, after the cut."""
         out = self._actions.get((gen, key))
         if out is None:
             out = self._actions[gen, key] = self._gen_action_raw(gen, key)
@@ -209,10 +228,8 @@ class GammaModule:
         if not self.admissible(key):
             raise ModuleError(f"key {key.render()} not admissible for {self.descriptor()}")
         if not self.algebra_mode.admits(gen):
-            raise ModuleError(
-                f"generator {gen.render()} not admissible on {self.descriptor()} "
-                f"in mode {self.algebra_mode.value}"
-            )
+            raise ModuleError(f"generator {gen.render()} not admissible on {self.descriptor()} "
+                              f"in mode {self.algebra_mode.value}")
         if gen.kind == "C":
             return ()
         # the derivation action of g on A plus multiplication by mu_g
@@ -228,38 +245,25 @@ class GammaModule:
         return Scalar.of(jet_coefficient(gen, mono, self.lam, self.b))
 
     def amon_action(self, mono: AMonomial, key: BasisKey) -> Action:
-        """Multiplication action of an A-monomial."""
+        """Multiplication action of an A-monomial, memoised like ``gen_action``."""
+        out = self._actions.get((mono, key))
+        if out is None:
+            out = self._actions[mono, key] = self._amon_action_raw(mono, key)
+        return out
+
+    def _amon_action_raw(self, mono: AMonomial, key: BasisKey) -> Action:
         if not self.admissible(key):
             raise ModuleError(f"key {key.render()} not admissible for {self.descriptor()}")
-        if self.family in (Family.GAMMA_PLUS, Family.GAMMA_MINUS) and mono.k < 0:
-            raise ModuleError(
-                f"A-monomial {mono.render()} does not act on {self.descriptor()}: "
-                "only the polynomial coefficient algebra does"
-            )
-        if self.family is Family.GAMMA_PRIME and self.excluded is not None and mono != AMonomial(0, 0):
-            raise ModuleError(
-                f"the coefficient algebra does not act on the sub-quotient {self.descriptor()}"
-            )
+        if not self.a_acts(mono):
+            raise ModuleError(f"A-monomial {mono.render()} does not act on {self.descriptor()}: "
+                              "it does not preserve the cut")
         prod = mono.times(key)
-        if prod is None:
-            return ()
-        return self._filter(ONE, prod)
+        return () if prod is None else self._filter(ONE, prod)
 
     def _filter(self, coeff: Scalar, target: BasisKey) -> Action:
-        if coeff.is_zero():
+        # T is out-closed, so the target lies in T; one in S is projected away
+        if coeff.is_zero() or target in self.sub:
             return ()
-        if self.family is Family.GAMMA_PLUS and target.k < 0:
-            raise ModuleError(
-                f"nonzero coefficient escapes the submodule at {target.render()}"
-            )
-        if self.family is Family.GAMMA_MINUS and target.k >= 0:
-            return ()  # projected away by the quotient
-        if self.excluded is not None and target == self.excluded[0]:
-            if self.excluded[1] is ExclusionRole.QUOTIENT:
-                return ()
-            raise ModuleError(
-                f"nonzero coefficient into excluded key {target.render()} of a sub-type module"
-            )
         return ((target, coeff),)
 
     def weight(self, key: BasisKey) -> Scalar:
@@ -274,19 +278,14 @@ class GammaModule:
         return f"GammaModule({self.descriptor()}, {self.algebra_mode.value})"
 
 
-# family validation probes: action coefficients are affine in the generator
-# index, so vanishing at three consecutive indices decides identical vanishing
-_PROBE = 3
-_PROBE_GENS = [g for n in range(-_PROBE, _PROBE + 1)
-               for g in (Gen("L", HalfInt(2 * n)), Gen("G", HalfInt(2 * n + 1)))]
+# at least three generator indices of each kind in every mode (_check_out_closed)
+_PROBE_GENS = basis(3)
 
 
 def edge_coeffs(mod: GammaModule, key: BasisKey, gens) -> tuple[list[Scalar], list[Scalar]]:
     """Nonzero coefficients of the edges out of and into ``key`` along the
-    generators of ``gens`` that the algebra mode admits, read on the plain
-    twin gamma(lambda, b) so that no family filtering hides an edge."""
-    plain = replace(mod, family=Family.GAMMA, excluded=None)
-    outs, ins = [], []
+    generators of ``gens`` that the mode admits, read without the cut."""
+    plain, outs, ins = mod.plain(), [], []
     for g in gens:
         if mod.algebra_mode.admits(g):
             outs += [c for _, c in plain.gen_action(g, key)]
@@ -294,58 +293,66 @@ def edge_coeffs(mod: GammaModule, key: BasisKey, gens) -> tuple[list[Scalar], li
     return outs, ins
 
 
-def _validate_exclusion(mod: GammaModule) -> None:
-    key, role = mod.excluded
-    outs, ins = edge_coeffs(mod, key, _PROBE_GENS)
-    if role is ExclusionRole.QUOTIENT and outs:
-        raise ModuleError(
-            f"excluded key {key.render()} does not span an invariant line; "
-            "quotient-type exclusion is invalid here"
-        )
-    if role is ExclusionRole.SUB and ins:
-        if not outs:
-            raise ModuleError(
-                f"excluded key {key.render()} spans an invariant line; "
-                "the exclusion role must be \"quotient\", not \"sub\""
-            )
-        raise ModuleError(
-            f"complement of {key.render()} is not invariant; "
-            "sub-type exclusion is invalid here"
-        )
+def _check_out_closed(mod: GammaModule, part: KeySet) -> None:
+    """Raise ModuleError unless the keys of ``part`` span a submodule.
+
+    At a key, an edge coefficient along one generator kind (L or G) is
+    affine in the generator index, so it vanishes identically once it does
+    at two indices (Alon, "Combinatorial Nullstellensatz", 1999, in one
+    variable).  A key has edges to infinitely many keys, so a finite set is
+    out-closed iff its keys have no edges, a cofinite set iff the keys it
+    omits have no in-edges, and (over kplus: degrees >= -1) a half-line of
+    degrees >= d iff no edge leaves its keys of degree d and d + 1/2.
+    """
+    mode = mod.algebra_mode
+    if part.floor is None:
+        leaks = [key for key in part.keys if edge_coeffs(mod, key, _PROBE_GENS)[part.cofinite]]
+    elif mode is not AlgebraMode.KPLUS:
+        raise ModuleError(f"a half-line cut needs kplus: {mod.descriptor()} is over {mode.value}")
+    else:
+        plain = mod.plain()
+        leaks = [t for eps in (0, 1) for g in _PROBE_GENS if mode.admits(g)
+                 for t, _ in plain.gen_action(g, BasisKey(0, eps).shifted(part.floor))
+                 if t not in part]
+    if leaks:
+        raise ModuleError(f"the cut of {mod.descriptor()} is not invariant at {leaks[0].render()}")
+
+
+# the half-line cuts (S, T) of gamma+ and gamma-
+_CUTS = {Family.GAMMA_PLUS: (NOTHING, NONNEGATIVE), Family.GAMMA_MINUS: (NONNEGATIVE, EVERYTHING)}
 
 
 def gamma(lam, b, algebra_mode: AlgebraMode = AlgebraMode.KHAT,
           convention: SignConvention = SignConvention.CORRECTED) -> GammaModule:
-    return GammaModule(Scalar.of(lam), Scalar.of(b), Family.GAMMA, None, convention, algebra_mode)
+    return GammaModule(Scalar.of(lam), Scalar.of(b), convention=convention,
+                       algebra_mode=algebra_mode)
 
 
 def gamma_plus(b, convention: SignConvention = SignConvention.CORRECTED) -> GammaModule:
-    return GammaModule(Scalar.of(0), Scalar.of(b), Family.GAMMA_PLUS, None, convention,
-                       AlgebraMode.KPLUS)
+    return GammaModule(ZERO, Scalar.of(b), Family.GAMMA_PLUS, *_CUTS[Family.GAMMA_PLUS],
+                       convention, AlgebraMode.KPLUS)
 
 
 def gamma_minus(b, convention: SignConvention = SignConvention.CORRECTED) -> GammaModule:
-    return GammaModule(Scalar.of(0), Scalar.of(b), Family.GAMMA_MINUS, None, convention,
-                       AlgebraMode.KPLUS)
+    return GammaModule(ZERO, Scalar.of(b), Family.GAMMA_MINUS, *_CUTS[Family.GAMMA_MINUS],
+                       convention, AlgebraMode.KPLUS)
 
 
 def gamma_prime(lam, b, algebra_mode: AlgebraMode = AlgebraMode.KHAT,
                 convention: SignConvention = SignConvention.CORRECTED) -> GammaModule:
-    """Gamma'(lambda, b): the distinguished simple sub-quotient.
-
-    At the reducibility locus (integral lambda, b in {0, 1/2}) the excluded
-    key and its role are derived; elsewhere the module coincides with
-    gamma(lambda, b).
-    """
-    lam_s, b_s = Scalar.of(lam), Scalar.of(b)
-    excluded = None
-    if lam_s.is_numeric() and b_s.is_numeric():
-        lv, bv = lam_s.numeric_value(), b_s.numeric_value()
-        if lv.denominator == 1 and bv in (0, Fraction(1, 2)):
-            # the key of weight lambda + b + degree = 0
-            key = BasisKey(0, 0).shifted(-HalfInt.of(lv + bv))
-            excluded = (key, ExclusionRole.QUOTIENT if bv == 0 else ExclusionRole.SUB)
-    return GammaModule(lam_s, b_s, Family.GAMMA_PRIME, excluded, convention, algebra_mode)
+    """Gamma'(lambda, b): the distinguished simple sub-quotient, cut at the
+    key of weight 0.  With no edge out of it, that key is projected away
+    (S = {key}); with no edge into it, it is left out (T = all other keys).
+    Otherwise, or with no key of weight 0, it is gamma(lambda, b)."""
+    mod = replace(gamma(lam, b, algebra_mode, convention), family=Family.GAMMA_PRIME)
+    weight0 = mod.lam + mod.b
+    if not weight0.is_numeric() or (2 * weight0.numeric_value()).denominator != 1:
+        return mod
+    key = BasisKey(0, 0).shifted(-HalfInt.of(weight0.numeric_value()))
+    outs, ins = edge_coeffs(mod, key, _PROBE_GENS)
+    if not outs:
+        return replace(mod, sub=KeySet(frozenset({key})))
+    return mod if ins else replace(mod, top=KeySet(frozenset({key}), cofinite=True))
 
 
 def parity_change(mod: GammaModule) -> GammaModule:
@@ -414,47 +421,36 @@ def parse_module_descriptor(
     """Parse descriptors like gamma(1/3,1/4), gamma+(0,b), gamma'(0,1/2),
     pi(gamma'(0,0)).  The symbols l and b stand for formal parameters and
     may be pinned by lam_value / b_value."""
-    s = text.strip()
-    flips = 0
+    s, flips = text.strip(), 0
     while s.startswith("pi(") and s.endswith(")"):
         s = s[3:-1].strip()
         flips += 1
-    for prefix, family in (
-        ("gamma+", Family.GAMMA_PLUS),
-        ("gamma-", Family.GAMMA_MINUS),
-        ("gamma'", Family.GAMMA_PRIME),
-        ("gamma", Family.GAMMA),
-    ):
-        if s.startswith(prefix + "(") and s.endswith(")"):
-            inner = s[len(prefix) + 1 : -1]
-            break
-    else:
+    head, _, inner = s.partition("(")
+    if head not in {f.value for f in Family} or not inner.endswith(")"):
         raise ModuleError(f"unrecognized module descriptor {text!r}")
-    parts = inner.split(",")
+    family, parts = Family(head), inner[:-1].split(",")
     if len(parts) != 2:
         raise ModuleError(f"descriptor needs two parameters: {text!r}")
 
-    def param(tok: str, override, formal: Scalar) -> Scalar:
+    def param(tok: str, override, symbol: str, formal: Scalar) -> Scalar:
         tok = tok.strip()
+        if tok == symbol:
+            return formal if override is None else Scalar.of(override)
         if tok in ("l", "b"):
-            want = LAMBDA if tok == "l" else B
-            if want is not formal:
-                raise ModuleError(f"symbol {tok!r} in the wrong parameter slot of {text!r}")
-            return Scalar.of(override) if override is not None else formal
+            raise ModuleError(f"symbol {tok!r} in the wrong parameter slot of {text!r}")
+        if override is not None:
+            raise ModuleError(f"{text!r} fixes {tok!r}; only a symbol can be overridden")
         try:
             return Scalar.of(parse_rational(tok))
         except (ValueError, ZeroDivisionError):
             raise ModuleError(f"malformed rational {tok!r} in {text!r}") from None
 
-    lam_s = param(parts[0], lam_value, LAMBDA)
-    b_s = param(parts[1], b_value, B)
-
+    lam_s, b_s = param(parts[0], lam_value, "l", LAMBDA), param(parts[1], b_value, "b", B)
+    # a half-line cut lives over the contact subalgebra
+    mode = algebra_mode or (AlgebraMode.KPLUS if family in _CUTS else AlgebraMode.KHAT)
     if family is Family.GAMMA_PRIME:
-        mod = gamma_prime(lam_s, b_s, algebra_mode or AlgebraMode.KHAT, convention)
+        mod = gamma_prime(lam_s, b_s, mode, convention)
     else:
-        contact = family in (Family.GAMMA_PLUS, Family.GAMMA_MINUS)
-        default = AlgebraMode.KPLUS if contact else AlgebraMode.KHAT
-        mod = GammaModule(lam_s, b_s, family, None, convention, algebra_mode or default)
-    for _ in range(flips):
-        mod = parity_change(mod)
-    return mod
+        mod = GammaModule(lam_s, b_s, family, *_CUTS.get(family, (NOTHING, EVERYTHING)),
+                          convention, mode)
+    return parity_change(mod) if flips % 2 else mod

@@ -319,6 +319,12 @@ def test_classification_table_rows():
     assert certified, "in-scope rows must carry certifying check names"
 
 
+# classification row 3: gamma'(l,b) at the locus is the simple sub-quotient
+@pytest.mark.parametrize("lam,b", [(0, 0), (0, F(1, 2)), (2, 0), (-1, F(1, 2)), (3, F(1, 2))])
+def test_gamma_prime_simple_over_khat(lam, b):
+    assert simplicity_verdict(gamma_prime(lam, b), W, 3).kind == "simple"
+
+
 def test_descriptor_integration():
     m = parse_module_descriptor("pi(gamma'(0,1/2))")
     v = simplicity_verdict(m, W, 3)

@@ -60,6 +60,8 @@ class TestExitCodes:
         assert run(["module-simplicity", "--module", "gamma+(0,0)", "--algebra", "khat"]) == 2
         # A does not act on the sub-quotient
         assert run(["annihilator", "--module", "gamma'(0,0)"]) == 2
+        # an override of a parameter that the descriptor fixes to a number
+        assert run(["module-simplicity", "--module", "gamma(0,1/2)", "--lambda", "1/3"]) == 2
 
     @pytest.mark.parametrize("option", ["--lambda", "--b"])
     def test_zero_denominator_parameter_exits_two(self, capsys, option):
