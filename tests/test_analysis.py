@@ -1,6 +1,7 @@
 """Verification suites, reachability verdicts, intertwiners, annihilators."""
 
 import gc
+import hashlib
 import weakref
 from fractions import Fraction
 
@@ -342,3 +343,26 @@ def test_edge_records():
             assert not e.coefficient.is_zero()
     down = [e for e in edges[BasisKey(0, 0)] if e.generator == "L(-1)"]
     assert len(down) == 1 and down[0].target == BasisKey(-1, 0)
+
+
+def edge_lines():
+    """One line per edge of :func:`module_edges` (window W, gen_range 2) for
+    gamma at three points in khat and kplus, and for gamma+(0,1/4)."""
+    mods = [(f"gamma({lam},{b}) {mode.value}", gamma(lam, b, mode))
+            for lam, b in [(F(1, 3), F(1, 4)), (0, 0), (2, F(1, 2))]
+            for mode in (AlgebraMode.KHAT, KPLUS)]
+    mods.append(("gamma+(0,1/4)", gamma_plus(F(1, 4))))
+    for label, mod in mods:
+        edges = module_edges(mod, W, 2)
+        for src in sorted(edges):
+            for e in edges[src]:
+                yield (f"{label} {e.source.render()} -> {e.target.render()} "
+                       f"{e.generator} {e.coefficient.render()}")
+
+
+def test_edge_records_digest():
+    # recorded before the edge records became named tuples
+    h = hashlib.sha256()
+    for line in edge_lines():
+        h.update(line.encode() + b"\n")
+    assert h.hexdigest() == "92d9cf4d72554379b0835defc73ea2c2e25915f0df2fd477170f631a072f8eea"
