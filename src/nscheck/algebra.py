@@ -41,6 +41,13 @@ Four suites check one law, :func:`rep_residual`: rho(x) rho(y) -
 the algebra (compatibility, [v, a] = v o a), the algebra on A (derivation
 action) and the algebra on a module (the module axiom, ``modules``).
 
+Keys: the basis keys are tuple values, so they hash, compare and build in
+C.  :class:`HalfInt` is ``(doubled,)``, :class:`Gen` is ``(kind, index)``
+and :class:`AMonomial` (and ``modules.BasisKey``) is ``(k, eps)``, ordered
+as those tuples; generators are not ordered (:meth:`Gen.sort_key`).
+Equality is by fields, also across ``AMonomial`` and ``BasisKey``, which
+never share a table.
+
 Every element type of the package (``LieElement`` and ``AElement`` here,
 ``SmashElement`` and ``ModuleVector`` downstream) is a :class:`Combination`,
 an immutable finite Scalar-linear combination of basis keys:
@@ -67,9 +74,9 @@ shared bilinear helper behind ``bracket`` and ``k_action_on_A`` cost the
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from .scalars import Scalar
 
@@ -203,11 +210,20 @@ class Combination:
         return f"{type(self).__name__}({self.render()}{mode})"
 
 
-@dataclass(frozen=True, order=True)
-class HalfInt:
-    """Element of (1/2)Z stored as twice its value."""
+class HalfInt(tuple):
+    """Element of (1/2)Z stored as twice its value: the tuple ``(doubled,)``."""
 
-    doubled: int
+    __slots__ = ()
+    doubled = property(itemgetter(0))
+
+    def __new__(cls, doubled: int):
+        return tuple.__new__(cls, (doubled,))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"HalfInt(doubled={self.doubled!r})"
 
     @staticmethod
     def of(value) -> "HalfInt":
@@ -291,25 +307,39 @@ class AMode(enum.Enum):
         return self is AMode.A or mono.k >= 0
 
 
-@dataclass(frozen=True)
-class Gen:
+class Gen(tuple):
     """Basis generator: L(n) with n integral, G(r) with r strictly
-    half-integral, or the central element C."""
+    half-integral, or the central element C; the tuple ``(kind, index)``
+    with kind "L", "G" or "C".  Generators are not ordered: sort by
+    :meth:`sort_key`."""
 
-    kind: str  # "L" | "G" | "C"
-    index: HalfInt = HalfInt(0)
+    __slots__ = ()
+    kind = property(itemgetter(0))
+    index = property(itemgetter(1))
 
-    def __post_init__(self):
-        if self.kind == "L":
-            if not self.index.is_integer():
-                raise AlgebraError(f"L index must be an integer, got {self.index.render()}")
-        elif self.kind == "G":
-            if self.index.is_integer():
-                raise AlgebraError(f"G index must be strictly half-integral, got {self.index.render()}")
-        elif self.kind != "C":
-            raise AlgebraError(f"unknown generator kind {self.kind!r}")
-        elif self.index.doubled:
-            raise AlgebraError(f"the central element C takes no index, got {self.index.render()}")
+    def __new__(cls, kind: str, index: HalfInt = HalfInt(0)):
+        if kind == "L":
+            if not index.is_integer():
+                raise AlgebraError(f"L index must be an integer, got {index.render()}")
+        elif kind == "G":
+            if index.is_integer():
+                raise AlgebraError(f"G index must be strictly half-integral, got {index.render()}")
+        elif kind != "C":
+            raise AlgebraError(f"unknown generator kind {kind!r}")
+        elif index.doubled:
+            raise AlgebraError(f"the central element C takes no index, got {index.render()}")
+        return tuple.__new__(cls, (kind, index))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def _unordered(self, other):
+        raise TypeError("generators are not ordered; sort by Gen.sort_key")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+    def __repr__(self):
+        return f"Gen(kind={self.kind!r}, index={self.index!r})"
 
     @property
     def parity(self) -> int:
@@ -351,18 +381,26 @@ def basis(index_range: int, mode: AlgebraMode = AlgebraMode.KHAT) -> list[Gen]:
     return [g for g in gens if mode.admits(g)]
 
 
-@dataclass(frozen=True, order=True)
-class AMonomial:
-    """Monomial t^k xi^eps of A, ordered by (k, eps); parity equals eps."""
+class AMonomial(tuple):
+    """Monomial t^k xi^eps of A, the tuple ``(k, eps)``, so ordered by (k,
+    eps); parity equals eps."""
 
-    k: int
-    eps: int = 0
+    __slots__ = ()
+    k = property(itemgetter(0))
+    eps = property(itemgetter(1))
 
-    def __post_init__(self):
-        if type(self.k) is not int:
-            raise AlgebraError(f"t exponent must be an int, got {self.k!r}")
-        if self.eps not in (0, 1):
+    def __new__(cls, k: int, eps: int = 0):
+        if type(k) is not int:
+            raise AlgebraError(f"t exponent must be an int, got {k!r}")
+        if eps not in (0, 1):
             raise AlgebraError("xi exponent must be 0 or 1")
+        return tuple.__new__(cls, (k, eps))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(k={self.k!r}, eps={self.eps!r})"
 
     @property
     def parity(self) -> int:
@@ -376,7 +414,7 @@ class AMonomial:
     def shifted(self, by: HalfInt) -> "AMonomial":
         """The monomial of degree ``self.degree + by``, of this one's type."""
         d = 2 * self.k + self.eps + by.doubled
-        return type(self)(d // 2, d % 2)
+        return tuple.__new__(type(self), (d // 2, d % 2))  # valid by construction
 
     def times(self, other: "AMonomial") -> "AMonomial | None":
         """Product in A, of ``other``'s type; None encodes xi*xi = 0."""
@@ -496,7 +534,9 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
     return LieElement(out, x.mode)
 
 
-@lru_cache(maxsize=None)
+# typed: an AMonomial and an equal BasisKey keep their own entries, so every
+# target has the type of its m
+@lru_cache(maxsize=None, typed=True)
 def gen_act_amon(g: Gen, m: AMonomial) -> tuple[tuple[AMonomial, Fraction], ...]:
     """Superderivation action g o (t^k xi^e) of a generator L or G on an
     A-monomial, as (monomial, coefficient) pairs:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from .algebra import (
     AElement,
@@ -89,8 +90,7 @@ class CheckReport:
         return d
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
+class EdgeRecord(NamedTuple):
     """One nonzero action edge of the weight digraph."""
 
     source: BasisKey
@@ -524,18 +524,19 @@ def module_edges(
     Symbolic coefficients count as nonzero unless identically zero.
     """
     interior = set(window_keys(mod, window, interior_only=True))
-    gens = edge_generators(mod.algebra_mode, gen_range)
-    amons = A_EDGES if _uses_a_edges(mod, include_a_action) else ()
+    gens = [(g, g.render()) for g in edge_generators(mod.algebra_mode, gen_range)]
+    amons = [(a, a.render()) for a in A_EDGES] if _uses_a_edges(mod, include_a_action) else []
     edges: dict[BasisKey, list[EdgeRecord]] = {key: [] for key in interior}
     for key in sorted(interior):
-        for g in gens:
+        out = edges[key]
+        for g, name in gens:
             for target, coeff in mod.gen_action(g, key):
                 if target in interior:
-                    edges[key].append(EdgeRecord(key, target, g.render(), coeff))
-        for a in amons:
+                    out.append(EdgeRecord(key, target, name, coeff))
+        for a, name in amons:
             for target, coeff in mod.amon_action(a, key):
                 if target in interior:
-                    edges[key].append(EdgeRecord(key, target, a.render(), coeff))
+                    out.append(EdgeRecord(key, target, name, coeff))
     return edges
 
 

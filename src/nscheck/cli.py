@@ -72,8 +72,10 @@ def _parse_window(text: str, margin: int) -> Window:
         raise UsageError(f"invalid window {text!r}: {exc}") from None
 
 
-def _parse_param(text: str | None):
-    if text is None or text in ("l", "b"):
+def _parse_param(text: str | None, symbol: str):
+    """A --lambda or --b value: None for no override (absent, or the slot's
+    own symbol ``symbol``), else an exact rational."""
+    if text is None or text == symbol:
         return None
     try:
         return parse_rational(text)
@@ -90,8 +92,8 @@ def _module_from_args(args, default: str | None = None):
         algebra = AlgebraMode.parse(args.algebra)
     return parse_module_descriptor(
         desc,
-        lam_value=_parse_param(getattr(args, "lam", None)),
-        b_value=_parse_param(getattr(args, "b", None)),
+        lam_value=_parse_param(getattr(args, "lam", None), "l"),
+        b_value=_parse_param(getattr(args, "b", None), "b"),
         algebra_mode=algebra,
         convention=SignConvention.parse(getattr(args, "convention", "corrected")),
     )

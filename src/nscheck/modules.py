@@ -106,6 +106,8 @@ class BasisKey(AMonomial):
     """Key (k, eps) for the basis vector t^k xi^eps: an A-monomial, so it
     has A's degree rule (``degree``, ``shifted``, ``times``)."""
 
+    __slots__ = ()
+
     def render(self) -> str:
         return f"t^{self.k}" + (" xi" if self.eps else "")
 

@@ -1,5 +1,7 @@
 """Bracket relations, the two actions, and the compatibility residuals."""
 
+import copy
+import pickle
 from fractions import Fraction
 from itertools import product
 
@@ -103,6 +105,70 @@ class TestExactIndices:
         assert HalfInt.of(Fraction(-1, 2)) == HalfInt(-1)
         assert HalfInt.of(Fraction(4, 2)) == HalfInt(4)
         assert HalfInt.of(half(5)) == half(5)
+
+
+class TestKeyContract:
+    """Keys are tuple values: HalfInt is (doubled,), Gen is (kind, index) and
+    AMonomial/BasisKey is (k, eps)."""
+
+    def test_render_and_repr(self):
+        assert [half(-3).render(), half(4).render()] == ["-3/2", "2"]
+        assert repr(half(-3)) == "HalfInt(doubled=-3)"
+        assert [L(-1).render(), G(Fraction(1, 2)).render(), C.render()] == ["L(-1)", "G(1/2)", "C"]
+        assert repr(G(Fraction(-1, 2))) == "Gen(kind='G', index=HalfInt(doubled=-1))"
+        assert repr(C) == "Gen(kind='C', index=HalfInt(doubled=0))"
+        assert [AMonomial(k, e).render() for k, e in [(0, 0), (1, 0), (-2, 0), (0, 1), (1, 1), (3, 1)]] \
+            == ["1", "t", "t^-2", "xi", "t*xi", "t^3*xi"]
+        assert [BasisKey(k, e).render() for k, e in [(0, 0), (-2, 1)]] == ["t^0", "t^-2 xi"]
+        assert repr(AMonomial(2, 1)) == "AMonomial(k=2, eps=1)"
+        assert repr(BasisKey(-1, 0)) == "BasisKey(k=-1, eps=0)"
+        assert str(BasisKey(-1, 0)) == "BasisKey(k=-1, eps=0)"
+
+    def test_order_is_field_order(self):
+        halves = [half(d) for d in range(6, -7, -1)]
+        assert sorted(halves) == sorted(halves, key=lambda h: (h.doubled,))
+        for cls in (AMonomial, BasisKey):
+            keys = [cls(k, e) for k in range(3, -4, -1) for e in (1, 0)]
+            assert sorted(keys) == sorted(keys, key=lambda m: (m.k, m.eps))
+            assert cls(-1, 1) < cls(0, 0) < cls(0, 1)
+
+    def test_hash_is_the_field_tuple_hash(self):
+        keys = [half(-3), L(2), G(Fraction(3, 2)), C, AMonomial(-1, 1), BasisKey(2, 0)]
+        for key in keys:
+            assert hash(key) == hash(tuple(key))
+        assert tuple(L(2)) == ("L", half(4)) and tuple(BasisKey(2, 0)) == (2, 0)
+
+    def test_immutable_without_dict(self):
+        for key, field in [(half(1), "doubled"), (L(1), "kind"), (L(1), "index"),
+                           (AMonomial(0, 1), "k"), (BasisKey(0, 1), "eps")]:
+            with pytest.raises(AttributeError):
+                setattr(key, field, 0)
+            assert not hasattr(key, "__dict__")
+
+    def test_copy_and_pickle_round_trip(self):
+        for key in [half(-3), G(Fraction(1, 2)), C, AMonomial(2, 1), BasisKey(-1, 0)]:
+            for twin in (copy.copy(key), copy.deepcopy(key), pickle.loads(pickle.dumps(key))):
+                assert type(twin) is type(key) and twin == key
+
+    def test_generators_are_unordered(self):
+        with pytest.raises(TypeError):
+            L(1) < L(2)
+        with pytest.raises(TypeError):
+            sorted([L(2), G(Fraction(1, 2)), C])
+        assert sorted([L(2), G(Fraction(1, 2)), C], key=Gen.sort_key) == [C, G(Fraction(1, 2)), L(2)]
+
+    def test_action_memo_keeps_the_key_type(self):
+        # equal keys of the two sibling types share no gen_act_amon entry
+        for m in (AMonomial(2, 1), BasisKey(2, 1)):
+            (target, _), = gen_act_amon(L(1), m)
+            assert type(target) is type(m)
+
+    def test_equality_is_by_fields(self):
+        # the accepted contract: equality is by fields, also across the
+        # sibling key types AMonomial and BasisKey, which never share a table
+        assert BasisKey(0, 0) == AMonomial(0, 0)
+        assert half(2) == half(2) and half(2) != half(3)
+        assert L(0) != C and AMonomial(0, 1) != AMonomial(0, 0)
 
 
 class TestExtend:

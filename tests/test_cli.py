@@ -62,6 +62,9 @@ class TestExitCodes:
         assert run(["annihilator", "--module", "gamma'(0,0)"]) == 2
         # an override of a parameter that the descriptor fixes to a number
         assert run(["module-simplicity", "--module", "gamma(0,1/2)", "--lambda", "1/3"]) == 2
+        # each slot takes only its own symbol: l for --lambda, b for --b
+        assert run(["module-simplicity", "--module", "gamma(l,b)", "--lambda", "b", "--b", "1/3"]) == 2
+        assert run(["module-simplicity", "--module", "gamma(l,b)", "--b", "l"]) == 2
 
     @pytest.mark.parametrize("option", ["--lambda", "--b"])
     def test_zero_denominator_parameter_exits_two(self, capsys, option):

@@ -4,6 +4,7 @@ the benchmark's golden CLI invocations reproduce their recorded exit codes
 and report bytes."""
 
 import ast
+import dataclasses
 import hashlib
 import importlib
 import sys
@@ -11,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from nscheck.algebra import AMonomial, Gen, HalfInt
 from nscheck.cli import run
+from nscheck.modules import BasisKey
 
 ROOT = Path(__file__).resolve().parent.parent
 LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
@@ -91,3 +94,12 @@ def test_benchmark_golden_replays(capsys, command):
     code = run(command.split(" "))
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == GOLDEN[command]
+
+
+@pytest.mark.parametrize("cls", [HalfInt, Gen, AMonomial, BasisKey], ids=lambda c: c.__name__)
+def test_keys_hash_and_compare_in_c(cls):
+    # a Python-level __eq__ or __hash__ on a key type would run on every
+    # dict and set lookup of the action caches and sparse tables
+    assert not dataclasses.is_dataclass(cls)
+    assert cls.__hash__ is tuple.__hash__
+    assert cls.__eq__ is tuple.__eq__
