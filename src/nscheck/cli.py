@@ -360,8 +360,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margin", type=int, default=3)
     p.add_argument("--gen-range", dest="gen_range", type=int, default=3)
     p.add_argument("--convention", choices=("corrected", "paper-printed"), default="corrected")
-    p.add_argument("--lambda", dest="lam", default=None)
-    p.add_argument("--b", dest="b", default=None)
+    p.add_argument("--lambda", dest="lam", default=None, help="rational p/q or l")
+    p.add_argument("--b", dest="b", default=None, help="rational p/q or b")
     common(p, window_default="-10..10")
     p.set_defaults(func=cmd_module_simplicity)
 
@@ -379,8 +379,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-m", dest="max_m", type=int, default=6)
     p.add_argument("--sweep", type=int, default=2)
     p.add_argument("--algebra-level", dest="algebra_level", action="store_true")
-    p.add_argument("--lambda", dest="lam", default=None)
-    p.add_argument("--b", dest="b", default=None)
+    p.add_argument("--lambda", dest="lam", default=None, help="rational p/q or l")
+    p.add_argument("--b", dest="b", default=None, help="rational p/q or b")
     common(p, window_default="-10..10")
     p.set_defaults(func=cmd_annihilator)
 
