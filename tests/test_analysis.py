@@ -366,3 +366,42 @@ def test_edge_records_digest():
     for line in edge_lines():
         h.update(line.encode() + b"\n")
     assert h.hexdigest() == "92d9cf4d72554379b0835defc73ea2c2e25915f0df2fd477170f631a072f8eea"
+
+
+def verdict_modules():
+    """The acceptance grid in khat and kplus, gamma' at the locus points of
+    classification row 3, gamma+ and gamma- at three b, and gamma(l,b)."""
+    grid_l = [F(-1), F(0), F(1, 3), F(1), F(7, 5)]
+    grid_b = [F(-1), F(0), F(1, 4), F(1, 2), F(1)]
+    for lam in grid_l:
+        for b in grid_b:
+            for mode in (AlgebraMode.KHAT, KPLUS):
+                yield gamma(lam, b, mode)
+    for lam, b in [(0, 0), (0, F(1, 2)), (2, 0), (-1, F(1, 2)), (3, F(1, 2))]:
+        yield gamma_prime(lam, b)
+    for b in (0, F(1, 2), F(1, 4)):
+        yield gamma_plus(b)
+        yield gamma_minus(b)
+    yield gamma(LAMBDA, B)
+    yield gamma(LAMBDA, B, KPLUS)
+
+
+def verdict_lines():
+    """One line per verdict: descriptor, mode, window, gen_range, kind and
+    the rendered certificate."""
+    for mod in verdict_modules():
+        for win in (W, Window(-13, 9, 2)):
+            for gen_range in (2, 3):
+                v = simplicity_verdict(mod, win, gen_range)
+                cert = "-" if v.certificate is None else ", ".join(
+                    k.render() for k in v.certificate)
+                yield (f"{mod.descriptor()} {mod.algebra_mode.value} {win.render()} "
+                       f"{v.gen_range} {v.kind} [{cert}]")
+
+
+def test_verdict_digest():
+    # recorded while the verdict still ran a strongly-connected-components pass
+    h = hashlib.sha256()
+    for line in verdict_lines():
+        h.update(line.encode() + b"\n")
+    assert h.hexdigest() == "444432113725cb6948d365024b79a5a7f641f43197809b18afdac99575109057"
