@@ -8,7 +8,9 @@ name ordering, canonical scalar rendering.
 Module-level verdicts (simplicity, isomorphism, annihilator order) are
 window-certified: they are exact statements about the margin-restricted
 interior of a finite key window, pinned by the acceptance grid to the
-global classification facts.
+global classification facts.  Simplicity has one closure rule: the
+submodule that a key generates inside the window, which with weight
+multiplicity 1 is the set of keys it reaches.
 """
 
 from __future__ import annotations
@@ -505,19 +507,14 @@ def edge_generators(algebra_mode: AlgebraMode, gen_range: int) -> list[Gen]:
 A_EDGES = (AMonomial(1, 0), AMonomial(0, 1))  # the A-edges of a jet-module verdict
 
 
-def _uses_a_edges(mod: GammaModule, include_a_action: bool | None) -> bool:
-    if include_a_action is not None:
-        return include_a_action
+def _uses_a_edges(mod: GammaModule) -> bool:
     # a proper cut on which t and xi act is classified as a jet module (gamma+
     # and gamma-): the polynomial coefficient algebra is part of its structure
     return mod.is_cut() and all(mod.a_acts(a) for a in A_EDGES)
 
 
 def module_edges(
-    mod: GammaModule,
-    window: Window,
-    gen_range: int,
-    include_a_action: bool | None = None,
+    mod: GammaModule, window: Window, gen_range: int
 ) -> dict[BasisKey, list[EdgeRecord]]:
     """All nonzero interior-to-interior action edges.
 
@@ -525,7 +522,7 @@ def module_edges(
     """
     interior = set(window_keys(mod, window, interior_only=True))
     gens = [(g, g.render()) for g in edge_generators(mod.algebra_mode, gen_range)]
-    amons = [(a, a.render()) for a in A_EDGES] if _uses_a_edges(mod, include_a_action) else []
+    amons = [(a, a.render()) for a in A_EDGES] if _uses_a_edges(mod) else []
     edges: dict[BasisKey, list[EdgeRecord]] = {key: [] for key in interior}
     for key in sorted(interior):
         out = edges[key]
@@ -540,71 +537,31 @@ def module_edges(
     return edges
 
 
-def reachability_closure(
-    mod: GammaModule,
-    seed: BasisKey,
-    window: Window,
-    gen_range: int,
-    include_a_action: bool | None = None,
-) -> frozenset[BasisKey]:
-    """Smallest out-closed set of interior keys containing the seed."""
-    interior = set(window_keys(mod, window, interior_only=True))
-    if seed not in interior:
-        raise ModuleError(f"seed {seed.render()} outside the window interior")
-    edges = module_edges(mod, window, gen_range, include_a_action)
+def _closure(adj: dict[BasisKey, list[BasisKey]], seed: BasisKey) -> set[BasisKey]:
+    """The keys reachable from ``seed`` along ``adj``, the seed included."""
     seen = {seed}
     stack = [seed]
     while stack:
-        cur = stack.pop()
-        for e in edges[cur]:
-            if e.target not in seen:
-                seen.add(e.target)
-                stack.append(e.target)
-    return frozenset(seen)
+        for nxt in adj[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
 
 
-def _sccs(nodes: list[BasisKey], adj: dict[BasisKey, set[BasisKey]]) -> list[list[BasisKey]]:
-    """Strongly connected components (iterative Kosaraju)."""
-    order: list[BasisKey] = []
-    seen: set[BasisKey] = set()
-    for start in nodes:
-        if start in seen:
-            continue
-        stack = [(start, iter(sorted(adj[start])))]
-        seen.add(start)
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append((nxt, iter(sorted(adj[nxt]))))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(node)
-                stack.pop()
-    radj: dict[BasisKey, set[BasisKey]] = {n: set() for n in nodes}
-    for src, targets in adj.items():
-        for t in targets:
-            radj[t].add(src)
-    comps: list[list[BasisKey]] = []
-    assigned: set[BasisKey] = set()
-    for start in reversed(order):
-        if start in assigned:
-            continue
-        comp = [start]
-        assigned.add(start)
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for nxt in sorted(radj[node]):
-                if nxt not in assigned:
-                    assigned.add(nxt)
-                    comp.append(nxt)
-                    stack.append(nxt)
-        comps.append(sorted(comp))
-    return comps
+def _targets(edges: dict[BasisKey, list[EdgeRecord]]) -> dict[BasisKey, list[BasisKey]]:
+    return {key: [e.target for e in out] for key, out in edges.items()}
+
+
+def reachability_closure(
+    mod: GammaModule, seed: BasisKey, window: Window, gen_range: int
+) -> frozenset[BasisKey]:
+    """Smallest out-closed set of interior keys containing the seed: the
+    submodule that the seed generates inside the window."""
+    interior = set(window_keys(mod, window, interior_only=True))
+    if seed not in interior:
+        raise ModuleError(f"seed {seed.render()} outside the window interior")
+    return frozenset(_closure(_targets(module_edges(mod, window, gen_range)), seed))
 
 
 def _generic_locus(mod: GammaModule, gen_range: int) -> dict:
@@ -624,39 +581,55 @@ def _generic_locus(mod: GammaModule, gen_range: int) -> dict:
     return locus
 
 
-def simplicity_verdict(
-    mod: GammaModule, window: Window, gen_range: int, include_a_action: bool | None = None
-) -> Verdict:
-    """Simple iff the interior digraph is strongly connected; reducible
-    verdicts carry a verified out-closed certificate."""
+def simplicity_verdict(mod: GammaModule, window: Window, gen_range: int) -> Verdict:
+    """Simple iff the interior keys span one minimal submodule; otherwise
+    reducible, certified by the minimal submodule with the least first key,
+    which is re-verified from the basis-level action.
+
+    The closure rule scans the interior keys in order.  A key generates
+    ``down`` and is generated by ``up``; ``down`` is a minimal submodule
+    exactly when ``down`` lies in ``up``.  Otherwise the keys of
+    ``down & up`` generate the same ``down`` and are skipped.
+    """
     if window.kmax - window.kmin < 4 * gen_range:
         return Verdict("inconclusive", window, gen_range,
                        detail="window narrower than 4*gen_range")
     interior = sorted(window_keys(mod, window, interior_only=True))
-    edges = module_edges(mod, window, gen_range, include_a_action)
-    adj = {k: {e.target for e in edges[k]} for k in interior}
-    comps = _sccs(interior, adj)
+    if not interior:
+        return Verdict("inconclusive", window, gen_range,
+                       detail="the window interior holds no key of the module")
+    adj = _targets(module_edges(mod, window, gen_range))
+    radj: dict[BasisKey, list[BasisKey]] = {key: [] for key in interior}
+    for key in interior:
+        for target in adj[key]:
+            radj[target].append(key)
+    skip: set[BasisKey] = set()
+    for key in interior:
+        if key in skip:
+            continue
+        down, up = _closure(adj, key), _closure(radj, key)
+        if down <= up:
+            break
+        skip |= down & up
     locus = _generic_locus(mod, gen_range) if not mod.is_numeric() else None
-    if len(comps) == 1:
+    if len(down) == len(interior):
         return Verdict("simple", window, gen_range, locus=locus,
                        detail="interior digraph strongly connected")
-    comp_of = {}
-    for idx, comp in enumerate(comps):
-        for k in comp:
-            comp_of[k] = idx
-    sinks = []
-    for idx, comp in enumerate(comps):
-        if all(comp_of[t] == idx for k in comp for t in adj[k]):
-            sinks.append(comp)
-    cert = sorted(min(sinks, key=lambda c: c[0]))
-    # soundness: re-verify out-closure by direct action evaluation
-    cert_set = set(cert)
-    for k in cert:
-        for e in edges[k]:
-            if e.target not in cert_set:
-                raise AssertionError("unsound certificate: edge leaves the closed set")
-    return Verdict("reducible", window, gen_range, certificate=tuple(cert), locus=locus,
-                   detail=f"{len(comps)} strongly connected components")
+    # soundness: no generator in range, and no A-edge of a jet module, moves
+    # a certificate key to an interior key outside the certificate
+    acting = [(mod.gen_action, g) for g in edge_generators(mod.algebra_mode, gen_range)]
+    if _uses_a_edges(mod):
+        acting += [(mod.amon_action, a) for a in A_EDGES]
+    inside = set(interior)
+    cert = tuple(sorted(down))
+    for key in cert:
+        for action, x in acting:
+            for target, _ in action(x, key):
+                if target in inside and target not in down:
+                    raise AssertionError("unsound certificate: "
+                                         f"{x.render()} moves {key.render()} out of it")
+    return Verdict("reducible", window, gen_range, certificate=cert, locus=locus,
+                   detail=f"least minimal submodule, generated by {cert[0].render()}")
 
 
 @dataclass(frozen=True)

@@ -391,15 +391,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options whose value may start with a single '-': a window such as -10..10,
+# or a negative rational such as -1/3
+_SIGNED_OPTIONS = ("--window", "--lambda", "--b")
+
+
 def _preprocess(argv: list[str]) -> list[str]:
-    """Merge `--window -10..10` into one token so argparse does not read
-    the value as an option."""
+    """Merge `--window -10..10` or `--lambda -1/3` into one token
+    `--opt=value`, so argparse does not read the value as an option; a
+    following `--...` token is left alone."""
     out = []
     i = 0
     while i < len(argv):
         arg = argv[i]
-        if arg in ("--window",) and i + 1 < len(argv) and ".." in argv[i + 1]:
-            out.append(f"{arg}={argv[i + 1]}")
+        nxt = argv[i + 1] if i + 1 < len(argv) else ""
+        if arg in _SIGNED_OPTIONS and nxt.startswith("-") and not nxt.startswith("--"):
+            out.append(f"{arg}={nxt}")
             i += 2
             continue
         out.append(arg)

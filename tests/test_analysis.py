@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from nscheck.algebra import AlgebraMode, G, L, half
+import nscheck.analysis as analysis
+from nscheck.algebra import AMonomial, AlgebraMode, G, L, half
 from nscheck.analysis import (
     AnnihilatorBoundError,
     CheckReport,
@@ -15,6 +16,7 @@ from nscheck.analysis import (
     chain_reports,
     classification_table,
     compat_reports,
+    edge_generators,
     find_intertwiner,
     jacobi_family_reports,
     minimal_annihilator,
@@ -27,6 +29,7 @@ from nscheck.analysis import (
     sort_reports,
     verify_identity_catalogue,
     verify_jacobi,
+    window_keys,
 )
 from nscheck.modules import (
     BasisKey,
@@ -139,15 +142,72 @@ class TestSimplicity:
 
     def test_gamma_plus_pure_contact_edges_sees_constants(self):
         # over the contact algebra alone the constants span an invariant
-        # line of gamma+(0,0); the jet structure removes it
-        v = simplicity_verdict(gamma_plus(0), W, 3, include_a_action=False)
-        assert v.kind == "reducible"
-        assert v.certificate == (BasisKey(0, 0),)
+        # line of gamma+(0,0): no generator moves t^0; the jet structure
+        # (t and xi act) removes it
+        m = gamma_plus(0)
+        assert all(m.gen_action(g, BasisKey(0, 0)) == ()
+                   for g in edge_generators(KPLUS, 6))
+        assert m.amon_action(AMonomial(1, 0), BasisKey(0, 0)) != ()
+        assert simplicity_verdict(m, W, 3).kind == "simple"
 
     def test_window_stability(self):
         for win in (W, Window(-13, 13, 3)):
             assert simplicity_verdict(gamma(0, F(1, 2)), win, 3).kind == "reducible"
             assert simplicity_verdict(gamma(F(1, 3), F(1, 4)), win, 3).kind == "simple"
+
+    @pytest.mark.parametrize("mod, window", [
+        (gamma_minus(F(1, 4)), Window(0, 20, 3)),
+        (gamma_plus(F(1, 4)), Window(-30, -10, 3)),
+    ], ids=["gamma-minus", "gamma-plus"])
+    def test_interior_without_keys_is_inconclusive(self, mod, window):
+        v = simplicity_verdict(mod, window, 3)
+        assert v.kind == "inconclusive"
+        assert v.certificate is None
+        assert v.detail == "the window interior holds no key of the module"
+
+    # edge lists that lose every edge into t^0 of gamma(1/3,1/4), or every
+    # A-edge of gamma+(0,0), yield a false certificate ({t^0} in the second
+    # case); the basis-level action still moves it out
+    @pytest.mark.parametrize("mod, lost", [
+        (gamma(F(1, 3), F(1, 4)), lambda e: e.target == BasisKey(0, 0)),
+        (gamma_plus(0), lambda e: e.generator in {a.render() for a in analysis.A_EDGES}),
+    ], ids=["edges-into-t0", "a-edges"])
+    def test_certificate_rechecked_from_the_action(self, monkeypatch, mod, lost):
+        real = analysis.module_edges
+
+        def lossy(*args):
+            return {key: [e for e in out if not lost(e)] for key, out in real(*args).items()}
+
+        monkeypatch.setattr(analysis, "module_edges", lossy)
+        with pytest.raises(AssertionError, match="unsound certificate"):
+            simplicity_verdict(mod, W, 3)
+
+
+# the certificate is the minimal submodule with the least first key
+@pytest.mark.parametrize("mod", [
+    gamma(0, 0), gamma(0, F(1, 2)), gamma(1, F(1, 4), KPLUS), gamma_prime(0, 0, KPLUS),
+], ids=repr)
+def test_reducible_certificate_contract(mod):
+    v = simplicity_verdict(mod, W, 3)
+    assert v.kind == "reducible"
+    cert = frozenset(v.certificate)
+    assert list(v.certificate) == sorted(cert)
+    closures = {key: reachability_closure(mod, key, W, 3)
+                for key in window_keys(mod, W, interior_only=True)}
+    assert closures[v.certificate[0]] == cert
+    assert all(closures[key] == cert for key in cert)
+    for key in closures:
+        if key < v.certificate[0]:
+            # key generates a submodule that is not minimal
+            assert any(closures[j] != closures[key] for j in closures[key])
+
+
+@pytest.mark.parametrize("mod", [gamma(F(1, 3), F(1, 4)), gamma_plus(F(1, 4))], ids=repr)
+def test_simple_verdict_ends_generate_everything(mod):
+    assert simplicity_verdict(mod, W, 3).kind == "simple"
+    interior = sorted(window_keys(mod, W, interior_only=True))
+    for key in (interior[0], interior[-1]):
+        assert reachability_closure(mod, key, W, 3) == frozenset(interior)
 
 
 class TestIntertwiner:

@@ -65,6 +65,19 @@ class TestExitCodes:
         # each slot takes only its own symbol: l for --lambda, b for --b
         assert run(["module-simplicity", "--module", "gamma(l,b)", "--lambda", "b", "--b", "1/3"]) == 2
         assert run(["module-simplicity", "--module", "gamma(l,b)", "--b", "l"]) == 2
+        # an option name where a value belongs
+        assert run(["module-simplicity", "--module", "gamma(l,b)", "--lambda", "--b", "1/4"]) == 2
+
+    # a window interior that holds no key of the module gives no verdict
+    @pytest.mark.parametrize("module, window", [
+        ("gamma-(0,1/4)", "--window=0..20"),
+        ("gamma+(0,1/4)", "--window=-30..-10"),
+    ], ids=["gamma-minus", "gamma-plus"])
+    def test_interior_without_keys_exits_zero(self, tmp_path, module, window):
+        code, doc, _ = invoke(tmp_path, "module-simplicity", "--module", module, window,
+                              out_name="empty.json")
+        assert code == 0
+        assert "verdict=inconclusive" in doc["checks"][0]["params"]
 
     @pytest.mark.parametrize("option", ["--lambda", "--b"])
     def test_zero_denominator_parameter_exits_two(self, capsys, option):
@@ -257,6 +270,20 @@ class TestVerdictCommands:
         )
         assert code == 0
         assert "verdict=simple" in doc["checks"][0]["params"]
+
+    # a negative value after a space is the same value as after '='
+    @pytest.mark.parametrize("spaced, joined", [
+        (["--lambda", "-1/3", "--b", "1/4"], ["--lambda=-1/3", "--b=1/4"]),
+        (["--lambda", "1/3", "--b", "-1/2"], ["--lambda=1/3", "--b=-1/2"]),
+        (["--lambda", "-1", "--b", "-1/4", "--window", "-8..8"],
+         ["--lambda=-1", "--b=-1/4", "--window=-8..8"]),
+    ], ids=["lambda", "b", "all-three"])
+    def test_negative_values_after_a_space(self, tmp_path, spaced, joined):
+        common = ("module-simplicity", "--module", "gamma(l,b)")
+        code1, _, raw1 = invoke(tmp_path, *common, *spaced, out_name="spaced.json")
+        code2, _, raw2 = invoke(tmp_path, *common, *joined, out_name="joined.json")
+        assert (code1, code2) == (0, 0)
+        assert raw1 == raw2
 
     def test_iso_pair(self, tmp_path):
         code, doc, _ = invoke(
