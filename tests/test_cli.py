@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, deterministic JSON, atomic report files."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -364,3 +365,99 @@ def test_text_format_summary_line(capsys):
     out = capsys.readouterr().out
     assert out.strip().endswith("info")
     assert "[info] classify/00/highest weight modules" in out
+
+
+# one cheap invocation per subcommand, with the options its JSON `meta` echoes
+CHEAP_RUNS = {
+    "verify": (["--suite", "jacobi", "--range", "2"], ["format", "range", "suite"]),
+    "identities": (["--max-n", "2", "--window=-4..4"],
+                   ["algebra_level", "format", "max_m", "max_n", "sweep", "window"]),
+    "module-axiom": (["--gen-range", "1", "--window=-2..2"],
+                     ["convention", "format", "gen_range", "module", "window"]),
+    "module-simplicity": (["--module", "gamma(1/3,1/4)"],
+                          ["algebra", "format", "gen_range", "margin", "module", "window"]),
+    "module-iso": (["--module", "gamma(1/3,1/4)", "--module2", "gamma(1/2,1/4)"],
+                   ["format", "gen_range", "margin", "module", "module2", "window"]),
+    "annihilator": (["--window=-6..6", "--sweep", "0"],
+                    ["algebra_level", "format", "max_m", "module", "sweep", "window"]),
+    "classify": ([], ["format"]),
+}
+
+HELP = (("-h", "--help"), "help", "==SUPPRESS==", False, None, None)
+FORMAT = (("--format",), "format", "text", False, ("text", "json"), None)
+OUT = (("--out",), "out", None, False, None, None)
+CONVENTION = (("--convention",), "convention", "corrected", False,
+              ("corrected", "paper-printed"), None)
+LAM = (("--lambda",), "lam", None, False, None, None)
+B_OPT = (("--b",), "b", None, False, None, None)
+GEN_RANGE = (("--gen-range",), "gen_range", 3, False, None, "int")
+MARGIN = (("--margin",), "margin", 3, False, None, "int")
+MAX_M = (("--max-m",), "max_m", 6, False, None, "int")
+SWEEP = (("--sweep",), "sweep", 2, False, None, "int")
+LEVEL = (("--algebra-level",), "algebra_level", False, False, None, None)
+INJECT = (("--inject-failure",), "inject_failure", False, False, None, None)
+
+
+def window(default):
+    return (("--window",), "window", default, False, None, None)
+
+
+def module(default, required=False):
+    return (("--module",), "module", default, required, None, None)
+
+
+# (option strings, dest, default, required, choices, type) of every action,
+# recorded from the hand-built subparsers
+PARSER_TABLE = {
+    "verify": [FORMAT, INJECT, OUT, (("--range",), "range", 3, False, None, "int"),
+               (("--suite",), "suite", "all", False, ("jacobi", "compat", "action", "all"),
+                None), HELP],
+    "identities": [LEVEL, FORMAT, INJECT, MAX_M,
+                   (("--max-n",), "max_n", 5, False, None, "int"), OUT, SWEEP,
+                   window("-8..8"), HELP],
+    "module-axiom": [B_OPT, CONVENTION, FORMAT, GEN_RANGE, LAM, module("gamma(l,b)"), OUT,
+                     window("-8..8"), HELP],
+    "module-simplicity": [(("--algebra",), "algebra", None, False, ("khat", "k", "kplus"), None),
+                          B_OPT, CONVENTION, FORMAT, GEN_RANGE, LAM, MARGIN,
+                          module(None, required=True), OUT, window("-10..10"), HELP],
+    "module-iso": [CONVENTION, FORMAT, GEN_RANGE, MARGIN, module(None, required=True),
+                   (("--module2",), "module2", None, True, None, None), OUT,
+                   window("-10..10"), HELP],
+    "annihilator": [LEVEL, B_OPT, FORMAT, LAM, MAX_M, module("gamma(l,b)"), OUT, SWEEP,
+                    window("-10..10"), HELP],
+    "classify": [FORMAT, OUT, HELP],
+}
+
+
+def test_parser_table(tmp_path):
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(PARSER_TABLE)
+    for name, p in sub.choices.items():
+        got = sorted(((tuple(a.option_strings), a.dest, a.default, a.required,
+                       tuple(a.choices) if a.choices else None,
+                       a.type.__name__ if a.type else None) for a in p._actions), key=repr)
+        assert got == PARSER_TABLE[name], name
+        argv, echoed = CHEAP_RUNS[name]
+        _, doc, _ = invoke(tmp_path, name, *argv, out_name=f"{name}.json")
+        assert doc["meta"]["command"] == name
+        assert list(doc["meta"]["options"]) == echoed, name
+
+
+def test_runners_are_looked_up_at_call_time(tmp_path, monkeypatch):
+    # a tracer wraps each runner by replacing the module attribute; run must
+    # call whatever the attribute holds when it runs
+    called = []
+
+    def recording(attr, fn):
+        def wrapper(*args, **kwargs):
+            called.append(attr)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in CHEAP_RUNS:
+        attr = "cmd_" + name.replace("-", "_")
+        monkeypatch.setattr(cli, attr, recording(attr, getattr(cli, attr)))
+    for name, (argv, _) in CHEAP_RUNS.items():
+        assert invoke(tmp_path, name, *argv, out_name="run.json")[0] == 0
+    assert called == ["cmd_" + name.replace("-", "_") for name in CHEAP_RUNS]
