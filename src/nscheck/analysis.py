@@ -8,9 +8,13 @@ name ordering, canonical scalar rendering.
 Module-level verdicts (simplicity, isomorphism, annihilator order) are
 window-certified: they are exact statements about the margin-restricted
 interior of a finite key window, pinned by the acceptance grid to the
-global classification facts.  Simplicity has one closure rule: the
+global classification facts.  One window rule says when a window can
+decide: its interior, less the weight offset of an intertwiner search,
+spans at least 4*gen_range keys.  Simplicity has one closure rule: the
 submodule that a key generates inside the window, which with weight
-multiplicity 1 is the set of keys it reaches.
+multiplicity 1 is the set of keys it reaches.  Every suite, the module
+axiom included, builds its pass/fail reports here; the CLI only parses
+options and emits.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from .modules import (
     act,
     edge_coeffs,
     gamma,
+    module_axiom_residual,
 )
 from .scalars import B, LAMBDA, Scalar
 
@@ -492,9 +497,10 @@ def annihilator_reports(
 
 
 # ---------------------------------------------------------------------------
-# reachability, simplicity, intertwiners
+# module axiom, reachability, simplicity, intertwiners
 # ---------------------------------------------------------------------------
 
+MODULE_AXIOM_ANCHOR = "[x,y] acts as the graded commutator of the actions"
 SIMPLE_ANCHOR = "simple iff the interior action digraph is strongly connected"
 ISO_ANCHOR = "weight-matched per-key scalings commuting with every generator"
 
@@ -502,6 +508,27 @@ ISO_ANCHOR = "weight-matched per-key scalings commuting with every generator"
 def edge_generators(algebra_mode: AlgebraMode, gen_range: int) -> list[Gen]:
     """The generators that move keys: :func:`basis` without C."""
     return [g for g in basis(gen_range, algebra_mode) if g.kind != "C"]
+
+
+def module_axiom_reports(mod: GammaModule, window: Window, gen_range: int) -> list[CheckReport]:
+    """The module axiom for every pair of edge generators on every window key."""
+    gens = edge_generators(mod.algebra_mode, gen_range)
+    keys = window_keys(mod, window)
+    out = []
+    for i, x in enumerate(gens):
+        for y in gens[i:]:
+            cases = (((key,), module_axiom_residual(x, y, key, mod)) for key in keys)
+            witness, where = first_witness(cases, lambda key: f" at {key.render()}")
+            out.append(_ok(f"module-axiom/{mod.convention.value}/({x.render()},{y.render()})",
+                           MODULE_AXIOM_ANCHOR,
+                           f"module={mod.descriptor()}; window={window.render()}{where}", witness))
+    return out
+
+
+def _window_decides(window: Window, gen_range: int, offset: Fraction = Fraction(0)) -> bool:
+    """The window rule: the interior, less the weight offset between two
+    modules, spans at least 4*gen_range keys."""
+    return window.kmax - window.kmin - 2 * window.margin - abs(offset) >= 4 * gen_range
 
 
 A_EDGES = (AMonomial(1, 0), AMonomial(0, 1))  # the A-edges of a jet-module verdict
@@ -590,10 +617,17 @@ def simplicity_verdict(mod: GammaModule, window: Window, gen_range: int) -> Verd
     ``down`` and is generated by ``up``; ``down`` is a minimal submodule
     exactly when ``down`` lies in ``up``.  Otherwise the keys of
     ``down & up`` generate the same ``down`` and are skipped.
+
+    Inconclusive when the window rule (:func:`_window_decides`) fails;
+    ``gen_range`` below 2 is a ModuleError.
     """
-    if window.kmax - window.kmin < 4 * gen_range:
+    if gen_range < 2:
+        # L(-1), L(0), L(1), G(-1/2), G(1/2) span osp(1|2), with no central term
+        raise ModuleError("a simplicity verdict needs gen_range >= 2; below that "
+                          "the generators span only osp(1|2)")
+    if not _window_decides(window, gen_range):
         return Verdict("inconclusive", window, gen_range,
-                       detail="window narrower than 4*gen_range")
+                       detail="window interior narrower than 4*gen_range")
     interior = sorted(window_keys(mod, window, interior_only=True))
     if not interior:
         return Verdict("inconclusive", window, gen_range,
@@ -653,7 +687,8 @@ def find_intertwiner(
     generator of bounded index; exact per-key scalings on the interior.
 
     Requires numeric parameters.  The witness records whether the map
-    preserves or reverses the parity assignment of the two modules.
+    preserves or reverses the parity assignment of the two modules.  A window
+    failing the window rule at the modules' weight offset is a ModuleError.
     """
     if not (m1.is_numeric() and m2.is_numeric()):
         raise ModuleError("numeric parameters required for intertwiner search")
@@ -664,6 +699,10 @@ def find_intertwiner(
            - m2.lam.numeric_value() - m2.b.numeric_value())
     if (2 * off).denominator != 1:
         return None
+    if not _window_decides(window, gen_range, off):
+        raise ModuleError(f"window {window.render()} cannot decide an intertwiner at weight "
+                          f"offset {off}: the interior less |offset| must span at least "
+                          f"4*gen_range = {4 * gen_range} keys")
     # key.shifted(shift) is the key of m2 with the weight of the key of m1
     shift = HalfInt.of(off)
     interior_k = set(window.interior())

@@ -10,6 +10,13 @@ Subcommands run the verification suites and emit deterministic reports:
 * ``annihilator``        - minimal annihilator order and consequence chains
 * ``classify``           - the classification table
 
+The parser is built from two tables: ``_OPTIONS`` declares every flag once
+(flag -> argparse keywords), and ``_COMMANDS`` holds one row per subcommand
+(its flags, window default, per-row keyword overrides and the options echoed
+in the JSON ``meta``).  The runner of ``name`` is the module-level function
+``cmd_<name>``, looked up when the parser is built; it returns its reports
+and ``run`` emits them.
+
 Exit codes: 0 when every executed check passes (info entries never fail a
 run), 1 on any check failure, 2 on a usage, parse or parameter error (a
 ``UsageError``, ``ModuleError``, ``AlgebraError`` or ``ScalarError``; an
@@ -26,6 +33,7 @@ import json
 import os
 import sys
 import tempfile
+from typing import NamedTuple
 
 from . import __version__
 from .algebra import AlgebraError, AlgebraMode
@@ -37,25 +45,15 @@ from .analysis import (
     classification_table,
     compat_reports,
     action_rep_reports,
-    edge_generators,
     find_intertwiner,
-    first_witness,
     jacobi_family_reports,
+    module_axiom_reports,
     simplicity_verdict,
     sort_reports,
     verify_identity_catalogue,
-    window_keys,
 )
-from .modules import (
-    ModuleError,
-    module_axiom_residual,
-    SignConvention,
-    Window,
-    parse_module_descriptor,
-)
+from .modules import ModuleError, SignConvention, Window, parse_module_descriptor
 from .scalars import ScalarError, parse_rational
-
-MODULE_AXIOM_ANCHOR = "[x,y] acts as the graded commutator of the actions"
 
 
 class UsageError(ValueError):
@@ -83,18 +81,13 @@ def _parse_param(text: str | None, symbol: str):
         raise UsageError(f"malformed rational {text!r}") from None
 
 
-def _module_from_args(args, default: str | None = None):
-    desc = getattr(args, "module", None) or default
-    if desc is None:
-        raise UsageError("--module is required")
-    algebra = None
-    if getattr(args, "algebra", None):
-        algebra = AlgebraMode.parse(args.algebra)
+def _module_from_args(args):
+    algebra = getattr(args, "algebra", None)
     return parse_module_descriptor(
-        desc,
+        args.module,
         lam_value=_parse_param(getattr(args, "lam", None), "l"),
         b_value=_parse_param(getattr(args, "b", None), "b"),
-        algebra_mode=algebra,
+        algebra_mode=AlgebraMode.parse(algebra) if algebra else None,
         convention=SignConvention.parse(getattr(args, "convention", "corrected")),
     )
 
@@ -116,10 +109,8 @@ def _emit(reports: list[CheckReport], meta: dict, fmt: str, out: str | None) -> 
         counts = {"pass": 0, "fail": 0, "info": 0}
         for r in reports:
             counts[r.status] += 1
-        lines.append(
-            f"{len(reports)} checks: {counts['pass']} pass, "
-            f"{counts['fail']} fail, {counts['info']} info"
-        )
+        lines.append(f"{len(reports)} checks: {counts['pass']} pass, "
+                     f"{counts['fail']} fail, {counts['info']} info")
         text = "\n".join(lines) + "\n"
     if out:
         tmp = None
@@ -139,29 +130,7 @@ def _emit(reports: list[CheckReport], meta: dict, fmt: str, out: str | None) -> 
     return 1 if any(r.status == "fail" for r in reports) else 0
 
 
-def _meta(command: str, args: argparse.Namespace, fields: list[str]) -> dict:
-    options = {}
-    for f in sorted(fields):
-        options[f] = getattr(args, f, None)
-    return {
-        "tool": "nscheck",
-        "version": __version__,
-        "command": command,
-        "options": options,
-    }
-
-
-def _injected_failure() -> CheckReport:
-    return CheckReport(
-        "injected/forced-failure",
-        "testing hook: an always-failing check",
-        "fail",
-        "requested by --inject-failure",
-        "1",
-    )
-
-
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> list[CheckReport]:
     reports: list[CheckReport] = []
     if args.suite in ("jacobi", "all"):
         reports += jacobi_family_reports(args.range)
@@ -170,59 +139,29 @@ def cmd_verify(args) -> int:
     if args.suite in ("action", "all"):
         reports += action_rep_reports(args.range)
     if args.inject_failure:
-        reports.append(_injected_failure())
-    return _emit(reports, _meta("verify", args, ["suite", "range", "format"]),
-                 args.format, args.out)
+        reports.append(CheckReport("injected/forced-failure",
+                                   "testing hook: an always-failing check", "fail",
+                                   "requested by --inject-failure", "1"))
+    return reports
 
 
-def cmd_identities(args) -> int:
-    window = _parse_window(args.window, 0)
-    reports = verify_identity_catalogue(
+def cmd_identities(args) -> list[CheckReport]:
+    return verify_identity_catalogue(
         args.max_n,
         algebra_level=args.algebra_level,
         mutate_lg_entry=args.inject_failure,
-        window=window,
+        window=_parse_window(args.window, 0),
         max_m=args.max_m,
         sweep=args.sweep,
     )
-    return _emit(
-        reports,
-        _meta("identities", args, ["max_n", "window", "max_m", "sweep", "algebra_level", "format"]),
-        args.format,
-        args.out,
-    )
 
 
-def cmd_module_axiom(args) -> int:
-    mod = _module_from_args(args, default="gamma(l,b)")
-    window = _parse_window(args.window, 0)
-    gens = edge_generators(mod.algebra_mode, args.gen_range)
-    keys = window_keys(mod, window)
-    reports = []
-    for i, x in enumerate(gens):
-        for y in gens[i:]:
-            witness, where = first_witness(
-                (((key,), module_axiom_residual(x, y, key, mod)) for key in keys),
-                lambda key: f" at {key.render()}",
-            )
-            reports.append(
-                CheckReport(
-                    f"module-axiom/{mod.convention.value}/({x.render()},{y.render()})",
-                    MODULE_AXIOM_ANCHOR,
-                    "pass" if witness is None else "fail",
-                    f"module={mod.descriptor()}; window={window.render()}{where}",
-                    witness,
-                )
-            )
-    return _emit(
-        reports,
-        _meta("module-axiom", args, ["module", "convention", "gen_range", "window", "format"]),
-        args.format,
-        args.out,
-    )
+def cmd_module_axiom(args) -> list[CheckReport]:
+    mod = _module_from_args(args)
+    return module_axiom_reports(mod, _parse_window(args.window, 0), args.gen_range)
 
 
-def cmd_module_simplicity(args) -> int:
+def cmd_module_simplicity(args) -> list[CheckReport]:
     mod = _module_from_args(args)
     window = _parse_window(args.window, args.margin)
     verdict = simplicity_verdict(mod, window, args.gen_range)
@@ -238,28 +177,13 @@ def cmd_module_simplicity(args) -> int:
     if verdict.locus is not None:
         locus = "; ".join(f"{k}: {v}" for k, v in sorted(verdict.locus.items()))
         params.append(f"locus={{{locus}}}")
-    report = CheckReport(
-        f"simplicity/{mod.descriptor()}/{mod.algebra_mode.value}",
-        SIMPLE_ANCHOR,
-        "info",
-        "; ".join(params),
-    )
-    return _emit(
-        [report],
-        _meta("module-simplicity", args,
-              ["module", "algebra", "window", "margin", "gen_range", "format"]),
-        args.format,
-        args.out,
-    )
+    return [CheckReport(f"simplicity/{mod.descriptor()}/{mod.algebra_mode.value}",
+                        SIMPLE_ANCHOR, "info", "; ".join(params))]
 
 
-def cmd_module_iso(args) -> int:
-    m1 = parse_module_descriptor(
-        args.module, convention=SignConvention.parse(args.convention)
-    )
-    m2 = parse_module_descriptor(
-        args.module2, convention=SignConvention.parse(args.convention)
-    )
+def cmd_module_iso(args) -> list[CheckReport]:
+    m1 = _module_from_args(args)
+    m2 = parse_module_descriptor(args.module2, convention=SignConvention.parse(args.convention))
     window = _parse_window(args.window, args.margin)
     witness = find_intertwiner(m1, m2, window, args.gen_range)
     params = [
@@ -270,48 +194,89 @@ def cmd_module_iso(args) -> int:
     ]
     if witness is not None:
         params.append(witness.render())
-    report = CheckReport(
-        f"iso/{m1.descriptor()}~{m2.descriptor()}",
-        ISO_ANCHOR,
-        "info",
-        "; ".join(params),
-    )
-    return _emit(
-        [report],
-        _meta("module-iso", args,
-              ["module", "module2", "window", "margin", "gen_range", "format"]),
-        args.format,
-        args.out,
-    )
+    return [CheckReport(f"iso/{m1.descriptor()}~{m2.descriptor()}", ISO_ANCHOR, "info",
+                        "; ".join(params))]
 
 
-def cmd_annihilator(args) -> int:
-    mod = _module_from_args(args, default="gamma(l,b)")
+def cmd_annihilator(args) -> list[CheckReport]:
+    mod = _module_from_args(args)
     window = _parse_window(args.window, 0)
-    _, reports = annihilator_reports(mod, window, args.max_m, args.sweep, args.algebra_level)
-    fields = ["module", "window", "max_m", "sweep", "algebra_level", "format"]
-    return _emit(reports, _meta("annihilator", args, fields), args.format, args.out)
+    return annihilator_reports(mod, window, args.max_m, args.sweep, args.algebra_level)[1]
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> list[CheckReport]:
     reports = []
     for i, row in enumerate(classification_table()):
-        params = [
-            f"algebra={row['algebra']}",
-            f"conditions={row['conditions']}",
-            f"status={row['status']}",
-        ]
+        params = [f"algebra={row['algebra']}", f"conditions={row['conditions']}",
+                  f"status={row['status']}"]
         if row["certificate"]:
             params.append(f"certificate={row['certificate']}")
-        reports.append(
-            CheckReport(
-                f"classify/{i:02d}/{row['family']}",
-                "classification of bounded-multiplicity weight modules",
-                "info",
-                "; ".join(params),
-            )
-        )
-    return _emit(reports, _meta("classify", args, ["format"]), args.format, args.out)
+        reports.append(CheckReport(f"classify/{i:02d}/{row['family']}",
+                                   "classification of bounded-multiplicity weight modules",
+                                   "info", "; ".join(params)))
+    return reports
+
+
+# every flag, declared once: flag -> argparse keywords
+_OPTIONS = {
+    "--suite": {"choices": ("jacobi", "compat", "action", "all"), "default": "all"},
+    "--range": {"type": int, "default": 3, "help": "index bound for basis sweeps"},
+    "--inject-failure": {"action": "store_true", "help": argparse.SUPPRESS},
+    "--max-n": {"type": int, "default": 5},
+    "--max-m": {"type": int, "default": 6},
+    "--sweep": {"type": int, "default": 2},
+    "--algebra-level": {"action": "store_true",
+                        "help": "also attempt the chains as unconditional smash identities"},
+    "--module": {"default": "gamma(l,b)"},
+    "--module2": {"required": True},
+    "--algebra": {"choices": ("khat", "k", "kplus")},
+    "--margin": {"type": int, "default": 3},
+    "--gen-range": {"type": int, "default": 3},
+    "--convention": {"choices": ("corrected", "paper-printed"), "default": "corrected"},
+    "--lambda": {"dest": "lam", "help": "rational p/q or l"},
+    "--b": {"help": "rational p/q or b"},
+    "--format": {"choices": ("text", "json"), "default": "text"},
+    "--out": {"help": "write the report to this path atomically"},
+    "--window": {"help": "key window A..B"},
+}
+
+_REQUIRED = {"required": True, "default": None}
+
+
+class _Command(NamedTuple):
+    """One subcommand: its flags besides --format, --out and --window, the
+    --window default (None: no --window), the options echoed in ``meta``
+    (the golden report bytes pin them), and per-flag keyword overrides."""
+
+    help: str
+    flags: str
+    window: str | None
+    echoed: str
+    overrides: dict = {}
+
+
+_COMMANDS = {
+    "verify": _Command("structural suites", "--suite --range --inject-failure", None,
+                       "format range suite"),
+    "identities": _Command("displayed-identity catalogue",
+                           "--max-n --max-m --sweep --algebra-level --inject-failure", "-8..8",
+                           "algebra_level format max_m max_n sweep window"),
+    "module-axiom": _Command("module axiom residuals",
+                             "--module --convention --gen-range --lambda --b", "-8..8",
+                             "convention format gen_range module window"),
+    "module-simplicity": _Command(
+        "window-certified simplicity verdict",
+        "--module --algebra --margin --gen-range --convention --lambda --b", "-10..10",
+        "algebra format gen_range margin module window", {"--module": _REQUIRED}),
+    "module-iso": _Command("intertwiner search",
+                           "--module --module2 --margin --gen-range --convention", "-10..10",
+                           "format gen_range margin module module2 window",
+                           {"--module": _REQUIRED}),
+    "annihilator": _Command("minimal annihilator order and chains",
+                            "--module --max-m --sweep --algebra-level --lambda --b", "-10..10",
+                            "algebra_level format max_m module sweep window"),
+    "classify": _Command("classification table", "", None, "format"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -321,73 +286,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and its intermediate-series weight modules.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, window_default=None):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--out", default=None, help="write the report to this path atomically")
-        if window_default is not None:
-            p.add_argument("--window", default=window_default, help="key window A..B")
-
-    p = sub.add_parser("verify", help="structural suites")
-    p.add_argument("--suite", choices=("jacobi", "compat", "action", "all"), default="all")
-    p.add_argument("--range", type=int, default=3, help="index bound for basis sweeps")
-    p.add_argument("--inject-failure", action="store_true", help=argparse.SUPPRESS)
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("identities", help="displayed-identity catalogue")
-    p.add_argument("--max-n", dest="max_n", type=int, default=5)
-    p.add_argument("--max-m", dest="max_m", type=int, default=6)
-    p.add_argument("--sweep", type=int, default=2)
-    p.add_argument("--algebra-level", dest="algebra_level", action="store_true",
-                   help="also attempt the chains as unconditional smash identities")
-    p.add_argument("--inject-failure", action="store_true", help=argparse.SUPPRESS)
-    common(p, window_default="-8..8")
-    p.set_defaults(func=cmd_identities)
-
-    p = sub.add_parser("module-axiom", help="module axiom residuals")
-    p.add_argument("--module", default="gamma(l,b)")
-    p.add_argument("--convention", choices=("corrected", "paper-printed"), default="corrected")
-    p.add_argument("--gen-range", dest="gen_range", type=int, default=3)
-    p.add_argument("--lambda", dest="lam", default=None, help="rational p/q or l")
-    p.add_argument("--b", dest="b", default=None, help="rational p/q or b")
-    common(p, window_default="-8..8")
-    p.set_defaults(func=cmd_module_axiom)
-
-    p = sub.add_parser("module-simplicity", help="window-certified simplicity verdict")
-    p.add_argument("--module", required=True)
-    p.add_argument("--algebra", choices=("khat", "k", "kplus"), default=None)
-    p.add_argument("--margin", type=int, default=3)
-    p.add_argument("--gen-range", dest="gen_range", type=int, default=3)
-    p.add_argument("--convention", choices=("corrected", "paper-printed"), default="corrected")
-    p.add_argument("--lambda", dest="lam", default=None, help="rational p/q or l")
-    p.add_argument("--b", dest="b", default=None, help="rational p/q or b")
-    common(p, window_default="-10..10")
-    p.set_defaults(func=cmd_module_simplicity)
-
-    p = sub.add_parser("module-iso", help="intertwiner search")
-    p.add_argument("--module", required=True)
-    p.add_argument("--module2", required=True)
-    p.add_argument("--margin", type=int, default=3)
-    p.add_argument("--gen-range", dest="gen_range", type=int, default=3)
-    p.add_argument("--convention", choices=("corrected", "paper-printed"), default="corrected")
-    common(p, window_default="-10..10")
-    p.set_defaults(func=cmd_module_iso)
-
-    p = sub.add_parser("annihilator", help="minimal annihilator order and chains")
-    p.add_argument("--module", default="gamma(l,b)")
-    p.add_argument("--max-m", dest="max_m", type=int, default=6)
-    p.add_argument("--sweep", type=int, default=2)
-    p.add_argument("--algebra-level", dest="algebra_level", action="store_true")
-    p.add_argument("--lambda", dest="lam", default=None, help="rational p/q or l")
-    p.add_argument("--b", dest="b", default=None, help="rational p/q or b")
-    common(p, window_default="-10..10")
-    p.set_defaults(func=cmd_annihilator)
-
-    p = sub.add_parser("classify", help="classification table")
-    common(p)
-    p.set_defaults(func=cmd_classify)
-
+    for name, row in _COMMANDS.items():
+        p = sub.add_parser(name, help=row.help)
+        for flag in row.flags.split() + ["--format", "--out"]:
+            p.add_argument(flag, **{**_OPTIONS[flag], **row.overrides.get(flag, {})})
+        if row.window is not None:
+            p.add_argument("--window", default=row.window, **_OPTIONS["--window"])
+        # looked up now, not at import, so a replaced cmd_* attribute is called
+        p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
@@ -422,7 +328,10 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
     try:
-        return args.func(args)
+        row = _COMMANDS[args.command]
+        meta = {"tool": "nscheck", "version": __version__, "command": args.command,
+                "options": {f: getattr(args, f) for f in sorted(row.echoed.split())}}
+        return _emit(args.func(args), meta, args.format, args.out)
     except (UsageError, ModuleError, AlgebraError, ScalarError) as exc:
         sys.stderr.write(f"nscheck: error: {exc}\n")
         sys.stderr.write("run `nscheck <command> --help` for usage\n")

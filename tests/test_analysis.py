@@ -131,6 +131,25 @@ class TestSimplicity:
         v = simplicity_verdict(gamma(0, 0), Window(-4, 4, 1), 3)
         assert v.kind == "inconclusive"
 
+    # the window rule measures the interior that the verdict certifies: at
+    # margin 10 or 8 the interior of -10..10 is too narrow, and these locus
+    # points read simple
+    @pytest.mark.parametrize("lam, margin", [(0, 10), (2, 8)])
+    def test_wide_margin_is_inconclusive(self, lam, margin):
+        assert simplicity_verdict(gamma(lam, F(1, 2)), Window(-10, 10, margin), 3).kind \
+            == "inconclusive"
+
+    def test_interior_of_four_gen_ranges_decides(self):
+        # interior -6..6 spans 12 = 4*gen_range
+        assert simplicity_verdict(gamma(0, F(1, 2)), Window(-9, 9, 3), 3).kind == "reducible"
+        assert simplicity_verdict(gamma(0, F(1, 2)), Window(-9, 9, 4), 3).kind == "inconclusive"
+
+    def test_gen_range_below_two_is_an_error(self):
+        # L(-1), L(0), L(1), G(-1/2), G(1/2) span osp(1|2): none of them moves
+        # gamma(0,1/4) off the keys k >= 0, which read as a false certificate
+        with pytest.raises(ModuleError, match="gen_range >= 2"):
+            simplicity_verdict(gamma(0, F(1, 4)), W, 1)
+
     def test_kplus_integral_lambda_reducible(self):
         assert simplicity_verdict(gamma(0, F(1, 4), KPLUS), W, 3).kind == "reducible"
         assert simplicity_verdict(gamma(1, F(1, 4), KPLUS), W, 3).kind == "reducible"
@@ -241,6 +260,23 @@ class TestIntertwiner:
             fwd = find_intertwiner(m1, m2, W, 3)
             bwd = find_intertwiner(m2, m1, W, 3)
             assert (fwd is None) == (bwd is None)
+
+    # lambda1 - lambda2 is not integral in both pairs, yet the keys whose
+    # shifted image stays in the interior matched
+    @pytest.mark.parametrize("m1, m2, window", [
+        (gamma(F(1, 3), 0), gamma(F(-85, 6), 0), W),
+        (gamma(1, 0), gamma(F(1, 2), 0), Window(0, 0, 0)),
+    ], ids=["offset-29/2", "window-0..0"])
+    def test_undecidable_window_is_an_error(self, m1, m2, window):
+        with pytest.raises(ModuleError, match="cannot decide an intertwiner"):
+            find_intertwiner(m1, m2, window, 3)
+
+    def test_window_rule_subtracts_the_offset(self):
+        # interior -6..6 spans 12 = 4*gen_range: offset 0 decides, offset 1 does not
+        m = gamma(F(1, 3), F(1, 4))
+        assert find_intertwiner(m, m, Window(-9, 9, 3), 3) is not None
+        with pytest.raises(ModuleError):
+            find_intertwiner(m, gamma(F(4, 3), F(1, 4)), Window(-9, 9, 3), 3)
 
     def test_requires_numeric_parameters(self):
         with pytest.raises(ModuleError):

@@ -89,6 +89,8 @@ class TestExitCodes:
     # verdict or as checks passed over no instances
     @pytest.mark.parametrize("argv", [
         ["module-simplicity", "--module", "gamma(1/3,1/4)", "--gen-range", "0"],
+        # generators of index <= 1 span osp(1|2), which cannot see simplicity
+        ["module-simplicity", "--module", "gamma(0,1/4)", "--gen-range", "1"],
         ["module-iso", "--module", "gamma(1/3,0)", "--module2", "gamma(4/3,0)",
          "--gen-range", "0"],
         ["module-axiom", "--gen-range", "-1", "--window=-4..4"],
@@ -96,7 +98,7 @@ class TestExitCodes:
         ["identities", "--sweep", "-1", "--max-n", "2", "--window=-4..4"],
         ["verify", "--suite", "action", "--range", "-1"],
         ["verify", "--suite", "compat", "--range", "0"],
-    ], ids=["simplicity-gen-range-0", "iso-gen-range-0", "axiom-gen-range-minus-1",
+    ], ids=["simplicity-gen-range-0", "simplicity-gen-range-1", "iso-gen-range-0", "axiom-gen-range-minus-1",
             "annihilator-sweep-minus-1", "identities-sweep-minus-1", "action-range-minus-1",
             "compat-range-0"])
     def test_degenerate_range_exits_two(self, capsys, argv):
@@ -285,6 +287,17 @@ class TestVerdictCommands:
         code2, _, raw2 = invoke(tmp_path, *common, *joined, out_name="joined.json")
         assert (code1, code2) == (0, 0)
         assert raw1 == raw2
+
+    def test_wide_margin_is_inconclusive(self, tmp_path):
+        code, doc, _ = invoke(tmp_path, "module-simplicity", "--module", "gamma(0,1/2)",
+                              "--window=-10..10", "--margin", "10", out_name="wide.json")
+        assert code == 0
+        assert "verdict=inconclusive" in doc["checks"][0]["params"]
+
+    def test_iso_offset_beyond_the_window_exits_two(self, capsys):
+        # a weight offset of 29/2 leaves the default interior too few keys
+        assert run(["module-iso", "--module", "gamma(1/3,0)", "--module2", "gamma(-85/6,0)"]) == 2
+        assert "cannot decide an intertwiner" in capsys.readouterr().err
 
     def test_iso_pair(self, tmp_path):
         code, doc, _ = invoke(
