@@ -44,7 +44,7 @@ from nscheck.modules import (
     parity_change,
     parse_module_descriptor,
 )
-from nscheck.scalars import B, LAMBDA, ZERO, Scalar
+from nscheck.scalars import B, LAMBDA, ONE, ZERO, Scalar
 
 F = Fraction
 CORRECTED = SignConvention.CORRECTED
@@ -412,6 +412,39 @@ class TestGammaPlusClosure:
                 for eps in (0, 1):
                     for target, _ in m.gen_action(g, BasisKey(k, eps)):
                         assert target.k >= 0
+
+
+NUMERIC_POINTS = [(0, 0), (0, F(1, 2)), (2, F(1, 2)), (-1, 0), (F(1, 3), F(1, 4)),
+                  (F(-7, 3), F(5, 4))]
+
+
+class TestNumericAgainstFormal:
+    """A handle with numeric or mixed parameters acts as gamma(l,b) with its
+    coefficients evaluated at the handle's point, coefficient for
+    coefficient and in canonical form."""
+
+    @pytest.mark.parametrize("convention", list(SignConvention))
+    @pytest.mark.parametrize("mode", list(AlgebraMode))
+    def test_actions_are_substituted_formal_actions(self, mode, convention):
+        formal = gamma(LAMBDA, B, mode, convention)
+        # (handle, value of l, value of b); None keeps that slot formal
+        handles = [(gamma(lam, b, mode, convention), lam, b) for lam, b in NUMERIC_POINTS]
+        handles += [(gamma(F(1, 3), B, mode, convention), F(1, 3), None),
+                    (gamma(LAMBDA, F(1, 4), mode, convention), None, F(1, 4))]
+        keys = [BasisKey(k, eps) for k in range(-6, 7) for eps in (0, 1)]
+        for g, key in product(basis(4, mode), keys):
+            symbolic = formal.gen_action(g, key)
+            for mod, lam, b in handles:
+                want = tuple((t, v) for t, c in symbolic if (v := c.substitute(lam, b)))
+                got = mod.gen_action(g, key)
+                assert got == want, (mod, g, key)
+                for _, c in got:
+                    canonical = Scalar(c.num, c.den)
+                    assert [(e, v, type(v)) for e, v in c.num.terms.items()] == \
+                        [(e, v, type(v)) for e, v in canonical.num.terms.items()], (mod, g, key)
+                    assert c.den.terms == canonical.den.terms, (mod, g, key)
+                    if c.is_numeric():
+                        assert c.den is ONE.den, (mod, g, key)
 
 
 class TestDescriptors:
