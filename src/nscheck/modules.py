@@ -23,7 +23,9 @@ sigma = -1 under "paper-printed".  The printed pair of odd-action signs
 fails the odd-odd module axiom by a global sign; the corrected choice is
 one of the two consistent repairs (they differ by G -> -G and give
 identical classification data).  Lambda and b may be exact rationals or
-the formal parameters; everything stays symbolic in that case.
+the formal parameters.  A numeric handle computes each coefficient in Q
+and wraps it in one Scalar; a symbolic or mixed one runs the same
+formula on Scalars.
 
 Every key move is one degree rule: t^k xi^eps has degree k + eps/2, and an
 element of degree d moves it to the key of degree k + eps/2 + d (a key is
@@ -49,7 +51,10 @@ The handle contract: a :class:`GammaModule` is one frozen record that
 checks its cut when it is built, by the constructor or by
 ``dataclasses.replace``, so an invalid handle cannot exist.  It memoises
 its basis-level action itself: the cache lives and dies with the handle,
-and equal handles do not share one.  Errors are never cached.
+and equal handles do not share one.  Errors are never cached.  It holds
+its parameters once more in ``_params``, each a Fraction when numeric and
+the Scalar otherwise, set on construction, so ``dataclasses.replace``
+recomputes it.
 """
 
 from __future__ import annotations
@@ -193,8 +198,11 @@ class GammaModule:
     algebra_mode: AlgebraMode = AlgebraMode.KHAT
     parity_flipped: bool = False
     _actions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _params: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "_params", tuple(
+            p.numeric_value() if p.is_numeric() else p for p in (self.lam, self.b)))
         for part in (self.sub, self.top):
             _check_out_closed(self, part)
 
@@ -210,7 +218,7 @@ class GammaModule:
         return self.sub.stable_under(mono) and self.top.stable_under(mono)
 
     def is_numeric(self) -> bool:
-        return self.lam.is_numeric() and self.b.is_numeric()
+        return not any(isinstance(p, Scalar) for p in self._params)
 
     def admissible(self, key: BasisKey) -> bool:
         return key in self.top and key not in self.sub
@@ -234,17 +242,20 @@ class GammaModule:
                               f"in mode {self.algebra_mode.value}")
         if gen.kind == "C":
             return ()
-        # the derivation action of g on A plus multiplication by mu_g
+        # the derivation action of g on A plus multiplication by mu_g, in the
+        # type of the parameters: in Q for a numeric handle
         coeff = self.jet_term(gen, key)
         for _, c in gen_act_amon(gen, key):
             coeff = coeff + c
         if gen.parity and not key.eps and self.convention is SignConvention.PAPER_PRINTED:
             coeff = -coeff
-        return self._filter(coeff, key.shifted(gen.degree))
+        return self._filter(Scalar.of(coeff), key.shifted(gen.degree))
 
-    def jet_term(self, gen: Gen, mono: AMonomial) -> Scalar:
-        """The coefficient of mu_g * mono (``algebra.jet_coefficient``)."""
-        return Scalar.of(jet_coefficient(gen, mono, self.lam, self.b))
+    def jet_term(self, gen: Gen, mono: AMonomial) -> Scalar | Fraction | int:
+        """The coefficient of mu_g * mono (``algebra.jet_coefficient``) at
+        ``_params``: an int or Fraction for a numeric handle, else a Scalar
+        or 0."""
+        return jet_coefficient(gen, mono, *self._params)
 
     def amon_action(self, mono: AMonomial, key: BasisKey) -> Action:
         """Multiplication action of an A-monomial, memoised like ``gen_action``."""

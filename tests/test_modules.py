@@ -447,6 +447,31 @@ class TestNumericAgainstFormal:
                         assert c.den is ONE.den, (mod, g, key)
 
 
+SCALAR_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+                     "__rmul__", "__truediv__", "__rtruediv__")
+
+
+def test_numeric_handles_act_without_scalar_arithmetic(monkeypatch):
+    """A numeric handle computes each coefficient in Q and wraps it in one
+    Scalar: filling its action table performs no Scalar arithmetic."""
+    handles = [gamma(F(1, 3), F(1, 4)), gamma(0, F(1, 2)), gamma(LAMBDA, B)]
+    calls = []
+    for name in SCALAR_ARITHMETIC:
+        def counted(*args, _op=getattr(Scalar, name)):
+            calls.append(_op)
+            return _op(*args)
+
+        monkeypatch.setattr(Scalar, name, counted)
+    counts = []
+    for mod in handles:
+        calls.clear()
+        for g, k, eps in product(basis(3), range(-10, 11), (0, 1)):
+            mod.gen_action(g, BasisKey(k, eps))
+        counts.append(len(calls))
+    # the formal handle is the control: it does count
+    assert counts[:2] == [0, 0] and counts[2] > 0
+
+
 class TestDescriptors:
     def test_round_trip(self):
         for text in ("gamma(1/3,1/4)", "gamma+(0,b)", "gamma-(0,b)",

@@ -24,6 +24,7 @@ from nscheck.analysis import (
     compat_reports,
     jacobi_family_reports,
     minimal_annihilator,
+    module_edges,
     verify_jacobi,
 )
 from nscheck.cli import run
@@ -199,6 +200,18 @@ def test_shared_jet_term_mutant(monkeypatch, fresh_tables, tmp_path, mutated):
     assert (jacobi.status, jacobi.residual_witness) == (
         ("fail", "-3*L(-6)") if mutated else ("pass", None))
     assert len(module_axiom_failures(tmp_path)) == (15 if mutated else 0)
+
+
+def test_jet_term_mutant_reaches_numeric_handles(monkeypatch, fresh_tables):
+    """A numeric handle computes its coefficients in Q from the same jet
+    coefficient, so the mu mutant changes its edge table too."""
+    def edges():
+        return module_edges(gamma(F(1, 3), F(1, 4)), Window(-10, 10, 3), 2)
+
+    control = edges()
+    for namespace in (algebra, modules):
+        monkeypatch.setattr(namespace, "jet_coefficient", mu_shifted)
+    assert edges() != control
 
 
 def sign_blind(rho, x, y, xy, v, odd):
