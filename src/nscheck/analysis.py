@@ -160,18 +160,25 @@ def jacobi_residual(x: Gen, y: Gen, z: Gen, mode: AlgebraMode = AlgebraMode.KHAT
     return rep_residual(bracket, ex, ey, bracket(ex, ey), ez, x.parity and y.parity)
 
 
+JACOBI_FAMILIES = ("LLL", "LLG", "LGG", "GGG", "center")
+
+
 def _triple_family(x: Gen, y: Gen, z: Gen) -> str:
+    """The name in :data:`JACOBI_FAMILIES` of the triple's kinds."""
     kinds = [g.kind for g in (x, y, z)]
     if "C" in kinds:
         return "center"
-    return "".join(sorted(kinds))
+    return "".join(sorted(kinds, reverse=True))
 
 
 def verify_jacobi(index_range: int, family: str | None = None) -> CheckReport:
     """Graded Jacobi residual over all homogeneous basis triples with
-    |index| <= index_range, central contributions included."""
+    |index| <= index_range, central contributions included; only those of
+    one of :data:`JACOBI_FAMILIES` when ``family`` is given."""
     if index_range < 2:
         raise AlgebraError("index_range must be at least 2")
+    if family is not None and family not in JACOBI_FAMILIES:
+        raise AlgebraError(f"unknown Jacobi family {family!r}; expected one of {JACOBI_FAMILIES}")
     witness, culprit = first_witness(
         (((x, y, z), jacobi_residual(x, y, z))
          for x, y, z in product(basis(index_range), repeat=3)
@@ -180,9 +187,6 @@ def verify_jacobi(index_range: int, family: str | None = None) -> CheckReport:
     )
     name = f"jacobi/{family or 'all'}/range={index_range}"
     return _ok(name, JACOBI_ANCHOR, f"range={index_range}{culprit}", witness)
-
-
-JACOBI_FAMILIES = ("LLL", "LLG", "LGG", "GGG", "center")
 
 
 def jacobi_family_reports(index_range: int) -> list[CheckReport]:

@@ -3,13 +3,16 @@
 import gc
 import hashlib
 import weakref
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 import nscheck.analysis as analysis
-from nscheck.algebra import AMonomial, AlgebraMode, G, L, half
+from nscheck.algebra import AMonomial, AlgebraError, AlgebraMode, G, L, basis, half
 from nscheck.analysis import (
+    JACOBI_FAMILIES,
     AnnihilatorBoundError,
     CheckReport,
     annihilator_reports,
@@ -30,6 +33,7 @@ from nscheck.analysis import (
     verify_identity_catalogue,
     verify_jacobi,
     window_keys,
+    _triple_family,
 )
 from nscheck.modules import (
     BasisKey,
@@ -73,6 +77,19 @@ class TestJacobi:
     def test_families(self):
         reports = jacobi_family_reports(2)
         assert [r.status for r in reports] == ["pass"] * 5
+
+    @pytest.mark.parametrize("index_range", [2, 4])
+    def test_families_partition_the_triples(self, index_range):
+        triples = list(product(basis(index_range), repeat=3))
+        sizes = Counter(_triple_family(*t) for t in triples)
+        # every triple lands in exactly one named family, and none is empty
+        assert sum(sizes.values()) == len(basis(index_range)) ** 3
+        assert set(sizes) == set(JACOBI_FAMILIES)
+        assert all(sizes[fam] for fam in JACOBI_FAMILIES)
+
+    def test_unknown_family(self):
+        with pytest.raises(AlgebraError):
+            verify_jacobi(2, "XYZ")
 
     def test_range_bound(self):
         with pytest.raises(ValueError):

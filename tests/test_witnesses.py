@@ -55,7 +55,11 @@ def corrupt_l1_l2(monkeypatch):
 
 def test_jacobi_witness(corrupt_l1_l2):
     want = ("range=2 at (L(-2),L(1),L(2))", "5*L(1)")
-    assert failures(jacobi_family_reports(2)) == [("jacobi/LLL/range=2", *want)]
+    assert failures(jacobi_family_reports(2)) == [
+        ("jacobi/LLL/range=2", *want),
+        ("jacobi/LLG/range=2", "range=2 at (L(1),L(2),G(-3/2))", "3*G(3/2)"),
+        ("jacobi/LGG/range=2", "range=2 at (L(1),G(1/2),G(3/2))", "-2*L(3)"),
+    ]
     assert failures([verify_jacobi(2)]) == [("jacobi/all/range=2", *want)]
 
 
@@ -220,6 +224,7 @@ def sign_blind(rho, x, y, xy, v, odd):
 
 
 SIGN_BLIND_FAILURES = [
+    "jacobi/LGG/range=2",
     "jacobi/GGG/range=2",
     "compat/(G,t*xi,G)",
     "action-rep/(G,G)",
