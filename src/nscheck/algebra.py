@@ -37,9 +37,15 @@ two central cells.  phi keeps degrees, and every target is the monomial of
 the summed degree (:meth:`AMonomial.shifted`).
 
 Four suites check one law, :func:`rep_residual`: rho(x) rho(y) -
-(-1)^{|x||y|} rho(y) rho(x) = rho([x, y]), for rho = ad (Jacobi), A # k on
-the algebra (compatibility, [v, a] = v o a), the algebra on A (derivation
-action) and the algebra on a module (the module axiom, ``modules``).
+(-1)^{|x||y|} rho(y) rho(x) = rho([x, y]), stated once on basis keys over
+a cached basis-level table rho: ad (Jacobi, :func:`bracket_basis`), A # k
+on the algebra (compatibility, [v, a] = v o a: ``bracket_basis`` for a
+generator, :func:`amon_act_gen` for an A-monomial), the algebra on A
+(derivation action, :func:`gen_act_amon`) and the algebra on a module (the
+module axiom, ``modules``: the per-handle ``GammaModule.gen_action``).  A
+residual is a plain {key: coefficient} table, so a passing check does no
+Scalar arithmetic; each suite wraps a nonzero one into its element type
+(:meth:`Combination.from_table`) only to render it.
 
 Keys: the basis keys are tuple values, so they hash, compare and build in
 C.  :class:`HalfInt` is ``(doubled,)``, :class:`Gen` is ``(kind, index)``
@@ -62,13 +68,13 @@ an immutable finite Scalar-linear combination of basis keys:
 
 :func:`accumulate` is the one merge rule for sparse coefficient tables, and
 :func:`extend` the one linear extension of a basis-level table: the module
-action, the PBW rewriting and the finite-difference sums are each
-``extend`` over plain dicts.  The four bilinear products (:func:`bracket`,
-:func:`k_action_on_A`, :func:`A_action_on_k` and
-``enveloping.smash_product``) keep their double loops: they multiply the
-two coefficients once per pair of keys before the table lookup, and a
-shared bilinear helper behind ``bracket`` and ``k_action_on_A`` cost the
-``structure`` benchmark workload 2-4 % of its wall time.
+action, the PBW rewriting, the finite-difference sums and the
+representation law are each ``extend`` over plain dicts.  The four
+bilinear products (:func:`bracket`, :func:`k_action_on_A`,
+:func:`A_action_on_k` and ``enveloping.smash_product``) are double loops
+over their basis-level tables: they multiply the two coefficients once per
+pair of keys before the table lookup.  The structural suites call the
+tables, not these products.
 """
 
 from __future__ import annotations
@@ -76,6 +82,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from operator import itemgetter
 
 from .scalars import Scalar
@@ -147,6 +154,12 @@ class Combination:
         if cs == "-1":
             return f"-{body}"
         return f"{cs}*{body}"
+
+    @classmethod
+    def from_table(cls, table: dict, mode=None):
+        """The element with the coefficients of a {key: coefficient} table
+        of Fractions or Scalars, each wrapped once by ``Scalar.of``."""
+        return cls({k: Scalar.of(c) for k, c in table.items()}, mode)
 
     def _new(self, terms: dict):
         return type(self)(terms, self.mode)
@@ -580,50 +593,83 @@ def k_action_on_A(x: LieElement, a: AElement) -> AElement:
     return AElement(out, a.mode)
 
 
+@lru_cache(maxsize=None)
+def amon_act_gen(m: AMonomial, g: Gen) -> tuple[tuple[Gen, Fraction], ...]:
+    """Module action m g = phi^-1(m phi(g)) of an A-monomial on a generator,
+    as (generator, coefficient) pairs; () when xi G_r = 0."""
+    if g.kind == "C":
+        raise AlgebraError("A does not act on the central element")
+    mono, scale = _phi(g)
+    prod = m.times(mono)
+    if prod is None:
+        return ()
+    target, target_scale = _phi_inv(prod)
+    return ((target, Fraction(scale, target_scale)),)
+
+
+def _a_act(m: AMonomial, g: Gen, mode: AlgebraMode) -> tuple[tuple[Gen, Fraction], ...]:
+    """:func:`amon_act_gen`, with every target admitted by ``mode``."""
+    out = amon_act_gen(m, g)
+    for target, _ in out:
+        if not mode.admits(target):
+            raise AlgebraError(f"action result {target.render()} violates mode {mode.value}")
+    return out
+
+
 def A_action_on_k(a: AElement, x: LieElement) -> LieElement:
-    """Module action a x = phi^-1(a phi(x)) of A on the algebra; see the
-    module docstring for the table."""
+    """Module action a x = phi^-1(a phi(x)) of A on the algebra, extended
+    bilinearly from :func:`amon_act_gen`."""
     out: dict[Gen, Scalar] = {}
     for g, cg in x.terms.items():
-        if g.kind == "C":
-            raise AlgebraError("A does not act on the central element")
-        mono, scale = _phi(g)
         for m, cm in a.terms.items():
             c = cg * cm
-            prod = m.times(mono)
-            if prod is None:
-                continue  # xi G_m = 0
-            target, target_scale = _phi_inv(prod)
-            if not x.mode.admits(target):
-                raise AlgebraError(f"action result {target.render()} violates mode {x.mode.value}")
-            if scale != target_scale:
-                c = c * Fraction(scale, target_scale)
-            accumulate(out, target, c)
+            for target, k in _a_act(m, g, x.mode):
+                accumulate(out, target, c * k)
     return LieElement(out, x.mode)
 
 
-def rep_residual(rho, x, y, xy, v, odd):
-    """rho(x) rho(y) v - (-1)^{|x||y|} rho(y) rho(x) v - rho(xy) v, where
-    ``rho(e, w)`` is the action of e on w, ``xy`` is [x, y] and ``odd`` is
-    true when x and y are both odd; zero when rho respects [x, y]."""
-    first = rho(x, rho(y, v))
-    swap = rho(y, rho(x, v))
-    return (first + swap if odd else first - swap) - rho(xy, v)
+def rep_residual(rho, x, y, xy, v, odd) -> dict:
+    """The representation law on basis keys:
+
+        rho(x) rho(y) v - (-1)^{|x||y|} rho(y) rho(x) v - rho([x, y]) v
+
+    as a {key: coefficient} table, empty exactly when rho respects [x, y]
+    at v.  x, y and v are basis keys, ``rho(e, w)`` is a basis-level table
+    giving (target, coefficient) pairs, ``xy`` is [x, y] as (key,
+    coefficient) pairs and ``odd`` is true when x and y are both odd."""
+    terms = [((x, w), c) for w, c in rho(y, v)]
+    terms += [((y, w), c if odd else -c) for w, c in rho(x, v)]
+    terms += [((e, v), -c) for e, c in xy]
+    return extend(terms, lambda ew: rho(*ew))
+
+
+def compatibility_basis(v: Gen, m: AMonomial, x: Gen, mode: AlgebraMode) -> dict:
+    """The law of A # k acting on the algebra on basis keys, v(m x) -
+    (-1)^{|v||m|} m(v x) - (v o m) x, as a {generator: coefficient} table
+    (:func:`rep_residual`): a generator acts by the bracket, an A-monomial
+    by the module action admitted by ``mode``."""
+    if v.kind == "C":
+        raise AlgebraError("the central element does not act on A")
+    wc = mode.has_center
+
+    def rho(e, w):
+        return bracket_basis(e, w, wc) if isinstance(e, Gen) else _a_act(e, w, mode)
+
+    return rep_residual(rho, v, m, gen_act_amon(v, m), x, v.parity and m.eps)
 
 
 def compatibility_residual(v: LieElement, a: AElement, x: LieElement):
     """Residual of v(ax) - (-1)^{|v||a|} a(vx) - (v o a) x, the law of A # k
-    acting on the algebra; expected zero for all homogeneous inputs.
+    acting on the algebra, extended trilinearly from
+    :func:`compatibility_basis`; expected zero for all homogeneous inputs.
     Returned embedded in the smash algebra.
     """
-    pv, pa = v.parity(), a.parity()
-    if pv is None or pa is None or x.parity() is None:
+    if v.parity() is None or a.parity() is None or x.parity() is None:
         raise AlgebraError("compatibility residual needs homogeneous inputs")
-
-    def rho(e, w):
-        return bracket(e, w) if isinstance(e, LieElement) else A_action_on_k(e, w)
-
-    residual = rep_residual(rho, v, a, k_action_on_A(v, a), x, pv and pa)
+    v._check_mode(x)
+    terms = (((gv, m, gx), cv * cm * cx) for (gv, cv), (m, cm), (gx, cx)
+             in product(v.terms.items(), a.terms.items(), x.terms.items()))
+    residual = extend(terms, lambda vmx: compatibility_basis(*vmx, x.mode).items())
     from .enveloping import SmashElement  # local import: no cycle at module load
 
-    return SmashElement.from_lie(residual)
+    return SmashElement.from_lie(LieElement.from_table(residual, x.mode))

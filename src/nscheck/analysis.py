@@ -24,6 +24,7 @@ from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
 
+from . import algebra
 from .algebra import (
     AElement,
     AMonomial,
@@ -35,9 +36,7 @@ from .algebra import (
     L,
     LieElement,
     basis,
-    bracket,
-    compatibility_residual,
-    k_action_on_A,
+    compatibility_basis,
     rep_residual,
 )
 from .enveloping import (
@@ -155,9 +154,14 @@ ACTION_ANCHOR = "x o (y o a) - (-1)^{|x||y|} y o (x o a) = [x,y] o a"
 
 
 def jacobi_residual(x: Gen, y: Gen, z: Gen, mode: AlgebraMode = AlgebraMode.KHAT) -> LieElement:
-    """The Jacobi identity as the representation law of ad."""
-    ex, ey, ez = (LieElement.basis(g, mode) for g in (x, y, z))
-    return rep_residual(bracket, ex, ey, bracket(ex, ey), ez, x.parity and y.parity)
+    """The Jacobi identity as the representation law of ad, on basis keys."""
+    LieElement._admit((x, y, z), mode)
+    table, wc = algebra.bracket_basis, mode.has_center
+
+    def ad(e, w):
+        return table(e, w, wc)
+
+    return LieElement.from_table(rep_residual(ad, x, y, ad(x, y), z, x.parity and y.parity), mode)
 
 
 JACOBI_FAMILIES = ("LLL", "LLG", "LGG", "GGG", "center")
@@ -171,26 +175,37 @@ def _triple_family(x: Gen, y: Gen, z: Gen) -> str:
     return "".join(sorted(kinds, reverse=True))
 
 
+def _jacobi_triples(index_range: int):
+    """All basis triples with |index| <= index_range, in sweep order."""
+    if index_range < 2:
+        raise AlgebraError("index_range must be at least 2")
+    return product(basis(index_range), repeat=3)
+
+
+def _jacobi_report(index_range: int, family: str, triples) -> CheckReport:
+    witness, culprit = first_witness(((t, jacobi_residual(*t)) for t in triples), _at)
+    return _ok(f"jacobi/{family}/range={index_range}", JACOBI_ANCHOR,
+               f"range={index_range}{culprit}", witness)
+
+
 def verify_jacobi(index_range: int, family: str | None = None) -> CheckReport:
     """Graded Jacobi residual over all homogeneous basis triples with
     |index| <= index_range, central contributions included; only those of
     one of :data:`JACOBI_FAMILIES` when ``family`` is given."""
-    if index_range < 2:
-        raise AlgebraError("index_range must be at least 2")
-    if family is not None and family not in JACOBI_FAMILIES:
+    triples = _jacobi_triples(index_range)
+    if family is None:
+        return _jacobi_report(index_range, "all", triples)
+    if family not in JACOBI_FAMILIES:
         raise AlgebraError(f"unknown Jacobi family {family!r}; expected one of {JACOBI_FAMILIES}")
-    witness, culprit = first_witness(
-        (((x, y, z), jacobi_residual(x, y, z))
-         for x, y, z in product(basis(index_range), repeat=3)
-         if family is None or _triple_family(x, y, z) == family),
-        _at,
-    )
-    name = f"jacobi/{family or 'all'}/range={index_range}"
-    return _ok(name, JACOBI_ANCHOR, f"range={index_range}{culprit}", witness)
+    return _jacobi_report(index_range, family, (t for t in triples if _triple_family(*t) == family))
 
 
 def jacobi_family_reports(index_range: int) -> list[CheckReport]:
-    return [verify_jacobi(index_range, fam) for fam in JACOBI_FAMILIES]
+    """One report per family of :data:`JACOBI_FAMILIES`, filed in one sweep."""
+    families: dict[str, list] = {fam: [] for fam in JACOBI_FAMILIES}
+    for t in _jacobi_triples(index_range):
+        families[_triple_family(*t)].append(t)
+    return [_jacobi_report(index_range, fam, triples) for fam, triples in families.items()]
 
 
 def compat_reports(index_range: int) -> list[CheckReport]:
@@ -202,11 +217,11 @@ def compat_reports(index_range: int) -> list[CheckReport]:
     vgens = [(kind, [g for g in gens if g.kind == kind]) for kind in ("L", "G")]
     for vkind, vs in vgens:
         for aeps, aname in ((0, "t"), (1, "t*xi")):
-            amons = [AElement.monomial(i, aeps) for i in range(-index_range, index_range + 1)]
+            amons = [AMonomial(i, aeps) for i in range(-index_range, index_range + 1)]
             for xkind, xs in vgens:
                 witness, culprit = first_witness(
-                    (((v, a, x), compatibility_residual(
-                        LieElement.basis(v, mode), a, LieElement.basis(x, mode)))
+                    (((v, a, x), SmashElement.from_lie(
+                        LieElement.from_table(compatibility_basis(v, a, x, mode), mode)))
                      for v in vs for a in amons for x in xs),
                     _at,
                 )
@@ -219,17 +234,15 @@ def action_rep_reports(index_range: int) -> list[CheckReport]:
     """The derivation action is a representation on the coefficient algebra."""
     mode = AlgebraMode.K
     gens = basis(index_range, mode)
-    amons = [AElement.monomial(i, eps) for i in range(-index_range, index_range + 1)
-             for eps in (0, 1)]
+    amons = [AMonomial(i, eps) for i in range(-index_range, index_range + 1) for eps in (0, 1)]
+    rho, ad = algebra.gen_act_amon, algebra.bracket_basis
 
     def cases(xkind: str, ykind: str):
         for x in (g for g in gens if g.kind == xkind):
             for y in (g for g in gens if g.kind == ykind):
-                ex, ey = LieElement.basis(x, mode), LieElement.basis(y, mode)
-                exy = bracket(ex, ey)
+                xy, odd = ad(x, y, mode.has_center), x.parity and y.parity
                 for a in amons:
-                    yield (x, y, a), rep_residual(k_action_on_A, ex, ey, exy, a,
-                                                  x.parity and y.parity)
+                    yield (x, y, a), AElement.from_table(rep_residual(rho, x, y, xy, a, odd))
 
     out = []
     for xkind, ykind in (("L", "L"), ("L", "G"), ("G", "L"), ("G", "G")):

@@ -30,8 +30,9 @@ formula on Scalars.
 Every key move is one degree rule: t^k xi^eps has degree k + eps/2, and an
 element of degree d moves it to the key of degree k + eps/2 + d (a key is
 an A-monomial: ``AMonomial.shifted``), of weight lambda + b plus that
-degree.  The module axiom (:func:`module_axiom_residual`) is the one
-representation law ``algebra.rep_residual`` that the structural suites check.
+degree.  The module axiom (:func:`module_axiom_residual`) is the
+representation law ``algebra.rep_residual`` that the structural suites
+check, stated on basis keys over the memoised ``GammaModule.gen_action``.
 
 Sub-quotients: a module is gamma(lambda, b) with a cut, two out-closed
 key sets S and T (:class:`KeySet`: no or all keys, finite, cofinite, or a
@@ -62,8 +63,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 
+from . import algebra
 from .algebra import (
     A_ONE,
     AElement,
@@ -74,7 +76,6 @@ from .algebra import (
     HalfInt,
     LieElement,
     basis,
-    bracket_basis,
     extend,
     gen_act_amon,
     jet_coefficient,
@@ -404,24 +405,17 @@ def _image(term: tuple[AMonomial, tuple[Gen, ...]], vec: dict, mod: GammaModule)
 
 def module_axiom_residual(x: Gen, y: Gen, key: BasisKey, mod: GammaModule) -> ModuleVector:
     """Residual of the module axiom on a basis vector, the representation
-    law (``algebra.rep_residual``) of the algebra acting on ``mod``:
+    law (``algebra.rep_residual``) over the handle's basis-level action
+    ``mod.gen_action``:
 
         (x (y v) - (-1)^{|x||y|} y (x v)) - [x, y] v
 
-    Zero for every pair exactly when the action is a representation.
+    Zero for every pair exactly when the action is a representation.  The
+    central charge is zero on these modules, so [x, y] is read without C.
     """
-    mode = mod.algebra_mode
-    xy = _acting_part(bracket_basis(x, y, mode.has_center), mode)
-    return rep_residual(lambda e, w: act(e, w, mod), x, y, xy, ModuleVector.basis(key),
-                        x.parity and y.parity)
-
-
-@lru_cache(maxsize=None)
-def _acting_part(terms: tuple, mode: AlgebraMode) -> LieElement:
-    """The element with structure constants ``terms``, without C: the central
-    charge is zero on these modules.  Memoised on the constants themselves,
-    so that a changed structure table never meets a stale entry."""
-    return LieElement({g: Scalar.of(c) for g, c in terms if g.kind != "C"}, mode)
+    xy = algebra.bracket_basis(x, y, False)
+    return ModuleVector.from_table(rep_residual(mod.gen_action, x, y, xy, key,
+                                                x.parity and y.parity))
 
 
 def parse_module_descriptor(

@@ -22,6 +22,7 @@ from nscheck.algebra import (
     basis,
     half,
 )
+from nscheck.analysis import action_rep_reports, compat_reports, jacobi_family_reports
 from nscheck.enveloping import SmashElement, g_prime, l_prime, omega
 from nscheck.modules import (
     EVERYTHING,
@@ -451,10 +452,9 @@ SCALAR_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "_
                      "__rmul__", "__truediv__", "__rtruediv__")
 
 
-def test_numeric_handles_act_without_scalar_arithmetic(monkeypatch):
-    """A numeric handle computes each coefficient in Q and wraps it in one
-    Scalar: filling its action table performs no Scalar arithmetic."""
-    handles = [gamma(F(1, 3), F(1, 4)), gamma(0, F(1, 2)), gamma(LAMBDA, B)]
+@pytest.fixture
+def scalar_ops(monkeypatch) -> list:
+    """The list of Scalar arithmetic operations performed while it is live."""
     calls = []
     for name in SCALAR_ARITHMETIC:
         def counted(*args, _op=getattr(Scalar, name)):
@@ -462,14 +462,34 @@ def test_numeric_handles_act_without_scalar_arithmetic(monkeypatch):
             return _op(*args)
 
         monkeypatch.setattr(Scalar, name, counted)
+    return calls
+
+
+def test_numeric_handles_act_without_scalar_arithmetic(scalar_ops):
+    """A numeric handle computes each coefficient in Q and wraps it in one
+    Scalar: filling its action table performs no Scalar arithmetic."""
+    handles = [gamma(F(1, 3), F(1, 4)), gamma(0, F(1, 2)), gamma(LAMBDA, B)]
     counts = []
     for mod in handles:
-        calls.clear()
+        scalar_ops.clear()
         for g, k, eps in product(basis(3), range(-10, 11), (0, 1)):
             mod.gen_action(g, BasisKey(k, eps))
-        counts.append(len(calls))
+        counts.append(len(scalar_ops))
     # the formal handle is the control: it does count
     assert counts[:2] == [0, 0] and counts[2] > 0
+
+
+def test_passing_structure_suites_do_no_scalar_arithmetic(scalar_ops):
+    """The structural suites run the representation law on the Fraction
+    structure tables and wrap only a nonzero residual into Scalars, so a
+    passing suite performs no Scalar arithmetic."""
+    reports = jacobi_family_reports(2) + compat_reports(2) + action_rep_reports(2)
+    assert {r.status for r in reports} == {"pass"}
+    assert len(scalar_ops) == 0
+    # the formal module axiom is the control: its table holds Scalars
+    assert module_axiom_residual(G(half(1)), G(half(-1)), BasisKey(0, 0),
+                                 gamma(LAMBDA, B)).is_zero()
+    assert len(scalar_ops) > 0
 
 
 class TestDescriptors:
