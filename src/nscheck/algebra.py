@@ -44,8 +44,8 @@ generator, :func:`amon_act_gen` for an A-monomial), the algebra on A
 (derivation action, :func:`gen_act_amon`) and the algebra on a module (the
 module axiom, ``modules``: the per-handle ``GammaModule.gen_action``).  A
 residual is a plain {key: coefficient} table, so a passing check does no
-Scalar arithmetic; each suite wraps a nonzero one into its element type
-(:meth:`Combination.from_table`) only to render it.
+Scalar arithmetic; each suite wraps it into its element type with one
+``Scalar.of`` per surviving coefficient (:meth:`Combination.from_table`).
 
 Keys: the basis keys are tuple values, so they hash, compare and build in
 C.  :class:`HalfInt` is ``(doubled,)``, :class:`Gen` is ``(kind, index)``
