@@ -67,5 +67,8 @@ for n in range(7):
 
 print()
 print("Flipping the forced extension L'(-1) = -L(-1) breaks the n = 0 case:")
-_, res_g = verify_reconstruction(0, mutate_extension=True)
+# the G identity at n = 0, G'(-1/2) - 2 xi L'(-1) = G(-1/2), with L'(-1) = +L(-1)
+KP = AlgebraMode.KPLUS
+xi_l = smash_product(SmashElement.amon(0, 1, KP), SmashElement.gen(L(-1), KP))
+res_g = g_prime(0, KP) - xi_l.scale(2) - SmashElement.gen(G(half(-1)), KP)
 show("G-residual with +L(-1):", res_g.render())

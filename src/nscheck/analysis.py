@@ -127,6 +127,12 @@ def _ok(name, anchor, params, residual_render: str | None) -> CheckReport:
     return CheckReport(name, anchor, "fail", params, residual_render)
 
 
+def _residual_report(name, anchor, params, *residuals) -> CheckReport:
+    """Pass when every residual is zero; else fail on the first nonzero one."""
+    witness = next((r.render() for r in residuals if not r.is_zero()), None)
+    return _ok(name, anchor, params, witness)
+
+
 def first_witness(cases, where) -> tuple[str | None, str]:
     """The rendered first nonzero residual of ``cases`` and its location.
 
@@ -188,16 +194,11 @@ def _jacobi_report(index_range: int, family: str, triples) -> CheckReport:
                f"range={index_range}{culprit}", witness)
 
 
-def verify_jacobi(index_range: int, family: str | None = None) -> CheckReport:
+def verify_jacobi(index_range: int) -> CheckReport:
     """Graded Jacobi residual over all homogeneous basis triples with
-    |index| <= index_range, central contributions included; only those of
-    one of :data:`JACOBI_FAMILIES` when ``family`` is given."""
-    triples = _jacobi_triples(index_range)
-    if family is None:
-        return _jacobi_report(index_range, "all", triples)
-    if family not in JACOBI_FAMILIES:
-        raise AlgebraError(f"unknown Jacobi family {family!r}; expected one of {JACOBI_FAMILIES}")
-    return _jacobi_report(index_range, family, (t for t in triples if _triple_family(*t) == family))
+    |index| <= index_range, central contributions included;
+    :func:`jacobi_family_reports` files the same triples per family."""
+    return _jacobi_report(index_range, "all", _jacobi_triples(index_range))
 
 
 def jacobi_family_reports(index_range: int) -> list[CheckReport]:
@@ -265,18 +266,10 @@ PSI_LG_ANCHOR = "[L'_m, G'_{n+1/2}] = (n + 1/2 - m/2) G'_{m+n+1/2}"
 PSI_GG_ANCHOR = "[G'_r, G'_s] = 2 L'_{r+s}"
 
 
-def reconstruction_reports(max_n: int, mutate_extension: bool = False) -> list[CheckReport]:
-    out = []
-    for n in range(max_n + 1):
-        res_l, res_g = verify_reconstruction(n, mutate_extension=mutate_extension)
-        wit = None
-        if not res_l.is_zero():
-            wit = res_l.render()
-        elif not res_g.is_zero():
-            wit = res_g.render()
-        out.append(_ok(f"reconstruction/n={n}", f"{RECON_L_ANCHOR} ; {RECON_G_ANCHOR}",
-                       f"n={n}; extension L'(-1) = {'+' if mutate_extension else '-'}L(-1)", wit))
-    return out
+def reconstruction_reports(max_n: int) -> list[CheckReport]:
+    return [_residual_report(f"reconstruction/n={n}", f"{RECON_L_ANCHOR} ; {RECON_G_ANCHOR}",
+                             f"n={n}; extension L'(-1) = -L(-1)", *verify_reconstruction(n))
+            for n in range(max_n + 1)]
 
 
 def centralizer_reports(max_n: int, max_k: int) -> list[CheckReport]:
@@ -306,44 +299,31 @@ def centralizer_reports(max_n: int, max_k: int) -> list[CheckReport]:
         out.append(_ok(f"centralizer/{label.render()}/A", CENTRALIZER_ANCHOR,
                        f"n={label.n}; |k|<={max_k}{where}", wit))
     for label in g_labels:
-        r = smash_bracket(gm, built[label])
-        out.append(_ok(f"centralizer/{label.render()}/G(-1/2)", CENTRALIZER_ANCHOR,
-                       f"n={label.n}", None if r.is_zero() else r.render()))
+        out.append(_residual_report(f"centralizer/{label.render()}/G(-1/2)", CENTRALIZER_ANCHOR,
+                                    f"n={label.n}", smash_bracket(gm, built[label])))
     return out
 
 
-def psi_table_reports(max_index: int, mutate_lg_entry: bool = False) -> list[CheckReport]:
+def psi_table_reports(max_index: int) -> list[CheckReport]:
     """The bracket table of the primed family, verified by normal-form
-    computation.  ``mutate_lg_entry`` corrupts the (m, n) = (0, 1)
-    coefficient 3/2 -> 1 to demonstrate failure detection."""
+    computation: each row (name, anchor, params, x, y, z, c) checks that
+    [x, y] - c z vanishes."""
     mode = AlgebraMode.K
     # each primed element once: L'(0..2 max) and G'(1/2..(4 max - 1)/2)
     lp = {n: l_prime(n, mode) for n in range(2 * max_index + 1)}
     gp = {n: g_prime(n, mode) for n in range(1, 2 * max_index + 1)}
-    out = []
-    for m in range(0, max_index + 1):
-        for n in range(0, max_index + 1):
-            r = smash_bracket(lp[m], lp[n])
-            r = r - lp[m + n].scale(Fraction(n - m))
-            out.append(_ok(f"psi-table/LL/m={m}/n={n}", PSI_LL_ANCHOR, f"m={m}, n={n}",
-                           None if r.is_zero() else r.render()))
-    for m in range(0, max_index + 1):
-        for n in range(0, max_index):
-            coeff = Fraction(2 * n + 1 - m, 2)
-            if mutate_lg_entry and (m, n) == (0, 1):
-                coeff = Fraction(1)
-            r = smash_bracket(lp[m], gp[n + 1])
-            r = r - gp[m + n + 1].scale(coeff)
-            out.append(_ok(f"psi-table/LG/m={m}/n={n}", PSI_LG_ANCHOR, f"m={m}, n={n}",
-                           None if r.is_zero() else r.render()))
-    for n1 in range(0, max_index):
-        for n2 in range(0, max_index):
-            r = smash_bracket(gp[n1 + 1], gp[n2 + 1])
-            r = r - lp[n1 + n2 + 1].scale(Fraction(2))
-            out.append(_ok(f"psi-table/GG/r={2*n1+1}/2/s={2*n2+1}/2", PSI_GG_ANCHOR,
-                           f"r={n1}+1/2, s={n2}+1/2",
-                           None if r.is_zero() else r.render()))
-    return out
+    span = range(max_index + 1)
+    rows = [(f"psi-table/LL/m={m}/n={n}", PSI_LL_ANCHOR, f"m={m}, n={n}",
+             lp[m], lp[n], lp[m + n], Fraction(n - m))
+            for m in span for n in span]
+    rows += [(f"psi-table/LG/m={m}/n={n}", PSI_LG_ANCHOR, f"m={m}, n={n}",
+              lp[m], gp[n + 1], gp[m + n + 1], Fraction(2 * n + 1 - m, 2))
+             for m in span for n in range(max_index)]
+    rows += [(f"psi-table/GG/r={2*n1+1}/2/s={2*n2+1}/2", PSI_GG_ANCHOR, f"r={n1}+1/2, s={n2}+1/2",
+              gp[n1 + 1], gp[n2 + 1], lp[n1 + n2 + 1], Fraction(2))
+             for n1 in range(max_index) for n2 in range(max_index)]
+    return [_residual_report(name, anchor, params, smash_bracket(x, y) - z.scale(c))
+            for name, anchor, params, x, y, z, c in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -712,8 +692,8 @@ def find_intertwiner(
     if m1.algebra_mode is not m2.algebra_mode:
         raise ModuleError("intertwiner search needs a common algebra mode")
     gens = edge_generators(m1.algebra_mode, gen_range)
-    off = (m1.lam.numeric_value() + m1.b.numeric_value()
-           - m2.lam.numeric_value() - m2.b.numeric_value())
+    origin = BasisKey(0, 0)
+    off = (m1.weight(origin) - m2.weight(origin)).numeric_value()
     if (2 * off).denominator != 1:
         return None
     if not _window_decides(window, gen_range, off):
@@ -766,9 +746,9 @@ def find_intertwiner(
         if edge is None:
             return None
         key, t1, c1, c2 = edge
-        ratio = c2 / c1
-        adj[key].append((t1, ratio))
-        adj[t1].append((key, Scalar.of(1) / ratio))
+        adj[key].append((t1, c2 / c1))
+        adj[t1].append((key, c1 / c2))
+    # a spanning forest, the least key of each component scaled by 1
     for start in sorted(tracked_set):
         if start in scale:
             continue
@@ -777,14 +757,11 @@ def find_intertwiner(
         while stack:
             cur = stack.pop()
             for nxt, ratio in adj[cur]:
-                val = scale[cur] * ratio
-                if nxt in scale:
-                    if scale[nxt] != val:
-                        return None
-                else:
-                    scale[nxt] = val
+                if nxt not in scale:
+                    scale[nxt] = scale[cur] * ratio
                     stack.append(nxt)
-    # re-verify on a fresh, wider batch of (generator, key) pairs
+    # check every equation on a wider batch of (generator, key) pairs, which
+    # holds each edge above
     for edge in edges(edge_generators(m1.algebra_mode, gen_range + 1)):
         if edge is None:
             return None
@@ -810,7 +787,6 @@ def find_intertwiner(
 def verify_identity_catalogue(
     max_n: int,
     algebra_level: bool = False,
-    mutate_lg_entry: bool = False,
     window: Window | None = None,
     max_m: int = 6,
     sweep: int = 2,
@@ -827,7 +803,7 @@ def verify_identity_catalogue(
     reports += action_rep_reports(small)
     reports += reconstruction_reports(max_n)
     reports += centralizer_reports(max_n, max_n)
-    reports += psi_table_reports(min(max_n, 5), mutate_lg_entry=mutate_lg_entry)
+    reports += psi_table_reports(min(max_n, 5))
     reports += annihilator_reports(gamma(LAMBDA, B), window, max_m, sweep, algebra_level)[1]
     return sort_reports(reports)
 

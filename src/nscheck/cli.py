@@ -15,7 +15,8 @@ The parser is built from two tables: ``_OPTIONS`` declares every flag once
 (its flags, window default, per-row keyword overrides and the options echoed
 in the JSON ``meta``).  The runner of ``name`` is the module-level function
 ``cmd_<name>``, looked up when the parser is built; it returns its reports
-and ``run`` emits them.
+and ``run`` emits them, with one always-failing check appended when the
+hidden ``--inject-failure`` flag is given.
 
 Exit codes: 0 when every executed check passes (info entries never fail a
 run), 1 on any check failure, 2 on a usage, parse or parameter error (a
@@ -138,10 +139,6 @@ def cmd_verify(args) -> list[CheckReport]:
         reports += compat_reports(args.range)
     if args.suite in ("action", "all"):
         reports += action_rep_reports(args.range)
-    if args.inject_failure:
-        reports.append(CheckReport("injected/forced-failure",
-                                   "testing hook: an always-failing check", "fail",
-                                   "requested by --inject-failure", "1"))
     return reports
 
 
@@ -149,7 +146,6 @@ def cmd_identities(args) -> list[CheckReport]:
     return verify_identity_catalogue(
         args.max_n,
         algebra_level=args.algebra_level,
-        mutate_lg_entry=args.inject_failure,
         window=_parse_window(args.window, 0),
         max_m=args.max_m,
         sweep=args.sweep,
@@ -331,7 +327,12 @@ def run(argv: list[str] | None = None) -> int:
         row = _COMMANDS[args.command]
         meta = {"tool": "nscheck", "version": __version__, "command": args.command,
                 "options": {f: getattr(args, f) for f in sorted(row.echoed.split())}}
-        return _emit(args.func(args), meta, args.format, args.out)
+        reports = args.func(args)
+        if getattr(args, "inject_failure", False):
+            reports.append(CheckReport("injected/forced-failure",
+                                       "testing hook: an always-failing check", "fail",
+                                       "requested by --inject-failure", "1"))
+        return _emit(reports, meta, args.format, args.out)
     except (UsageError, ModuleError, AlgebraError, ScalarError) as exc:
         sys.stderr.write(f"nscheck: error: {exc}\n")
         sys.stderr.write("run `nscheck <command> --help` for usage\n")

@@ -294,7 +294,7 @@ class TElementLabel:
         return f"G'({2 * self.n - 1}/2)"
 
 
-def verify_reconstruction(n: int, mutate_extension: bool = False, mode: AlgebraMode = AlgebraMode.KPLUS):
+def verify_reconstruction(n: int, mode: AlgebraMode = AlgebraMode.KPLUS):
     """Residuals of the two identities rebuilding L_n and G_{n-1/2} from
     the primed family:
 
@@ -303,16 +303,14 @@ def verify_reconstruction(n: int, mutate_extension: bool = False, mode: AlgebraM
         sum_{k=0}^n (-1)^k binom(n, k) t^{n-k} (G'_{k-1/2} - 2 xi L'_{k-1})
                                                               = G_{n-1/2}
 
-    Both residuals are zero; ``mutate_extension`` flips the sign of the
-    L'(-1) extension to demonstrate that the extension is forced.
+    Both residuals are zero.  The G identity at n = 0 reads L'(-1), so it
+    forces the extension L'(-1) = -L(-1).
     """
     if n < 0:
         raise AlgebraError("reconstruction defined for n >= 0")
 
     # each primed element once: L'(-1..n) and G'(-1/2..n-1/2)
     lp = {k: l_prime(k, mode) for k in range(-1, n + 1)}
-    if mutate_extension:
-        lp[-1] = -lp[-1]
     gp = {k: g_prime(k, mode) for k in range(n + 1)}
 
     xi_mono = SmashElement.amon(0, 1, mode)

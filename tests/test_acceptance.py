@@ -57,10 +57,11 @@ def test_criterion_1_jacobi_with_cocycle():
            result.status == "pass" and elapsed < 10.0)
 
 
-def test_criterion_2_reconstruction_identities():
+def test_criterion_2_reconstruction_identities(flipped_extension):
     clean = reconstruction_reports(8)
     ok = all(r.status == "pass" for r in clean)
-    _, res_g = verify_reconstruction(0, mutate_extension=True)
+    flipped_extension()
+    _, res_g = verify_reconstruction(0)
     ok = ok and not res_g.is_zero()
     report(2, "reconstruction identities n=0..8; mutated extension fails at n=0", ok)
 

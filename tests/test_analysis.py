@@ -10,7 +10,7 @@ from itertools import product
 import pytest
 
 import nscheck.analysis as analysis
-from nscheck.algebra import AMonomial, AlgebraError, AlgebraMode, G, L, basis, half
+from nscheck.algebra import AMonomial, AlgebraMode, G, L, basis, half
 from nscheck.analysis import (
     JACOBI_FAMILIES,
     AnnihilatorBoundError,
@@ -35,6 +35,7 @@ from nscheck.analysis import (
     window_keys,
     _triple_family,
 )
+from nscheck.enveloping import g_prime, l_prime
 from nscheck.modules import (
     BasisKey,
     ModuleError,
@@ -86,10 +87,6 @@ class TestJacobi:
         assert sum(sizes.values()) == len(basis(index_range)) ** 3
         assert set(sizes) == set(JACOBI_FAMILIES)
         assert all(sizes[fam] for fam in JACOBI_FAMILIES)
-
-    def test_unknown_family(self):
-        with pytest.raises(AlgebraError):
-            verify_jacobi(2, "XYZ")
 
     def test_range_bound(self):
         with pytest.raises(ValueError):
@@ -392,19 +389,28 @@ class TestCatalogue:
         assert failed.name == "annihilator/gamma(l,b)"
         assert not [r for r in reports if r.name.startswith("chain/")]
 
-    def test_mutated_entry_fails_with_witness(self):
-        reports = verify_identity_catalogue(2, window=Window(-5, 5, 0), mutate_lg_entry=True)
-        fails = [r for r in reports if r.status == "fail"]
-        assert len(fails) == 1
-        assert fails[0].name == "psi-table/LG/m=0/n=1"
-        assert fails[0].residual_witness
+    def test_mutated_entry_fails_with_witness(self, monkeypatch):
+        # [L'(0), G'(3/2)] reads 2*G'(3/2) instead of 3/2*G'(3/2)
+        lp0, gp2 = l_prime(0, AlgebraMode.K), g_prime(2, AlgebraMode.K)
+        original = analysis.smash_bracket
+
+        def mutated(x, y):
+            return gp2.scale(F(2)) if (x, y) == (lp0, gp2) else original(x, y)
+
+        monkeypatch.setattr(analysis, "smash_bracket", mutated)
+        reports = verify_identity_catalogue(2, window=Window(-5, 5, 0))
+        fails = [(r.name, r.params, r.residual_witness) for r in reports if r.status == "fail"]
+        assert fails == [("psi-table/LG/m=0/n=1", "m=0, n=1",
+                          "1/2*1 (x) G(3/2) - xi (x) L(1) - t (x) G(1/2) + 2*t*xi (x) L(0)"
+                          " + 1/2*t^2 (x) G(-1/2) - t^2*xi (x) L(-1)")]
 
 
 class TestViaSuites:
-    def test_reconstruction_suite(self):
+    def test_reconstruction_suite(self, flipped_extension):
         reports = reconstruction_reports(4)
         assert all(r.status == "pass" for r in reports)
-        mutated = reconstruction_reports(0, mutate_extension=True)
+        flipped_extension()
+        mutated = reconstruction_reports(0)
         assert mutated[0].status == "fail"
 
     def test_centralizer_suite(self):

@@ -50,6 +50,21 @@ class TestExitCodes:
         assert len(failing) == 1
         assert failing[0]["witness"] == "1"
 
+    @pytest.mark.parametrize("argv", [
+        ("identities", "--max-n", "2", "--window=-4..4"),
+        ("verify", "--suite", "jacobi", "--range", "2"),
+    ], ids=lambda argv: argv[0])
+    def test_inject_failure_appends_one_check(self, tmp_path, argv):
+        # one meaning on every command that takes the flag: the same run, plus
+        # one always-failing check
+        code, doc, _ = invoke(tmp_path, *argv, "--inject-failure", out_name="fail.json")
+        _, plain, _ = invoke(tmp_path, *argv, out_name="plain.json")
+        assert code == 1
+        failing = [c for c in doc["checks"] if c["status"] == "fail"]
+        assert [(c["name"], c["witness"]) for c in failing] == [("injected/forced-failure", "1")]
+        assert doc["meta"] == plain["meta"]
+        assert [c for c in doc["checks"] if c not in failing] == plain["checks"]
+
     def test_usage_error_exits_two(self):
         assert run(["module-simplicity", "--module", "gamma(0,1/2"]) == 2
         assert run(["unknown-command"]) == 2

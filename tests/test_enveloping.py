@@ -143,8 +143,9 @@ class TestReconstruction:
             assert res_l.is_zero(), n
             assert res_g.is_zero(), n
 
-    def test_mutated_extension_fails_at_zero(self):
-        res_l, res_g = verify_reconstruction(0, mutate_extension=True)
+    def test_mutated_extension_fails_at_zero(self, flipped_extension):
+        flipped_extension()
+        res_l, res_g = verify_reconstruction(0)
         want = SmashElement.term(AMonomial(0, 1), (L(-1),), APKP, -4)
         assert res_g == want
         # the n = 0 instance of the first identity does not involve L'(-1)

@@ -60,6 +60,25 @@ def test_runtime_has_no_floating_point(path):
     assert float_uses(path) == []
 
 
+def mutant_parameters(path: Path) -> list[str]:
+    """Every function parameter in ``path`` whose name starts with
+    ``mutate``, as "line: function(parameter)"."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]:
+                if arg is not None and arg.arg.startswith("mutate"):
+                    found.append(f"{node.lineno}: {getattr(node, 'name', 'lambda')}({arg.arg})")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_runtime_has_no_mutant_parameters(path):
+    # the tests apply their mutants in-process; the library takes no switch for them
+    assert mutant_parameters(path) == []
+
+
 def literal_table(path: Path, name: str):
     """The literal assigned to ``name`` at the top level of ``path``, read
     from the source so that nothing under perfbench/ is imported or written."""
