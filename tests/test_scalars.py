@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: canonical forms, field axioms, substitution."""
 
+import hashlib
 import operator
 import random
 from fractions import Fraction
@@ -141,20 +142,20 @@ def scalars(draw):
 
 @given(polys(), polys().filter(lambda p: not p.is_zero()),
        polys().filter(lambda p: not p.is_zero()))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_canonical_form_kills_common_factors(p, q, r):
     assert Scalar(p * r, q * r) == Scalar(p, q)
 
 
 @given(scalars(), scalars())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_canonical_equality_iff_cross_multiplication(a, c):
     agree = a.num * c.den == c.num * a.den
     assert (a == c) == agree
 
 
 @given(scalars(), scalars(), scalars())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 def test_ring_axioms(a, c, d):
     assert (a + c) + d == a + (c + d)
     assert (a * c) * d == a * (c * d)
@@ -163,7 +164,7 @@ def test_ring_axioms(a, c, d):
 
 
 @given(scalars(), scalars())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 def test_division_inverts_multiplication(a, c):
     if not c.is_zero():
         assert (a / c) * c == a
@@ -171,7 +172,7 @@ def test_division_inverts_multiplication(a, c):
 
 @given(scalars(), scalars(), st.sampled_from([operator.add, operator.sub, operator.mul]),
        small_fractions, small_fractions)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 def test_substitute_commutes_with_arith(a, c, op, lv, bv):
     try:
         lhs = op(a, c).substitute(lv, bv)
@@ -256,20 +257,23 @@ def test_shortcuts_agree_with_general_path():
             assert hash(got) == hash(rebuilt), where
 
 
+def to_sympy(text):
+    """A rendered polynomial or Scalar as a sympy expression in l and b."""
+    sympy = pytest.importorskip("sympy")
+    l, b = sympy.symbols("l b")
+    return sympy.sympify(text.replace("^", "**"), locals={"l": l, "b": b})
+
+
 def test_canonical_form_matches_sympy_cancel():
     sympy = pytest.importorskip("sympy")
     l, b = sympy.symbols("l b")
-
-    def parse(text):
-        return sympy.sympify(text.replace("^", "**"), locals={"l": l, "b": b})
-
     for x, y in random_pairs("nscheck-sympy-oracle", 100):
         for op in ARITH:
             if op is operator.truediv and not y:
                 continue
             s = op(x, y)
-            num, den = parse(s.num.render()), parse(s.den.render())
-            assert sympy.cancel(parse(s.render()) - num / den) == 0, s
+            num, den = to_sympy(s.num.render()), to_sympy(s.den.render())
+            assert sympy.cancel(to_sympy(s.render()) - num / den) == 0, s
             reduced_num, reduced_den = sympy.fraction(sympy.cancel(num / den))
             if s.is_zero():
                 assert reduced_num == 0 and den == 1
@@ -343,6 +347,72 @@ def test_divexact_takes_its_ring_explicitly():
         _divexact({(1, 0): 1, (0, 0): 1}, {(0, 0): 2}, "Z")
     assert _divexact({(1, 0): 2, (0, 0): 4}, {(0, 0): 2}, "Z") == {(1, 0): 1, (0, 0): 2}
 
+
+
+# the gcd pin: a seeded corpus of pairs (f h, g h), each gcd checked by its
+# defining properties and all of them pinned by one digest, so that any
+# rewrite of the gcd must reproduce every result
+
+GCD_FACTOR_DEGREES = {"const": (0, 0), "l": (2, 0), "b": (0, 2), "lb": (2, 2)}
+
+
+def gcd_factor(rng, kind):
+    """Zero, or a polynomial with Fraction coefficients of the given kind:
+    constant, in l alone, in b alone, or in both."""
+    if kind == "zero":
+        return ParamPoly({})
+    dl, db = GCD_FACTOR_DEGREES[kind]
+    return ParamPoly({(rng.randint(0, dl), rng.randint(0, db)):
+                      Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 4]), rng.randint(1, 3))
+                      for _ in range(rng.randint(1, 3))})
+
+
+def gcd_corpus(count=300):
+    """(f h, g h, h): h a product of one or two nonzero factors, f and g
+    any factors, zero and constants included."""
+    rng = random.Random("nscheck-gcd-pin")
+    kinds = list(GCD_FACTOR_DEGREES)
+    corpus = []
+    for _ in range(count):
+        h = ONE_POLY
+        for _ in range(rng.randint(1, 2)):
+            h = h * gcd_factor(rng, rng.choice(kinds))
+        f, g = (gcd_factor(rng, rng.choice(kinds * 2 + ["zero"])) for _ in range(2))
+        corpus.append((f * h, g * h, h))
+    return corpus
+
+
+GCD_PIN_SHA256 = "4991d871d24944b97107edf1b5712fa4549e5ce80859eb63af28d082f1e67b39"
+
+
+def test_gcd_pin_on_seeded_corpus():
+    rendered = []
+    for fh, gh, h in gcd_corpus():
+        got = _p_gcd(fh.terms, gh.terms)
+        rendered.append(f"{fh.render()} ; {gh.render()} -> {ParamPoly(got).render()}")
+        if not got:
+            assert fh.is_zero() and gh.is_zero()
+            continue
+        assert got[max(got, key=lambda e: (e[0] + e[1], e[0]))] == 1, rendered[-1]
+        assert all(obeys_rule(c) for c in got.values()), rendered[-1]
+        for p in (fh, gh):
+            assert ParamPoly(_divexact(p.terms, got, "Q")) * ParamPoly(got) == p, rendered[-1]
+        if not h.is_zero():
+            _divexact(got, h.terms, "Q")
+    digest = hashlib.sha256("\n".join(rendered).encode()).hexdigest()
+    assert digest == GCD_PIN_SHA256
+
+
+def test_gcd_matches_sympy_up_to_a_unit():
+    sympy = pytest.importorskip("sympy")
+    for fh, gh, _ in gcd_corpus()[:100]:
+        want = sympy.gcd(to_sympy(fh.render()), to_sympy(gh.render()))
+        got = to_sympy(ParamPoly(_p_gcd(fh.terms, gh.terms)).render())
+        if want == 0:
+            assert got == 0, (fh, gh)
+            continue
+        unit = sympy.cancel(got / want)
+        assert unit.is_Rational and unit != 0, (fh, gh, got, want)
 
 def test_gamma_action_cache_obeys_the_coefficient_rule():
     mod = parse_module_descriptor("gamma(l,b)")
