@@ -39,6 +39,7 @@ and no floating point appears anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping
 
 Rational = Fraction
@@ -152,112 +153,82 @@ def _divexact(f: dict, g: dict, ring: str) -> dict:
     return q
 
 
-def _deg_l(f: dict) -> int:
-    return max((e[0] for e in f), default=-1)
+def _degree(f: dict, v: int) -> int:
+    """Degree of f in the variable v (0 for l, 1 for b); -1 for zero."""
+    return max((e[v] for e in f), default=-1)
 
 
-# gcd machinery: cleared to integer coefficients (Gauss's lemma), primitive
-# pseudo-remainder sequences with the main variable l; plain int arithmetic
-# keeps the tiny inputs fast
-
-
-def _ip_content_int(f: dict) -> int:
-    from math import gcd
-
-    c = 0
-    for v in f.values():
-        c = gcd(c, v)
-    return c or 1
+# gcd: cleared to integer coefficients (Gauss's lemma), then one primitive
+# pseudo-remainder sequence (Brown, J. ACM 1971) in a main variable v.  With
+# v = l the coefficients lie in Z[b], and their gcd, the content, comes from
+# the same sequence with v = b; with v = b they are integers, units of Q that
+# _ip_normalize divides out.  Plain int arithmetic keeps tiny inputs fast.
 
 
 def _ip_normalize(f: dict) -> dict:
     """Divide by the integer content; make the leading coefficient positive."""
     if not f:
         return {}
-    c = _ip_content_int(f)
+    c = gcd(*f.values())
     if f[max(f, key=_order_key)] < 0:
         c = -c
-    return {e: v // c for e, v in f.items()}
+    return {e: k // c for e, k in f.items()}
 
 
-def _ip_gcd_uni_b(f: dict, g: dict) -> dict:
-    """Primitive gcd of integer polynomials in b alone."""
-    f, g = _ip_normalize(f), _ip_normalize(g)
-    while g:
-        dg = max(e[1] for e in g)
-        gc = g[(0, dg)]
-        r = dict(f)
-        while r and max(e[1] for e in r) >= dg:
-            dr = max(e[1] for e in r)
-            rc = r[(0, dr)]
-            r = _add_scaled({e: gc * v for e, v in r.items()}, g, -rc, (0, dr - dg))
-        f, g = g, _ip_normalize(r)
+def _ip_coefficient(f: dict, v: int, d: int) -> dict:
+    """The coefficient of the variable v to the power d in f."""
+    return {(0, e[1]) if v == 0 else (e[0], 0): c for e, c in f.items() if e[v] == d}
+
+
+def _ip_split(f: dict, v: int) -> tuple[dict, dict]:
+    """(content, primitive part) of f in the main variable v: the content
+    is zero for f = 0, and 1 for v = b."""
+    cont = _ONE_TERMS
+    if v == 0:
+        cont = {}
+        for d in sorted({e[0] for e in f}):
+            cont = _ip_gcd(cont, _ip_coefficient(f, 0, d), 1)
+            if cont == _ONE_TERMS:
+                break
+    if f and cont != _ONE_TERMS:
+        f = _divexact(f, cont, "Z")
+    return cont, _ip_normalize(f)
+
+
+def _ip_prem(f: dict, g: dict, v: int) -> dict:
+    """Pseudo-remainder of f by g in the main variable v."""
+    dg = _degree(g, v)
+    lcg = _ip_coefficient(g, v, dg)
+    while (df := _degree(f, v)) >= dg:
+        shift = (df - dg, 0) if v == 0 else (0, df - dg)
+        f = _add_scaled(_mul(lcg, f), _mul(_ip_coefficient(f, v, df), g), -1, shift)
     return f
 
 
-def _ip_content_l(f: dict) -> dict:
-    cont: dict = {}
-    for d in sorted({e[0] for e in f}):
-        coeff = {(0, e[1]): c for e, c in f.items() if e[0] == d}
-        cont = _ip_gcd_uni_b(cont, coeff)
-        if cont == {(0, 0): 1}:
-            break
-    return cont
-
-
-def _ip_primitive_l(f: dict) -> dict:
-    if not f:
-        return {}
-    cont = _ip_content_l(f)
-    if cont == {(0, 0): 1}:
-        return _ip_normalize(f)
-    return _ip_normalize(_divexact(f, cont, "Z"))
-
-
-def _ip_prem_l(f: dict, g: dict) -> dict:
-    dg = _deg_l(g)
-    lcg = {(0, e[1]): c for e, c in g.items() if e[0] == dg}
-    r = dict(f)
-    while r and _deg_l(r) >= dg:
-        dr = _deg_l(r)
-        lcr = {(0, e[1]): c for e, c in r.items() if e[0] == dr}
-        r = _add_scaled(_mul(lcg, r), _mul(lcr, g), -1, (dr - dg, 0))
-    return r
-
-
-def _ip_gcd(f: dict, g: dict) -> dict:
-    if not f:
-        return _ip_normalize(g)
-    if not g:
-        return _ip_normalize(f)
-    if _deg_l(f) == 0 and _deg_l(g) == 0:
-        return _ip_gcd_uni_b(f, g)
-    cont = _ip_gcd_uni_b(_ip_content_l(f), _ip_content_l(g))
-    a, b_ = _ip_primitive_l(f), _ip_primitive_l(g)
-    if _deg_l(a) < _deg_l(b_):
-        a, b_ = b_, a
-    while b_:
-        r = _ip_prem_l(a, b_)
-        a, b_ = b_, _ip_primitive_l(r)
-    return _ip_normalize(_mul(cont, a))
+def _ip_gcd(f: dict, g: dict, v: int = 0) -> dict:
+    """Gcd in Q[l, b] of integer polynomials f and g, which lie in Z[b] for
+    v = b: the gcd of their contents times the last nonzero remainder of the
+    primitive pseudo-remainder sequence in v, as a primitive integer
+    polynomial with positive leading coefficient.  gcd(f, 0) is the
+    primitive part of f, and gcd(0, 0) is 0."""
+    (cf, f), (cg, g) = _ip_split(f, v), _ip_split(g, v)
+    cont = _ip_gcd(cf, cg, 1) if v == 0 else _ONE_TERMS
+    if _degree(f, v) < _degree(g, v):
+        f, g = g, f
+    while g:
+        f, g = g, _ip_split(_ip_prem(f, g, v), v)[1]
+    return f if cont == _ONE_TERMS else _ip_normalize(_mul(cont, f))
 
 
 def _clear_denominators(f: dict) -> dict:
-    from math import lcm
-
-    scale = 1
-    for c in f.values():
-        scale = lcm(scale, c.denominator)
+    scale = lcm(*(c.denominator for c in f.values()))
     return {e: int(c * scale) for e, c in f.items()}
 
 
 def _p_gcd(f: dict, g: dict) -> dict:
-    """Monic gcd in Q[l, b]."""
-    if not f or not g:
-        f = f or g
-        return _p_scale(f, 1 / Fraction(_p_leading(f)[1])) if f else {}
+    """Monic gcd in Q[l, b]; gcd(0, 0) is 0."""
     got = _ip_gcd(_clear_denominators(f), _clear_denominators(g))
-    lead = _p_leading(got)[1]
+    lead = _p_leading(got)[1] if got else 1
     return got if lead == 1 else _p_scale(got, 1 / Fraction(lead))
 
 
