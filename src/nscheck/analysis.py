@@ -342,6 +342,15 @@ def window_keys(mod: GammaModule, window: Window, interior_only: bool = False) -
     return [BasisKey(k, eps) for k in rng for eps in (0, 1) if mod.admissible(BasisKey(k, eps))]
 
 
+def _checked_keys(mod: GammaModule, window: Window) -> list[BasisKey]:
+    """The window keys of ``mod``; a window that holds none is a ModuleError,
+    never a check passed over no instances."""
+    keys = window_keys(mod, window)
+    if not keys:
+        raise ModuleError(f"window {window.render()} holds no key of {mod.descriptor()}")
+    return keys
+
+
 def _images(elem: SmashElement, keys, mod: GammaModule):
     """(key, image of the basis vector) pairs of ``elem``, lazily."""
     for key in keys:
@@ -376,11 +385,12 @@ def minimal_annihilator(
     vector for every sweep index, plus the odd companion sums at that m.
 
     In contact mode the sweeps are index-shifted so that every generator
-    stays within bounds.
+    stays within bounds.  A window that holds no key of ``mod`` is a
+    ModuleError.
     """
     if max_m < 1:
         raise ModuleError("max_m must be at least 1")
-    keys = window_keys(mod, window)
+    keys = _checked_keys(mod, window)
 
     def omega_witness(m: int) -> tuple[str | None, str]:
         return first_witness(
@@ -425,12 +435,13 @@ def chain_reports(
 
     With ``algebra_level`` also reports (status info) whether each chain
     vanishes identically in the smash algebra; it does not, which is why
-    the module-level check is the normative one.
+    the module-level check is the normative one.  A window that holds no key
+    of ``mod`` is a ModuleError.
     """
     kplus = mod.algebra_mode is AlgebraMode.KPLUS
     # the chains with an A-part live in A # k, or A+ # k+ in contact mode
     smode = AlgebraMode.K if mod.algebra_mode.has_center else mod.algebra_mode
-    keys = window_keys(mod, window)
+    keys = _checked_keys(mod, window)
 
     # name, anchor, order, contact start of the inner sweep (the outer one
     # starts at the order), the operator at sweep indices (i, j), and the
@@ -508,9 +519,10 @@ def edge_generators(algebra_mode: AlgebraMode, gen_range: int) -> list[Gen]:
 
 
 def module_axiom_reports(mod: GammaModule, window: Window, gen_range: int) -> list[CheckReport]:
-    """The module axiom for every pair of edge generators on every window key."""
+    """The module axiom for every pair of edge generators on every window
+    key; a window that holds no key of ``mod`` is a ModuleError."""
     gens = edge_generators(mod.algebra_mode, gen_range)
-    keys = window_keys(mod, window)
+    keys = _checked_keys(mod, window)
     out = []
     for i, x in enumerate(gens):
         for y in gens[i:]:
@@ -685,7 +697,8 @@ def find_intertwiner(
 
     Requires numeric parameters.  The witness records whether the map
     preserves or reverses the parity assignment of the two modules.  A window
-    failing the window rule at the modules' weight offset is a ModuleError.
+    failing the window rule at the modules' weight offset is a ModuleError,
+    and so is one whose interior matches no key of ``m1`` to a key of ``m2``.
     """
     if not (m1.is_numeric() and m2.is_numeric()):
         raise ModuleError("numeric parameters required for intertwiner search")
@@ -718,7 +731,8 @@ def find_intertwiner(
         if pre.k in interior_k and not m1.admissible(pre):
             return None
     if not tracked:
-        return None
+        raise ModuleError(f"window {window.render()} holds no interior key of "
+                          f"{m1.descriptor()} matched to a key of {m2.descriptor()}")
     tracked_set = set(tracked)
 
     def edges(gen_list):

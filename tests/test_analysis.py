@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import re
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -23,6 +24,7 @@ from nscheck.analysis import (
     find_intertwiner,
     jacobi_family_reports,
     minimal_annihilator,
+    module_axiom_reports,
     module_edges,
     psi_table_reports,
     reachability_closure,
@@ -296,6 +298,17 @@ class TestIntertwiner:
         with pytest.raises(ModuleError):
             find_intertwiner(gamma(LAMBDA, B), gamma(0, 0), W, 3)
 
+    # found has no third value: a window whose interior matches no key of the
+    # two modules is an error, not "no intertwiner"
+    @pytest.mark.parametrize("mod, window", [
+        (gamma_plus(F(1, 4)), Window(-30, -10, 3)),
+        (gamma_minus(F(1, 4)), Window(10, 30, 3)),
+    ], ids=["gamma-plus", "gamma-minus"])
+    def test_window_without_matched_keys_is_an_error(self, mod, window):
+        with pytest.raises(ModuleError, match="holds no interior key of"):
+            find_intertwiner(mod, mod, window, 3)
+        assert simplicity_verdict(mod, window, 3).kind == "inconclusive"
+
     def test_scalings_are_nonzero(self):
         got = find_intertwiner(gamma(F(1, 3), F(1, 2)), gamma(F(4, 3), 0), W, 3)
         assert all(not c.is_zero() for _, _, c in got.mapping)
@@ -373,6 +386,23 @@ class TestChains:
     def test_kplus_chains(self):
         reports = chain_reports(gamma_plus(F(1, 4)), 3, Window(-6, 6, 0), 1)
         assert [r.status for r in reports] == ["pass"] * 3
+
+
+# a window that holds no key of the module is rejected, never reported as
+# checks passed over no instances
+@pytest.mark.parametrize("check", [
+    lambda mod, window: module_axiom_reports(mod, window, 1),
+    lambda mod, window: minimal_annihilator(mod, window, 6),
+    lambda mod, window: chain_reports(mod, 1, window),
+], ids=["module_axiom_reports", "minimal_annihilator", "chain_reports"])
+@pytest.mark.parametrize("mod, window", [
+    (gamma_minus(F(1, 4)), Window(10, 30, 0)),
+    (gamma_plus(F(1, 4)), Window(-9, -3, 0)),
+], ids=["gamma-minus", "gamma-plus"])
+def test_window_without_keys_is_an_error(check, mod, window):
+    message = f"window {window.render()} holds no key of {mod.descriptor()}"
+    with pytest.raises(ModuleError, match=re.escape(message)):
+        check(mod, window)
 
 
 class TestCatalogue:

@@ -88,7 +88,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("module, window", [
         ("gamma-(0,1/4)", "--window=0..20"),
         ("gamma+(0,1/4)", "--window=-30..-10"),
-    ], ids=["gamma-minus", "gamma-plus"])
+        ("gamma-(0,1/4)", "--window=10..30"),
+    ], ids=["gamma-minus", "gamma-plus", "gamma-minus-10..30"])
     def test_interior_without_keys_exits_zero(self, tmp_path, module, window):
         code, doc, _ = invoke(tmp_path, "module-simplicity", "--module", module, window,
                               out_name="empty.json")
@@ -113,9 +114,18 @@ class TestExitCodes:
         ["identities", "--sweep", "-1", "--max-n", "2", "--window=-4..4"],
         ["verify", "--suite", "action", "--range", "-1"],
         ["verify", "--suite", "compat", "--range", "0"],
+        # a window that holds no key of the module
+        ["module-axiom", "--module", "gamma-(0,1/4)", "--window=10..30"],
+        ["annihilator", "--module", "gamma-(0,1/4)", "--window=10..30"],
+        ["module-axiom", "--module", "gamma+(0,1/4)", "--window=-9..-3", "--gen-range", "1"],
+        ["module-iso", "--module", "gamma+(0,1/4)", "--module2", "gamma+(0,1/4)",
+         "--window=-30..-10"],
+        ["module-iso", "--module", "gamma-(0,1/4)", "--module2", "gamma-(0,1/4)",
+         "--window=10..30"],
     ], ids=["simplicity-gen-range-0", "simplicity-gen-range-1", "iso-gen-range-0", "axiom-gen-range-minus-1",
             "annihilator-sweep-minus-1", "identities-sweep-minus-1", "action-range-minus-1",
-            "compat-range-0"])
+            "compat-range-0", "axiom-no-key-gamma-minus", "annihilator-no-key-gamma-minus",
+            "axiom-no-key-gamma-plus", "iso-no-key-gamma-plus", "iso-no-key-gamma-minus"])
     def test_degenerate_range_exits_two(self, capsys, argv):
         assert run(argv) == 2
         assert "--help" in capsys.readouterr().err

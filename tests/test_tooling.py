@@ -79,6 +79,25 @@ def test_runtime_has_no_mutant_parameters(path):
     assert mutant_parameters(path) == []
 
 
+def lru_cached(path: Path) -> list[str]:
+    """Every function in ``path`` decorated with ``lru_cache``, bare or
+    called, as "module.function"."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(target, "id", getattr(target, "attr", None)) == "lru_cache":
+                    found.append(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_fresh_tables_clears_every_lru_cache(fresh_tables):
+    # a cache that the fixture missed would keep stale entries under a mutant
+    cleared = [f"{c.__module__.rpartition('.')[2]}.{c.__name__}" for c in fresh_tables]
+    assert sorted(cleared) == sorted(name for path in SOURCES for name in lru_cached(path))
+
+
 def literal_table(path: Path, name: str):
     """The literal assigned to ``name`` at the top level of ``path``, read
     from the source so that nothing under perfbench/ is imported or written."""

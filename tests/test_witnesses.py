@@ -166,19 +166,6 @@ def test_module_axiom_command_witnesses(tmp_path):
     ]
 
 
-@pytest.fixture
-def fresh_tables():
-    """Clear every structure-table cache before and after the test, so a
-    mutant reaches every engine and leaks into no other test."""
-    caches = (algebra.bracket_basis, algebra.gen_act_amon, algebra.amon_act_gen,
-              enveloping._insert_gen, enveloping._pbw_mul, enveloping._pbw_past_amon)
-    for cache in caches:
-        cache.cache_clear()
-    yield
-    for cache in caches:
-        cache.cache_clear()
-
-
 def mu_shifted(g, m, lam, b):
     # mutant of algebra.jet_coefficient: (n+1) -> n in mu
     if g.parity and m.eps:
