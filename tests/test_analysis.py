@@ -307,7 +307,6 @@ class TestIntertwiner:
     def test_window_without_matched_keys_is_an_error(self, mod, window):
         with pytest.raises(ModuleError, match="holds no interior key of"):
             find_intertwiner(mod, mod, window, 3)
-        assert simplicity_verdict(mod, window, 3).kind == "inconclusive"
 
     def test_scalings_are_nonzero(self):
         got = find_intertwiner(gamma(F(1, 3), F(1, 2)), gamma(F(4, 3), 0), W, 3)
