@@ -181,8 +181,9 @@ def _ip_coefficient(f: dict, v: int, d: int) -> dict:
 
 
 def _ip_split(f: dict, v: int) -> tuple[dict, dict]:
-    """(content, primitive part) of f in the main variable v: the content
-    is zero for f = 0, and 1 for v = b."""
+    """(content, primitive part) of f in the main variable v: for v = l
+    the content is a primitive polynomial in b, zero for f = 0; for v = b
+    it is 1."""
     cont = _ONE_TERMS
     if v == 0:
         cont = {}
