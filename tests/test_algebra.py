@@ -1,7 +1,9 @@
 """Bracket relations, the two actions, and the compatibility residuals."""
 
 import copy
+import hashlib
 import pickle
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -33,7 +35,7 @@ from nscheck.algebra import (
 )
 from nscheck.enveloping import SmashElement
 from nscheck.modules import BasisKey, ModuleVector
-from nscheck.scalars import Scalar
+from nscheck.scalars import B, LAMBDA, Scalar
 
 KHAT = AlgebraMode.KHAT
 K = AlgebraMode.K
@@ -429,3 +431,70 @@ def test_rendering():
     assert lie(G(half(7))).scale(Scalar.of(Fraction(1, 2))).render() == "1/2*G(7/2)"
     a = AElement.monomial(2, 1, coeff=3)
     assert a.render() == "3*t^2*xi"
+
+
+# ---------------------------------------------------------------------------
+# multi-term outputs of the three element-level products, pinned by digest
+# ---------------------------------------------------------------------------
+
+PIN_SAMPLES = 40
+PIN_COEFFS = {
+    "numeric": (-3, -1, 1, 2, Fraction(1, 2), Fraction(-2, 3)),
+    "formal": (LAMBDA, B, LAMBDA + 1, 2 * B - 1, LAMBDA * B, Fraction(3, 2)),
+}
+
+
+def _pin_lie(rng, mode, coeffs, with_center=True):
+    gens = [g for g in basis(2, mode) if with_center or g.kind != "C"]
+    return LieElement({g: Scalar.of(rng.choice(coeffs))
+                       for g in rng.sample(gens, rng.randint(2, 4))}, mode)
+
+
+def _pin_a(rng, mode, coeffs):
+    lo = 0 if mode.a_mode is AMode.APLUS else -2
+    amons = [AMonomial(k, eps) for k in range(lo, 3) for eps in (0, 1)]
+    return AElement({m: Scalar.of(rng.choice(coeffs))
+                     for m in rng.sample(amons, rng.randint(2, 4))}, mode.a_mode)
+
+
+# each product on the operands it admits in ``mode``: the bracket on any two
+# elements, the two actions on elements without C and A-parts of the mode's
+# coefficient algebra
+PIN_PRODUCTS = {
+    "bracket": lambda rng, mode, cs: bracket(_pin_lie(rng, mode, cs), _pin_lie(rng, mode, cs)),
+    "k_action_on_A": lambda rng, mode, cs: k_action_on_A(_pin_lie(rng, mode, cs, False),
+                                                         _pin_a(rng, mode, cs)),
+    "A_action_on_k": lambda rng, mode, cs: A_action_on_k(_pin_a(rng, mode, cs),
+                                                         _pin_lie(rng, mode, cs, False)),
+}
+
+# sha256 of the rendered outputs, recorded before the products were written
+# as one bilinear extension
+PIN_DIGESTS = {
+    ("bracket", "numeric"):
+        "91ed103644158a0b80a6263ee0fb7918033ea97db118498f9c6191c9762867dc",
+    ("bracket", "formal"):
+        "72eccfdb66470156bd5c2419212a60a80bcc7397bb7311dc2912e0ec38306b18",
+    ("k_action_on_A", "numeric"):
+        "90ea4f0bd15a0e13f1a28c398add9f211191c0ab1569c73aabe62792d58af05a",
+    ("k_action_on_A", "formal"):
+        "682a8168805c80b3a09a29164a196cac354aaac5e4e1b6fbdd55f77c3bc894ff",
+    ("A_action_on_k", "numeric"):
+        "3958b216b6e0ccdc5c7bb096a3ce8c3047d614935036f13213f3b3919c8941b9",
+    ("A_action_on_k", "formal"):
+        "750c815ce5c35160671edeea16863ba4feab23628b478ac094cf6ca5d20a23d5",
+}
+
+
+@pytest.mark.parametrize("name, coeffs", list(PIN_DIGESTS))
+def test_product_digest(name, coeffs):
+    rng = random.Random(f"product-pin/{name}/{coeffs}")
+    lines, nonzero = [], 0
+    for mode in AlgebraMode:
+        for _ in range(PIN_SAMPLES):
+            out = PIN_PRODUCTS[name](rng, mode, PIN_COEFFS[coeffs])
+            lines.append(f"{mode.value}: {out.render()}")
+            nonzero += len(out.terms) > 1
+    assert nonzero > PIN_SAMPLES  # multi-term outputs in every pin
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PIN_DIGESTS[name, coeffs]
