@@ -9,19 +9,22 @@ Module-level verdicts (simplicity, isomorphism, annihilator order) are
 window-certified: they are exact statements about the margin-restricted
 interior of a finite key window, pinned by the acceptance grid to the
 global classification facts.  One window rule says when a window can
-decide: its interior, less the weight offset of an intertwiner search,
-spans at least 4*gen_range keys.  Simplicity has one closure rule: the
-submodule that a key generates inside the window, which with weight
-multiplicity 1 is the set of keys it reaches.  Every suite, the module
-axiom included, builds its pass/fail reports here; the CLI only parses
-options and emits.
+decide: its interior, less the weight offset of an intertwiner search, has
+length at least 4*gen_range in k (the interior -6..6 has length 12).  One
+acting set, :func:`_acting`, lists the elements that move keys, for the
+edges and for the re-check of a reducibility certificate.  Simplicity has
+one closure rule: the submodule that a key generates inside the window,
+which with weight multiplicity 1 is the set of keys it reaches.  Every
+suite, the module axiom included, builds its pass/fail reports here
+through one check rule, :func:`_check`: the first nonzero residual of a
+lazy sweep, and its location; the CLI only parses options and emits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from typing import NamedTuple
 
 from . import algebra
@@ -150,6 +153,13 @@ def _at(*objs) -> str:
     return f" at ({','.join(o.render() for o in objs)})"
 
 
+def _check(name, anchor, params, cases, where=_at) -> CheckReport:
+    """Pass when every residual of ``cases`` is zero; else fail on the first
+    nonzero one (:func:`first_witness`), its location appended to ``params``."""
+    witness, loc = first_witness(cases, where)
+    return _ok(name, anchor, params + loc, witness)
+
+
 # ---------------------------------------------------------------------------
 # structural suites: Jacobi, compatibility, derivation action
 # ---------------------------------------------------------------------------
@@ -189,9 +199,8 @@ def _jacobi_triples(index_range: int):
 
 
 def _jacobi_report(index_range: int, family: str, triples) -> CheckReport:
-    witness, culprit = first_witness(((t, jacobi_residual(*t)) for t in triples), _at)
-    return _ok(f"jacobi/{family}/range={index_range}", JACOBI_ANCHOR,
-               f"range={index_range}{culprit}", witness)
+    return _check(f"jacobi/{family}/range={index_range}", JACOBI_ANCHOR, f"range={index_range}",
+                  ((t, jacobi_residual(*t)) for t in triples))
 
 
 def verify_jacobi(index_range: int) -> CheckReport:
@@ -213,44 +222,29 @@ def compat_reports(index_range: int) -> list[CheckReport]:
     """The eight compatibility displays tying brackets, the derivation
     action and the module action of the coefficient algebra."""
     mode = AlgebraMode.K
-    out = []
     gens = basis(index_range, mode)
-    vgens = [(kind, [g for g in gens if g.kind == kind]) for kind in ("L", "G")]
-    for vkind, vs in vgens:
-        for aeps, aname in ((0, "t"), (1, "t*xi")):
-            amons = [AMonomial(i, aeps) for i in range(-index_range, index_range + 1)]
-            for xkind, xs in vgens:
-                witness, culprit = first_witness(
-                    (((v, a, x), SmashElement.from_lie(
-                        LieElement.from_table(compatibility_basis(v, a, x, mode), mode)))
-                     for v in vs for a in amons for x in xs),
-                    _at,
-                )
-                name = f"compat/({vkind},{aname},{xkind})"
-                out.append(_ok(name, COMPAT_ANCHOR, f"range={index_range}{culprit}", witness))
-    return out
+    kinds = {kind: [g for g in gens if g.kind == kind] for kind in ("L", "G")}
+    amons = {aname: [AMonomial(i, eps) for i in range(-index_range, index_range + 1)]
+             for eps, aname in ((0, "t"), (1, "t*xi"))}
+    return [_check(f"compat/({vkind},{aname},{xkind})", COMPAT_ANCHOR, f"range={index_range}",
+                   (((v, a, x), SmashElement.from_lie(
+                       LieElement.from_table(compatibility_basis(v, a, x, mode), mode)))
+                    for v, a, x in product(kinds[vkind], amons[aname], kinds[xkind])))
+            for vkind, aname, xkind in product(kinds, amons, kinds)]
 
 
 def action_rep_reports(index_range: int) -> list[CheckReport]:
     """The derivation action is a representation on the coefficient algebra."""
     mode = AlgebraMode.K
     gens = basis(index_range, mode)
+    kinds = {kind: [g for g in gens if g.kind == kind] for kind in ("L", "G")}
     amons = [AMonomial(i, eps) for i in range(-index_range, index_range + 1) for eps in (0, 1)]
     rho, ad = algebra.gen_act_amon, algebra.bracket_basis
-
-    def cases(xkind: str, ykind: str):
-        for x in (g for g in gens if g.kind == xkind):
-            for y in (g for g in gens if g.kind == ykind):
-                xy, odd = ad(x, y, mode.has_center), x.parity and y.parity
-                for a in amons:
-                    yield (x, y, a), AElement.from_table(rep_residual(rho, x, y, xy, a, odd))
-
-    out = []
-    for xkind, ykind in (("L", "L"), ("L", "G"), ("G", "L"), ("G", "G")):
-        witness, culprit = first_witness(cases(xkind, ykind), _at)
-        out.append(_ok(f"action-rep/({xkind},{ykind})", ACTION_ANCHOR,
-                       f"range={index_range}{culprit}", witness))
-    return out
+    return [_check(f"action-rep/({xkind},{ykind})", ACTION_ANCHOR, f"range={index_range}",
+                   (((x, y, a), AElement.from_table(rep_residual(
+                       rho, x, y, ad(x, y, mode.has_center), a, x.parity and y.parity)))
+                    for x, y, a in product(kinds[xkind], kinds[ykind], amons)))
+            for xkind, ykind in product(kinds, repeat=2)]
 
 
 # ---------------------------------------------------------------------------
@@ -282,22 +276,18 @@ def centralizer_reports(max_n: int, max_k: int) -> list[CheckReport]:
     """
     mode = AlgebraMode.K
     gm = SmashElement.gen(G(Fraction(-1, 2)), mode)
-    out = []
     a_labels = [TElementLabel("L", n) for n in range(0, max_n + 1)]
     a_labels += [TElementLabel("G", n) for n in range(1, max_n + 1)]
     g_labels = [TElementLabel("L", n) for n in range(-1, max_n + 1)]
     g_labels += [TElementLabel("G", n) for n in range(0, max_n + 1)]
     # each primed element once; g_labels holds every label of a_labels
     built = {label: label.build(mode) for label in g_labels}
-    for label in a_labels:
-        x = built[label]
-        wit, where = first_witness(
-            (((k, eps), smash_bracket(x, SmashElement.amon(k, eps, mode)))
-             for k in range(-max_k, max_k + 1) for eps in (0, 1)),
-            lambda k, eps: f" at t^{k}{'*xi' if eps else ''}",
-        )
-        out.append(_ok(f"centralizer/{label.render()}/A", CENTRALIZER_ANCHOR,
-                       f"n={label.n}; |k|<={max_k}{where}", wit))
+    out = [_check(f"centralizer/{label.render()}/A", CENTRALIZER_ANCHOR,
+                  f"n={label.n}; |k|<={max_k}",
+                  (((k, eps), smash_bracket(built[label], SmashElement.amon(k, eps, mode)))
+                   for k, eps in product(range(-max_k, max_k + 1), (0, 1))),
+                  lambda k, eps: f" at t^{k}{'*xi' if eps else ''}")
+           for label in a_labels]
     for label in g_labels:
         out.append(_residual_report(f"centralizer/{label.render()}/G(-1/2)", CENTRALIZER_ANCHOR,
                                     f"n={label.n}", smash_bracket(gm, built[label])))
@@ -391,28 +381,25 @@ def minimal_annihilator(
     if max_m < 1:
         raise ModuleError("max_m must be at least 1")
     keys = _checked_keys(mod, window)
-
-    def omega_witness(m: int) -> tuple[str | None, str]:
-        return first_witness(
+    # one search; the witness of the last failing order proves minimality
+    minimality = "minimality: m=1 is the least admissible order"
+    for found in range(1, max_m + 1):
+        wit, where = first_witness(
             (((k, s, key), img)
-             for k, s in product(_sweep(mod, sweep, m - 1), _sweep(mod, sweep, -1))
-             for key, img in _images(omega(k, s, m, mod.algebra_mode), keys, mod)),
-            lambda k, s, key: f"Omega^({m})_{{{k},{s}}} {key.render()}",
+             for k, s in product(_sweep(mod, sweep, found - 1), _sweep(mod, sweep, -1))
+             for key, img in _images(omega(k, s, found, mod.algebra_mode), keys, mod)),
+            lambda k, s, key: f"Omega^({found})_{{{k},{s}}} {key.render()}",
         )
-
-    found = next((m for m in range(1, max_m + 1) if omega_witness(m)[0] is None), None)
-    if found is None:
+        if wit is None:
+            break
+        minimality = f"minimality: {where} = {wit}"
+    else:
         raise AnnihilatorBoundError(
             f"annihilator order exceeds bound {max_m} on {mod.descriptor()}"
         )
 
     params = [f"module={mod.descriptor()}", f"window={window.render()}",
-              f"sweep={sweep}", f"m={found}"]
-    if found > 1:
-        wit, where = omega_witness(found - 1)
-        params.append(f"minimality: {where} = {wit}")
-    else:
-        params.append("minimality: m=1 is the least admissible order")
+              f"sweep={sweep}", f"m={found}", minimality]
 
     # odd companion sums at the discovered order
     gl_args = [(HalfInt(2 * j + 1), p)
@@ -457,16 +444,12 @@ def chain_reports(
          lambda i, j, order: gl_sum(HalfInt(2 * i + 1), j, order, mod.algebra_mode),
          lambda i, j: f"q={2 * i + 1}/2, p={j}"),
     )
-    out = []
-    for name, anchor, order, shift, build, label in chains:
-        wit, where = first_witness(
-            (((i, j, key), img)
-             for i in _sweep(mod, sweep, order) for j in _sweep(mod, sweep, shift)
-             for key, img in _images(build(i, j, order), keys, mod)),
-            lambda i, j, key: f" at {label(i, j)}, {key.render()}",
-        )
-        out.append(_ok(name, anchor,
-                       f"module={mod.descriptor()}; order={order}; sweep={sweep}{where}", wit))
+    out = [_check(name, anchor, f"module={mod.descriptor()}; order={order}; sweep={sweep}",
+                  (((i, j, key), img)
+                   for i, j in product(_sweep(mod, sweep, order), _sweep(mod, sweep, shift))
+                   for key, img in _images(build(i, j, order), keys, mod)),
+                  lambda i, j, key: f" at {label(i, j)}, {key.render()}")
+           for name, anchor, order, shift, build, label in chains]
 
     if algebra_level:
         probes = [
@@ -521,32 +504,33 @@ def edge_generators(algebra_mode: AlgebraMode, gen_range: int) -> list[Gen]:
 def module_axiom_reports(mod: GammaModule, window: Window, gen_range: int) -> list[CheckReport]:
     """The module axiom for every pair of edge generators on every window
     key; a window that holds no key of ``mod`` is a ModuleError."""
-    gens = edge_generators(mod.algebra_mode, gen_range)
     keys = _checked_keys(mod, window)
-    out = []
-    for i, x in enumerate(gens):
-        for y in gens[i:]:
-            cases = (((key,), module_axiom_residual(x, y, key, mod)) for key in keys)
-            witness, where = first_witness(cases, lambda key: f" at {key.render()}")
-            out.append(_ok(f"module-axiom/{mod.convention.value}/({x.render()},{y.render()})",
-                           MODULE_AXIOM_ANCHOR,
-                           f"module={mod.descriptor()}; window={window.render()}{where}", witness))
-    return out
+    return [_check(f"module-axiom/{mod.convention.value}/({x.render()},{y.render()})",
+                   MODULE_AXIOM_ANCHOR, f"module={mod.descriptor()}; window={window.render()}",
+                   (((key,), module_axiom_residual(x, y, key, mod)) for key in keys),
+                   lambda key: f" at {key.render()}")
+            for x, y in combinations_with_replacement(
+                edge_generators(mod.algebra_mode, gen_range), 2)]
 
 
 def _window_decides(window: Window, gen_range: int, offset: Fraction = Fraction(0)) -> bool:
     """The window rule: the interior, less the weight offset between two
-    modules, spans at least 4*gen_range keys."""
+    modules, has length at least 4*gen_range in k."""
     return window.kmax - window.kmin - 2 * window.margin - abs(offset) >= 4 * gen_range
 
 
 A_EDGES = (AMonomial(1, 0), AMonomial(0, 1))  # the A-edges of a jet-module verdict
 
 
-def _uses_a_edges(mod: GammaModule) -> bool:
+def _acting(mod: GammaModule, gen_range: int) -> list[tuple]:
+    """The elements that move keys, as (element, name, basis-level action):
+    the edge generators, then the A-edges on a jet module."""
+    acting = [(g, g.render(), mod.gen_action) for g in edge_generators(mod.algebra_mode, gen_range)]
     # a proper cut on which t and xi act is classified as a jet module (gamma+
     # and gamma-): the polynomial coefficient algebra is part of its structure
-    return mod.is_cut() and all(mod.a_acts(a) for a in A_EDGES)
+    if mod.is_cut() and all(mod.a_acts(a) for a in A_EDGES):
+        acting += [(a, a.render(), mod.amon_action) for a in A_EDGES]
+    return acting
 
 
 def module_edges(
@@ -557,17 +541,12 @@ def module_edges(
     Symbolic coefficients count as nonzero unless identically zero.
     """
     interior = set(window_keys(mod, window, interior_only=True))
-    gens = [(g, g.render()) for g in edge_generators(mod.algebra_mode, gen_range)]
-    amons = [(a, a.render()) for a in A_EDGES] if _uses_a_edges(mod) else []
+    acting = _acting(mod, gen_range)
     edges: dict[BasisKey, list[EdgeRecord]] = {key: [] for key in interior}
     for key in sorted(interior):
         out = edges[key]
-        for g, name in gens:
-            for target, coeff in mod.gen_action(g, key):
-                if target in interior:
-                    out.append(EdgeRecord(key, target, name, coeff))
-        for a, name in amons:
-            for target, coeff in mod.amon_action(a, key):
+        for x, name, action in acting:
+            for target, coeff in action(x, key):
                 if target in interior:
                     out.append(EdgeRecord(key, target, name, coeff))
     return edges
@@ -660,13 +639,11 @@ def simplicity_verdict(mod: GammaModule, window: Window, gen_range: int) -> Verd
                        detail="interior digraph strongly connected")
     # soundness: no generator in range, and no A-edge of a jet module, moves
     # a certificate key to an interior key outside the certificate
-    acting = [(mod.gen_action, g) for g in edge_generators(mod.algebra_mode, gen_range)]
-    if _uses_a_edges(mod):
-        acting += [(mod.amon_action, a) for a in A_EDGES]
+    acting = _acting(mod, gen_range)
     inside = set(interior)
     cert = tuple(sorted(down))
     for key in cert:
-        for action, x in acting:
+        for x, _, action in acting:
             for target, _ in action(x, key):
                 if target in inside and target not in down:
                     raise AssertionError("unsound certificate: "
@@ -711,8 +688,8 @@ def find_intertwiner(
         return None
     if not _window_decides(window, gen_range, off):
         raise ModuleError(f"window {window.render()} cannot decide an intertwiner at weight "
-                          f"offset {off}: the interior less |offset| must span at least "
-                          f"4*gen_range = {4 * gen_range} keys")
+                          f"offset {off}: the interior less |offset| must have length at "
+                          f"least 4*gen_range = {4 * gen_range} in k")
     # key.shifted(shift) is the key of m2 with the weight of the key of m1
     shift = HalfInt.of(off)
     interior_k = set(window.interior())
