@@ -4,11 +4,16 @@ import argparse
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import nscheck.cli as cli
 from nscheck.cli import run
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def invoke(tmp_path, *argv, out_name=None):
@@ -386,6 +391,24 @@ class TestAnnihilatorCommand:
         assert failed["name"] == "annihilator/gamma(l,b)"
         assert failed["witness"] == "annihilator order exceeds bound 1 on gamma(l,b)"
         assert not [c for c in doc["checks"] if c["name"].startswith("chain/")]
+
+
+def test_module_entry_point():
+    # the invocation the README gives, through cli.main and sys.exit: the
+    # smoke report on stdout, and a usage error
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def module_run(*argv):
+        return subprocess.run([sys.executable, "-m", "nscheck.cli", *argv], env=env,
+                              capture_output=True, timeout=120)
+
+    argv, want_code, want_digest = TestDeterminism.GOLDEN[0]
+    proc = module_run(*argv, "--format", "json")
+    assert proc.returncode == want_code == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == want_digest
+    proc = module_run("verify", "--suite", "nope")
+    assert proc.returncode == 2
+    assert b"invalid choice" in proc.stderr
 
 
 def test_classify_lists_all_families(tmp_path):
