@@ -265,23 +265,33 @@ def to_sympy(text):
 
 
 def test_canonical_form_matches_sympy_cancel():
+    # numerator and denominator become sympy polynomials straight from their
+    # terms, and only the rendering is parsed; every check is Poly arithmetic
     sympy = pytest.importorskip("sympy")
     l, b = sympy.symbols("l b")
+
+    def poly(p):
+        return sympy.Poly.from_dict(
+            {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()},
+            l, b, domain="QQ")
+
     for x, y in random_pairs("nscheck-sympy-oracle", 100):
         for op in ARITH:
             if op is operator.truediv and not y:
                 continue
             s = op(x, y)
-            num, den = to_sympy(s.num.render()), to_sympy(s.den.render())
-            assert sympy.cancel(to_sympy(s.render()) - num / den) == 0, s
-            reduced_num, reduced_den = sympy.fraction(sympy.cancel(num / den))
+            num, den = poly(s.num), poly(s.den)
+            shown_num, shown_den = sympy.fraction(to_sympy(s.render()))
+            assert (sympy.Poly(shown_num, l, b) * den
+                    - sympy.Poly(shown_den, l, b) * num).is_zero, s
+            reduced_num, reduced_den = num.cancel(den, include=True)
             if s.is_zero():
-                assert reduced_num == 0 and den == 1
+                assert reduced_num.is_zero and den == 1
                 continue
-            unit = sympy.cancel(num / reduced_num)
-            assert unit.is_Rational and sympy.expand(den - unit * reduced_den) == 0, s
-            assert sympy.gcd(num, den).is_number, s
-            assert sympy.Poly(den, l, b).LC(order="grlex") == 1, s
+            unit, rest = num.div(reduced_num)
+            assert rest.is_zero and unit.is_ground and (den - unit * reduced_den).is_zero, s
+            assert num.gcd(den).is_ground, s
+            assert den.LC(order="grlex") == 1, s
 
 
 # the coefficient rule: an integral coefficient is stored as an int, any
