@@ -239,10 +239,10 @@ def action_rep_reports(index_range: int) -> list[CheckReport]:
     gens = basis(index_range, mode)
     kinds = {kind: [g for g in gens if g.kind == kind] for kind in ("L", "G")}
     amons = [AMonomial(i, eps) for i in range(-index_range, index_range + 1) for eps in (0, 1)]
-    rho, ad = algebra.gen_act_amon, algebra.bracket_basis
+    rho, ad, wc = algebra.gen_act_amon, algebra.bracket_basis, mode.has_center
     return [_check(f"action-rep/({xkind},{ykind})", ACTION_ANCHOR, f"range={index_range}",
                    (((x, y, a), AElement.from_table(rep_residual(
-                       rho, x, y, ad(x, y, mode.has_center), a, x.parity and y.parity)))
+                       rho, x, y, ad(x, y, wc), a, x.parity and y.parity)))
                     for x, y, a in product(kinds[xkind], kinds[ykind], amons)))
             for xkind, ykind in product(kinds, repeat=2)]
 
