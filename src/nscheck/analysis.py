@@ -240,10 +240,15 @@ def action_rep_reports(index_range: int) -> list[CheckReport]:
     kinds = {kind: [g for g in gens if g.kind == kind] for kind in ("L", "G")}
     amons = [AMonomial(i, eps) for i in range(-index_range, index_range + 1) for eps in (0, 1)]
     rho, ad, wc = algebra.gen_act_amon, algebra.bracket_basis, mode.has_center
+
+    def cases(xs, ys):
+        for x, y in product(xs, ys):
+            xy, odd = ad(x, y, wc), x.parity and y.parity  # once per pair, not per a
+            for a in amons:
+                yield (x, y, a), AElement.from_table(rep_residual(rho, x, y, xy, a, odd))
+
     return [_check(f"action-rep/({xkind},{ykind})", ACTION_ANCHOR, f"range={index_range}",
-                   (((x, y, a), AElement.from_table(rep_residual(
-                       rho, x, y, ad(x, y, wc), a, x.parity and y.parity)))
-                    for x, y, a in product(kinds[xkind], kinds[ykind], amons)))
+                   cases(kinds[xkind], kinds[ykind]))
             for xkind, ykind in product(kinds, repeat=2)]
 
 
