@@ -44,8 +44,11 @@ generator, :func:`amon_act_gen` for an A-monomial), the algebra on A
 (derivation action, :func:`gen_act_amon`) and the algebra on a module (the
 module axiom, ``modules``: the per-handle ``GammaModule.gen_action``).  A
 residual is a plain {key: coefficient} table, so a passing check does no
-Scalar arithmetic; each suite wraps it into its element type with one
-``Scalar.of`` per surviving coefficient (:meth:`Combination.from_table`).
+Scalar arithmetic.  The cached tables keep the coefficient rule of
+``scalars``, so an integral structure constant is an int and most of that
+arithmetic runs on machine ints.  The structural suites test the table and
+wrap only their witness, the first nonzero residual, into its element type
+(:meth:`Combination.from_table`): a passing check builds no element.
 
 Keys: the basis keys are tuple values, so they hash, compare and build in
 C.  :class:`HalfInt` is ``(doubled,)``, :class:`Gen` is ``(kind, index)``
@@ -58,7 +61,8 @@ Every element type of the package (``LieElement`` and ``AElement`` here,
 ``SmashElement`` and ``ModuleVector`` downstream) is a :class:`Combination`,
 an immutable finite Scalar-linear combination of basis keys:
 
-* no zero coefficient is ever stored, so ``is_zero`` is ``not terms``;
+* no zero coefficient is ever stored, so ``is_zero`` is ``not terms`` and
+  an element is falsy exactly at zero, like a residual table;
 * every construction runs the subclass's key admission check;
 * ``+`` and ``-`` combine only elements of one type and one ``mode`` (None
   for a type without modes) and raise :class:`AlgebraError` otherwise; the
@@ -89,7 +93,7 @@ from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 
-from .scalars import Scalar
+from .scalars import Scalar, _coefficient
 
 
 class AlgebraError(ValueError):
@@ -98,8 +102,8 @@ class AlgebraError(ValueError):
 
 def accumulate(table: dict, key, coeff) -> None:
     """Add ``coeff`` into ``table[key]``, dropping the entry when it sums to
-    zero.  Coefficients may be Scalars or Fractions: both are falsy exactly
-    at zero."""
+    zero.  Coefficients may be ints, Fractions or Scalars: each is falsy
+    exactly at zero."""
     cur = table.get(key)
     if cur is not None:
         coeff = cur + coeff
@@ -170,7 +174,7 @@ class Combination:
     @classmethod
     def from_table(cls, table: dict, mode=None):
         """The element with the coefficients of a {key: coefficient} table
-        of Fractions or Scalars, each wrapped once by ``Scalar.of``."""
+        of ints, Fractions or Scalars, each wrapped once by ``Scalar.of``."""
         return cls({k: Scalar.of(c) for k, c in table.items()}, mode)
 
     def _new(self, terms: dict):
@@ -178,6 +182,9 @@ class Combination:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def parity(self) -> int | None:
         """0 or 1 when homogeneous, None when mixed or zero (for keys that
@@ -526,20 +533,21 @@ def _phi_inv(m: AMonomial) -> tuple[Gen, int]:
 
 
 @lru_cache(maxsize=None)
-def bracket_basis(x: Gen, y: Gen, with_center: bool) -> tuple[tuple[Gen, Fraction], ...]:
+def bracket_basis(x: Gen, y: Gen, with_center: bool) -> tuple[tuple[Gen, int | Fraction], ...]:
     """Structure constants of [x, y] on basis generators: phi^-1 of x acting
-    on phi(y) in A_1 (x) C_{-1}, plus the central cell on degree 0."""
+    on phi(y) in A_1 (x) C_{-1}, plus the central cell on degree 0; each
+    under the coefficient rule of ``scalars``, like every cached table."""
     if x.kind == "C" or y.kind == "C":
         return ()
     mono, scale = _phi(y)
     coeff = jet_coefficient(x, mono, 1, -1) + sum(c for _, c in gen_act_amon(x, mono))
     target, target_scale = _phi_inv(mono.shifted(x.degree))
-    out = [(target, Fraction(coeff * scale, target_scale))] if coeff else []
+    out = [(target, _coefficient(Fraction(coeff * scale, target_scale)))] if coeff else []
     if with_center and target == L(0):
         a = x.index.as_fraction()
         c = (a**3 - a) / 12 if x.kind == "L" else (a * a - Fraction(1, 4)) / 3
         if c:
-            out.append((C, c))
+            out.append((C, _coefficient(c)))
     return tuple(out)
 
 
@@ -556,7 +564,7 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
 # typed: an AMonomial and an equal BasisKey keep their own entries, so every
 # target has the type of its m
 @lru_cache(maxsize=None, typed=True)
-def gen_act_amon(g: Gen, m: AMonomial) -> tuple[tuple[AMonomial, Fraction], ...]:
+def gen_act_amon(g: Gen, m: AMonomial) -> tuple[tuple[AMonomial, int | Fraction], ...]:
     """Superderivation action g o (t^k xi^e) of a generator L or G on an
     A-monomial, as (monomial, coefficient) pairs:
 
@@ -571,8 +579,8 @@ def gen_act_amon(g: Gen, m: AMonomial) -> tuple[tuple[AMonomial, Fraction], ...]
     if g.kind == "L":
         coeff = m.k + Fraction(m.eps * (g.index.as_int() + 1), 2)
     else:
-        coeff = Fraction(-1 if m.eps else m.k)
-    return ((m.shifted(g.degree), coeff),) if coeff else ()
+        coeff = -1 if m.eps else m.k
+    return ((m.shifted(g.degree), _coefficient(coeff)),) if coeff else ()
 
 
 def jet_coefficient(g: Gen, m: AMonomial, lam, b):
@@ -594,7 +602,7 @@ def k_action_on_A(x: LieElement, a: AElement) -> AElement:
 
 
 @lru_cache(maxsize=None)
-def amon_act_gen(m: AMonomial, g: Gen) -> tuple[tuple[Gen, Fraction], ...]:
+def amon_act_gen(m: AMonomial, g: Gen) -> tuple[tuple[Gen, int | Fraction], ...]:
     """Module action m g = phi^-1(m phi(g)) of an A-monomial on a generator,
     as (generator, coefficient) pairs; () when xi G_r = 0."""
     if g.kind == "C":
@@ -604,10 +612,10 @@ def amon_act_gen(m: AMonomial, g: Gen) -> tuple[tuple[Gen, Fraction], ...]:
     if prod is None:
         return ()
     target, target_scale = _phi_inv(prod)
-    return ((target, Fraction(scale, target_scale)),)
+    return ((target, _coefficient(Fraction(scale, target_scale))),)
 
 
-def _a_act(m: AMonomial, g: Gen, mode: AlgebraMode) -> tuple[tuple[Gen, Fraction], ...]:
+def _a_act(m: AMonomial, g: Gen, mode: AlgebraMode) -> tuple[tuple[Gen, int | Fraction], ...]:
     """:func:`amon_act_gen`, with every target admitted by ``mode``."""
     out = amon_act_gen(m, g)
     for target, _ in out:

@@ -17,7 +17,9 @@ one closure rule: the submodule that a key generates inside the window,
 which with weight multiplicity 1 is the set of keys it reaches.  Every
 suite, the module axiom included, builds its pass/fail reports here
 through one check rule, :func:`_check`: the first nonzero residual of a
-lazy sweep, and its location; the CLI only parses options and emits.
+lazy sweep, and its location; the CLI only parses options and emits.  The
+structural suites sweep plain {key: coefficient} residual tables and build
+an element only for the witness.
 """
 
 from __future__ import annotations
@@ -136,16 +138,19 @@ def _residual_report(name, anchor, params, *residuals) -> CheckReport:
     return _ok(name, anchor, params, witness)
 
 
-def first_witness(cases, where) -> tuple[str | None, str]:
+def first_witness(cases, where, wrap=None) -> tuple[str | None, str]:
     """The rendered first nonzero residual of ``cases`` and its location.
 
     ``cases`` yields (location, residual) pairs and is consumed lazily, so
     the search stops at the first hit; ``where(*location)`` renders the
-    location of that hit.  Returns (None, "") when every residual is zero.
+    location of that hit.  A residual is an element, or with ``wrap`` a
+    plain {key: coefficient} table that ``wrap`` turns into the element
+    rendered, for the hit alone; both are falsy exactly at zero.  Returns
+    (None, "") when every residual is zero.
     """
     for loc, r in cases:
-        if not r.is_zero():
-            return r.render(), where(*loc)
+        if r:
+            return (r if wrap is None else wrap(r)).render(), where(*loc)
     return None, ""
 
 
@@ -153,10 +158,10 @@ def _at(*objs) -> str:
     return f" at ({','.join(o.render() for o in objs)})"
 
 
-def _check(name, anchor, params, cases, where=_at) -> CheckReport:
+def _check(name, anchor, params, cases, where=_at, wrap=None) -> CheckReport:
     """Pass when every residual of ``cases`` is zero; else fail on the first
     nonzero one (:func:`first_witness`), its location appended to ``params``."""
-    witness, loc = first_witness(cases, where)
+    witness, loc = first_witness(cases, where, wrap)
     return _ok(name, anchor, params + loc, witness)
 
 
@@ -169,15 +174,21 @@ COMPAT_ANCHOR = "v(a x) - (-1)^{|v||a|} a(v x) = (v o a) x"
 ACTION_ANCHOR = "x o (y o a) - (-1)^{|x||y|} y o (x o a) = [x,y] o a"
 
 
-def jacobi_residual(x: Gen, y: Gen, z: Gen, mode: AlgebraMode = AlgebraMode.KHAT) -> LieElement:
-    """The Jacobi identity as the representation law of ad, on basis keys."""
-    LieElement._admit((x, y, z), mode)
+def _jacobi_table(x: Gen, y: Gen, z: Gen, mode: AlgebraMode) -> dict:
+    """The Jacobi identity as the representation law of ad, on basis keys,
+    as a {generator: coefficient} table."""
     table, wc = algebra.bracket_basis, mode.has_center
 
     def ad(e, w):
         return table(e, w, wc)
 
-    return LieElement.from_table(rep_residual(ad, x, y, ad(x, y), z, x.parity and y.parity), mode)
+    return rep_residual(ad, x, y, ad(x, y), z, x.parity and y.parity)
+
+
+def jacobi_residual(x: Gen, y: Gen, z: Gen, mode: AlgebraMode = AlgebraMode.KHAT) -> LieElement:
+    """The Jacobi identity as the representation law of ad, on basis keys."""
+    LieElement._admit((x, y, z), mode)
+    return LieElement.from_table(_jacobi_table(x, y, z, mode), mode)
 
 
 JACOBI_FAMILIES = ("LLL", "LLG", "LGG", "GGG", "center")
@@ -199,8 +210,10 @@ def _jacobi_triples(index_range: int):
 
 
 def _jacobi_report(index_range: int, family: str, triples) -> CheckReport:
+    mode = AlgebraMode.KHAT
     return _check(f"jacobi/{family}/range={index_range}", JACOBI_ANCHOR, f"range={index_range}",
-                  ((t, jacobi_residual(*t)) for t in triples))
+                  ((t, _jacobi_table(*t, mode)) for t in triples),
+                  wrap=lambda r: LieElement.from_table(r, mode))
 
 
 def verify_jacobi(index_range: int) -> CheckReport:
@@ -227,9 +240,9 @@ def compat_reports(index_range: int) -> list[CheckReport]:
     amons = {aname: [AMonomial(i, eps) for i in range(-index_range, index_range + 1)]
              for eps, aname in ((0, "t"), (1, "t*xi"))}
     return [_check(f"compat/({vkind},{aname},{xkind})", COMPAT_ANCHOR, f"range={index_range}",
-                   (((v, a, x), SmashElement.from_lie(
-                       LieElement.from_table(compatibility_basis(v, a, x, mode), mode)))
-                    for v, a, x in product(kinds[vkind], amons[aname], kinds[xkind])))
+                   (((v, a, x), compatibility_basis(v, a, x, mode))
+                    for v, a, x in product(kinds[vkind], amons[aname], kinds[xkind])),
+                   wrap=lambda r: SmashElement.from_lie(LieElement.from_table(r, mode)))
             for vkind, aname, xkind in product(kinds, amons, kinds)]
 
 
@@ -245,10 +258,10 @@ def action_rep_reports(index_range: int) -> list[CheckReport]:
         for x, y in product(xs, ys):
             xy, odd = ad(x, y, wc), x.parity and y.parity  # once per pair, not per a
             for a in amons:
-                yield (x, y, a), AElement.from_table(rep_residual(rho, x, y, xy, a, odd))
+                yield (x, y, a), rep_residual(rho, x, y, xy, a, odd)
 
     return [_check(f"action-rep/({xkind},{ykind})", ACTION_ANCHOR, f"range={index_range}",
-                   cases(kinds[xkind], kinds[ykind]))
+                   cases(kinds[xkind], kinds[ykind]), wrap=AElement.from_table)
             for xkind, ykind in product(kinds, repeat=2)]
 
 

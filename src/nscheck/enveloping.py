@@ -48,7 +48,7 @@ from .algebra import (
     extend,
     gen_act_amon,
 )
-from .scalars import Scalar
+from .scalars import Scalar, _coefficient
 
 # Products whose combined PBW degree exceeds this are rejected as runaway.
 DEGREE_GUARD = 6
@@ -71,45 +71,46 @@ def _validate_pbw(p: PBWMonomial, mode: AlgebraMode) -> None:
 
 
 @lru_cache(maxsize=None)
-def _insert_gen(p: PBWMonomial, g: Gen, with_center: bool) -> tuple[tuple[PBWMonomial, Fraction], ...]:
+def _insert_gen(p: PBWMonomial, g: Gen, with_center: bool) -> tuple[tuple[PBWMonomial, int | Fraction], ...]:
     """Normal form of the product (p) * g as sorted PBW monomials."""
     if not p:
-        return (((g,), Fraction(1)),)
+        return (((g,), 1),)
     last = p[-1]
     lk, gk = last.sort_key(), g.sort_key()
     if lk < gk or (lk == gk and g.parity == 0):
-        return ((p + (g,), Fraction(1)),)
+        return ((p + (g,), 1),)
     # each piece (q, h) with coefficient c stands for c * (q * h)
     if lk == gk:
         # odd square: g*g = 1/2 [g, g]
         pieces = [((p[:-1], h), Fraction(1, 2) * c) for h, c in bracket_basis(g, g, with_center)]
     else:
         # last > g: swap, p * g = +/- (p' * g) * last + p' * [last, g]
-        sign = Fraction(-1) if (last.parity and g.parity) else Fraction(1)
+        sign = -1 if (last.parity and g.parity) else 1
         pieces = [((q, last), sign * c) for q, c in _insert_gen(p[:-1], g, with_center)]
         pieces += [((p[:-1], h), c) for h, c in bracket_basis(last, g, with_center)]
-    return tuple(extend(pieces, lambda qh: _insert_gen(*qh, with_center)).items())
+    out = extend(pieces, lambda qh: _insert_gen(*qh, with_center))
+    return tuple((q, _coefficient(c)) for q, c in out.items())
 
 
 @lru_cache(maxsize=None)
-def _pbw_mul(p: PBWMonomial, q: PBWMonomial, with_center: bool) -> tuple[tuple[PBWMonomial, Fraction], ...]:
-    acc: dict[PBWMonomial, Fraction] = {p: Fraction(1)}
+def _pbw_mul(p: PBWMonomial, q: PBWMonomial, with_center: bool) -> tuple[tuple[PBWMonomial, int | Fraction], ...]:
+    acc: dict[PBWMonomial, int | Fraction] = {p: 1}
     for g in q:
         acc = extend(acc.items(), lambda mono: _insert_gen(mono, g, with_center))
-    return tuple(acc.items())
+    return tuple((mono, _coefficient(c)) for mono, c in acc.items())
 
 
 @lru_cache(maxsize=None)
-def _pbw_past_amon(p: PBWMonomial, b: AMonomial) -> tuple[tuple[tuple[AMonomial, PBWMonomial], Fraction], ...]:
+def _pbw_past_amon(p: PBWMonomial, b: AMonomial) -> tuple[tuple[tuple[AMonomial, PBWMonomial], int | Fraction], ...]:
     """Normal form of (p) * b: the A-monomial commuted fully to the left,
     as ((A-monomial, PBW monomial), coefficient) pairs.
 
     Generator subsequences stay sorted, so no PBW reordering is needed.
     """
     if not p:
-        return (((b, ()), Fraction(1)),)
+        return (((b, ()), 1),)
     last = p[-1]
-    sign = Fraction(-1) if (last.parity and b.parity) else Fraction(1)
+    sign = -1 if (last.parity and b.parity) else 1
     # last * b = +/- b * last + (last o b); each piece is (A-monomial, tail)
     pieces = [((b, (last,)), sign)] + [((m2, ()), c) for m2, c in gen_act_amon(last, b)]
 
@@ -117,7 +118,7 @@ def _pbw_past_amon(p: PBWMonomial, b: AMonomial) -> tuple[tuple[tuple[AMonomial,
         bmid, tail = piece
         return (((bout, mid + tail), c) for (bout, mid), c in _pbw_past_amon(p[:-1], bmid))
 
-    return tuple(extend(pieces, rest).items())
+    return tuple((key, _coefficient(c)) for key, c in extend(pieces, rest).items())
 
 
 class SmashElement(Combination):

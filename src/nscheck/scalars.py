@@ -30,7 +30,11 @@ Coefficient rule: every stored polynomial coefficient is exact, and an
 integral one is a plain ``int``; any other is a :class:`fractions.Fraction`
 whose denominator is greater than 1.  The kernels and the constructors
 normalise their results to this rule, so most arithmetic runs on machine
-ints.  Every division of a coefficient goes through ``Fraction``
+ints.  The cached exact tables follow it too, each entry normalised once by
+:func:`_coefficient` on its way into the cache: the structure constants of
+``algebra`` (``bracket_basis``, ``gen_act_amon``, ``amon_act_gen``) and the
+PBW tables of ``enveloping`` (``_insert_gen``, ``_pbw_mul``,
+``_pbw_past_amon``).  Every division of a coefficient goes through ``Fraction``
 (``1 / Fraction(c)``), so ``int / int`` never yields a float.  Operands
 must be ints, Fractions or Scalars: a float raises :class:`ScalarError`,
 and no floating point appears anywhere.

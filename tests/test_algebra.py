@@ -5,12 +5,13 @@ import hashlib
 import pickle
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nscheck.enveloping as enveloping
 from nscheck.algebra import (
     AElement,
     AMode,
@@ -24,6 +25,7 @@ from nscheck.algebra import (
     HalfInt,
     L,
     LieElement,
+    amon_act_gen,
     basis,
     bracket,
     bracket_basis,
@@ -33,6 +35,7 @@ from nscheck.algebra import (
     half,
     k_action_on_A,
 )
+from nscheck.analysis import verify_identity_catalogue
 from nscheck.enveloping import SmashElement
 from nscheck.modules import BasisKey, ModuleVector
 from nscheck.scalars import B, LAMBDA, Scalar
@@ -44,6 +47,12 @@ KPLUS = AlgebraMode.KPLUS
 
 def lie(g, mode=KHAT):
     return LieElement.basis(g, mode)
+
+
+def coefficient_rule(c) -> bool:
+    """The coefficient rule of ``scalars``: an int when integral, else a
+    Fraction with denominator greater than 1."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
 
 
 class TestBasis:
@@ -190,6 +199,13 @@ class TestExtend:
         assert extend([], None) == {}
         assert extend([("a", Fraction(5))], lambda k: ()) == {}
 
+    def test_int_fraction_and_scalar_cancel_onto_one_target(self):
+        # 3 - 2 - 1 on "x", summed in every order of the three types
+        table = {"a": [("x", 3)], "b": [("x", Fraction(1, 2))], "c": [("x", Scalar.of(-1))]}
+        terms = [("a", 1), ("b", Fraction(-4)), ("c", 1)]
+        for order in permutations(terms):
+            assert extend(order, table.__getitem__) == {}, order
+
 
 class TestBracket:
     def test_ll_without_center(self):
@@ -254,12 +270,25 @@ class TestDisplayedTables:
 
     @staticmethod
     def displayed_action(i, eps, g):
-        """(target, coefficient) of t^i g or xi g, or None for xi G_m = 0."""
+        """(target, coefficient) of t^i xi^eps g, or None for xi G_m = 0."""
         if eps == 0:
             return Gen(g.kind, g.index + HalfInt(2 * i)), Fraction(1)
         if g.kind == "L":
-            return G(g.index.as_fraction() + Fraction(1, 2)), Fraction(1, 2)
+            return G(g.index.as_fraction() + i + Fraction(1, 2)), Fraction(1, 2)
         return None
+
+    @staticmethod
+    def displayed_derivation(g, k, eps):
+        """(target, coefficient) of g o t^k xi^eps, from the three rules of
+        ``gen_act_amon``; None when the coefficient vanishes."""
+        if g.kind == "L":
+            i = g.index.as_int()
+            target, c = AMonomial(i + k, eps), k + Fraction(eps * (i + 1), 2)
+        elif eps == 0:
+            target, c = AMonomial(int(g.index.as_fraction() + k - Fraction(1, 2)), 1), Fraction(k)
+        else:
+            target, c = AMonomial(int(g.index.as_fraction() + k + Fraction(1, 2)), 0), Fraction(-1)
+        return (target, c) if c else None
 
     @pytest.mark.parametrize("with_center", [True, False])
     def test_bracket_table(self, with_center):
@@ -292,6 +321,45 @@ class TestDisplayedTables:
     def test_central_element_not_acted_on(self):
         with pytest.raises(AlgebraError, match="central element"):
             A_action_on_k(AElement.monomial(1), lie(C))
+
+    @pytest.mark.parametrize("with_center", [True, False])
+    @pytest.mark.parametrize("mode", list(AlgebraMode), ids=lambda m: m.value)
+    def test_tables_keep_the_coefficient_rule(self, mode, with_center):
+        """Every cached structure constant is an int when integral, else a
+        Fraction with denominator > 1, and equals its displayed formula."""
+        gens = basis(6, mode)
+        amons = [AMonomial(k, eps) for k in range(-6, 7) for eps in (0, 1)]
+        for x, y in product(gens, repeat=2):
+            got = bracket_basis(x, y, with_center)
+            assert all(coefficient_rule(c) for _, c in got), (x.render(), y.render(), got)
+            assert dict(got) == self.displayed_bracket(x, y, with_center)
+        for g, m in product(gens, amons):
+            got = gen_act_amon(g, m)
+            assert all(coefficient_rule(c) for _, c in got), (g.render(), m.render(), got)
+            shown = None if g.kind == "C" else self.displayed_derivation(g, m.k, m.eps)
+            assert got == (() if shown is None else (shown,))
+            if g.kind == "C":
+                continue
+            got = amon_act_gen(m, g)
+            assert all(coefficient_rule(c) for _, c in got), (m.render(), g.render(), got)
+            shown = self.displayed_action(m.k, m.eps, g)
+            assert got == (() if shown is None else (shown,))
+
+
+def test_pbw_tables_keep_the_coefficient_rule(monkeypatch, fresh_tables):
+    """Every entry that the PBW caches fill while the identity catalogue
+    runs keeps the coefficient rule: each fill passes a recording wrapper."""
+    seen = []
+    for name in ("_insert_gen", "_pbw_mul", "_pbw_past_amon"):
+        def recorded(*args, _table=getattr(enveloping, name)):
+            out = _table(*args)
+            seen.extend(c for _, c in out)
+            return out
+
+        monkeypatch.setattr(enveloping, name, recorded)
+    verify_identity_catalogue(2)
+    assert len(seen) > 1000
+    assert all(coefficient_rule(c) for c in seen), [c for c in seen if not coefficient_rule(c)][:5]
 
 
 def test_super_antisymmetry_on_basis():

@@ -480,7 +480,7 @@ def test_numeric_handles_act_without_scalar_arithmetic(scalar_ops):
 
 
 def test_passing_structure_suites_do_no_scalar_arithmetic(scalar_ops):
-    """The structural suites run the representation law on the Fraction
+    """The structural suites run the representation law on the exact
     structure tables and wrap only a nonzero residual into Scalars, so a
     passing suite performs no Scalar arithmetic."""
     reports = jacobi_family_reports(2) + compat_reports(2) + action_rep_reports(2)

@@ -8,6 +8,7 @@ rendering shows up as a test failure.
 """
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,42 @@ def test_action_rep_witness(corrupt_l1_l2):
     assert failures(action_rep_reports(2)) == [
         ("action-rep/(L,L)", "range=2 at (L(1),L(2),t^-2)", "2*t"),
     ]
+
+
+# each structural suite with the element types its witness is built from;
+# the compatibility witness is the Lie residual embedded in the smash algebra
+WITNESS_TYPES = {
+    jacobi_family_reports: ("LieElement",),
+    compat_reports: ("LieElement", "SmashElement"),
+    action_rep_reports: ("AElement",),
+}
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The Combination constructions, counted by type, while it is live."""
+    counts = Counter()
+    original = algebra.Combination.__init__
+
+    def counted(self, *args, **kwargs):
+        counts[type(self).__name__] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(algebra.Combination, "__init__", counted)
+    return counts
+
+
+@pytest.mark.parametrize("mutated", [False, True], ids=["control", "l1-l2-mutant"])
+def test_structural_suites_build_only_their_witness(request, built, mutated):
+    """The structural suites test plain residual tables: a passing suite
+    builds no element, and a failing report builds its witness alone."""
+    if mutated:
+        request.getfixturevalue("corrupt_l1_l2")
+    for suite, types in WITNESS_TYPES.items():
+        built.clear()
+        failing = len(failures(suite(3)))
+        assert (failing > 0) == mutated, suite.__name__
+        assert built == Counter({t: failing for t in types}), suite.__name__
 
 
 def test_centralizer_witness(monkeypatch):
