@@ -59,8 +59,15 @@ never share a table.
 
 Every element type of the package (``LieElement`` and ``AElement`` here,
 ``SmashElement`` and ``ModuleVector`` downstream) is a :class:`Combination`,
-an immutable finite Scalar-linear combination of basis keys:
+an immutable finite exact-linear combination of basis keys under the
+coefficient rule of ``scalars``, like the cached tables:
 
+* the constructor normalises each coefficient once: an int when integral,
+  a Fraction with denominator > 1 when otherwise rational, and a Scalar
+  only when it involves l or b, so the products and sums of numeric
+  elements run on machine ints and Fractions; ``render`` wraps each
+  coefficient in a Scalar, so a rendering does not depend on the
+  representation;
 * no zero coefficient is ever stored, so ``is_zero`` is ``not terms`` and
   an element is falsy exactly at zero, like a residual table;
 * every construction runs the subclass's key admission check;
@@ -93,7 +100,7 @@ from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 
-from .scalars import Scalar, _coefficient
+from .scalars import Scalar, _coefficient, _rational
 
 
 class AlgebraError(ValueError):
@@ -133,7 +140,8 @@ def bilinear(x: Combination, y: Combination, table) -> dict:
 
 
 class Combination:
-    """Immutable sparse Scalar-linear combination; see the module docstring.
+    """Immutable sparse exact-linear combination whose coefficients keep the
+    coefficient rule; see the module docstring.
 
     Subclasses supply key admission (``_admit``), term order (``_order``)
     and term rendering (``_render_term``).
@@ -145,10 +153,17 @@ class Combination:
     def __init__(self, terms: dict | None = None, mode=None):
         if mode is None:
             mode = self.default_mode
+        clean = {}
         if terms:
             self._admit(terms, mode)
-            terms = {k: c for k, c in terms.items() if c}
-        object.__setattr__(self, "terms", terms or {})
+            for k, c in terms.items():
+                # the coefficient rule; a Scalar in l or b is never zero
+                q = _rational(c)
+                if q is None:
+                    clean[k] = c
+                elif q:
+                    clean[k] = q
+        object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "mode", mode)
 
     def __setattr__(self, *a):  # pragma: no cover
@@ -174,8 +189,8 @@ class Combination:
     @classmethod
     def from_table(cls, table: dict, mode=None):
         """The element with the coefficients of a {key: coefficient} table
-        of ints, Fractions or Scalars, each wrapped once by ``Scalar.of``."""
-        return cls({k: Scalar.of(c) for k, c in table.items()}, mode)
+        of ints, Fractions or Scalars, stored under the coefficient rule."""
+        return cls(table, mode)
 
     def _new(self, terms: dict):
         return type(self)(terms, self.mode)
@@ -212,7 +227,8 @@ class Combination:
         return self._new({k: -c for k, c in self.terms.items()})
 
     def scale(self, c):
-        c = Scalar.of(c)
+        q = _rational(c)  # a float raises ScalarError
+        c = c if q is None else q
         return self._new({k: v * c for k, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
@@ -228,7 +244,7 @@ class Combination:
     def render(self) -> str:
         pieces = []
         for key, c in self.items():
-            body = self._render_term(key, c.render_coeff())
+            body = self._render_term(key, Scalar.of(c).render_coeff())
             if not pieces:
                 pieces.append(body)
             elif body.startswith("-"):
@@ -470,7 +486,7 @@ XI = AMonomial(0, 1)
 
 
 class LieElement(Combination):
-    """Finite Scalar-linear combination of basis generators in one mode."""
+    """Finite exact-linear combination of basis generators in one mode."""
 
     __slots__ = ()
 
@@ -498,11 +514,11 @@ class LieElement(Combination):
 
     @staticmethod
     def basis(gen: Gen, mode: AlgebraMode, coeff=1) -> "LieElement":
-        return LieElement({gen: Scalar.of(coeff)}, mode)
+        return LieElement({gen: coeff}, mode)
 
 
 class AElement(Combination):
-    """Finite Scalar-linear combination of A-monomials."""
+    """Finite exact-linear combination of A-monomials."""
 
     __slots__ = ()
     default_mode = AMode.A
@@ -519,7 +535,7 @@ class AElement(Combination):
 
     @staticmethod
     def monomial(k: int, eps: int = 0, mode: AMode = AMode.A, coeff=1) -> "AElement":
-        return AElement({AMonomial(k, eps): Scalar.of(coeff)}, mode)
+        return AElement({AMonomial(k, eps): coeff}, mode)
 
 
 def _phi(g: Gen) -> tuple[AMonomial, int]:
@@ -552,7 +568,7 @@ def bracket_basis(x: Gen, y: Gen, with_center: bool) -> tuple[tuple[Gen, int | F
 
 
 def bracket(x: LieElement, y: LieElement) -> LieElement:
-    """Super-bracket, bilinear over Scalar coefficients.
+    """Super-bracket, bilinear over exact coefficients.
 
     Central terms appear only in KHAT mode.
     """

@@ -19,7 +19,8 @@ suite, the module axiom included, builds its pass/fail reports here
 through one check rule, :func:`_check`: the first nonzero residual of a
 lazy sweep, and its location; the CLI only parses options and emits.  The
 structural suites sweep plain {key: coefficient} residual tables and build
-an element only for the witness.
+an element only for the witness; the Jacobi family split is one streaming
+pass that keeps the first hit of each family and no list of triples.
 """
 
 from __future__ import annotations
@@ -209,26 +210,32 @@ def _jacobi_triples(index_range: int):
     return product(basis(index_range), repeat=3)
 
 
-def _jacobi_report(index_range: int, family: str, triples) -> CheckReport:
-    mode = AlgebraMode.KHAT
+def _jacobi_report(index_range: int, family: str, cases) -> CheckReport:
+    """The report of one family from its (triple, residual table) cases."""
     return _check(f"jacobi/{family}/range={index_range}", JACOBI_ANCHOR, f"range={index_range}",
-                  ((t, _jacobi_table(*t, mode)) for t in triples),
-                  wrap=lambda r: LieElement.from_table(r, mode))
+                  cases, wrap=lambda r: LieElement.from_table(r, AlgebraMode.KHAT))
 
 
 def verify_jacobi(index_range: int) -> CheckReport:
     """Graded Jacobi residual over all homogeneous basis triples with
     |index| <= index_range, central contributions included;
     :func:`jacobi_family_reports` files the same triples per family."""
-    return _jacobi_report(index_range, "all", _jacobi_triples(index_range))
+    return _jacobi_report(index_range, "all", ((t, _jacobi_table(*t, AlgebraMode.KHAT))
+                                               for t in _jacobi_triples(index_range)))
 
 
 def jacobi_family_reports(index_range: int) -> list[CheckReport]:
-    """One report per family of :data:`JACOBI_FAMILIES`, filed in one sweep."""
-    families: dict[str, list] = {fam: [] for fam in JACOBI_FAMILIES}
+    """One report per family of :data:`JACOBI_FAMILIES`, filed in one
+    streaming sweep: it keeps the first nonzero residual of each family, in
+    sweep order, and checks no later triple of a family that has one."""
+    hits: dict[str, list] = {fam: [] for fam in JACOBI_FAMILIES}
     for t in _jacobi_triples(index_range):
-        families[_triple_family(*t)].append(t)
-    return [_jacobi_report(index_range, fam, triples) for fam, triples in families.items()]
+        hit = hits[_triple_family(*t)]
+        if not hit:
+            r = _jacobi_table(*t, AlgebraMode.KHAT)
+            if r:
+                hit.append((t, r))
+    return [_jacobi_report(index_range, fam, hit) for fam, hit in hits.items()]
 
 
 def compat_reports(index_range: int) -> list[CheckReport]:
@@ -322,13 +329,13 @@ def psi_table_reports(max_index: int) -> list[CheckReport]:
     gp = {n: g_prime(n, mode) for n in range(1, 2 * max_index + 1)}
     span = range(max_index + 1)
     rows = [(f"psi-table/LL/m={m}/n={n}", PSI_LL_ANCHOR, f"m={m}, n={n}",
-             lp[m], lp[n], lp[m + n], Fraction(n - m))
+             lp[m], lp[n], lp[m + n], n - m)
             for m in span for n in span]
     rows += [(f"psi-table/LG/m={m}/n={n}", PSI_LG_ANCHOR, f"m={m}, n={n}",
               lp[m], gp[n + 1], gp[m + n + 1], Fraction(2 * n + 1 - m, 2))
              for m in span for n in range(max_index)]
     rows += [(f"psi-table/GG/r={2*n1+1}/2/s={2*n2+1}/2", PSI_GG_ANCHOR, f"r={n1}+1/2, s={n2}+1/2",
-              gp[n1 + 1], gp[n2 + 1], lp[n1 + n2 + 1], Fraction(2))
+              gp[n1 + 1], gp[n2 + 1], lp[n1 + n2 + 1], 2)
              for n1 in range(max_index) for n2 in range(max_index)]
     return [_residual_report(name, anchor, params, smash_bracket(x, y) - z.scale(c))
             for name, anchor, params, x, y, z, c in rows]

@@ -48,7 +48,7 @@ from .algebra import (
     extend,
     gen_act_amon,
 )
-from .scalars import Scalar, _coefficient
+from .scalars import _coefficient
 
 # Products whose combined PBW degree exceeds this are rejected as runaway.
 DEGREE_GUARD = 6
@@ -150,19 +150,19 @@ class SmashElement(Combination):
 
     @staticmethod
     def one(mode: AlgebraMode) -> "SmashElement":
-        return SmashElement({(A_ONE, ()): Scalar.of(1)}, mode)
+        return SmashElement({(A_ONE, ()): 1}, mode)
 
     @staticmethod
     def gen(g: Gen, mode: AlgebraMode, coeff=1) -> "SmashElement":
-        return SmashElement({(A_ONE, (g,)): Scalar.of(coeff)}, mode)
+        return SmashElement({(A_ONE, (g,)): coeff}, mode)
 
     @staticmethod
     def amon(k: int, eps: int = 0, mode: AlgebraMode = AlgebraMode.K, coeff=1) -> "SmashElement":
-        return SmashElement({(AMonomial(k, eps), ()): Scalar.of(coeff)}, mode)
+        return SmashElement({(AMonomial(k, eps), ()): coeff}, mode)
 
     @staticmethod
     def term(a: AMonomial, gens: PBWMonomial, mode: AlgebraMode, coeff=1) -> "SmashElement":
-        return SmashElement({(a, gens): Scalar.of(coeff)}, mode)
+        return SmashElement({(a, gens): coeff}, mode)
 
     @staticmethod
     def from_lie(x: LieElement) -> "SmashElement":
@@ -182,7 +182,7 @@ def smash_product(x: SmashElement, y: SmashElement) -> SmashElement:
     if x.pbw_degree() + y.pbw_degree() > DEGREE_GUARD:
         raise AlgebraError(f"product would exceed PBW degree guard {DEGREE_GUARD}")
     wc = x.mode.has_center
-    out: dict[tuple[AMonomial, PBWMonomial], Scalar] = {}
+    out: dict = {}
     for (ax, px), cx in x.terms.items():
         for (ay, py), cy in y.terms.items():
             base = cx * cy
@@ -214,7 +214,7 @@ def alternating_sum(order: int, term, mode: AlgebraMode) -> SmashElement:
     """The finite difference sum_{i=0}^{order} (-1)^i binom(order, i) term(i),
     where ``term(i)`` is a table {(A-monomial, PBW monomial): coefficient}
     such as ``SmashElement.terms``; see the module docstring."""
-    weights = ((i, Scalar.of((-1) ** i * comb(order, i))) for i in range(order + 1))
+    weights = ((i, (-1) ** i * comb(order, i)) for i in range(order + 1))
     return SmashElement(extend(weights, lambda i: term(i).items()), mode)
 
 
@@ -317,7 +317,7 @@ def verify_reconstruction(n: int, mode: AlgebraMode = AlgebraMode.KPLUS):
     xi_mono = SmashElement.amon(0, 1, mode)
     lhs_l = SmashElement.zero(mode)
     for k in range(n + 1):
-        c = Fraction((-1) ** k * comb(n + 1, k + 1))
+        c = (-1) ** k * comb(n + 1, k + 1)
         inner = lp[k] - smash_product(xi_mono, gp[k]).scale(Fraction(k + 1, 2))
         lhs_l = lhs_l + smash_product(SmashElement.amon(n - k, 0, mode), inner).scale(c)
     lhs_l = lhs_l + smash_product(
@@ -327,7 +327,7 @@ def verify_reconstruction(n: int, mode: AlgebraMode = AlgebraMode.KPLUS):
 
     lhs_g = alternating_sum(n, lambda k: smash_product(
         SmashElement.amon(n - k, 0, mode),
-        gp[k] - smash_product(xi_mono, lp[k - 1]).scale(Fraction(2))).terms, mode)
+        gp[k] - smash_product(xi_mono, lp[k - 1]).scale(2)).terms, mode)
     res_g = lhs_g - SmashElement.gen(G(Fraction(2 * n - 1, 2)), mode)
 
     return res_l, res_g

@@ -146,7 +146,8 @@ class Window:
 
 
 class ModuleVector(Combination):
-    """Finite Scalar combination of basis keys (no mode)."""
+    """Finite exact-linear combination of basis keys (no mode); its
+    coefficients keep the coefficient rule, a Scalar only in l or b."""
 
     __slots__ = ()
 
@@ -155,7 +156,7 @@ class ModuleVector(Combination):
 
     @staticmethod
     def basis(key: BasisKey, coeff=1) -> "ModuleVector":
-        return ModuleVector({key: Scalar.of(coeff)})
+        return ModuleVector({key: coeff})
 
 
 @dataclass(frozen=True)
@@ -276,7 +277,7 @@ class GammaModule:
 
     def _filter(self, coeff: Scalar, target: BasisKey) -> Action:
         # T is out-closed, so the target lies in T; one in S is projected away
-        if coeff.is_zero() or target in self.sub:
+        if not coeff or target in self.sub:
             return ()
         return ((target, coeff),)
 

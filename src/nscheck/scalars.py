@@ -1,9 +1,10 @@
 """Exact arithmetic over Q and over the rational-function field Q(l, b).
 
-Every coefficient in the package is a ``Scalar``: a quotient of two
-polynomials in the formal parameters ``l`` and ``b`` with rational
-coefficients, kept in a canonical form so that equality-to-zero is
-decidable by plain representation comparison.
+A ``Scalar`` is a quotient of two polynomials in the formal parameters
+``l`` and ``b`` with rational coefficients, kept in a canonical form so
+that equality-to-zero is decidable by plain representation comparison.
+A coefficient that involves neither parameter is kept as an int or a
+Fraction instead (the coefficient rule below).
 
 Canonical form of a Scalar:
 
@@ -34,7 +35,12 @@ ints.  The cached exact tables follow it too, each entry normalised once by
 :func:`_coefficient` on its way into the cache: the structure constants of
 ``algebra`` (``bracket_basis``, ``gen_act_amon``, ``amon_act_gen``) and the
 PBW tables of ``enveloping`` (``_insert_gen``, ``_pbw_mul``,
-``_pbw_past_amon``).  Every division of a coefficient goes through ``Fraction``
+``_pbw_past_amon``).  So do the elements (``algebra.Combination``: Lie, A,
+smash and module elements), whose constructor turns a numeric Scalar into
+its value by :func:`_rational` and keeps a Scalar only when it involves l
+or b.  The basis-level module action (``modules.GammaModule.gen_action``)
+stays a Scalar, so that its ratios divide Scalars.  Every division of a
+coefficient goes through ``Fraction``
 (``1 / Fraction(c)``), so ``int / int`` never yields a float.  Operands
 must be ints, Fractions or Scalars: a float raises :class:`ScalarError`,
 and no floating point appears anywhere.

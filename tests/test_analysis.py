@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import re
+import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -93,6 +94,28 @@ class TestJacobi:
     def test_range_bound(self):
         with pytest.raises(ValueError):
             verify_jacobi(1)
+
+    # the streaming sweep's traced peak per cached table entry (keys, value
+    # tuples, cache bookkeeping and the sweep's transients) measured 190-340
+    # bytes on CPython 3.11 at ranges 4 to 8
+    BYTES_PER_CACHE_ENTRY = 400
+
+    @pytest.mark.parametrize("index_range", [6, 7])
+    def test_family_sweep_memory_is_bounded_by_the_table_caches(self, index_range, fresh_tables):
+        """The family sweep streams its triples, so its traced peak is bounded
+        by the entries of the table caches that it fills, which grow as the
+        square of the range, and not by the triples, which grow as its cube:
+        sorting the triples into per-family lists first peaked at 590-670
+        bytes per entry at these ranges."""
+        tracemalloc.start()
+        try:
+            reports = jacobi_family_reports(index_range)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.status for r in reports] == ["pass"] * 5
+        entries = sum(cache.cache_info().currsize for cache in fresh_tables)
+        assert peak <= self.BYTES_PER_CACHE_ENTRY * entries
 
 
 class TestReachability:

@@ -22,7 +22,15 @@ from nscheck.algebra import (
     basis,
     half,
 )
-from nscheck.analysis import action_rep_reports, compat_reports, jacobi_family_reports
+from nscheck.analysis import (
+    action_rep_reports,
+    centralizer_reports,
+    compat_reports,
+    jacobi_family_reports,
+    minimal_annihilator,
+    psi_table_reports,
+    reconstruction_reports,
+)
 from nscheck.enveloping import SmashElement, g_prime, l_prime, omega
 from nscheck.modules import (
     EVERYTHING,
@@ -489,6 +497,24 @@ def test_passing_structure_suites_do_no_scalar_arithmetic(scalar_ops):
     # the formal module axiom is the control: its table holds Scalars
     assert module_axiom_residual(G(half(1)), G(half(-1)), BasisKey(0, 0),
                                  gamma(LAMBDA, B)).is_zero()
+    assert len(scalar_ops) > 0
+
+
+@pytest.mark.parametrize("suite", [
+    lambda: reconstruction_reports(5),
+    lambda: centralizer_reports(5, 5),
+    lambda: psi_table_reports(5),
+], ids=["reconstruction", "centralizer", "psi-table"])
+def test_passing_smash_suites_do_no_scalar_arithmetic(suite, scalar_ops):
+    """Elements keep the coefficient rule, so the smash-algebra suites run
+    on ints and Fractions: a passing suite performs no Scalar arithmetic
+    (before elements kept the rule: 1,426, 12,965 and 54,696 operations)."""
+    reports = suite()
+    assert {r.status for r in reports} == {"pass"}
+    assert len(scalar_ops) == 0
+    # the formal annihilator is the control: its module action holds Scalars
+    order, report = minimal_annihilator(gamma(LAMBDA, B), Window(-3, 3), 6, 1)
+    assert (order, report.status) == (3, "pass")
     assert len(scalar_ops) > 0
 
 
