@@ -48,7 +48,8 @@ Scalar arithmetic.  The cached tables keep the coefficient rule of
 ``scalars``, so an integral structure constant is an int and most of that
 arithmetic runs on machine ints.  The structural suites test the table and
 wrap only their witness, the first nonzero residual, into its element type
-(:meth:`Combination.from_table`): a passing check builds no element.
+(whose constructor takes the table as it is): a passing check builds no
+element.
 
 Keys: the basis keys are tuple values, so they hash, compare and build in
 C.  :class:`HalfInt` is ``(doubled,)``, :class:`Gen` is ``(kind, index)``
@@ -140,8 +141,9 @@ def bilinear(x: Combination, y: Combination, table) -> dict:
 
 
 class Combination:
-    """Immutable sparse exact-linear combination whose coefficients keep the
-    coefficient rule; see the module docstring.
+    """Immutable sparse exact-linear combination; see the module docstring.
+    The constructor takes a {key: coefficient} table of ints, Fractions or
+    Scalars and stores it under the coefficient rule.
 
     Subclasses supply key admission (``_admit``), term order (``_order``)
     and term rendering (``_render_term``).
@@ -185,12 +187,6 @@ class Combination:
         if cs == "-1":
             return f"-{body}"
         return f"{cs}*{body}"
-
-    @classmethod
-    def from_table(cls, table: dict, mode=None):
-        """The element with the coefficients of a {key: coefficient} table
-        of ints, Fractions or Scalars, stored under the coefficient rule."""
-        return cls(table, mode)
 
     def _new(self, terms: dict):
         return type(self)(terms, self.mode)
@@ -690,4 +686,4 @@ def compatibility_residual(v: LieElement, a: AElement, x: LieElement):
     residual = extend(terms, lambda vmx: compatibility_basis(*vmx, x.mode).items())
     from .enveloping import SmashElement  # local import: no cycle at module load
 
-    return SmashElement.from_lie(LieElement.from_table(residual, x.mode))
+    return SmashElement.from_lie(LieElement(residual, x.mode))

@@ -189,7 +189,7 @@ def _jacobi_table(x: Gen, y: Gen, z: Gen, mode: AlgebraMode) -> dict:
 def jacobi_residual(x: Gen, y: Gen, z: Gen, mode: AlgebraMode = AlgebraMode.KHAT) -> LieElement:
     """The Jacobi identity as the representation law of ad, on basis keys."""
     LieElement._admit((x, y, z), mode)
-    return LieElement.from_table(_jacobi_table(x, y, z, mode), mode)
+    return LieElement(_jacobi_table(x, y, z, mode), mode)
 
 
 JACOBI_FAMILIES = ("LLL", "LLG", "LGG", "GGG", "center")
@@ -213,7 +213,7 @@ def _jacobi_triples(index_range: int):
 def _jacobi_report(index_range: int, family: str, cases) -> CheckReport:
     """The report of one family from its (triple, residual table) cases."""
     return _check(f"jacobi/{family}/range={index_range}", JACOBI_ANCHOR, f"range={index_range}",
-                  cases, wrap=lambda r: LieElement.from_table(r, AlgebraMode.KHAT))
+                  cases, wrap=lambda r: LieElement(r, AlgebraMode.KHAT))
 
 
 def verify_jacobi(index_range: int) -> CheckReport:
@@ -249,7 +249,7 @@ def compat_reports(index_range: int) -> list[CheckReport]:
     return [_check(f"compat/({vkind},{aname},{xkind})", COMPAT_ANCHOR, f"range={index_range}",
                    (((v, a, x), compatibility_basis(v, a, x, mode))
                     for v, a, x in product(kinds[vkind], amons[aname], kinds[xkind])),
-                   wrap=lambda r: SmashElement.from_lie(LieElement.from_table(r, mode)))
+                   wrap=lambda r: SmashElement.from_lie(LieElement(r, mode)))
             for vkind, aname, xkind in product(kinds, amons, kinds)]
 
 
@@ -268,7 +268,7 @@ def action_rep_reports(index_range: int) -> list[CheckReport]:
                 yield (x, y, a), rep_residual(rho, x, y, xy, a, odd)
 
     return [_check(f"action-rep/({xkind},{ykind})", ACTION_ANCHOR, f"range={index_range}",
-                   cases(kinds[xkind], kinds[ykind]), wrap=AElement.from_table)
+                   cases(kinds[xkind], kinds[ykind]), wrap=AElement)
             for xkind, ykind in product(kinds, repeat=2)]
 
 

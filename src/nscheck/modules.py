@@ -415,8 +415,7 @@ def module_axiom_residual(x: Gen, y: Gen, key: BasisKey, mod: GammaModule) -> Mo
     central charge is zero on these modules, so [x, y] is read without C.
     """
     xy = algebra.bracket_basis(x, y, False)
-    return ModuleVector.from_table(rep_residual(mod.gen_action, x, y, xy, key,
-                                                x.parity and y.parity))
+    return ModuleVector(rep_residual(mod.gen_action, x, y, xy, key, x.parity and y.parity))
 
 
 def parse_module_descriptor(
