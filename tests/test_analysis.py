@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import random
 import re
 import tracemalloc
 import weakref
@@ -334,6 +335,94 @@ class TestIntertwiner:
     def test_scalings_are_nonzero(self):
         got = find_intertwiner(gamma(F(1, 3), F(1, 2)), gamma(F(4, 3), 0), W, 3)
         assert all(not c.is_zero() for _, _, c in got.mapping)
+
+
+# every exit of find_intertwiner, searching from the first module to the
+# second at gen_range 3: no intertwiner (None), the parity of the map found,
+# or the message of the ModuleError raised
+INTERTWINER_EXITS = [
+    # preconditions
+    ("gamma(l,b)", "gamma(0,0)", W, "numeric parameters required"),
+    ("gamma+(0,1/4)", "gamma(1/3,1/4)", W, "needs a common algebra mode"),
+    ("gamma(1/3,1/4)", "gamma(1/2,1/4)", W, None),  # weight offset 1/6
+    ("gamma(1/3,0)", "gamma(-85/6,0)", W, "cannot decide an intertwiner"),
+    ("gamma+(0,1/4)", "gamma+(0,1/4)", Window(-30, -10, 3), "holds no interior key of"),
+    # a tracked key whose image the second module does not admit
+    ("gamma(0,0)", "gamma'(0,0)", W, None),
+    ("gamma+(0,1/4)", "gamma-(0,1/4)", W, None),
+    # a matched key of the second module whose preimage the first does not admit
+    ("gamma'(0,0)", "gamma(0,0)", W, None),
+    # edge patterns differ within gen_range ...
+    ("gamma(0,0)", "gamma(0,1/2)", W, None),
+    ("gamma(1/4,1/4)", "gamma(3/4,-1/4)", W, None),
+    ("gamma(0,0)", "gamma(1/2,0)", W, None),  # an edge of the second module only
+    # ... or only at index gen_range + 1, in the checking pass
+    ("gamma(-3/4,3/4)", "gamma(-7/4,5/4)", W, None),
+    # the edge equations have no common solution
+    ("gamma(1/3,1/4)", "gamma(4/3,-3/4)", W, None),
+    ("gamma(1/3,1/4)", "gamma(1/3,5/4)", W, None),
+    # found
+    ("gamma(1/3,1/4)", "gamma(4/3,1/4)", W, "even"),
+    ("gamma(1/3,1/2)", "gamma(4/3,0)", W, "odd"),
+    ("gamma'(0,0)", "gamma'(0,1/2)", W, "odd"),  # a half-odd shift, no parity twist
+    ("gamma'(0,0)", "pi(gamma'(0,1/2))", W, "even"),
+]
+
+
+def intertwiner_exit(m1: str, m2: str, window: Window):
+    """What find_intertwiner gives on the descriptors: None, the parity of
+    the map found, or the message of the ModuleError raised."""
+    try:
+        got = find_intertwiner(parse_module_descriptor(m1), parse_module_descriptor(m2), window, 3)
+    except ModuleError as exc:
+        return str(exc)
+    return None if got is None else got.parity
+
+
+@pytest.mark.parametrize("m1, m2, window, want", INTERTWINER_EXITS,
+                         ids=[f"{m1}->{m2}" for m1, m2, _, _ in INTERTWINER_EXITS])
+def test_intertwiner_exit(m1, m2, window, want):
+    got = intertwiner_exit(m1, m2, window)
+    if want in (None, "even", "odd"):
+        assert got == want
+    else:
+        assert want in got
+
+
+def isomorphism_law(l1: F, b1: F, l2: F, b2: F) -> str | None:
+    """Row 5 of the classification, stated here: gamma(l1,b1) ~ gamma(l2,b2)
+    iff l1 - l2 is integral and either b1 = b2 (an even map) or l1 is not
+    integral and {b1, b2} = {0, 1/2} (a parity-reversing one)."""
+    if (l1 - l2).denominator != 1:
+        return None
+    if b1 == b2:
+        return "even"
+    return "odd" if l1.denominator != 1 and {b1, b2} == {0, F(1, 2)} else None
+
+
+def test_intertwiner_follows_the_isomorphism_law():
+    # seeded pairs at a half-integral weight offset of at most 3/2, so that
+    # W decides: a third keep b, a third take {b1, b2} = {0, 1/2}, a third
+    # draw b2 and a weight offset freely
+    rng = random.Random(22)
+    lams = [F(p, q) for q in (1, 2, 3, 4) for p in range(-3, 4)]
+    bs = [F(p, q) for q in (1, 2, 3, 4) for p in range(-2, 3)]
+    seen = Counter()
+    for _ in range(45):
+        l1, b1, kind = rng.choice(lams), rng.choice(bs), rng.randrange(3)
+        if kind == 0:
+            l2, b2 = l1 + rng.randint(-1, 1), b1
+        elif kind == 1:
+            b1, b2 = rng.sample([F(0), F(1, 2)], 2)
+            l2 = l1 + rng.randint(-1, 1)
+        else:
+            b2 = rng.choice(bs)
+            l2 = l1 + b1 - b2 - F(rng.randint(-2, 2), 2)
+        want = isomorphism_law(l1, b1, l2, b2)
+        got = find_intertwiner(gamma(l1, b1), gamma(l2, b2), W, 3)
+        assert (None if got is None else got.parity) == want, (l1, b1, l2, b2)
+        seen[want] += 1
+    assert set(seen) == {None, "even", "odd"}, seen
 
 
 def test_module_handles_die_after_verdicts():

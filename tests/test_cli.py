@@ -139,6 +139,23 @@ class TestExitCodes:
         assert run(["verify", "--range", "1"]) == 2
         assert "index_range must be at least 2" in capsys.readouterr().err
 
+    # a bound below its least value, modules over two algebras, a window
+    # without "..", a symbol in the wrong slot: each a usage error
+    @pytest.mark.parametrize("argv, message", [
+        (["identities", "--max-n", "1"], "max_n must be at least 2"),
+        (["annihilator", "--max-m", "0"], "max_m must be at least 1"),
+        (["module-iso", "--module", "gamma+(0,1/4)", "--module2", "gamma(1/3,1/4)"],
+         "intertwiner search needs a common algebra mode"),
+        (["module-axiom", "--window", "5"], "window must look like A..B, got '5'"),
+        (["module-axiom", "--module", "gamma(b,l)"],
+         "symbol 'b' in the wrong parameter slot of 'gamma(b,l)'"),
+    ], ids=["identities-max-n-1", "annihilator-max-m-0", "iso-two-algebras",
+            "axiom-window-without-dots", "axiom-swapped-symbols"])
+    def test_bad_argument_exits_two(self, capsys, argv, message):
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (f"nscheck: error: {message}\n"
+                                           "run `nscheck <command> --help` for usage\n")
+
     def test_internal_error_exits_three(self, capsys, monkeypatch):
         def broken(index_range):
             raise ValueError("invariant broken")
@@ -236,6 +253,9 @@ class TestDeterminism:
         # the annihilator bound exceeded: one failed check, no chains
         (["annihilator", "--module", "gamma(l,b)", "--max-m", "1", "--window=-6..6"], 1,
          "90505d4d4efd8bb5ad776c882cc118544f20bf6f42020cfdf7d54eeb3656e571"),
+        # the khat algebra-level probes of the chains
+        (["annihilator", "--module", "gamma(1/3,1/4)", "--window=-6..6", "--algebra-level"], 0,
+         "4fa2a2684ceb1e638c6c8b2ca1f4b0d72b42c26207dea01bee9632bf0cb8f047"),
     ]
 
     @pytest.mark.parametrize("argv, want_code, want_digest", GOLDEN,
@@ -426,6 +446,28 @@ def test_text_format_summary_line(capsys):
     out = capsys.readouterr().out
     assert out.strip().endswith("info")
     assert "[info] classify/00/highest weight modules" in out
+
+
+def test_text_format_of_a_failing_run(capsys):
+    # every report line, the witnesses of the failing checks, the summary
+    # line and exit code 1
+    code = run(["module-axiom", "--module", "gamma(l,b)", "--convention", "paper-printed",
+                "--gen-range", "1", "--window=-2..2"])
+    at = "module=gamma(l,b); window=-2..2(margin 0)"
+    lines = [
+        f"[fail] module-axiom/paper-printed/(G(-1/2),G(-1/2)) | {at} at t^-2"
+        " | witness: (4*l - 8) * t^-3",
+        f"[fail] module-axiom/paper-printed/(G(-1/2),G(1/2)) | {at} at t^-2"
+        " | witness: (4*l + 4*b - 8) * t^-2",
+        f"[fail] module-axiom/paper-printed/(G(1/2),G(1/2)) | {at} at t^-2"
+        " | witness: (4*l + 8*b - 8) * t^-1",
+    ]
+    lines += [f"[pass] module-axiom/paper-printed/({x},{y}) | {at}" for x, y in [
+        ("L(-1)", "G(-1/2)"), ("L(-1)", "G(1/2)"), ("L(-1)", "L(-1)"), ("L(-1)", "L(0)"),
+        ("L(-1)", "L(1)"), ("L(0)", "G(-1/2)"), ("L(0)", "G(1/2)"), ("L(0)", "L(0)"),
+        ("L(0)", "L(1)"), ("L(1)", "G(-1/2)"), ("L(1)", "G(1/2)"), ("L(1)", "L(1)")]]
+    lines.append("15 checks: 12 pass, 3 fail, 0 info")
+    assert (code, capsys.readouterr().out) == (1, "\n".join(lines) + "\n")
 
 
 # one cheap invocation per subcommand, with the options its JSON `meta` echoes
