@@ -14,19 +14,27 @@ length at least 4*gen_range in k (the interior -6..6 has length 12).  One
 acting set, :func:`_acting`, lists the elements that move keys, for the
 edges and for the re-check of a reducibility certificate.  Simplicity has
 one closure rule: the submodule that a key generates inside the window,
-which with weight multiplicity 1 is the set of keys it reaches.  Every
-suite, the module axiom included, builds its pass/fail reports here
-through one check rule, :func:`_check`: the first nonzero residual of a
-lazy sweep, and its location; the CLI only parses options and emits.  The
-structural suites sweep plain {key: coefficient} residual tables and build
-an element only for the witness; the Jacobi family split is one streaming
-pass that keeps the first hit of each family and no list of triples.
+which with weight multiplicity 1 is the set of keys it reaches.
+
+Every suite builds its pass/fail reports here; the CLI only parses options
+and emits.  A witness is the first nonzero residual of a lazy sweep,
+:func:`first_witness`.  :func:`_check` reports a sweep with the location of
+its witness (the structural suites, the centralizer A-brackets, the chains,
+the module axiom), :func:`_residual_report` a few fixed residuals (the
+reconstruction, the centralizer G(-1/2) brackets, the psi table), and the
+annihilator report searches its order with :func:`first_witness` and
+:func:`_ok`.  One operator sweep, :func:`_images`, serves the annihilator
+and the chains.  The structural suites sweep plain {key: coefficient}
+residual tables and build an element only for the witness; the Jacobi
+family split is one streaming pass that keeps the first hit of each family
+and no list of triples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement, product
 from typing import NamedTuple
 
@@ -368,12 +376,6 @@ def _checked_keys(mod: GammaModule, window: Window) -> list[BasisKey]:
     return keys
 
 
-def _images(elem: SmashElement, keys, mod: GammaModule):
-    """(key, image of the basis vector) pairs of ``elem``, lazily."""
-    for key in keys:
-        yield key, act(elem, ModuleVector.basis(key), mod)
-
-
 def a_l_chain(a: int, s: int, order: int, mode: AlgebraMode) -> SmashElement:
     """sum_i (-1)^i binom(order, i) t^{a-i} (x) L_{s+i}."""
     return alternating_sum(order, lambda i: {(AMonomial(a - i, 0), (L(s + i),)): 1}, mode)
@@ -395,6 +397,16 @@ def _sweep(mod: GammaModule, sweep: int, contact_start: int) -> range:
     return range(-sweep, sweep + 1)
 
 
+def _images(mod: GammaModule, keys, sweep: int, starts: tuple[int, int], build):
+    """The one operator sweep: ((i, j, key), image of the basis vector) for
+    the operator ``build(i, j)`` at every pair of sweep indices (contact
+    starts ``starts``, :func:`_sweep`) and every key, lazily."""
+    for i, j in product(_sweep(mod, sweep, starts[0]), _sweep(mod, sweep, starts[1])):
+        elem = build(i, j)
+        for key in keys:
+            yield (i, j, key), act(elem, ModuleVector.basis(key), mod)
+
+
 def minimal_annihilator(
     mod: GammaModule, window: Window, max_m: int, sweep: int = 2
 ) -> tuple[int, CheckReport]:
@@ -407,14 +419,12 @@ def minimal_annihilator(
     """
     if max_m < 1:
         raise ModuleError("max_m must be at least 1")
-    keys = _checked_keys(mod, window)
+    keys, mode = _checked_keys(mod, window), mod.algebra_mode
     # one search; the witness of the last failing order proves minimality
     minimality = "minimality: m=1 is the least admissible order"
     for found in range(1, max_m + 1):
         wit, where = first_witness(
-            (((k, s, key), img)
-             for k, s in product(_sweep(mod, sweep, found - 1), _sweep(mod, sweep, -1))
-             for key, img in _images(omega(k, s, found, mod.algebra_mode), keys, mod)),
+            _images(mod, keys, sweep, (found - 1, -1), lambda k, s: omega(k, s, found, mode)),
             lambda k, s, key: f"Omega^({found})_{{{k},{s}}} {key.render()}",
         )
         if wit is None:
@@ -428,13 +438,11 @@ def minimal_annihilator(
     params = [f"module={mod.descriptor()}", f"window={window.render()}",
               f"sweep={sweep}", f"m={found}", minimality]
 
-    # odd companion sums at the discovered order
-    gl_args = [(HalfInt(2 * j + 1), p)
-               for j in _sweep(mod, sweep, found - 1) for p in _sweep(mod, sweep, -1)]
+    # odd companion sums at the discovered order, G at index j + 1/2
     wit, where = first_witness(
-        (((q, p, key), img) for q, p in gl_args
-         for key, img in _images(gl_sum(q, p, found, mod.algebra_mode), keys, mod)),
-        lambda q, p, key: f"G-L sum m={found}, k={q.render()}, p={p} on {key.render()}",
+        _images(mod, keys, sweep, (found - 1, -1),
+                lambda j, p: gl_sum(HalfInt(2 * j + 1), p, found, mode)),
+        lambda j, p, key: f"G-L sum m={found}, k={2 * j + 1}/2, p={p} on {key.render()}",
     )
     witness = None if wit is None else f"{where}: {wit}"
     report = _ok(f"annihilator/{mod.descriptor()}", f"{OMEGA_ANCHOR} ; {GL_ANCHOR}",
@@ -458,36 +466,31 @@ def chain_reports(
     keys = _checked_keys(mod, window)
 
     # name, anchor, order, contact start of the inner sweep (the outer one
-    # starts at the order), the operator at sweep indices (i, j), and the
-    # rendering of (i, j)
+    # starts at the order), the operator at sweep indices (i, j), the
+    # rendering of (i, j), and the algebra-level probe point (i, j)
     chains = (
         ("chain/t-L", CHAIN_TL_ANCHOR, m + 2, -1,
          lambda i, j, order: a_l_chain(i, j, order, smode),
-         lambda i, j: f"a={i}, s={j}"),
+         lambda i, j: f"a={i}, s={j}", (2 * (m + 2), -1) if kplus else (m + 2, 0)),
         ("chain/t-G", CHAIN_TG_ANCHOR, m + 3, 0,
          lambda i, j, order: a_g_chain(i, 2 * j + 1, order, smode),
-         lambda i, j: f"a={i}, p={2 * j + 1}/2"),
+         lambda i, j: f"a={i}, p={2 * j + 1}/2", (2 * (m + 3) if kplus else m + 3, 0)),
         ("chain/G-L", CHAIN_GL_ANCHOR, m + 2, -1,
          lambda i, j, order: gl_sum(HalfInt(2 * i + 1), j, order, mod.algebra_mode),
-         lambda i, j: f"q={2 * i + 1}/2, p={j}"),
+         lambda i, j: f"q={2 * i + 1}/2, p={j}", (m + 2 if kplus else 0, 0)),
     )
     out = [_check(name, anchor, f"module={mod.descriptor()}; order={order}; sweep={sweep}",
-                  (((i, j, key), img)
-                   for i, j in product(_sweep(mod, sweep, order), _sweep(mod, sweep, shift))
-                   for key, img in _images(build(i, j, order), keys, mod)),
+                  _images(mod, keys, sweep, (order, start), partial(build, order=order)),
                   lambda i, j, key: f" at {label(i, j)}, {key.render()}")
-           for name, anchor, order, shift, build, label in chains]
+           for name, anchor, order, start, build, label, _ in chains]
 
     if algebra_level:
-        probes = [
-            ("chain/t-L/algebra-level", a_l_chain(m + 2 + (m + 2 if kplus else 0), -1 if kplus else 0, m + 2, smode)),
-            ("chain/t-G/algebra-level", a_g_chain(m + 3 + (m + 3 if kplus else 0), 1, m + 3, smode)),
-            ("chain/G-L/algebra-level", gl_sum(HalfInt(2 * (m + 2) + 1 if kplus else 1), 0, m + 2, mod.algebra_mode)),
-        ]
-        for name, elem in probes:
+        for name, _, order, _, build, _, probe in chains:
+            elem = build(*probe, order)
             zero = elem.is_zero()
             out.append(CheckReport(
-                name, "the chains vanish on cuspidal modules, not in the smash algebra",
+                f"{name}/algebra-level",
+                "the chains vanish on cuspidal modules, not in the smash algebra",
                 "info",
                 f"identically zero in normal form: {zero}",
                 None if zero else elem.render(),
@@ -681,10 +684,12 @@ def simplicity_verdict(mod: GammaModule, window: Window, gen_range: int) -> Verd
 
 @dataclass(frozen=True)
 class IntertwinerWitness:
-    """Per-key scaling table of a found intertwiner."""
+    """Per-key scaling table of a found intertwiner; ``parity`` is ``even``
+    when the map preserves the parity of every key and ``odd`` when it
+    reverses it."""
 
     mapping: tuple[tuple[BasisKey, BasisKey, Scalar], ...]
-    parity: str  # even | odd | mixed
+    parity: str  # even | odd
 
     def render(self) -> str:
         head = ", ".join(
@@ -708,7 +713,6 @@ def find_intertwiner(
         raise ModuleError("numeric parameters required for intertwiner search")
     if m1.algebra_mode is not m2.algebra_mode:
         raise ModuleError("intertwiner search needs a common algebra mode")
-    gens = edge_generators(m1.algebra_mode, gen_range)
     origin = BasisKey(0, 0)
     off = (m1.weight(origin) - m2.weight(origin)).numeric_value()
     if (2 * off).denominator != 1:
@@ -719,55 +723,48 @@ def find_intertwiner(
                           f"least 4*gen_range = {4 * gen_range} in k")
     # key.shifted(shift) is the key of m2 with the weight of the key of m1
     shift = HalfInt.of(off)
-    interior_k = set(window.interior())
-    keys1 = list(window_keys(m1, window, interior_only=True))
-    tracked = []
-    for key in keys1:
-        img = key.shifted(shift)
-        if img.k in interior_k:
-            if not m2.admissible(img):
-                return None  # weight space present on one side only
-            tracked.append(key)
-    # bijectivity: every matched key of m2 needs an admissible preimage,
-    # otherwise the solved map is a proper embedding, not an isomorphism
-    for key2 in window_keys(m2, window, interior_only=True):
-        pre = key2.shifted(-shift)
-        if pre.k in interior_k and not m1.admissible(pre):
-            return None
+    interior = set(window.interior())
+    # the correspondence: the keys of m1 whose image lies in the interior map
+    # onto the keys of m2 whose preimage does; otherwise a weight space is
+    # present on one side only, or the solved map is a proper embedding
+    tracked = {key for key in window_keys(m1, window, interior_only=True)
+               if key.shifted(shift).k in interior}
+    matched = {key for key in window_keys(m2, window, interior_only=True)
+               if key.shifted(-shift).k in interior}
+    if {key.shifted(shift) for key in tracked} != matched:
+        return None
     if not tracked:
         raise ModuleError(f"window {window.render()} holds no interior key of "
                           f"{m1.descriptor()} matched to a key of {m2.descriptor()}")
-    tracked_set = set(tracked)
 
     def edges(gen_list):
         """The per-edge rule: (key, target, c1, c2) for each edge of m1 between
         tracked keys, whose image in m2 needs scale[target] c1 = scale[key] c2;
-        None, and stop, at an edge that no nonzero scaling matches."""
-        for key in sorted(tracked_set):
+        None at an edge that no nonzero scaling matches, where the caller stops."""
+        for key in sorted(tracked):
             img = key.shifted(shift)
             for g in gen_list:
                 a1 = m1.gen_action(g, key)
                 a2 = m2.gen_action(g, img)
-                if a1 and a1[0][0] in tracked_set:
+                if a1 and a1[0][0] in tracked:
                     t1, c1 = a1[0]
-                    if not a2 or a2[0][0] != t1.shifted(shift):
+                    if a2 and a2[0][0] == t1.shifted(shift):
+                        yield key, t1, c1, a2[0][1]
+                    else:
                         yield None  # forces a zero scaling, or breaks the weight match
-                        return
-                    yield key, t1, c1, a2[0][1]
                 elif a2 and not a1:
                     yield None
-                    return
 
     scale: dict[BasisKey, Scalar] = {}
-    adj: dict[BasisKey, list[tuple[BasisKey, Scalar]]] = {k: [] for k in tracked_set}
-    for edge in edges(gens):
+    adj: dict[BasisKey, list[tuple[BasisKey, Scalar]]] = {k: [] for k in tracked}
+    for edge in edges(edge_generators(m1.algebra_mode, gen_range)):
         if edge is None:
             return None
         key, t1, c1, c2 = edge
         adj[key].append((t1, c2 / c1))
         adj[t1].append((key, c1 / c2))
     # a spanning forest, the least key of each component scaled by 1
-    for start in sorted(tracked_set):
+    for start in sorted(tracked):
         if start in scale:
             continue
         scale[start] = Scalar.of(1)
@@ -786,14 +783,11 @@ def find_intertwiner(
         key, t1, c1, c2 = edge
         if c1 * scale[t1] != c2 * scale[key]:
             return None
-    parities = {(m1.vector_parity(k), m2.vector_parity(k.shifted(shift))) for k in tracked_set}
-    if all(p == q for p, q in parities):
-        parity = "even"
-    elif all(p != q for p, q in parities):
-        parity = "odd"
-    else:
-        parity = "mixed"
-    mapping = tuple((k, k.shifted(shift), scale[k]) for k in sorted(tracked_set))
+    mapping = tuple((k, k.shifted(shift), scale[k]) for k in sorted(tracked))
+    # a key and its image differ in parity by the parity of the shift and the
+    # two parity twists, the same at every key: read it at one
+    src, dst, _ = mapping[0]
+    parity = "even" if m1.vector_parity(src) == m2.vector_parity(dst) else "odd"
     return IntertwinerWitness(mapping, parity)
 
 

@@ -1,9 +1,12 @@
 """Verification suites, reachability verdicts, intertwiners, annihilators."""
 
+import ast
 import gc
 import hashlib
+import inspect
 import random
 import re
+import sys
 import tracemalloc
 import weakref
 from collections import Counter
@@ -387,6 +390,43 @@ def test_intertwiner_exit(m1, m2, window, want):
         assert got == want
     else:
         assert want in got
+
+
+def exit_lines(func) -> set[int]:
+    """The line of every return and raise statement of ``func``, the
+    functions nested in it included, found by AST."""
+    source, first = inspect.getsourcelines(func)
+    return {node.lineno + first - 1 for node in ast.walk(ast.parse("".join(source)))
+            if isinstance(node, (ast.Return, ast.Raise))}
+
+
+def code_objects(code) -> set:
+    """``code`` and every code object nested in it."""
+    found = {code}
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            found |= code_objects(const)
+    return found
+
+
+def test_every_intertwiner_exit_runs():
+    # a line trace of the exit cases, limited to find_intertwiner and the
+    # functions nested in it: a new exit needs a case in INTERTWINER_EXITS
+    codes, ran = code_objects(find_intertwiner.__code__), set()
+
+    def lines(frame, event, arg):
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return lines
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: lines if frame.f_code in codes else None)
+    try:
+        for m1, m2, window, _ in INTERTWINER_EXITS:
+            intertwiner_exit(m1, m2, window)
+    finally:
+        sys.settrace(previous)
+    assert sorted(exit_lines(find_intertwiner) - ran) == []
 
 
 def isomorphism_law(l1: F, b1: F, l2: F, b2: F) -> str | None:
