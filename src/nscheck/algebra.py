@@ -84,7 +84,10 @@ action, the PBW rewriting, the finite-difference sums and the
 representation law are each ``extend`` over plain dicts.  :func:`bilinear`
 is ``extend`` over the pairs of terms of two elements: :func:`bracket`,
 :func:`k_action_on_A` and :func:`A_action_on_k` are each one call of it,
-as :func:`compatibility_residual` is ``extend`` over the triples.
+as :func:`compatibility_residual` is ``extend`` over the triples; it
+returns the residual as the Lie element it is, like ``bracket`` and
+``A_action_on_k``.  This module imports only ``scalars``: no layer imports
+a later one (``tests/test_tooling.py``).
 ``enveloping.smash_product`` keeps its double loop: its pair table is the
 composite of two cached tables (a PBW monomial moved past an A-monomial,
 then the PBW product) with xi*xi = 0 dropped in between, and caching that
@@ -672,18 +675,14 @@ def compatibility_basis(v: Gen, m: AMonomial, x: Gen, mode: AlgebraMode) -> dict
     return rep_residual(rho, v, m, gen_act_amon(v, m), x, v.parity and m.eps)
 
 
-def compatibility_residual(v: LieElement, a: AElement, x: LieElement):
+def compatibility_residual(v: LieElement, a: AElement, x: LieElement) -> LieElement:
     """Residual of v(ax) - (-1)^{|v||a|} a(vx) - (v o a) x, the law of A # k
     acting on the algebra, extended trilinearly from
     :func:`compatibility_basis`; expected zero for all homogeneous inputs.
-    Returned embedded in the smash algebra.
     """
     if v.parity() is None or a.parity() is None or x.parity() is None:
         raise AlgebraError("compatibility residual needs homogeneous inputs")
     v._check_mode(x)
     terms = (((gv, m, gx), cv * cm * cx) for (gv, cv), (m, cm), (gx, cx)
              in product(v.terms.items(), a.terms.items(), x.terms.items()))
-    residual = extend(terms, lambda vmx: compatibility_basis(*vmx, x.mode).items())
-    from .enveloping import SmashElement  # local import: no cycle at module load
-
-    return SmashElement.from_lie(LieElement(residual, x.mode))
+    return LieElement(extend(terms, lambda vmx: compatibility_basis(*vmx, x.mode).items()), x.mode)

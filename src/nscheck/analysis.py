@@ -18,16 +18,15 @@ which with weight multiplicity 1 is the set of keys it reaches.
 
 Every suite builds its pass/fail reports here; the CLI only parses options
 and emits.  A witness is the first nonzero residual of a lazy sweep,
-:func:`first_witness`.  :func:`_check` reports a sweep with the location of
-its witness (the structural suites, the centralizer A-brackets, the chains,
-the module axiom), :func:`_residual_report` a few fixed residuals (the
-reconstruction, the centralizer G(-1/2) brackets, the psi table), and the
-annihilator report searches its order with :func:`first_witness` and
-:func:`_ok`.  One operator sweep, :func:`_images`, serves the annihilator
-and the chains.  The structural suites sweep plain {key: coefficient}
-residual tables and build an element only for the witness; the Jacobi
-family split is one streaming pass that keeps the first hit of each family
-and no list of triples.
+:func:`first_witness`.  :func:`_check` reports every suite of residuals
+with the location of its witness, which is empty for the fixed residuals of
+the reconstruction, the centralizer G(-1/2) brackets and the psi table;
+only the annihilator report, which searches its order, uses
+:func:`first_witness` with :func:`_ok`.  One operator sweep,
+:func:`_images`, serves the annihilator and the chains.  The structural
+suites sweep plain {key: coefficient} residual tables and build an element
+only for the witness; the Jacobi family split is one streaming pass that
+keeps the first hit of each family and no list of triples.
 """
 
 from __future__ import annotations
@@ -141,12 +140,6 @@ def _ok(name, anchor, params, residual_render: str | None) -> CheckReport:
     return CheckReport(name, anchor, "fail", params, residual_render)
 
 
-def _residual_report(name, anchor, params, *residuals) -> CheckReport:
-    """Pass when every residual is zero; else fail on the first nonzero one."""
-    witness = next((r.render() for r in residuals if not r.is_zero()), None)
-    return _ok(name, anchor, params, witness)
-
-
 def first_witness(cases, where, wrap=None) -> tuple[str | None, str]:
     """The rendered first nonzero residual of ``cases`` and its location.
 
@@ -164,7 +157,7 @@ def first_witness(cases, where, wrap=None) -> tuple[str | None, str]:
 
 
 def _at(*objs) -> str:
-    return f" at ({','.join(o.render() for o in objs)})"
+    return f" at ({','.join(o.render() for o in objs)})" if objs else ""
 
 
 def _check(name, anchor, params, cases, where=_at, wrap=None) -> CheckReport:
@@ -183,21 +176,20 @@ COMPAT_ANCHOR = "v(a x) - (-1)^{|v||a|} a(v x) = (v o a) x"
 ACTION_ANCHOR = "x o (y o a) - (-1)^{|x||y|} y o (x o a) = [x,y] o a"
 
 
-def _jacobi_table(x: Gen, y: Gen, z: Gen, mode: AlgebraMode) -> dict:
+def _jacobi_table(x: Gen, y: Gen, z: Gen) -> dict:
     """The Jacobi identity as the representation law of ad, on basis keys,
     as a {generator: coefficient} table."""
-    table, wc = algebra.bracket_basis, mode.has_center
+    table = algebra.bracket_basis
 
     def ad(e, w):
-        return table(e, w, wc)
+        return table(e, w, True)
 
     return rep_residual(ad, x, y, ad(x, y), z, x.parity and y.parity)
 
 
-def jacobi_residual(x: Gen, y: Gen, z: Gen, mode: AlgebraMode = AlgebraMode.KHAT) -> LieElement:
+def jacobi_residual(x: Gen, y: Gen, z: Gen) -> LieElement:
     """The Jacobi identity as the representation law of ad, on basis keys."""
-    LieElement._admit((x, y, z), mode)
-    return LieElement(_jacobi_table(x, y, z, mode), mode)
+    return LieElement(_jacobi_table(x, y, z), AlgebraMode.KHAT)
 
 
 JACOBI_FAMILIES = ("LLL", "LLG", "LGG", "GGG", "center")
@@ -228,21 +220,19 @@ def verify_jacobi(index_range: int) -> CheckReport:
     """Graded Jacobi residual over all homogeneous basis triples with
     |index| <= index_range, central contributions included;
     :func:`jacobi_family_reports` files the same triples per family."""
-    mode = AlgebraMode.KHAT  # a local: an Enum member lookup per triple costs the sweep 1 %
     return _jacobi_report(index_range, "all",
-                          ((t, _jacobi_table(*t, mode)) for t in _jacobi_triples(index_range)))
+                          ((t, _jacobi_table(*t)) for t in _jacobi_triples(index_range)))
 
 
 def jacobi_family_reports(index_range: int) -> list[CheckReport]:
     """One report per family of :data:`JACOBI_FAMILIES`, filed in one
     streaming sweep: it keeps the first nonzero residual of each family, in
     sweep order, and checks no later triple of a family that has one."""
-    mode = AlgebraMode.KHAT
     hits: dict[str, list] = {fam: [] for fam in JACOBI_FAMILIES}
     for t in _jacobi_triples(index_range):
         hit = hits[_triple_family(*t)]
         if not hit:
-            r = _jacobi_table(*t, mode)
+            r = _jacobi_table(*t)
             if r:
                 hit.append((t, r))
     return [_jacobi_report(index_range, fam, hit) for fam, hit in hits.items()]
@@ -296,8 +286,9 @@ PSI_GG_ANCHOR = "[G'_r, G'_s] = 2 L'_{r+s}"
 
 
 def reconstruction_reports(max_n: int) -> list[CheckReport]:
-    return [_residual_report(f"reconstruction/n={n}", f"{RECON_L_ANCHOR} ; {RECON_G_ANCHOR}",
-                             f"n={n}; extension L'(-1) = -L(-1)", *verify_reconstruction(n))
+    return [_check(f"reconstruction/n={n}", f"{RECON_L_ANCHOR} ; {RECON_G_ANCHOR}",
+                   f"n={n}; extension L'(-1) = -L(-1)",
+                   (((), r) for r in verify_reconstruction(n)))
             for n in range(max_n + 1)]
 
 
@@ -324,8 +315,8 @@ def centralizer_reports(max_n: int, max_k: int) -> list[CheckReport]:
                   lambda k, eps: f" at t^{k}{'*xi' if eps else ''}")
            for label in a_labels]
     for label in g_labels:
-        out.append(_residual_report(f"centralizer/{label.render()}/G(-1/2)", CENTRALIZER_ANCHOR,
-                                    f"n={label.n}", smash_bracket(gm, built[label])))
+        out.append(_check(f"centralizer/{label.render()}/G(-1/2)", CENTRALIZER_ANCHOR,
+                          f"n={label.n}", [((), smash_bracket(gm, built[label]))]))
     return out
 
 
@@ -347,7 +338,7 @@ def psi_table_reports(max_index: int) -> list[CheckReport]:
     rows += [(f"psi-table/GG/r={2*n1+1}/2/s={2*n2+1}/2", PSI_GG_ANCHOR, f"r={n1}+1/2, s={n2}+1/2",
               gp[n1 + 1], gp[n2 + 1], lp[n1 + n2 + 1], 2)
              for n1 in range(max_index) for n2 in range(max_index)]
-    return [_residual_report(name, anchor, params, smash_bracket(x, y) - z.scale(c))
+    return [_check(name, anchor, params, [((), smash_bracket(x, y) - z.scale(c))])
             for name, anchor, params, x, y, z, c in rows]
 
 
@@ -695,7 +686,8 @@ class IntertwinerWitness:
         head = ", ".join(
             f"{src.render()} -> {dst.render()} x {c.render()}" for src, dst, c in self.mapping[:4]
         )
-        return f"{self.parity} intertwiner on {len(self.mapping)} keys: {head}, ..."
+        more = ", ..." if len(self.mapping) > 4 else ""
+        return f"{self.parity} intertwiner on {len(self.mapping)} keys: {head}{more}"
 
 
 def find_intertwiner(

@@ -293,18 +293,17 @@ class GammaModule:
         return f"GammaModule({self.descriptor()}, {self.algebra_mode.value})"
 
 
-# at least three generator indices of each kind in every mode (_check_out_closed)
-_PROBE_GENS = basis(3)
+# the generators each mode admits, three or more indices of each kind (_check_out_closed)
+_PROBE_GENS = {mode: basis(3, mode) for mode in AlgebraMode}
 
 
 def edge_coeffs(mod: GammaModule, key: BasisKey, gens) -> tuple[list[Scalar], list[Scalar]]:
     """Nonzero coefficients of the edges out of and into ``key`` along the
-    generators of ``gens`` that the mode admits, read without the cut."""
+    generators of ``gens``, which the mode admits, read without the cut."""
     plain, outs, ins = mod.plain(), [], []
     for g in gens:
-        if mod.algebra_mode.admits(g):
-            outs += [c for _, c in plain.gen_action(g, key)]
-            ins += [c for _, c in plain.gen_action(g, key.shifted(-g.degree))]
+        outs += [c for _, c in plain.gen_action(g, key)]
+        ins += [c for _, c in plain.gen_action(g, key.shifted(-g.degree))]
     return outs, ins
 
 
@@ -321,12 +320,13 @@ def _check_out_closed(mod: GammaModule, part: KeySet) -> None:
     """
     mode = mod.algebra_mode
     if part.floor is None:
-        leaks = [key for key in part.keys if edge_coeffs(mod, key, _PROBE_GENS)[part.cofinite]]
+        leaks = [key for key in part.keys
+                 if edge_coeffs(mod, key, _PROBE_GENS[mode])[part.cofinite]]
     elif mode is not AlgebraMode.KPLUS:
         raise ModuleError(f"a half-line cut needs kplus: {mod.descriptor()} is over {mode.value}")
     else:
         plain = mod.plain()
-        leaks = [t for eps in (0, 1) for g in _PROBE_GENS if mode.admits(g)
+        leaks = [t for eps in (0, 1) for g in _PROBE_GENS[mode]
                  for t, _ in plain.gen_action(g, BasisKey(0, eps).shifted(part.floor))
                  if t not in part]
     if leaks:
@@ -364,7 +364,7 @@ def gamma_prime(lam, b, algebra_mode: AlgebraMode = AlgebraMode.KHAT,
     if not weight0.is_numeric() or (2 * weight0.numeric_value()).denominator != 1:
         return mod
     key = BasisKey(0, 0).shifted(-HalfInt.of(weight0.numeric_value()))
-    outs, ins = edge_coeffs(mod, key, _PROBE_GENS)
+    outs, ins = edge_coeffs(mod, key, _PROBE_GENS[mod.algebra_mode])
     if not outs:
         return replace(mod, sub=KeySet(frozenset({key})))
     return mod if ins else replace(mod, top=KeySet(frozenset({key}), cofinite=True))

@@ -21,6 +21,7 @@ from nscheck.analysis import (
     JACOBI_FAMILIES,
     AnnihilatorBoundError,
     CheckReport,
+    action_rep_reports,
     annihilator_reports,
     chain_reports,
     classification_table,
@@ -120,6 +121,24 @@ class TestJacobi:
         assert [r.status for r in reports] == ["pass"] * 5
         entries = sum(cache.cache_info().currsize for cache in fresh_tables)
         assert peak <= self.BYTES_PER_CACHE_ENTRY * entries
+
+
+@pytest.mark.parametrize("index_range", [5, 6])
+@pytest.mark.parametrize("suite", [compat_reports, action_rep_reports], ids=lambda f: f.__name__)
+def test_structural_sweep_memory_is_bounded_by_the_table_caches(suite, index_range, fresh_tables):
+    """The compatibility and derivation-action sweeps stream their cases and
+    keep no list that grows with the range, so their traced peak is bounded
+    like the Jacobi family sweep's; they measured 250-325 (compat) and
+    130-170 (action-rep) bytes per cached table entry at these ranges."""
+    tracemalloc.start()
+    try:
+        reports = suite(index_range)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert {r.status for r in reports} == {"pass"}
+    entries = sum(cache.cache_info().currsize for cache in fresh_tables)
+    assert peak <= TestJacobi.BYTES_PER_CACHE_ENTRY * entries
 
 
 class TestReachability:
@@ -390,6 +409,19 @@ def test_intertwiner_exit(m1, m2, window, want):
         assert got == want
     else:
         assert want in got
+
+
+@pytest.mark.parametrize("top, want", [
+    (1, "even intertwiner on 4 keys: t^0 -> t^0 x 1, t^0 xi -> t^0 xi x 1, t^1 -> t^1 x 1, "
+        "t^1 xi -> t^1 xi x 1"),
+    (2, "even intertwiner on 6 keys: t^0 -> t^0 x 1, t^0 xi -> t^0 xi x 1, t^1 -> t^1 x 1, "
+        "t^1 xi -> t^1 xi x 1, ..."),
+])
+def test_intertwiner_rendering_marks_only_keys_left_out(top, want):
+    # the rendering lists the first four keys and ends in ", ..." only when
+    # the map has more
+    mod = gamma_plus(F(1, 4))
+    assert find_intertwiner(mod, mod, Window(-11, top, 0), 3).render() == want
 
 
 def exit_lines(func) -> set[int]:

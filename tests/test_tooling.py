@@ -1,7 +1,7 @@
 """Tooling contracts: the runtime is stdlib-only and free of floating
-point, the benchmark's layer tracer finds every entry point it wraps, and
-the benchmark's golden CLI invocations reproduce their recorded exit codes
-and report bytes."""
+point, each layer imports only earlier ones, the benchmark's layer tracer
+finds every entry point it wraps, and the benchmark's golden CLI
+invocations reproduce their recorded exit codes and report bytes."""
 
 import ast
 import dataclasses
@@ -38,6 +38,35 @@ def absolute_imports(path: Path) -> list[str]:
 def test_runtime_imports_only_the_standard_library(path):
     outside = [n for n in absolute_imports(path) if n not in sys.stdlib_module_names]
     assert outside == []
+
+
+# the layers, each importing only earlier ones; a new module takes a place here
+LAYERS = ("scalars", "algebra", "enveloping", "modules", "analysis", "cli")
+
+
+def relative_imports(path: Path) -> list[tuple[int, str]]:
+    """(line, module) for every module that a relative import in ``path``
+    names, ``from .x import ...`` or ``from . import x``, at any depth
+    (function-local imports included)."""
+    modules, found = {p.stem for p in SOURCES}, []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not (isinstance(node, ast.ImportFrom) and node.level):
+            continue
+        if node.module:
+            found.append((node.lineno, node.module.partition(".")[0]))
+        else:  # a name that is no module, as in ``from . import __version__``, is __init__'s
+            found += [(node.lineno, alias.name if alias.name in modules else "__init__")
+                      for alias in node.names]
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_layer_imports_only_earlier_layers(path):
+    # __init__ runs before any module of the package, so each may read it
+    earlier = ("__init__",) + LAYERS[:LAYERS.index(path.stem)]
+    assert [f"{line}: {name}" for line, name in relative_imports(path)
+            if name not in earlier] == []
 
 
 def float_uses(path: Path) -> list[str]:
