@@ -560,7 +560,7 @@ def bracket_basis(x: Gen, y: Gen, with_center: bool) -> tuple[tuple[Gen, int | F
     out = [(target, _coefficient(Fraction(coeff * scale, target_scale)))] if coeff else []
     if with_center and target == L(0):
         a = x.index.as_fraction()
-        c = (a**3 - a) / 12 if x.kind == "L" else (a * a - Fraction(1, 4)) / 3
+        c = Fraction(a**3 - a, 12) if x.kind == "L" else Fraction(a * a - Fraction(1, 4), 3)
         if c:
             out.append((C, _coefficient(c)))
     return tuple(out)

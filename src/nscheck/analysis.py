@@ -74,7 +74,7 @@ from .modules import (
     gamma,
     module_axiom_residual,
 )
-from .scalars import B, LAMBDA, Scalar
+from .scalars import B, LAMBDA, Scalar, _coefficient
 
 
 class AnnihilatorBoundError(RuntimeError):
@@ -110,12 +110,13 @@ class CheckReport:
 
 
 class EdgeRecord(NamedTuple):
-    """One nonzero action edge of the weight digraph."""
+    """One nonzero action edge of the weight digraph; its coefficient keeps
+    the coefficient rule of ``scalars``, as the module action does."""
 
     source: BasisKey
     target: BasisKey
     generator: str
-    coefficient: Scalar
+    coefficient: int | Fraction | Scalar
 
 
 @dataclass(frozen=True)
@@ -286,6 +287,8 @@ PSI_GG_ANCHOR = "[G'_r, G'_s] = 2 L'_{r+s}"
 
 
 def reconstruction_reports(max_n: int) -> list[CheckReport]:
+    if max_n < 0:
+        raise AlgebraError("max_n must be at least 0")
     return [_check(f"reconstruction/n={n}", f"{RECON_L_ANCHOR} ; {RECON_G_ANCHOR}",
                    f"n={n}; extension L'(-1) = -L(-1)",
                    (((), r) for r in verify_reconstruction(n)))
@@ -300,6 +303,8 @@ def centralizer_reports(max_n: int, max_k: int) -> list[CheckReport]:
     for n >= 1); the G_{-1/2} brackets extend to the boundary elements
     L'(-1) and G'(-1/2), where they also vanish.
     """
+    if max_n < 0 or max_k < 0:
+        raise AlgebraError(f"max_n and max_k must be at least 0, got {max_n} and {max_k}")
     mode = AlgebraMode.K
     gm = SmashElement.gen(G(Fraction(-1, 2)), mode)
     a_labels = [TElementLabel("L", n) for n in range(0, max_n + 1)]
@@ -324,6 +329,8 @@ def psi_table_reports(max_index: int) -> list[CheckReport]:
     """The bracket table of the primed family, verified by normal-form
     computation: each row (name, anchor, params, x, y, z, c) checks that
     [x, y] - c z vanishes."""
+    if max_index < 0:
+        raise AlgebraError("max_index must be at least 0")
     mode = AlgebraMode.K
     # each primed element once: L'(0..2 max) and G'(1/2..(4 max - 1)/2)
     lp = {n: l_prime(n, mode) for n in range(2 * max_index + 1)}
@@ -612,8 +619,8 @@ def _generic_locus(mod: GammaModule, gen_range: int) -> dict:
     for eps in (0, 1):
         key = BasisKey(0, eps)
         outs, ins = edge_coeffs(mod, key, gens)
-        locus[f"out@{key.render()}"] = sorted({c.render() for c in outs})
-        locus[f"in@{key.render()}"] = sorted({c.render() for c in ins})
+        locus[f"out@{key.render()}"] = sorted({Scalar.of(c).render() for c in outs})
+        locus[f"in@{key.render()}"] = sorted({Scalar.of(c).render() for c in ins})
     return locus
 
 
@@ -675,17 +682,16 @@ def simplicity_verdict(mod: GammaModule, window: Window, gen_range: int) -> Verd
 
 @dataclass(frozen=True)
 class IntertwinerWitness:
-    """Per-key scaling table of a found intertwiner; ``parity`` is ``even``
-    when the map preserves the parity of every key and ``odd`` when it
-    reverses it."""
+    """Per-key scaling table of a found intertwiner, each scaling an int or a
+    Fraction; ``parity`` is ``even`` when the map preserves the parity of
+    every key and ``odd`` when it reverses it."""
 
-    mapping: tuple[tuple[BasisKey, BasisKey, Scalar], ...]
+    mapping: tuple[tuple[BasisKey, BasisKey, int | Fraction], ...]
     parity: str  # even | odd
 
     def render(self) -> str:
-        head = ", ".join(
-            f"{src.render()} -> {dst.render()} x {c.render()}" for src, dst, c in self.mapping[:4]
-        )
+        head = ", ".join(f"{src.render()} -> {dst.render()} x {Scalar.of(c).render()}"
+                         for src, dst, c in self.mapping[:4])
         more = ", ..." if len(self.mapping) > 4 else ""
         return f"{self.parity} intertwiner on {len(self.mapping)} keys: {head}{more}"
 
@@ -705,8 +711,8 @@ def find_intertwiner(
         raise ModuleError("numeric parameters required for intertwiner search")
     if m1.algebra_mode is not m2.algebra_mode:
         raise ModuleError("intertwiner search needs a common algebra mode")
-    origin = BasisKey(0, 0)
-    off = (m1.weight(origin) - m2.weight(origin)).numeric_value()
+    off = (m1.lam.numeric_value() + m1.b.numeric_value()
+           - m2.lam.numeric_value() - m2.b.numeric_value())
     if (2 * off).denominator != 1:
         return None
     if not _window_decides(window, gen_range, off):
@@ -747,25 +753,25 @@ def find_intertwiner(
                 elif a2 and not a1:
                     yield None
 
-    scale: dict[BasisKey, Scalar] = {}
-    adj: dict[BasisKey, list[tuple[BasisKey, Scalar]]] = {k: [] for k in tracked}
+    scale: dict[BasisKey, int | Fraction] = {}
+    adj: dict[BasisKey, list[tuple[BasisKey, Fraction]]] = {k: [] for k in tracked}
     for edge in edges(edge_generators(m1.algebra_mode, gen_range)):
         if edge is None:
             return None
         key, t1, c1, c2 = edge
-        adj[key].append((t1, c2 / c1))
-        adj[t1].append((key, c1 / c2))
+        adj[key].append((t1, Fraction(c2, c1)))
+        adj[t1].append((key, Fraction(c1, c2)))
     # a spanning forest, the least key of each component scaled by 1
     for start in sorted(tracked):
         if start in scale:
             continue
-        scale[start] = Scalar.of(1)
+        scale[start] = 1
         stack = [start]
         while stack:
             cur = stack.pop()
             for nxt, ratio in adj[cur]:
                 if nxt not in scale:
-                    scale[nxt] = scale[cur] * ratio
+                    scale[nxt] = _coefficient(scale[cur] * ratio)
                     stack.append(nxt)
     # check every equation on a wider batch of (generator, key) pairs, which
     # holds each edge above

@@ -23,9 +23,9 @@ sigma = -1 under "paper-printed".  The printed pair of odd-action signs
 fails the odd-odd module axiom by a global sign; the corrected choice is
 one of the two consistent repairs (they differ by G -> -G and give
 identical classification data).  Lambda and b may be exact rationals or
-the formal parameters.  A numeric handle computes each coefficient in Q
-and wraps it in one Scalar; a symbolic or mixed one runs the same
-formula on Scalars.
+the formal parameters.  A numeric handle computes each coefficient in Q,
+a symbolic or mixed one runs the same formula on Scalars, and either
+keeps the coefficient rule of ``scalars``, as every table and element does.
 
 Every key move is one degree rule: t^k xi^eps has degree k + eps/2, and an
 element of degree d moves it to the key of degree k + eps/2 + d (a key is
@@ -82,7 +82,7 @@ from .algebra import (
     rep_residual,
 )
 from .enveloping import SmashElement
-from .scalars import B, LAMBDA, ONE, ZERO, Scalar, parse_rational
+from .scalars import B, LAMBDA, ZERO, Scalar, _rational, parse_rational
 
 
 class ModuleError(ValueError):
@@ -119,7 +119,7 @@ class BasisKey(AMonomial):
 
 
 # the basis-level action: at most one (target key, coefficient) pair
-Action = tuple[tuple[BasisKey, Scalar], ...]
+Action = tuple[tuple[BasisKey, int | Fraction | Scalar], ...]
 
 
 @dataclass(frozen=True)
@@ -251,7 +251,8 @@ class GammaModule:
             coeff = coeff + c
         if gen.parity and not key.eps and self.convention is SignConvention.PAPER_PRINTED:
             coeff = -coeff
-        return self._filter(Scalar.of(coeff), key.shifted(gen.degree))
+        q = _rational(coeff)
+        return self._filter(coeff if q is None else q, key.shifted(gen.degree))
 
     def jet_term(self, gen: Gen, mono: AMonomial) -> Scalar | Fraction | int:
         """The coefficient of mu_g * mono (``algebra.jet_coefficient``) at
@@ -273,9 +274,9 @@ class GammaModule:
             raise ModuleError(f"A-monomial {mono.render()} does not act on {self.descriptor()}: "
                               "it does not preserve the cut")
         prod = mono.times(key)
-        return () if prod is None else self._filter(ONE, prod)
+        return () if prod is None else self._filter(1, prod)
 
-    def _filter(self, coeff: Scalar, target: BasisKey) -> Action:
+    def _filter(self, coeff: int | Fraction | Scalar, target: BasisKey) -> Action:
         # T is out-closed, so the target lies in T; one in S is projected away
         if not coeff or target in self.sub:
             return ()
@@ -297,7 +298,7 @@ class GammaModule:
 _PROBE_GENS = {mode: basis(3, mode) for mode in AlgebraMode}
 
 
-def edge_coeffs(mod: GammaModule, key: BasisKey, gens) -> tuple[list[Scalar], list[Scalar]]:
+def edge_coeffs(mod: GammaModule, key: BasisKey, gens) -> tuple[list, list]:
     """Nonzero coefficients of the edges out of and into ``key`` along the
     generators of ``gens``, which the mode admits, read without the cut."""
     plain, outs, ins = mod.plain(), [], []

@@ -38,12 +38,13 @@ PBW tables of ``enveloping`` (``_insert_gen``, ``_pbw_mul``,
 ``_pbw_past_amon``).  So do the elements (``algebra.Combination``: Lie, A,
 smash and module elements), whose constructor turns a numeric Scalar into
 its value by :func:`_rational` and keeps a Scalar only when it involves l
-or b.  The basis-level module action (``modules.GammaModule.gen_action``)
-stays a Scalar, so that its ratios divide Scalars.  Every division of a
-coefficient goes through ``Fraction``
-(``1 / Fraction(c)``), so ``int / int`` never yields a float.  Operands
-must be ints, Fractions or Scalars: a float raises :class:`ScalarError`,
-and no floating point appears anywhere.
+or b, and so does the basis-level module action
+(``modules.GammaModule.gen_action``), with its edge records and the
+scalings of an intertwiner.  Every division of a coefficient goes through
+``Fraction`` (``1 / Fraction(c)`` here, ``Fraction(p, q)`` in the other
+layers, which write no ``/``), so ``int / int`` never yields a float.
+Operands must be ints, Fractions or Scalars: a float raises
+:class:`ScalarError`, and no floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping
-
-Rational = Fraction
 
 # Exponent pair: (degree in l, degree in b).
 Expt = tuple[int, int]

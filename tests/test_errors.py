@@ -22,6 +22,7 @@ from nscheck.algebra import (
     compatibility_basis,
     half,
 )
+from nscheck.analysis import centralizer_reports, psi_table_reports, reconstruction_reports
 from nscheck.enveloping import (
     SmashElement,
     TElementLabel,
@@ -85,6 +86,15 @@ ERRORS = [
     ("act-type",
      lambda: act("x", ModuleVector.basis(BasisKey(0, 0)), gamma(Fraction(1, 3), Fraction(1, 4))),
      ModuleError, "cannot act with object of type str"),
+    # analysis
+    ("reconstruction-range", lambda: reconstruction_reports(-1), AlgebraError,
+     "max_n must be at least 0"),
+    ("centralizer-range-n", lambda: centralizer_reports(-2, 0), AlgebraError,
+     "max_n and max_k must be at least 0, got -2 and 0"),
+    ("centralizer-range-k", lambda: centralizer_reports(1, -1), AlgebraError,
+     "max_n and max_k must be at least 0, got 1 and -1"),
+    ("psi-table-range", lambda: psi_table_reports(-1), AlgebraError,
+     "max_index must be at least 0"),
     # scalars
     ("divexact-zero", lambda: _divexact({(0, 0): 1}, {}, "Q"), ScalarError,
      "division by zero polynomial"),

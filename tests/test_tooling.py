@@ -89,6 +89,21 @@ def test_runtime_has_no_floating_point(path):
     assert float_uses(path) == []
 
 
+def true_divisions(path: Path) -> list[str]:
+    """Every true division (``/`` or ``/=``) in ``path``, as "line: source"."""
+    text = path.read_text()
+    return [f"{node.lineno}: {ast.get_source_segment(text, node)}"
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "scalars.py"],
+                         ids=lambda p: p.name)
+def test_true_division_only_in_scalars(path):
+    # int / int is a float: outside scalars a quotient is written Fraction(p, q)
+    assert true_divisions(path) == []
+
+
 def mutant_parameters(path: Path) -> list[str]:
     """Every function parameter in ``path`` whose name starts with
     ``mutate``, as "line: function(parameter)"."""
