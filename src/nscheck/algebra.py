@@ -592,7 +592,7 @@ def gen_act_amon(g: Gen, m: AMonomial) -> tuple[tuple[AMonomial, int | Fraction]
     if g.kind == "C":
         return ()  # the center acts as 0
     if g.kind == "L":
-        coeff = m.k + Fraction(m.eps * (g.index.as_int() + 1), 2)
+        coeff = Fraction(2 * m.k + m.eps * (g.index.as_int() + 1), 2)
     else:
         coeff = -1 if m.eps else m.k
     return ((m.shifted(g.degree), _coefficient(coeff)),) if coeff else ()

@@ -23,9 +23,11 @@ sigma = -1 under "paper-printed".  The printed pair of odd-action signs
 fails the odd-odd module axiom by a global sign; the corrected choice is
 one of the two consistent repairs (they differ by G -> -G and give
 identical classification data).  Lambda and b may be exact rationals or
-the formal parameters.  A numeric handle computes each coefficient in Q,
-a symbolic or mixed one runs the same formula on Scalars, and either
-keeps the coefficient rule of ``scalars``, as every table and element does.
+the formal parameters.  A numeric handle computes each coefficient in
+machine integers over one common denominator D = lcm(2, den lambda, den b)
+and divides by D once; a symbolic or mixed one runs the same formula on
+Scalars; either keeps the coefficient rule of ``scalars``, as every table
+and element does.
 
 Every key move is one degree rule: t^k xi^eps has degree k + eps/2, and an
 element of degree d moves it to the key of degree k + eps/2 + d (a key is
@@ -53,14 +55,16 @@ checks its cut when it is built, by the constructor or by
 ``dataclasses.replace``, so an invalid handle cannot exist.  It memoises
 its basis-level action itself: the cache lives and dies with the handle,
 and equal handles do not share one.  Errors are never cached.  It holds
-its parameters once more in ``_params``, each a Fraction when numeric and
-the Scalar otherwise, set on construction, so ``dataclasses.replace``
-recomputes it.
+its parameters once more in ``_params`` over the denominator ``_den``: the
+ints D lambda and D b on a numeric handle; with a formal parameter D = 1
+and each is a Fraction when numeric and the Scalar otherwise.  Both are
+set on construction, so ``dataclasses.replace`` recomputes them.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
@@ -201,10 +205,16 @@ class GammaModule:
     parity_flipped: bool = False
     _actions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _params: tuple = field(init=False, repr=False, compare=False)
+    _den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_params", tuple(
-            p.numeric_value() if p.is_numeric() else p for p in (self.lam, self.b)))
+        params = tuple(p.numeric_value() if p.is_numeric() else p for p in (self.lam, self.b))
+        den = 1
+        if not any(isinstance(p, Scalar) for p in params):
+            den = math.lcm(2, *(p.denominator for p in params))
+            params = tuple(p.numerator * (den // p.denominator) for p in params)
+        object.__setattr__(self, "_params", params)
+        object.__setattr__(self, "_den", den)
         for part in (self.sub, self.top):
             _check_out_closed(self, part)
 
@@ -220,7 +230,7 @@ class GammaModule:
         return self.sub.stable_under(mono) and self.top.stable_under(mono)
 
     def is_numeric(self) -> bool:
-        return not any(isinstance(p, Scalar) for p in self._params)
+        return self._den > 1
 
     def admissible(self, key: BasisKey) -> bool:
         return key in self.top and key not in self.sub
@@ -244,20 +254,26 @@ class GammaModule:
                               f"in mode {self.algebra_mode.value}")
         if gen.kind == "C":
             return ()
-        # the derivation action of g on A plus multiplication by mu_g, in the
-        # type of the parameters: in Q for a numeric handle
-        coeff = self.jet_term(gen, key)
+        # the derivation action of g on A plus multiplication by mu_g, times
+        # D: an int for a numeric handle (D is even and A's coefficient lies
+        # in Z/2), else (D = 1) in the type of the parameters
+        den = self._den
+        num = self.jet_term(gen, key)
         for _, c in gen_act_amon(gen, key):
-            coeff = coeff + c
+            num = num + (c if den == 1 else den // c.denominator * c.numerator)
         if gen.parity and not key.eps and self.convention is SignConvention.PAPER_PRINTED:
-            coeff = -coeff
-        q = _rational(coeff)
-        return self._filter(coeff if q is None else q, key.shifted(gen.degree))
+            num = -num
+        if den > 1:
+            coeff = num // den if num % den == 0 else Fraction(num, den)
+        else:
+            q = _rational(num)
+            coeff = num if q is None else q
+        return self._filter(coeff, key.shifted(gen.degree))
 
-    def jet_term(self, gen: Gen, mono: AMonomial) -> Scalar | Fraction | int:
-        """The coefficient of mu_g * mono (``algebra.jet_coefficient``) at
-        ``_params``: an int or Fraction for a numeric handle, else a Scalar
-        or 0."""
+    def jet_term(self, gen: Gen, mono: AMonomial) -> Scalar | int:
+        """D times the coefficient of mu_g * mono (``algebra.jet_coefficient``,
+        which is linear in lambda and b, at ``_params``): an int for a numeric
+        handle, else (D = 1) a Scalar or 0."""
         return jet_coefficient(gen, mono, *self._params)
 
     def amon_action(self, mono: AMonomial, key: BasisKey) -> Action:
@@ -361,10 +377,15 @@ def gamma_prime(lam, b, algebra_mode: AlgebraMode = AlgebraMode.KHAT,
     (S = {key}); with no edge into it, it is left out (T = all other keys).
     Otherwise, or with no key of weight 0, it is gamma(lambda, b)."""
     mod = replace(gamma(lam, b, algebra_mode, convention), family=Family.GAMMA_PRIME)
-    weight0 = mod.lam + mod.b
-    if not weight0.is_numeric() or (2 * weight0.numeric_value()).denominator != 1:
+    if mod.is_numeric():
+        weight0 = mod.lam.numeric_value() + mod.b.numeric_value()
+    else:  # l + b may still be numeric, as for gamma'(l, 1 - l)
+        weight0 = _rational(mod.lam + mod.b)
+        if weight0 is None:
+            return mod
+    if (2 * weight0).denominator != 1:
         return mod
-    key = BasisKey(0, 0).shifted(-HalfInt.of(weight0.numeric_value()))
+    key = BasisKey(0, 0).shifted(-HalfInt.of(weight0))
     outs, ins = edge_coeffs(mod, key, _PROBE_GENS[mod.algebra_mode])
     if not outs:
         return replace(mod, sub=KeySet(frozenset({key})))

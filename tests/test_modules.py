@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -21,6 +22,7 @@ from nscheck.algebra import (
     LieElement,
     basis,
     half,
+    jet_coefficient,
 )
 from nscheck.analysis import (
     action_rep_reports,
@@ -371,6 +373,24 @@ class TestJetCertificate:
         counts = [len(jet_failures(build())) for build in JET_MODULES.values()]
         assert counts == [13, 13, 13, 7, 6]
 
+    def test_unscaled_jet_term_is_killed(self, monkeypatch):
+        """A numeric handle reads D mu from ``jet_term``, D = 12 here.  A
+        mutant that returns mu acts as gamma(l/D, b/D), a module all the
+        same, so the module axiom cannot see it; L'(0) acting as b/D, not
+        b, fails the certificate on every key."""
+        assert jet_failures(gamma(F(1, 3), F(1, 4))) == []
+
+        def unscaled(self, gen, mono):
+            # mutant: mu at the parameters, not D times it
+            return jet_coefficient(gen, mono, self.lam.numeric_value(), self.b.numeric_value())
+
+        monkeypatch.setattr(GammaModule, "jet_term", unscaled)
+        mod = gamma(F(1, 3), F(1, 4))
+        gens = [g for g in basis(2) if g.kind != "C"]
+        assert all(module_axiom_residual(x, y, BasisKey(k, eps), mod).is_zero()
+                   for x, y in product(gens, gens) for k in (-1, 0, 1) for eps in (0, 1))
+        assert len(jet_failures(mod)) == 26
+
 
 class TestWeights:
     def test_examples(self):
@@ -461,6 +481,30 @@ class TestNumericAgainstFormal:
                     assert c.den.terms == canonical.den.terms, (mod, g, key)
 
 
+    @pytest.mark.parametrize("convention", list(SignConvention))
+    @pytest.mark.parametrize("mode", list(AlgebraMode))
+    def test_grid_denominators(self, mode, convention):
+        """The same at seeded points of height <= 7 in both parameters, with
+        odd and coprime denominators (D up to 2 * 7 * 5 = 70) and integral
+        lambda, as the library sweeps draw them."""
+        pool = sorted({F(p, q) for q in range(1, 8) for p in range(-7, 8)})
+        rng = random.Random("nscheck-denominators")
+        points = [(F(-2, 5), F(3, 7))] + [(rng.choice(pool), rng.choice(pool)) for _ in range(19)]
+        points += [(F(lam), rng.choice(pool)) for lam in (-3, -1, 0, 2)]
+        formal = gamma(LAMBDA, B, mode, convention)
+        handles = [(gamma(lam, b, mode, convention), lam, b) for lam, b in points]
+        keys = [BasisKey(k, eps) for k in range(-3, 4) for eps in (0, 1)]
+        for g, key in product(basis(2, mode), keys):
+            symbolic = formal.gen_action(g, key)
+            for mod, lam, b in handles:
+                want = tuple((t, v) for t, c in symbolic
+                             if (v := Scalar.of(c).substitute(lam, b)))
+                got = mod.gen_action(g, key)
+                assert got == want, (mod, g, key)
+                assert all(type(c) is int or type(c) is F and c.denominator > 1
+                           for _, c in got), (mod, g, key)
+
+
 SCALAR_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
                      "__rmul__", "__truediv__", "__rtruediv__")
 
@@ -491,6 +535,44 @@ def test_numeric_handles_act_without_scalar_arithmetic(scalar_ops):
         counts.append(len(scalar_ops))
     # the formal handle is the control: it does count
     assert counts[:2] == [0, 0] and counts[2] > 0
+
+
+def test_numeric_gamma_prime_builds_without_scalar_arithmetic(scalar_ops):
+    """gamma' reads the weight of the key it may cut at from numeric
+    parameters as a rational; only a formal parameter takes the Scalar sum
+    l + b."""
+    counts = []
+    for lam, b in [(0, 0), (F(-3, 2), F(1, 2)), (F(1, 3), 0), (LAMBDA, B)]:
+        scalar_ops.clear()
+        gamma_prime(lam, b)
+        counts.append(len(scalar_ops))
+    # the formal handle is the control: it does count
+    assert counts[:3] == [0, 0, 0] and counts[3] > 0
+
+
+def test_numeric_handles_act_without_fraction_arithmetic(monkeypatch, fresh_tables):
+    """A numeric handle computes each coefficient in machine integers over
+    one common denominator D and builds at most one Fraction, the quotient
+    by D: filling its action table performs no Fraction arithmetic.  The
+    caches start empty, so A's own action is computed here too."""
+    handles = [gamma(F(1, 3), F(1, 4)), gamma(F(-7, 3), F(5, 4)), gamma_plus(F(1, 4)),
+               parity_change(gamma_prime(0, F(1, 2))), gamma(LAMBDA, B)]
+    calls = []
+    for name in SCALAR_ARITHMETIC:  # the same operator names as Scalar's
+        def counted(*args, _op=getattr(Fraction, name)):
+            calls.append(_op)
+            return _op(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    counts = []
+    for mod in handles:
+        calls.clear()
+        for g, k, eps in product(basis(3, mod.algebra_mode), range(-10, 11), (0, 1)):
+            if mod.admissible(BasisKey(k, eps)):
+                mod.gen_action(g, BasisKey(k, eps))
+        counts.append(len(calls))
+    # the formal handle is the control: it does count
+    assert counts[:4] == [0, 0, 0, 0] and counts[4] > 0
 
 
 def test_numeric_handles_decide_without_scalar_arithmetic(scalar_ops):

@@ -1,20 +1,23 @@
 """Tooling contracts: the runtime is stdlib-only and free of floating
 point, each layer imports only earlier ones, the benchmark's layer tracer
-finds every entry point it wraps, and the benchmark's golden CLI
-invocations reproduce their recorded exit codes and report bytes."""
+finds every entry point it wraps, the benchmark's golden CLI invocations
+reproduce their recorded exit codes and report bytes, and one sweep of its
+grid workload gets the answers of the classification law."""
 
 import ast
 import dataclasses
 import hashlib
 import importlib
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
-from nscheck.algebra import AMonomial, Gen, HalfInt
+from nscheck.algebra import AlgebraMode, AMonomial, Gen, HalfInt
+from nscheck.analysis import find_intertwiner, simplicity_verdict
 from nscheck.cli import run
-from nscheck.modules import BasisKey
+from nscheck.modules import BasisKey, Window, parse_module_descriptor
 
 ROOT = Path(__file__).resolve().parent.parent
 LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
@@ -176,6 +179,33 @@ def test_benchmark_golden_replays(capsys, command):
     code = run(command.split(" "))
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == GOLDEN[command]
+
+
+def load_workloads() -> types.ModuleType:
+    """``perfbench/workloads.py`` as a module, run from its source text so
+    that nothing under perfbench/ is written (no bytecode cache)."""
+    module = types.ModuleType("workloads")
+    exec(compile(WORKLOADS.read_text(), str(WORKLOADS), "exec"), module.__dict__)
+    return module
+
+
+def test_benchmark_grid_sweep_replays():
+    # one smoke-size sweep, each verdict made as the benchmark's child makes it
+    wl = load_workloads()
+    tasks = wl.grid_tasks(0, 0, wl.GRID_SMOKE_POINTS, wl.GRID_SMOKE_B_VALUES)
+    window = Window(*wl.GRID_WINDOW)
+    results = []
+    for task, _ in tasks:
+        if task[0] == "iso":
+            m1, m2 = (parse_module_descriptor(d) for d in task[1:3])
+            found = find_intertwiner(m1, m2, window, wl.GRID_GEN_RANGE) is not None
+            answer = "found" if found else "absent"
+        else:
+            mode = AlgebraMode.parse(task[2]) if len(task) > 2 else None
+            mod = parse_module_descriptor(task[1], algebra_mode=mode)
+            answer = simplicity_verdict(mod, window, wl.GRID_GEN_RANGE).kind
+        results.append([" ".join(task), answer])
+    assert len(tasks) == 17 and wl.check_grid(tasks, results) == []
 
 
 @pytest.mark.parametrize("cls", [HalfInt, Gen, AMonomial, BasisKey], ids=lambda c: c.__name__)
