@@ -302,9 +302,6 @@ class HalfInt(tuple):
     def as_fraction(self) -> Fraction:
         return Fraction(self.doubled, 2)
 
-    def as_scalar(self) -> Scalar:
-        return Scalar.of(self.as_fraction())
-
     def render(self) -> str:
         if self.is_integer():
             return str(self.doubled // 2)

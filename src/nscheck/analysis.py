@@ -568,14 +568,13 @@ def module_edges(
 
     Symbolic coefficients count as nonzero unless identically zero.
     """
-    interior = set(window_keys(mod, window, interior_only=True))
     acting = _acting(mod, gen_range)
-    edges: dict[BasisKey, list[EdgeRecord]] = {key: [] for key in interior}
-    for key in sorted(interior):
-        out = edges[key]
+    edges: dict[BasisKey, list[EdgeRecord]] = {
+        key: [] for key in window_keys(mod, window, interior_only=True)}
+    for key, out in edges.items():
         for x, name, action in acting:
             for target, coeff in action(x, key):
-                if target in interior:
+                if target in edges:
                     out.append(EdgeRecord(key, target, name, coeff))
     return edges
 
@@ -601,10 +600,10 @@ def reachability_closure(
 ) -> frozenset[BasisKey]:
     """Smallest out-closed set of interior keys containing the seed: the
     submodule that the seed generates inside the window."""
-    interior = set(window_keys(mod, window, interior_only=True))
-    if seed not in interior:
+    edges = module_edges(mod, window, gen_range)
+    if seed not in edges:
         raise ModuleError(f"seed {seed.render()} outside the window interior")
-    return frozenset(_closure(_targets(module_edges(mod, window, gen_range)), seed))
+    return frozenset(_closure(_targets(edges), seed))
 
 
 def _generic_locus(mod: GammaModule, gen_range: int) -> dict:
@@ -644,7 +643,7 @@ def simplicity_verdict(mod: GammaModule, window: Window, gen_range: int) -> Verd
     if not _window_decides(window, gen_range):
         return Verdict("inconclusive", window, gen_range,
                        detail="window interior narrower than 4*gen_range")
-    interior = sorted(window_keys(mod, window, interior_only=True))
+    interior = window_keys(mod, window, interior_only=True)
     if not interior:
         return Verdict("inconclusive", window, gen_range,
                        detail="the window interior holds no key of the module")

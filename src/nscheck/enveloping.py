@@ -149,20 +149,12 @@ class SmashElement(Combination):
         return SmashElement({}, mode)
 
     @staticmethod
-    def one(mode: AlgebraMode) -> "SmashElement":
-        return SmashElement({(A_ONE, ()): 1}, mode)
-
-    @staticmethod
     def gen(g: Gen, mode: AlgebraMode, coeff=1) -> "SmashElement":
         return SmashElement({(A_ONE, (g,)): coeff}, mode)
 
     @staticmethod
     def amon(k: int, eps: int = 0, mode: AlgebraMode = AlgebraMode.K, coeff=1) -> "SmashElement":
         return SmashElement({(AMonomial(k, eps), ()): coeff}, mode)
-
-    @staticmethod
-    def term(a: AMonomial, gens: PBWMonomial, mode: AlgebraMode, coeff=1) -> "SmashElement":
-        return SmashElement({(a, gens): coeff}, mode)
 
     @staticmethod
     def from_lie(x: LieElement) -> "SmashElement":

@@ -57,8 +57,10 @@ its basis-level action itself: the cache lives and dies with the handle,
 and equal handles do not share one.  Errors are never cached.  It holds
 its parameters once more in ``_params`` over the denominator ``_den``: the
 ints D lambda and D b on a numeric handle; with a formal parameter D = 1
-and each is a Fraction when numeric and the Scalar otherwise.  Both are
-set on construction, so ``dataclasses.replace`` recomputes them.
+and each is a Fraction when numeric and the Scalar otherwise.  It decides
+once, in ``_cut``, whether it has a cut, so an uncut handle admits every
+key without a membership test.  All three are set on construction, so
+``dataclasses.replace`` recomputes them.
 """
 
 from __future__ import annotations
@@ -206,6 +208,7 @@ class GammaModule:
     _actions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _params: tuple = field(init=False, repr=False, compare=False)
     _den: int = field(init=False, repr=False, compare=False)
+    _cut: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         params = tuple(p.numeric_value() if p.is_numeric() else p for p in (self.lam, self.b))
@@ -215,11 +218,12 @@ class GammaModule:
             params = tuple(p.numerator * (den // p.denominator) for p in params)
         object.__setattr__(self, "_params", params)
         object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_cut", self.sub != NOTHING or self.top != EVERYTHING)
         for part in (self.sub, self.top):
             _check_out_closed(self, part)
 
     def is_cut(self) -> bool:
-        return self.sub != NOTHING or self.top != EVERYTHING
+        return self._cut
 
     def plain(self) -> "GammaModule":
         """gamma(lam, b) in the same mode and convention: no cut."""
@@ -233,7 +237,7 @@ class GammaModule:
         return self._den > 1
 
     def admissible(self, key: BasisKey) -> bool:
-        return key in self.top and key not in self.sub
+        return not self._cut or (key in self.top and key not in self.sub)
 
     def vector_parity(self, key: BasisKey) -> int:
         return key.eps ^ (1 if self.parity_flipped else 0)
@@ -294,13 +298,9 @@ class GammaModule:
 
     def _filter(self, coeff: int | Fraction | Scalar, target: BasisKey) -> Action:
         # T is out-closed, so the target lies in T; one in S is projected away
-        if not coeff or target in self.sub:
+        if not coeff or (self._cut and target in self.sub):
             return ()
         return ((target, coeff),)
-
-    def weight(self, key: BasisKey) -> Scalar:
-        """The diagonal eigenvalue l + b + k + eps/2 of the grading operator."""
-        return self.lam + self.b + key.degree.as_fraction()
 
     def descriptor(self) -> str:
         body = f"{self.family.value}({self.lam.render()},{self.b.render()})"

@@ -298,10 +298,6 @@ class ParamPoly:
         raise AttributeError("ParamPoly is immutable")
 
     @staticmethod
-    def const(c) -> "ParamPoly":
-        return ParamPoly({(0, 0): c})
-
-    @staticmethod
     def variable(name: str) -> "ParamPoly":
         if name == "l":
             return ParamPoly({(1, 0): 1})
@@ -311,9 +307,6 @@ class ParamPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_constant(self) -> bool:
-        return all(e == (0, 0) for e in self.terms)
 
     def __add__(self, other: "ParamPoly") -> "ParamPoly":
         return _poly(_add_scaled(self.terms, other.terms))
@@ -399,14 +392,6 @@ class Scalar:
             return value
         value = _coefficient(value)
         return _scalar({(0, 0): value} if value else {}, _ONE_POLY)
-
-    @staticmethod
-    def lam() -> "Scalar":
-        return _scalar({(1, 0): 1}, _ONE_POLY)
-
-    @staticmethod
-    def bparam() -> "Scalar":
-        return _scalar({(0, 1): 1}, _ONE_POLY)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -552,8 +537,7 @@ def _canonicalize(num: dict, den: dict) -> tuple[dict, dict]:
 
 ZERO = Scalar.of(0)
 ONE = Scalar.of(1)
-LAMBDA = Scalar.lam()
-B = Scalar.bparam()
+LAMBDA, B = (_scalar(ParamPoly.variable(name).terms, _ONE_POLY) for name in "lb")
 
 
 def parse_rational(text: str) -> Fraction:

@@ -371,7 +371,7 @@ def test_super_antisymmetry_on_basis():
 def test_grading_by_ad_l0():
     for g in [L(-3), L(2), G(half(5)), G(half(-1))]:
         got = bracket(lie(L(0)), lie(g))
-        assert got == lie(g).scale(g.degree.as_scalar())
+        assert got == lie(g).scale(g.degree.as_fraction())
 
 
 class TestActions:

@@ -164,6 +164,20 @@ class TestReachability:
             reachability_closure(gamma(0, 0), BasisKey(9, 0), W, 3)
 
 
+def lossy_module_edges(lost):
+    """A mutant of ``module_edges`` that drops every edge for which ``lost`` holds."""
+    real = analysis.module_edges
+
+    def lossy(*args):
+        return {key: [e for e in out if not lost(e)] for key, out in real(*args).items()}
+
+    return lossy
+
+
+def edges_into_t0(edge) -> bool:
+    return edge.target == BasisKey(0, 0)
+
+
 class TestSimplicity:
     def test_generic_simple(self):
         v = simplicity_verdict(gamma(F(1, 3), F(1, 4)), W, 3)
@@ -250,16 +264,11 @@ class TestSimplicity:
     # A-edge of gamma+(0,0), yield a false certificate ({t^0} in the second
     # case); the basis-level action still moves it out
     @pytest.mark.parametrize("mod, lost", [
-        (gamma(F(1, 3), F(1, 4)), lambda e: e.target == BasisKey(0, 0)),
+        (gamma(F(1, 3), F(1, 4)), edges_into_t0),
         (gamma_plus(0), lambda e: e.generator in {a.render() for a in analysis.A_EDGES}),
     ], ids=["edges-into-t0", "a-edges"])
     def test_certificate_rechecked_from_the_action(self, monkeypatch, mod, lost):
-        real = analysis.module_edges
-
-        def lossy(*args):
-            return {key: [e for e in out if not lost(e)] for key, out in real(*args).items()}
-
-        monkeypatch.setattr(analysis, "module_edges", lossy)
+        monkeypatch.setattr(analysis, "module_edges", lossy_module_edges(lost))
         with pytest.raises(AssertionError, match="unsound certificate"):
             simplicity_verdict(mod, W, 3)
 
@@ -441,10 +450,9 @@ def code_objects(code) -> set:
     return found
 
 
-def test_every_intertwiner_exit_runs():
-    # a line trace of the exit cases, limited to find_intertwiner and the
-    # functions nested in it: a new exit needs a case in INTERTWINER_EXITS
-    codes, ran = code_objects(find_intertwiner.__code__), set()
+def lines_run(func, run) -> set[int]:
+    """The lines that ``run()`` executes in ``func`` and the functions nested in it."""
+    codes, ran = code_objects(func.__code__), set()
 
     def lines(frame, event, arg):
         if event == "line":
@@ -454,11 +462,76 @@ def test_every_intertwiner_exit_runs():
     previous = sys.gettrace()
     sys.settrace(lambda frame, event, arg: lines if frame.f_code in codes else None)
     try:
-        for m1, m2, window, _ in INTERTWINER_EXITS:
-            intertwiner_exit(m1, m2, window)
+        run()
     finally:
         sys.settrace(previous)
-    assert sorted(exit_lines(find_intertwiner) - ran) == []
+    return ran
+
+
+def test_every_intertwiner_exit_runs():
+    # a line trace of the exit cases, limited to find_intertwiner and the
+    # functions nested in it: a new exit needs a case in INTERTWINER_EXITS
+    def run():
+        for m1, m2, window, _ in INTERTWINER_EXITS:
+            intertwiner_exit(m1, m2, window)
+
+    assert sorted(exit_lines(find_intertwiner) - lines_run(find_intertwiner, run)) == []
+
+
+# every exit of simplicity_verdict and reachability_closure: (function,
+# module descriptor, window, the gen_range of a verdict or the seed of a
+# closure at gen_range 3, the edges a lossy module_edges mutant drops or
+# None, the outcome)
+VERDICT_EXITS = [
+    (simplicity_verdict, "gamma(0,1/4)", W, 1, None, "a simplicity verdict needs gen_range >= 2; "
+     "below that the generators span only osp(1|2)"),
+    (simplicity_verdict, "gamma(0,1/2)", Window(-9, 9, 4), 3, None,
+     "inconclusive: window interior narrower than 4*gen_range"),
+    (simplicity_verdict, "gamma-(0,1/4)", Window(0, 20, 3), 3, None,
+     "inconclusive: the window interior holds no key of the module"),
+    (simplicity_verdict, "gamma(1/3,1/4)", W, 3, None,
+     "simple: interior digraph strongly connected"),
+    (simplicity_verdict, "gamma(1/3,1/4)", W, 3, edges_into_t0,
+     "unsound certificate: L(3) moves t^-3 out of it"),
+    (simplicity_verdict, "gamma(0,1/2)", W, 3, None,
+     "reducible: least minimal submodule, generated by t^-7"),
+    (reachability_closure, "gamma(0,1/2)", W, BasisKey(2, 0), None, "29 keys"),
+    (reachability_closure, "gamma(0,0)", W, BasisKey(9, 0), None,
+     "seed t^9 outside the window interior"),
+]
+
+
+def verdict_exit(monkeypatch, func, descriptor, window, arg, lost) -> str:
+    """What ``func`` gives on the module: the kind and detail of a verdict,
+    the size of a closure, or the message of the error raised."""
+    mod = parse_module_descriptor(descriptor)
+    args = (mod, window, arg) if func is simplicity_verdict else (mod, arg, window, 3)
+    with monkeypatch.context() as patch:
+        if lost is not None:
+            patch.setattr(analysis, "module_edges", lossy_module_edges(lost))
+        try:
+            got = func(*args)
+        except (ModuleError, AssertionError) as exc:
+            return str(exc)
+    return f"{len(got)} keys" if func is reachability_closure else f"{got.kind}: {got.detail}"
+
+
+@pytest.mark.parametrize("func, descriptor, window, arg, lost, want", VERDICT_EXITS,
+                         ids=["gen-range", "window-rule", "empty-interior", "simple", "unsound",
+                              "reducible", "closure", "seed-outside"])
+def test_verdict_exit(monkeypatch, func, descriptor, window, arg, lost, want):
+    assert verdict_exit(monkeypatch, func, descriptor, window, arg, lost) == want
+
+
+@pytest.mark.parametrize("func", [simplicity_verdict, reachability_closure],
+                         ids=lambda f: f.__name__)
+def test_every_verdict_exit_runs(monkeypatch, func):
+    # a new exit of the two verdict functions needs a case in VERDICT_EXITS
+    def run():
+        for case in VERDICT_EXITS:
+            verdict_exit(monkeypatch, *case[:5])
+
+    assert sorted(exit_lines(func) - lines_run(func, run)) == []
 
 
 def isomorphism_law(l1: F, b1: F, l2: F, b2: F) -> str | None:

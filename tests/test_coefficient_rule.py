@@ -95,7 +95,7 @@ def test_every_coefficient_kind_occurs():
 @pytest.mark.parametrize("build", [
     lambda c: LieElement.basis(L(1), K, c),
     lambda c: AElement.monomial(2, 1, coeff=c),
-    lambda c: SmashElement.term(AMonomial(1, 0), (L(-1), G(F(1, 2))), K, c),
+    lambda c: SmashElement({(AMonomial(1, 0), (L(-1), G(F(1, 2)))): c}, K),
     lambda c: ModuleVector.basis(BasisKey(1, 1), c),
 ], ids=["lie", "A", "smash", "vector"])
 def test_mixed_representations_build_one_element(build):

@@ -67,7 +67,7 @@ def random_element(rng, mode, gens, a_range):
     for _ in range(rng.randint(1, 3)):
         picked = sorted(rng.sample(gens, rng.randint(0, 2)), key=lambda g: g.sort_key())
         a = AMonomial(0, 0) if a_range is None else AMonomial(rng.choice(a_range), rng.randint(0, 1))
-        out = out + SmashElement.term(a, tuple(picked), mode, rng.choice([-3, -2, -1, 1, 2, 3]))
+        out = out + SmashElement({(a, tuple(picked)): rng.choice([-3, -2, -1, 1, 2, 3])}, mode)
     return out
 
 

@@ -1,8 +1,9 @@
 """Tooling contracts: the runtime is stdlib-only and free of floating
 point, each layer imports only earlier ones, the benchmark's layer tracer
 finds every entry point it wraps, the benchmark's golden CLI invocations
-reproduce their recorded exit codes and report bytes, and one sweep of its
-grid workload gets the answers of the classification law."""
+reproduce their recorded exit codes and report bytes, one sweep of its
+grid workload gets the answers of the classification law, and every public
+name of the package has a reader outside the tests."""
 
 import ast
 import dataclasses
@@ -143,6 +144,48 @@ def test_fresh_tables_clears_every_lru_cache(fresh_tables):
     # a cache that the fixture missed would keep stale entries under a mutant
     cleared = [f"{c.__module__.rpartition('.')[2]}.{c.__name__}" for c in fresh_tables]
     assert sorted(cleared) == sorted(name for path in SOURCES for name in lru_cached(path))
+
+
+def public_definitions(path: Path) -> list[str]:
+    """Every public top-level function and class of ``path``, and every
+    public method of its top-level classes, as "name" or "Class.method"."""
+    found = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            found += [f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return found
+
+
+def names_read(paths) -> tuple[set[str], set[str]]:
+    """(names, attributes) that the sources at ``paths`` read: each bare
+    name, and each attribute name, also the parts of a string that is a
+    dotted name, as in the benchmark's ``TRACED`` table."""
+    names, attributes = set(), set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parts = node.value.split(".")
+                if all(part.isidentifier() for part in parts):
+                    attributes.update(parts)
+    return names, attributes
+
+
+def test_every_public_definition_has_a_reader_outside_the_tests():
+    # a name that only the tests read is API kept for the tests; the
+    # re-exports of __init__ read nothing, and a method is read by name
+    readers = [p for p in SOURCES if p.name != "__init__.py"]
+    readers += sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    names, attributes = names_read(readers)
+    unread = [f"{path.stem}.{d}" for path in SOURCES for d in public_definitions(path)
+              if d.rpartition(".")[2] not in attributes and ("." in d or d not in names)]
+    assert unread == []
 
 
 def literal_table(path: Path, name: str):
