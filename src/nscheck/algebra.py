@@ -79,9 +79,10 @@ coefficient rule of ``scalars``, like the cached tables:
   so a rendering is a deterministic function of the value.
 
 :func:`accumulate` is the one merge rule for sparse coefficient tables, and
-:func:`extend` the one linear extension of a basis-level table: the module
-action, the PBW rewriting, the finite-difference sums and the
-representation law are each ``extend`` over plain dicts.  :func:`bilinear`
+:func:`extend` the one linear extension of a basis-level table: the PBW
+rewriting, the finite-difference sums and the representation law are each
+``extend`` over plain dicts (the module action is the integer fold of
+``modules.act``).  :func:`bilinear`
 is ``extend`` over the pairs of terms of two elements: :func:`bracket`,
 :func:`k_action_on_A` and :func:`A_action_on_k` are each one call of it,
 as :func:`compatibility_residual` is ``extend`` over the triples; it

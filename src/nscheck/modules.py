@@ -45,10 +45,22 @@ S into S and T into T.  The label only names the module: ``gamma`` has no
 cut; ``gamma+`` (T) and ``gamma-`` (S) cut at the keys k >= 0 over kplus;
 ``gamma'`` cuts at the key of weight 0 where its edges allow it.
 
-The action contract: :func:`act` extends the basis-level actions
-(``GammaModule.gen_action`` and ``amon_action``) linearly with
-``algebra.extend``, folding each term's factors on plain coefficient
-tables, and builds exactly one ModuleVector per call, its result.
+The action contract: :func:`act` evaluates an element on a vector by one
+fold in machine integers, the same for every handle.  A handle keeps an
+integer table of its basis-level actions (``GammaModule.gen_action`` and
+``amon_action``): for the stored coefficient c the pair (target, n) with
+n = E(D P c), where D P clears every denominator (on a numeric handle D is
+``_den`` and P = 1) and E is the Kronecker encoding of ``scalars``, the
+identity on an integer.  For each term c_t (a (x) g_1 ... g_r) and each
+vector key the fold multiplies the entries along the factors, right to
+left and the A-part last, and sums the products over one common
+denominator, (D P)^R times the lcm of the denominators of the rational
+coefficients, R the longest term.  It builds one Fraction (numeric) or one
+decoded Scalar (otherwise) per output coefficient; a Scalar coefficient of
+a term or of the vector multiplies only that result.  The fold bounds the
+1-norm and the degree in b of every output, and redoes itself at a radix
+that holds an output outside the encoding, so a decoded coefficient is
+exact.  It builds exactly one ModuleVector per call, its result.
 
 The handle contract: a :class:`GammaModule` is one frozen record that
 checks its cut when it is built, by the constructor or by
@@ -59,8 +71,9 @@ its parameters once more in ``_params`` over the denominator ``_den``: the
 ints D lambda and D b on a numeric handle; with a formal parameter D = 1
 and each is a Fraction when numeric and the Scalar otherwise.  It decides
 once, in ``_cut``, whether it has a cut, so an uncut handle admits every
-key without a membership test.  All three are set on construction, so
-``dataclasses.replace`` recomputes them.
+key without a membership test.  These three and its integer table
+``_ints`` (the action contract, filled on use like the action cache) are
+set on construction, so ``dataclasses.replace`` recomputes them.
 """
 
 from __future__ import annotations
@@ -69,7 +82,6 @@ import enum
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
 
 from . import algebra
 from .algebra import (
@@ -81,14 +93,25 @@ from .algebra import (
     Gen,
     HalfInt,
     LieElement,
+    accumulate,
     basis,
-    extend,
     gen_act_amon,
     jet_coefficient,
     rep_residual,
 )
 from .enveloping import SmashElement
-from .scalars import B, LAMBDA, ZERO, Scalar, _rational, parse_rational
+from .scalars import (
+    B,
+    LAMBDA,
+    ONE,
+    ZERO,
+    ParamPoly,
+    Scalar,
+    _decode,
+    _encode,
+    _rational,
+    parse_rational,
+)
 
 
 class ModuleError(ValueError):
@@ -209,6 +232,7 @@ class GammaModule:
     _params: tuple = field(init=False, repr=False, compare=False)
     _den: int = field(init=False, repr=False, compare=False)
     _cut: bool = field(init=False, repr=False, compare=False)
+    _ints: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         params = tuple(p.numeric_value() if p.is_numeric() else p for p in (self.lam, self.b))
@@ -219,6 +243,7 @@ class GammaModule:
         object.__setattr__(self, "_params", params)
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_cut", self.sub != NOTHING or self.top != EVERYTHING)
+        object.__setattr__(self, "_ints", _IntTable(self))
         for part in (self.sub, self.top):
             _check_out_closed(self, part)
 
@@ -402,28 +427,141 @@ def act(x, v: ModuleVector, mod: GammaModule) -> ModuleVector:
     SmashElement; smash terms apply PBW factors right-to-left and the
     A-part last; see the module docstring for the action contract."""
     if isinstance(x, Gen):
-        return ModuleVector(_image((A_ONE, (x,)), v.terms, mod))
-    if isinstance(x, LieElement):
-        terms = (((A_ONE, (g,)), c) for g, c in x.terms.items())
+        chains = [((x,), 1)]
+    elif isinstance(x, LieElement):
+        chains = [((g,), c) for g, c in x.terms.items()]
     elif isinstance(x, AElement):
-        terms = (((m, ()), c) for m, c in x.terms.items())
+        chains = [(() if m == A_ONE else (m,), c) for m, c in x.terms.items()]
     elif isinstance(x, SmashElement):
-        terms = x.terms.items()
+        chains = [(pbw[::-1] + (() if a == A_ONE else (a,)), c)
+                  for (a, pbw), c in x.terms.items()]
     else:
         raise ModuleError(f"cannot act with object of type {type(x).__name__}")
-    return ModuleVector(extend(terms, lambda term: _image(term, v.terms, mod).items()))
+    return ModuleVector(_fold(chains, v.terms, mod))
 
 
-def _image(term: tuple[AMonomial, tuple[Gen, ...]], vec: dict, mod: GammaModule) -> dict:
-    """The coefficient table of (a (x) g_1 ... g_r) applied to the table
-    ``vec``: the factors right-to-left, each extended linearly from the
-    basis-level action that ``mod`` looks up at call time."""
-    a, pbw = term
-    for g in reversed(pbw):
-        vec = extend(vec.items(), partial(mod.gen_action, g))
-    if a != A_ONE:
-        vec = extend(vec.items(), partial(mod.amon_action, a))
-    return vec
+# the base radix (K, M) of the integer tables: X = 2^K, deg_b < M
+_RADIX = (64, 8)
+
+
+class _IntTable(dict):
+    """A handle's integer table at ``radix``: (op, key) -> (target, n), or
+    () where op kills key, with n = E(D P c) (``scalars._encode``) for the
+    coefficient c of ``gen_action`` or ``amon_action``.  On a numeric
+    handle D is ``_den``, P = 1 and ``scale`` is None.  With a formal
+    parameter ``scale`` is the polynomial D P, with P the product of the
+    parameters' distinct denominators and D = lcm(2 den(coefficients of
+    P), den(coefficients of P lambda and P b)).  Every coefficient is
+    alpha lambda + beta b + gamma with integral alpha, beta and gamma in
+    Z/2 (``GammaModule._gen_action_raw``), so every entry lies in Z[l, b].
+    ``unit`` is E(D P); ``height`` and ``degree`` bound the 1-norm and the
+    degree in b of D P and of every entry made so far."""
+
+    __slots__ = ("radix", "den", "scale", "unit", "height", "degree")
+
+    def __init__(self, mod: GammaModule, radix: tuple[int, int] | None = None):
+        super().__init__()
+        self.radix, self.height, self.degree = radix or _RADIX, 0, 0
+        self.den, self.scale, self.unit = mod._den, None, mod._den
+        if mod._den > 1:
+            return
+        one, poly = ParamPoly({(0, 0): 1}), ONE
+        for d in {p.den for p in mod._params if isinstance(p, Scalar)}:
+            poly = poly * Scalar(d, one)
+        self.den = math.lcm(*(2 * c.denominator for c in poly.num.terms.values()),
+                            *(c.denominator for p in mod._params
+                              for c in (poly * p).num.terms.values()))
+        self.scale = poly * self.den
+        self.unit = self._encoded(1)
+
+    def _encoded(self, c) -> int:
+        """E(D P c), with ``height`` and ``degree`` raised to cover D P c."""
+        f = (self.scale * c).num.terms
+        self.height = max(self.height, sum(map(abs, f.values())))
+        self.degree = max(self.degree, max(e[1] for e in f))
+        return _encode(f, self.radix)
+
+    def fill(self, mod: GammaModule, op, key: BasisKey) -> tuple:
+        """The entry of the generator or A-monomial ``op`` on ``key``, from
+        the basis-level action of ``mod`` looked up at call time."""
+        acts = (mod.gen_action if isinstance(op, Gen) else mod.amon_action)(op, key)
+        entry = ()
+        if acts:
+            ((target, c),) = acts
+            n = self.den // c.denominator * c.numerator if self.scale is None else self._encoded(c)
+            entry = (target, n)
+        self[op, key] = entry
+        return entry
+
+    def value(self, n: int, r: int, s: int):
+        """E^-1(n) / (s (D P)^r), the coefficient ``n`` encodes, under the
+        coefficient rule on a numeric handle and as a Scalar otherwise."""
+        if self.scale is None:
+            s *= self.den ** r
+            return n // s if n % s == 0 else Fraction(n, s)
+        den = ParamPoly({(0, 0): s})
+        for _ in range(r):
+            den = den * self.scale.num
+        return Scalar(ParamPoly(_decode(n, self.radix)), den)
+
+
+def _fold(chains: list, vec: dict, mod: GammaModule, table: _IntTable | None = None) -> dict:
+    """The coefficient table of sum_t c_t (a_t (x) g_1 ... g_r) applied to
+    the table ``vec``, for the (ops, c_t) pairs ``chains`` with the factors
+    in the order they act, ops = (g_r, ..., g_1, a_t): one fold over the
+    integer table of ``mod`` (or ``table``); see the module docstring for
+    the action contract."""
+    table = mod._ints if table is None else table
+    get = table.get
+    longest = max((len(ops) for ops, _ in chains), default=0)
+    pads = [table.unit ** (longest - r) for r in range(longest + 1)]
+    # the rational coefficients over common denominators; a Scalar enters
+    # as 1 and multiplies the decoded result of its group
+    lt = math.lcm(*(c.denominator for _, c in chains if not isinstance(c, Scalar)))
+    lv = math.lcm(*(c.denominator for c in vec.values() if not isinstance(c, Scalar)))
+    start = [(k, lv, c) if isinstance(c, Scalar) else (k, lv // c.denominator * c.numerator, None)
+             for k, c in vec.items()]
+    groups: dict = {}  # (term Scalar or None, vector Scalar or None) -> {target: n}
+    rational = [(k, n, groups.setdefault((None, s), {})) for k, n, s in start]
+    weight = 0
+    for ops, c in chains:
+        if isinstance(c, Scalar):
+            w = lt
+            front = [(k, w * n, groups.setdefault((c, s), {})) for k, n, s in start]
+        else:
+            w = lt // c.denominator * c.numerator
+            front = [(k, w * n, acc) for k, n, acc in rational]
+        weight += abs(w)
+        for op in ops:  # factor by factor over the whole front: errors keep their order
+            step = []
+            for key, n, acc in front:
+                e = get((op, key))
+                if e is None:
+                    e = table.fill(mod, op, key)
+                if e:
+                    step.append((e[0], n * e[1], acc))
+            front = step
+        pad = pads[len(ops)]
+        for key, n, acc in front:
+            acc[key] = acc.get(key, 0) + n * pad
+    if table.scale is not None:
+        # every output is at most weight * height^longest in 1-norm and of
+        # degree at most degree * longest in b; outside the encoding, the
+        # fold is redone at a radix that holds it
+        bound = weight * sum(abs(n) for _, n, _ in start) * table.height ** longest
+        degree = table.degree * longest
+        if bound >> (table.radix[0] - 1) or degree >= table.radix[1]:
+            return _fold(chains, vec, mod, _IntTable(mod, (bound.bit_length() + 1, degree + 1)))
+    out: dict = {}
+    for outers, acc in groups.items():
+        for key, n in acc.items():
+            if n:
+                value = table.value(n, longest, lt * lv)
+                for outer in outers:
+                    if outer is not None:
+                        value = value * outer
+                accumulate(out, key, value)
+    return out
 
 
 def module_axiom_residual(x: Gen, y: Gen, key: BasisKey, mod: GammaModule) -> ModuleVector:

@@ -14,7 +14,7 @@ Canonical form of a Scalar:
   always the one shared ``ParamPoly``.
 
 Arithmetic forms the textbook numerator and denominator and reduces them
-with :func:`_canonicalize` (gcd, then monic), except in three cases whose
+with :func:`_canonicalize` (gcd, then monic), except in four cases whose
 result is canonical by construction:
 
 * rational scaling: ``x * c`` for an int, Fraction or numeric Scalar
@@ -22,6 +22,8 @@ result is canonical by construction:
   keeps the denominator; a nonzero constant keeps the pair coprime;
 * sums over denominator one: the numerators add over the denominator 1,
   which is coprime to anything and monic;
+* products over denominator one: two polynomials multiply to a polynomial,
+  whose denominator 1 is again coprime to it and monic;
 * adding a rational ``q`` to ``n/d`` gives ``(n + q d)/d``, because
   ``gcd(n + q d, d) = gcd(n, d) = 1``.
 
@@ -230,6 +232,36 @@ def _ip_gcd(f: dict, g: dict, v: int = 0) -> dict:
     return f if cont == _ONE_TERMS else _ip_normalize(_mul(cont, f))
 
 
+# Kronecker substitution (Kronecker 1882; Harvey, J. Symbolic Comput. 2009):
+# a polynomial p in Z[l, b] is carried as the one int E(p) = p(X^M, X) at
+# the radix (K, M), X = 2^K.  E is a ring homomorphism, so sums and products
+# of encodings encode the sums and products of the polynomials, and E is the
+# identity on a constant.  It is injective on the p with every |coefficient|
+# < X/2 and deg_b p < M, whose balanced base-X digits (each in [-X/2, X/2))
+# are their coefficients: :func:`_decode` reads exactly those back.
+
+
+def _encode(f: dict, radix: tuple[int, int]) -> int:
+    """E(f) for f in Z[l, b] at ``radix``; see the comment above."""
+    k, m = radix
+    return sum(c << k * (m * i + j) for (i, j), c in f.items())
+
+
+def _decode(n: int, radix: tuple[int, int]) -> dict:
+    """The polynomial p with E(p) = n at ``radix``, when p lies in the
+    encoding: its coefficients are the balanced base-X digits of n."""
+    k, m = radix
+    half = 1 << (k - 1)
+    mask, out, i = (half << 1) - 1, {}, 0
+    while n:
+        d = ((n + half) & mask) - half
+        if d:
+            out[divmod(i, m)] = d
+        n = (n - d) >> k
+        i += 1
+    return out
+
+
 def _clear_denominators(f: dict) -> dict:
     scale = lcm(*(c.denominator for c in f.values()))
     return {e: int(c * scale) for e, c in f.items()}
@@ -427,6 +459,8 @@ class Scalar:
         if q is None:
             x, q = other, _rational(self)
             if q is None:
+                if self.den is _ONE_POLY and other.den is _ONE_POLY:
+                    return _scalar(_mul(self.num.terms, other.num.terms), _ONE_POLY)
                 return Scalar(self.num * other.num, self.den * other.den)
         # rational scaling: a nonzero constant keeps num and den coprime
         if not q:

@@ -7,6 +7,7 @@ import inspect
 import random
 import re
 import sys
+import textwrap
 import tracemalloc
 import weakref
 from collections import Counter
@@ -434,10 +435,11 @@ def test_intertwiner_rendering_marks_only_keys_left_out(top, want):
 
 
 def exit_lines(func) -> set[int]:
-    """The line of every return and raise statement of ``func``, the
-    functions nested in it included, found by AST."""
+    """The line of every return and raise statement of ``func``, a method
+    or the functions nested in it included, found by AST."""
     source, first = inspect.getsourcelines(func)
-    return {node.lineno + first - 1 for node in ast.walk(ast.parse("".join(source)))
+    tree = ast.parse(textwrap.dedent("".join(source)))
+    return {node.lineno + first - 1 for node in ast.walk(tree)
             if isinstance(node, (ast.Return, ast.Raise))}
 
 

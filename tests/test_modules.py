@@ -580,6 +580,46 @@ def test_numeric_handles_act_without_fraction_arithmetic(monkeypatch, fresh_tabl
     assert counts[:4] == [0, 0, 0, 0] and counts[4] > 0
 
 
+def test_numeric_handles_fold_without_fraction_arithmetic(monkeypatch):
+    """act folds a numeric handle's integer table over one common
+    denominator: acting with the operators of the annihilator and chain
+    sweeps, Fraction coefficients included, performs no Fraction arithmetic
+    and builds at most one Fraction per output coefficient.  The handles'
+    tables are filled by a first pass, so the count sees the fold alone."""
+    handles = [gamma(F(1, 3), F(1, 4)), gamma(F(-7, 3), F(5, 4)), gamma_plus(F(1, 4)),
+               parity_change(gamma(F(1, 3), F(1, 2), AlgebraMode.K))]
+    ops = {mod: [omega(1, 0, 2, mod.algebra_mode), omega(2, 1, 3, mod.algebra_mode),
+                 l_prime(2, mod.algebra_mode if mod.algebra_mode is AlgebraMode.KPLUS
+                         else AlgebraMode.K),
+                 LieElement({L(1): F(1, 2), G(half(1)): F(-2, 3)}, mod.algebra_mode)]
+           for mod in handles}
+    vecs = [vec(k, eps, coeff) for k in range(1, 4) for eps in (0, 1) for coeff in (1, F(3, 2))]
+
+    def sweep() -> int:
+        outputs = 0
+        for mod in handles:
+            for x, v in product(ops[mod], vecs):
+                outputs += len(act(x, v, mod).terms)
+        return outputs
+
+    assert sweep() > 0
+    arithmetic, built, new = [], [], Fraction.__new__
+    for name in SCALAR_ARITHMETIC:
+        def counted(*args, _op=getattr(Fraction, name)):
+            arithmetic.append(_op)
+            return _op(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+
+    def counted_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    outputs = sweep()
+    assert arithmetic == [] and 0 < len(built) <= outputs
+
+
 def test_numeric_handles_decide_without_scalar_arithmetic(scalar_ops):
     """The module axiom, the simplicity verdicts, an operator action and the
     intertwiner search on numeric handles run in Q from end to end."""

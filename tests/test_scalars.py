@@ -21,6 +21,7 @@ from nscheck.scalars import (
     Scalar,
     ScalarError,
     ZERO,
+    _ONE_POLY,
     _divexact,
     _p_gcd,
 )
@@ -246,7 +247,10 @@ def general_formula(op, x, y):
 
 
 def test_shortcuts_agree_with_general_path():
+    polynomial_pairs = 0  # two Scalars in l or b over the denominator 1
     for x, y in random_pairs("nscheck-scalar-paths", 600):
+        polynomial_pairs += all(isinstance(s, Scalar) and not s.is_numeric()
+                                and s.den is _ONE_POLY for s in (x, y))
         for op in ARITH:
             if op is operator.truediv and not y:
                 with pytest.raises(ScalarError):
@@ -259,6 +263,7 @@ def test_shortcuts_agree_with_general_path():
             assert got == general_formula(op, x, y), where
             assert got.is_numeric() == (is_constant(got.num) and is_constant(got.den)), where
             assert hash(got) == hash(rebuilt), where
+    assert polynomial_pairs >= 10
 
 
 def to_sympy(text):
