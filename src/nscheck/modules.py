@@ -45,35 +45,36 @@ S into S and T into T.  The label only names the module: ``gamma`` has no
 cut; ``gamma+`` (T) and ``gamma-`` (S) cut at the keys k >= 0 over kplus;
 ``gamma'`` cuts at the key of weight 0 where its edges allow it.
 
-The action contract: :func:`act` evaluates an element on a vector by one
-fold in machine integers, the same for every handle.  A handle keeps an
-integer table of its basis-level actions (``GammaModule.gen_action`` and
-``amon_action``): for the stored coefficient c the pair (target, n) with
-n = E(D P c), where D P clears every denominator (on a numeric handle D is
-``_den`` and P = 1) and E is the Kronecker encoding of ``scalars``, the
-identity on an integer.  For each term c_t (a (x) g_1 ... g_r) and each
-vector key the fold multiplies the entries along the factors, right to
-left and the A-part last, and sums the products over one common
-denominator, (D P)^R times the lcm of the denominators of the rational
-coefficients, R the longest term.  It builds one Fraction (numeric) or one
-decoded Scalar (otherwise) per output coefficient; a Scalar coefficient of
-a term or of the vector multiplies only that result.  The fold bounds the
-1-norm and the degree in b of every output, and redoes itself at a radix
-that holds an output outside the encoding, so a decoded coefficient is
-exact.  It builds exactly one ModuleVector per call, its result.
+The handle and its table: a :class:`GammaModule` is one frozen record
+that checks its cut when it is built, by the constructor or by
+``dataclasses.replace``, so an invalid handle cannot exist.  On
+construction (so ``replace`` recomputes them) it decides once, in
+``_cut``, whether it has a cut, so an uncut handle admits every key
+without a membership test, and it makes its one action table ``_table``,
+which lives and dies with the handle: equal handles do not share one.  The
+table makes the one scaling decision, D as above on a numeric handle, and
+D P, clearing every denominator of a coefficient, with a formal parameter.
+Its entry for a generator or A-monomial op on a key is filled once, on
+first use (errors are never stored): () where op kills the key, else
+(target, n, action).  ``act`` reads (target, n), n = E(D P c) for the
+Kronecker encoding E of ``scalars`` (the identity on a numeric handle,
+where P = 1 and n is the integer D c of the jet formula), and
+``gen_action`` and ``amon_action`` return the coefficient-rule Action
+((target, c),).
 
-The handle contract: a :class:`GammaModule` is one frozen record that
-checks its cut when it is built, by the constructor or by
-``dataclasses.replace``, so an invalid handle cannot exist.  It memoises
-its basis-level action itself: the cache lives and dies with the handle,
-and equal handles do not share one.  Errors are never cached.  It holds
-its parameters once more in ``_params`` over the denominator ``_den``: the
-ints D lambda and D b on a numeric handle; with a formal parameter D = 1
-and each is a Fraction when numeric and the Scalar otherwise.  It decides
-once, in ``_cut``, whether it has a cut, so an uncut handle admits every
-key without a membership test.  These three and its integer table
-``_ints`` (the action contract, filled on use like the action cache) are
-set on construction, so ``dataclasses.replace`` recomputes them.
+:func:`act` evaluates an element on a vector by one fold in machine
+integers over that table, the same for every handle.  For each term c_t
+(a (x) g_1 ... g_r) and each vector key it multiplies the entries along
+the factors, right to left and the A-part last, and sums the products over
+one common denominator, (D P)^R times the lcm of the denominators of the
+rational coefficients, R the longest term; a term with no factors checks
+its keys in its turn.  It builds one Fraction (numeric) or one decoded
+Scalar (otherwise) per output coefficient; a Scalar coefficient of a term
+or of the vector multiplies only that result.  The fold bounds the 1-norm
+and the degree in b of every output, and redoes itself over a table at a
+radix that holds an output outside the encoding, which re-encodes the
+handle's coefficients, so a decoded coefficient is exact.  It builds
+exactly one ModuleVector per call, its result.
 """
 
 from __future__ import annotations
@@ -228,22 +229,12 @@ class GammaModule:
     convention: SignConvention = SignConvention.CORRECTED
     algebra_mode: AlgebraMode = AlgebraMode.KHAT
     parity_flipped: bool = False
-    _actions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _params: tuple = field(init=False, repr=False, compare=False)
-    _den: int = field(init=False, repr=False, compare=False)
     _cut: bool = field(init=False, repr=False, compare=False)
-    _ints: dict = field(init=False, repr=False, compare=False)
+    _table: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        params = tuple(p.numeric_value() if p.is_numeric() else p for p in (self.lam, self.b))
-        den = 1
-        if not any(isinstance(p, Scalar) for p in params):
-            den = math.lcm(2, *(p.denominator for p in params))
-            params = tuple(p.numerator * (den // p.denominator) for p in params)
-        object.__setattr__(self, "_params", params)
-        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_cut", self.sub != NOTHING or self.top != EVERYTHING)
-        object.__setattr__(self, "_ints", _IntTable(self))
+        object.__setattr__(self, "_table", _ActionTable(self))
         for part in (self.sub, self.top):
             _check_out_closed(self, part)
 
@@ -259,7 +250,7 @@ class GammaModule:
         return self.sub.stable_under(mono) and self.top.stable_under(mono)
 
     def is_numeric(self) -> bool:
-        return self._den > 1
+        return self._table.scale is None
 
     def admissible(self, key: BasisKey) -> bool:
         return not self._cut or (key in self.top and key not in self.sub)
@@ -267,65 +258,22 @@ class GammaModule:
     def vector_parity(self, key: BasisKey) -> int:
         return key.eps ^ (1 if self.parity_flipped else 0)
 
-    def gen_action(self, gen: Gen, key: BasisKey) -> Action:
-        """Action of a basis generator on a basis vector: at most one
-        target key with its exact coefficient, after the cut."""
-        out = self._actions.get((gen, key))
-        if out is None:
-            out = self._actions[gen, key] = self._gen_action_raw(gen, key)
-        return out
+    def gen_action(self, op: Gen | AMonomial, key: BasisKey) -> Action:
+        """Action of a basis generator (as ``amon_action``: multiplication
+        by an A-monomial) on a basis vector: at most one target key with
+        its exact coefficient, after the cut, read from the handle's table."""
+        entry = self._table.get((op, key))
+        if entry is None:
+            entry = self._table.fill(self, op, key)
+        return entry[2] if entry else ()
 
-    def _gen_action_raw(self, gen: Gen, key: BasisKey) -> Action:
-        if not self.admissible(key):
-            raise ModuleError(f"key {key.render()} not admissible for {self.descriptor()}")
-        if not self.algebra_mode.admits(gen):
-            raise ModuleError(f"generator {gen.render()} not admissible on {self.descriptor()} "
-                              f"in mode {self.algebra_mode.value}")
-        if gen.kind == "C":
-            return ()
-        # the derivation action of g on A plus multiplication by mu_g, times
-        # D: an int for a numeric handle (D is even and A's coefficient lies
-        # in Z/2), else (D = 1) in the type of the parameters
-        den = self._den
-        num = self.jet_term(gen, key)
-        for _, c in gen_act_amon(gen, key):
-            num = num + (c if den == 1 else den // c.denominator * c.numerator)
-        if gen.parity and not key.eps and self.convention is SignConvention.PAPER_PRINTED:
-            num = -num
-        if den > 1:
-            coeff = num // den if num % den == 0 else Fraction(num, den)
-        else:
-            q = _rational(num)
-            coeff = num if q is None else q
-        return self._filter(coeff, key.shifted(gen.degree))
+    amon_action = gen_action
 
     def jet_term(self, gen: Gen, mono: AMonomial) -> Scalar | int:
         """D times the coefficient of mu_g * mono (``algebra.jet_coefficient``,
-        which is linear in lambda and b, at ``_params``): an int for a numeric
-        handle, else (D = 1) a Scalar or 0."""
-        return jet_coefficient(gen, mono, *self._params)
-
-    def amon_action(self, mono: AMonomial, key: BasisKey) -> Action:
-        """Multiplication action of an A-monomial, memoised like ``gen_action``."""
-        out = self._actions.get((mono, key))
-        if out is None:
-            out = self._actions[mono, key] = self._amon_action_raw(mono, key)
-        return out
-
-    def _amon_action_raw(self, mono: AMonomial, key: BasisKey) -> Action:
-        if not self.admissible(key):
-            raise ModuleError(f"key {key.render()} not admissible for {self.descriptor()}")
-        if not self.a_acts(mono):
-            raise ModuleError(f"A-monomial {mono.render()} does not act on {self.descriptor()}: "
-                              "it does not preserve the cut")
-        prod = mono.times(key)
-        return () if prod is None else self._filter(1, prod)
-
-    def _filter(self, coeff: int | Fraction | Scalar, target: BasisKey) -> Action:
-        # T is out-closed, so the target lies in T; one in S is projected away
-        if not coeff or (self._cut and target in self.sub):
-            return ()
-        return ((target, coeff),)
+        which is linear in lambda and b, at the table's ``params``): an int
+        for a numeric handle, else (D = 1 here) a Scalar or 0."""
+        return jet_coefficient(gen, mono, *self._table.params)
 
     def descriptor(self) -> str:
         body = f"{self.family.value}({self.lam.render()},{self.b.render()})"
@@ -444,34 +392,36 @@ def act(x, v: ModuleVector, mod: GammaModule) -> ModuleVector:
 _RADIX = (64, 8)
 
 
-class _IntTable(dict):
-    """A handle's integer table at ``radix``: (op, key) -> (target, n), or
-    () where op kills key, with n = E(D P c) (``scalars._encode``) for the
-    coefficient c of ``gen_action`` or ``amon_action``.  On a numeric
-    handle D is ``_den``, P = 1 and ``scale`` is None.  With a formal
-    parameter ``scale`` is the polynomial D P, with P the product of the
-    parameters' distinct denominators and D = lcm(2 den(coefficients of
-    P), den(coefficients of P lambda and P b)).  Every coefficient is
-    alpha lambda + beta b + gamma with integral alpha, beta and gamma in
-    Z/2 (``GammaModule._gen_action_raw``), so every entry lies in Z[l, b].
-    ``unit`` is E(D P); ``height`` and ``degree`` bound the 1-norm and the
-    degree in b of D P and of every entry made so far."""
+class _ActionTable(dict):
+    """A handle's table at ``radix``: (op, key) -> (target, n, ((target,
+    c),)), or () where op kills key (see the module docstring).  On a
+    numeric handle ``params`` are the ints D lambda and D b, ``den`` is D
+    and ``scale`` is None.  With a formal parameter ``params`` are the
+    parameters, ``den`` is 1 and ``scale`` is the polynomial D P, with P
+    the product of the parameters' distinct denominators and D = lcm(2
+    den(coefficients of P), den(coefficients of P lambda and P b)).  Every
+    coefficient is alpha lambda + beta b + gamma with integral alpha, beta
+    and gamma in Z/2 (``fill``), so every n lies in Z[l, b].  ``unit`` is
+    E(D P); ``height`` and ``degree`` bound the 1-norm and the degree in b
+    of D P and of every n made so far."""
 
-    __slots__ = ("radix", "den", "scale", "unit", "height", "degree")
+    __slots__ = ("radix", "params", "den", "scale", "unit", "height", "degree")
 
     def __init__(self, mod: GammaModule, radix: tuple[int, int] | None = None):
         super().__init__()
         self.radix, self.height, self.degree = radix or _RADIX, 0, 0
-        self.den, self.scale, self.unit = mod._den, None, mod._den
-        if mod._den > 1:
+        params = tuple(p.numeric_value() if p.is_numeric() else p for p in (mod.lam, mod.b))
+        if not any(isinstance(p, Scalar) for p in params):
+            self.den = self.unit = math.lcm(2, *(p.denominator for p in params))
+            self.params = tuple(p.numerator * (self.den // p.denominator) for p in params)
+            self.scale = None
             return
         one, poly = ParamPoly({(0, 0): 1}), ONE
-        for d in {p.den for p in mod._params if isinstance(p, Scalar)}:
+        for d in {p.den for p in params if isinstance(p, Scalar)}:
             poly = poly * Scalar(d, one)
-        self.den = math.lcm(*(2 * c.denominator for c in poly.num.terms.values()),
-                            *(c.denominator for p in mod._params
-                              for c in (poly * p).num.terms.values()))
-        self.scale = poly * self.den
+        den = math.lcm(*(2 * c.denominator for c in poly.num.terms.values()),
+                       *(c.denominator for p in params for c in (poly * p).num.terms.values()))
+        self.params, self.den, self.scale = params, 1, poly * den
         self.unit = self._encoded(1)
 
     def _encoded(self, c) -> int:
@@ -482,15 +432,49 @@ class _IntTable(dict):
         return _encode(f, self.radix)
 
     def fill(self, mod: GammaModule, op, key: BasisKey) -> tuple:
-        """The entry of the generator or A-monomial ``op`` on ``key``, from
-        the basis-level action of ``mod`` looked up at call time."""
-        acts = (mod.gen_action if isinstance(op, Gen) else mod.amon_action)(op, key)
-        entry = ()
-        if acts:
-            ((target, c),) = acts
-            n = self.den // c.denominator * c.numerator if self.scale is None else self._encoded(c)
-            entry = (target, n)
+        """Make the entry of the generator or A-monomial ``op`` on ``key``
+        in the table of ``mod``."""
+        if not mod.admissible(key):
+            raise ModuleError(f"key {key.render()} not admissible for {mod.descriptor()}")
+        # num is den c: D c on a numeric handle, else c in the type of the parameters
+        den = self.den
+        if not isinstance(op, Gen):
+            if not mod.a_acts(op):
+                raise ModuleError(f"A-monomial {op.render()} does not act on "
+                                  f"{mod.descriptor()}: it does not preserve the cut")
+            target = op.times(key)
+            num = den if target else 0
+        elif not mod.algebra_mode.admits(op):
+            raise ModuleError(f"generator {op.render()} not admissible on {mod.descriptor()} "
+                              f"in mode {mod.algebra_mode.value}")
+        else:
+            # the derivation action of g on A plus multiplication by mu_g: an
+            # int on a numeric handle (D is even and A's coefficient lies in Z/2)
+            target, num = key.shifted(op.degree), 0
+            if op.kind != "C":
+                num = mod.jet_term(op, key)
+                for _, c in gen_act_amon(op, key):
+                    num = num + (c if den == 1 else den // c.denominator * c.numerator)
+                if op.parity and not key.eps and mod.convention is SignConvention.PAPER_PRINTED:
+                    num = -num
+        # T is out-closed, so the target lies in T; one in S is projected away
+        if not num or (mod._cut and target in mod.sub):
+            entry = ()
+        elif den > 1:
+            c = num // den if num % den == 0 else Fraction(num, den)
+            entry = (target, num, ((target, c),))
+        else:
+            c = _rational(num)
+            c = num if c is None else c
+            entry = (target, self._encoded(c), ((target, c),))
         self[op, key] = entry
+        return entry
+
+    def reencode(self, mod: GammaModule, op, key: BasisKey) -> tuple:
+        """Make the entry of ``op`` on ``key`` in a table of ``mod`` at a
+        larger radix: the handle's entry with its coefficient re-encoded."""
+        acts = mod.gen_action(op, key)
+        entry = self[op, key] = acts and (acts[0][0], self._encoded(acts[0][1]), acts)
         return entry
 
     def value(self, n: int, r: int, s: int):
@@ -505,14 +489,13 @@ class _IntTable(dict):
         return Scalar(ParamPoly(_decode(n, self.radix)), den)
 
 
-def _fold(chains: list, vec: dict, mod: GammaModule, table: _IntTable | None = None) -> dict:
+def _fold(chains: list, vec: dict, mod: GammaModule, table: _ActionTable | None = None) -> dict:
     """The coefficient table of sum_t c_t (a_t (x) g_1 ... g_r) applied to
     the table ``vec``, for the (ops, c_t) pairs ``chains`` with the factors
     in the order they act, ops = (g_r, ..., g_1, a_t): one fold over the
-    integer table of ``mod`` (or ``table``); see the module docstring for
-    the action contract."""
-    table = mod._ints if table is None else table
-    get = table.get
+    table of ``mod`` (or ``table``); see the module docstring."""
+    table = mod._table if table is None else table
+    get, fill = table.get, (table.fill if table is mod._table else table.reencode)
     longest = max((len(ops) for ops, _ in chains), default=0)
     pads = [table.unit ** (longest - r) for r in range(longest + 1)]
     # the rational coefficients over common denominators; a Scalar enters
@@ -532,12 +515,16 @@ def _fold(chains: list, vec: dict, mod: GammaModule, table: _IntTable | None = N
             w = lt // c.denominator * c.numerator
             front = [(k, w * n, acc) for k, n, acc in rational]
         weight += abs(w)
+        if not ops:  # the unit element consults no entry
+            for key, _, _ in front:
+                if not mod.admissible(key):
+                    raise ModuleError(f"key {key.render()} not admissible for {mod.descriptor()}")
         for op in ops:  # factor by factor over the whole front: errors keep their order
             step = []
             for key, n, acc in front:
                 e = get((op, key))
                 if e is None:
-                    e = table.fill(mod, op, key)
+                    e = fill(mod, op, key)
                 if e:
                     step.append((e[0], n * e[1], acc))
             front = step
@@ -551,7 +538,7 @@ def _fold(chains: list, vec: dict, mod: GammaModule, table: _IntTable | None = N
         bound = weight * sum(abs(n) for _, n, _ in start) * table.height ** longest
         degree = table.degree * longest
         if bound >> (table.radix[0] - 1) or degree >= table.radix[1]:
-            return _fold(chains, vec, mod, _IntTable(mod, (bound.bit_length() + 1, degree + 1)))
+            return _fold(chains, vec, mod, _ActionTable(mod, (bound.bit_length() + 1, degree + 1)))
     out: dict = {}
     for outers, acc in groups.items():
         for key, n in acc.items():

@@ -30,11 +30,13 @@ from nscheck.algebra import (
     basis,
     extend,
     half,
+    jet_coefficient,
 )
 from nscheck.analysis import a_g_chain, a_l_chain
 from nscheck.enveloping import SmashElement, g_prime, gl_sum, l_prime, omega, smash_product
 from nscheck.modules import (
     BasisKey,
+    GammaModule,
     ModuleError,
     ModuleVector,
     SignConvention,
@@ -66,6 +68,10 @@ def reference_act(x, v: ModuleVector, mod) -> ModuleVector:
     def image(term):
         a, pbw = term
         vec = v.terms
+        if a == A_ONE and not pbw:  # the unit element checks its keys in its turn
+            for key in vec:
+                if not mod.admissible(key):
+                    raise ModuleError(f"key {key.render()} not admissible for {mod.descriptor()}")
         for g in reversed(pbw):
             vec = extend(vec.items(), partial(mod.gen_action, g))
         if a != A_ONE:
@@ -236,14 +242,42 @@ def test_outputs_outside_the_encoding_are_redone(monkeypatch, redos):
     small = [gamma(LAMBDA, B), gamma(LAMBDA * LAMBDA - B, B), gamma_plus(B)]
     xs, vs = elements(rng, AlgebraMode.KPLUS), vectors(rng)
     for mod in small:
-        assert mod._ints.radix == (8, 2)
+        assert mod._table.radix == (8, 2)
         for x, v in product(xs, vs):
             assert outcome(act, x, v, mod) == outcome(reference_act, x, v, mod), (mod, x, v)
     assert {m > 2 for _, m in redos} == {True, False}  # a degree redo and a height-only one
 
 
-@pytest.mark.parametrize("func", [act, modules._fold, modules._IntTable.__init__,
-                                  modules._IntTable.fill, modules._IntTable.value],
+def test_the_unit_element_rejects_an_inadmissible_key():
+    # gamma'(0,0) projects its key t^0 away: every element rejects it, the
+    # unit too, whose chain consults no entry
+    mod, v = gamma_prime(0, 0), ModuleVector.basis(BasisKey(0, 0))
+    for x in (AElement.monomial(0), L(0), AElement.monomial(1)):
+        with pytest.raises(ModuleError, match="key t\\^0 not admissible for gamma'\\(0,0\\)"):
+            act(x, v, mod)
+    assert act(AElement.monomial(0), ModuleVector.basis(BasisKey(1, 0)), mod).terms == {
+        BasisKey(1, 0): 1}
+
+
+def test_unscaled_jet_term_folds_like_the_reference(monkeypatch):
+    """The unscaled mutant of ``TestJetCertificate`` returns mu, not D mu,
+    so D c is no integer; the fold reads the n that the jet formula made
+    and agrees with the reference everywhere."""
+    def unscaled(self, gen, mono):
+        return jet_coefficient(gen, mono, self.lam.numeric_value(), self.b.numeric_value())
+
+    monkeypatch.setattr(GammaModule, "jet_term", unscaled)
+    mod, xs = gamma(F(1, 3), F(1, 4)), (L(1), L(-2), G(half(1)), G(half(-3)))
+    cases = [(x, ModuleVector.basis(BasisKey(k, eps)))
+             for x in xs for k in range(-3, 4) for eps in (0, 1)]
+    assert len(cases) == 56
+    assert [(x, v) for x, v in cases
+            if outcome(act, x, v, mod) != outcome(reference_act, x, v, mod)] == []
+
+
+@pytest.mark.parametrize("func", [act, modules._fold, modules._ActionTable.__init__,
+                                  modules._ActionTable.fill, modules._ActionTable.reencode,
+                                  modules._ActionTable.value],
                          ids=lambda f: f.__qualname__)
 def test_every_fold_exit_runs(func):
     # a new exit of the fold needs a case that reaches it
@@ -257,5 +291,13 @@ def test_every_fold_exit_runs(func):
                 act("x", ModuleVector.basis(BasisKey(0, 0)), mod)
         for x, v in product(elements(rng, AlgebraMode.KHAT)[:4], vectors(rng)):
             act(x, v, gamma(LAMBDA, B))
+        cut, below = gamma_plus(B), ModuleVector.basis(BasisKey(-1, 0))
+        for x, v, match in [(AElement.monomial(0), below, "not admissible"),
+                            (L(1), below, "not admissible"),
+                            (L(-2), ModuleVector.basis(BasisKey(0, 0)), "not admissible on"),
+                            (AElement.monomial(-1), ModuleVector.basis(BasisKey(0, 0)),
+                             "does not act")]:
+            with pytest.raises(ModuleError, match=match):
+                act(x, v, cut)
 
     assert sorted(exit_lines(func) - lines_run(func, run)) == []

@@ -2,8 +2,9 @@
 point, each layer imports only earlier ones, the benchmark's layer tracer
 finds every entry point it wraps, the benchmark's golden CLI invocations
 reproduce their recorded exit codes and report bytes, one sweep of its
-grid workload gets the answers of the classification law, and every public
-name of the package has a reader outside the tests."""
+grid workload gets the answers of the classification law, every public
+name of the package has a reader outside the tests, and a module handle
+keeps one action memo."""
 
 import ast
 import dataclasses
@@ -15,10 +16,17 @@ from pathlib import Path
 
 import pytest
 
-from nscheck.algebra import AlgebraMode, AMonomial, Gen, HalfInt
+from nscheck.algebra import AElement, AlgebraMode, AMonomial, Gen, HalfInt, L
 from nscheck.analysis import find_intertwiner, simplicity_verdict
 from nscheck.cli import run
-from nscheck.modules import BasisKey, Window, parse_module_descriptor
+from nscheck.modules import (
+    BasisKey,
+    GammaModule,
+    ModuleVector,
+    Window,
+    act,
+    parse_module_descriptor,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
@@ -258,3 +266,18 @@ def test_keys_hash_and_compare_in_c(cls):
     assert not dataclasses.is_dataclass(cls)
     assert cls.__hash__ is tuple.__hash__
     assert cls.__eq__ is tuple.__eq__
+
+
+@pytest.mark.parametrize("descriptor", ["gamma(1/3,1/4)", "gamma(l,b)", "gamma+(0,b)"])
+def test_a_module_handle_keeps_one_action_memo(descriptor):
+    # a per-handle memo is a field set on construction that grows as the
+    # handle acts; one table serves gen_action, amon_action and act
+    mod = parse_module_descriptor(descriptor)
+    sized = {f.name: len(getattr(mod, f.name)) for f in dataclasses.fields(GammaModule)
+             if not f.init and hasattr(getattr(mod, f.name), "__len__")}
+    key = BasisKey(1, 0)
+    mod.gen_action(L(2), key)
+    mod.amon_action(AMonomial(1, 1), key)
+    for x in (L(1), AElement.monomial(2)):
+        act(x, ModuleVector.basis(key), mod)
+    assert [name for name, size in sized.items() if len(getattr(mod, name)) > size] == ["_table"]
