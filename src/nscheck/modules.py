@@ -72,9 +72,9 @@ its keys in its turn.  It builds one Fraction (numeric) or one decoded
 Scalar (otherwise) per output coefficient; a Scalar coefficient of a term
 or of the vector multiplies only that result.  The fold bounds the 1-norm
 and the degree in b of every output, and redoes itself over a table at a
-radix that holds an output outside the encoding, which re-encodes the
-handle's coefficients, so a decoded coefficient is exact.  It builds
-exactly one ModuleVector per call, its result.
+radix that holds an output outside the encoding, filled as the handle's
+table is, so a decoded coefficient is exact.  It builds exactly one
+ModuleVector per call, its result.
 """
 
 from __future__ import annotations
@@ -470,13 +470,6 @@ class _ActionTable(dict):
         self[op, key] = entry
         return entry
 
-    def reencode(self, mod: GammaModule, op, key: BasisKey) -> tuple:
-        """Make the entry of ``op`` on ``key`` in a table of ``mod`` at a
-        larger radix: the handle's entry with its coefficient re-encoded."""
-        acts = mod.gen_action(op, key)
-        entry = self[op, key] = acts and (acts[0][0], self._encoded(acts[0][1]), acts)
-        return entry
-
     def value(self, n: int, r: int, s: int):
         """E^-1(n) / (s (D P)^r), the coefficient ``n`` encodes, under the
         coefficient rule on a numeric handle and as a Scalar otherwise."""
@@ -495,7 +488,7 @@ def _fold(chains: list, vec: dict, mod: GammaModule, table: _ActionTable | None 
     in the order they act, ops = (g_r, ..., g_1, a_t): one fold over the
     table of ``mod`` (or ``table``); see the module docstring."""
     table = mod._table if table is None else table
-    get, fill = table.get, (table.fill if table is mod._table else table.reencode)
+    get, fill = table.get, table.fill
     longest = max((len(ops) for ops, _ in chains), default=0)
     pads = [table.unit ** (longest - r) for r in range(longest + 1)]
     # the rational coefficients over common denominators; a Scalar enters

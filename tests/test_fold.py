@@ -276,8 +276,7 @@ def test_unscaled_jet_term_folds_like_the_reference(monkeypatch):
 
 
 @pytest.mark.parametrize("func", [act, modules._fold, modules._ActionTable.__init__,
-                                  modules._ActionTable.fill, modules._ActionTable.reencode,
-                                  modules._ActionTable.value],
+                                  modules._ActionTable.fill, modules._ActionTable.value],
                          ids=lambda f: f.__qualname__)
 def test_every_fold_exit_runs(func):
     # a new exit of the fold needs a case that reaches it
