@@ -42,7 +42,8 @@ a cached basis-level table rho: ad (Jacobi, :func:`bracket_basis`), A # k
 on the algebra (compatibility, [v, a] = v o a: ``bracket_basis`` for a
 generator, :func:`amon_act_gen` for an A-monomial), the algebra on A
 (derivation action, :func:`gen_act_amon`) and the algebra on a module (the
-module axiom, ``modules``: the per-handle ``GammaModule.gen_action``).  A
+module axiom, ``modules``: the free table of op chains, whose chains the
+module's integer fold evaluates over the handle's one action table).  A
 residual is a plain {key: coefficient} table, so a passing check does no
 Scalar arithmetic.  The cached tables keep the coefficient rule of
 ``scalars``, so an integral structure constant is an int and most of that
@@ -154,11 +155,8 @@ class Combination:
     """
 
     __slots__ = ("terms", "mode")
-    default_mode = None
 
     def __init__(self, terms: dict | None = None, mode=None):
-        if mode is None:
-            mode = self.default_mode
         clean = {}
         if terms:
             self._admit(terms, mode)
@@ -324,11 +322,6 @@ class AlgebraMode(enum.Enum):
         """KHAT keeps C; its smash algebra is U(khat), with no A-part."""
         return self is AlgebraMode.KHAT
 
-    @property
-    def a_mode(self) -> "AMode":
-        """The coefficient algebra of the smash algebra on this mode."""
-        return AMode.APLUS if self is AlgebraMode.KPLUS else AMode.A
-
     def admits(self, gen: "Gen") -> bool:
         if gen.kind == "C":
             return self.has_center
@@ -342,14 +335,6 @@ class AlgebraMode(enum.Enum):
             return AlgebraMode(text)
         except ValueError:
             raise AlgebraError(f"unknown algebra mode {text!r}") from None
-
-
-class AMode(enum.Enum):
-    A = "A"
-    APLUS = "A+"
-
-    def admits(self, mono: "AMonomial") -> bool:
-        return self is AMode.A or mono.k >= 0
 
 
 class Gen(tuple):
@@ -515,24 +500,17 @@ class LieElement(Combination):
 
 
 class AElement(Combination):
-    """Finite exact-linear combination of A-monomials."""
+    """Finite exact-linear combination of A-monomials (no mode)."""
 
     __slots__ = ()
-    default_mode = AMode.A
-
-    @staticmethod
-    def _admit(terms: dict, mode: AMode) -> None:
-        for m in terms:
-            if not mode.admits(m):
-                raise AlgebraError(f"monomial {m.render()} not admissible in mode {mode.value}")
 
     def _render_term(self, m: AMonomial, cs: str) -> str:
         mono = m.render()
         return cs if mono == "1" else self._times(cs, mono)
 
     @staticmethod
-    def monomial(k: int, eps: int = 0, mode: AMode = AMode.A, coeff=1) -> "AElement":
-        return AElement({AMonomial(k, eps): coeff}, mode)
+    def monomial(k: int, eps: int = 0, coeff=1) -> "AElement":
+        return AElement({AMonomial(k, eps): coeff})
 
 
 def _phi(g: Gen) -> tuple[AMonomial, int]:
@@ -611,7 +589,7 @@ def k_action_on_A(x: LieElement, a: AElement) -> AElement:
     bilinearly from :func:`gen_act_amon`."""
     if C in x.terms:
         raise AlgebraError("the central element does not act on A")
-    return AElement(bilinear(x, a, gen_act_amon), a.mode)
+    return AElement(bilinear(x, a, gen_act_amon))
 
 
 @lru_cache(maxsize=None)
@@ -651,7 +629,10 @@ def rep_residual(rho, x, y, xy, v, odd) -> dict:
     as a {key: coefficient} table, empty exactly when rho respects [x, y]
     at v.  x, y and v are basis keys, ``rho(e, w)`` is a basis-level table
     giving (target, coefficient) pairs, ``xy`` is [x, y] as (key,
-    coefficient) pairs and ``odd`` is true when x and y are both odd."""
+    coefficient) pairs and ``odd`` is true when x and y are both odd.  A
+    module's rho is the free table of op chains, rho(e, w) = ((w + (e,),
+    1),) from v = (): the law then gives the chains in acting order, which
+    ``modules`` folds over its action table."""
     terms = [((x, w), c) for w, c in rho(y, v)]
     terms += [((y, w), c if odd else -c) for w, c in rho(x, v)]
     terms += [((e, v), -c) for e, c in xy]

@@ -54,7 +54,6 @@ from .algebra import (
 )
 from .enveloping import (
     SmashElement,
-    TElementLabel,
     alternating_sum,
     g_prime,
     gl_sum,
@@ -307,21 +306,18 @@ def centralizer_reports(max_n: int, max_k: int) -> list[CheckReport]:
         raise AlgebraError(f"max_n and max_k must be at least 0, got {max_n} and {max_k}")
     mode = AlgebraMode.K
     gm = SmashElement.gen(G(Fraction(-1, 2)), mode)
-    a_labels = [TElementLabel("L", n) for n in range(0, max_n + 1)]
-    a_labels += [TElementLabel("G", n) for n in range(1, max_n + 1)]
-    g_labels = [TElementLabel("L", n) for n in range(-1, max_n + 1)]
-    g_labels += [TElementLabel("G", n) for n in range(0, max_n + 1)]
-    # each primed element once; g_labels holds every label of a_labels
-    built = {label: label.build(mode) for label in g_labels}
-    out = [_check(f"centralizer/{label.render()}/A", CENTRALIZER_ANCHOR,
-                  f"n={label.n}; |k|<={max_k}",
-                  (((k, eps), smash_bracket(built[label], SmashElement.amon(k, eps, mode)))
+    # each primed element once, as (name, n, element); the A-brackets skip
+    # the first of each kind, the boundary elements L'(-1) and G'(-1/2)
+    lp = [(f"L'({n})", n, l_prime(n, mode)) for n in range(-1, max_n + 1)]
+    gp = [(f"G'({2 * n - 1}/2)", n, g_prime(n, mode)) for n in range(0, max_n + 1)]
+    out = [_check(f"centralizer/{name}/A", CENTRALIZER_ANCHOR, f"n={n}; |k|<={max_k}",
+                  (((k, eps), smash_bracket(x, SmashElement.amon(k, eps, mode)))
                    for k, eps in product(range(-max_k, max_k + 1), (0, 1))),
                   lambda k, eps: f" at t^{k}{'*xi' if eps else ''}")
-           for label in a_labels]
-    for label in g_labels:
-        out.append(_check(f"centralizer/{label.render()}/G(-1/2)", CENTRALIZER_ANCHOR,
-                          f"n={label.n}", [((), smash_bracket(gm, built[label]))]))
+           for name, n, x in lp[1:] + gp[1:]]
+    for name, n, x in lp + gp:
+        out.append(_check(f"centralizer/{name}/G(-1/2)", CENTRALIZER_ANCHOR,
+                          f"n={n}", [((), smash_bracket(gm, x))]))
     return out
 
 

@@ -27,7 +27,6 @@ identity weighs its terms by binom(n+1, k+1) and stays as displayed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -131,7 +130,7 @@ class SmashElement(Combination):
         for a, p in terms:
             if mode.has_center and a != A_ONE:
                 raise AlgebraError("the enveloping algebra U(khat) admits no A-part")
-            if not mode.a_mode.admits(a):
+            if mode is AlgebraMode.KPLUS and a.k < 0:
                 raise AlgebraError(f"A-monomial {a.render()} not admissible in mode {mode.value}")
             _validate_pbw(p, mode)
 
@@ -256,35 +255,6 @@ def g_prime(n: int, mode: AlgebraMode = AlgebraMode.K) -> SmashElement:
         (AMonomial(n - i, 0), (G(Fraction(2 * i - 1, 2)),)): 1,
         (AMonomial(n - i, 1), (L(i - 1),)): -2,
     }, mode)
-
-
-@dataclass(frozen=True)
-class TElementLabel:
-    """Name of a primed element: kind "L" labels L'(n) with n >= -1,
-    kind "G" labels G'(n - 1/2) with n >= 0."""
-
-    kind: str
-    n: int
-
-    def __post_init__(self):
-        if self.kind == "L":
-            if self.n < -1:
-                raise AlgebraError("L' labels need n >= -1")
-        elif self.kind == "G":
-            if self.n < 0:
-                raise AlgebraError("G' labels need n >= 0")
-        else:
-            raise AlgebraError(f"unknown primed kind {self.kind!r}")
-
-    def build(self, mode: AlgebraMode = AlgebraMode.K) -> SmashElement:
-        if self.kind == "L":
-            return l_prime(self.n, mode)
-        return g_prime(self.n, mode)
-
-    def render(self) -> str:
-        if self.kind == "L":
-            return f"L'({self.n})"
-        return f"G'({2 * self.n - 1}/2)"
 
 
 def verify_reconstruction(n: int, mode: AlgebraMode = AlgebraMode.KPLUS):

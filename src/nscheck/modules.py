@@ -34,7 +34,9 @@ element of degree d moves it to the key of degree k + eps/2 + d (a key is
 an A-monomial: ``AMonomial.shifted``), of weight lambda + b plus that
 degree.  The module axiom (:func:`module_axiom_residual`) is the
 representation law ``algebra.rep_residual`` that the structural suites
-check, stated on basis keys over the memoised ``GammaModule.gen_action``.
+check, over the free table of op chains: the law gives the chains, with
+their coefficients, and ``act``'s fold (below) evaluates them, so every
+composition of the module action runs on the handle's one table.
 
 Sub-quotients: a module is gamma(lambda, b) with a cut, two out-closed
 key sets S and T (:class:`KeySet`: no or all keys, finite, cofinite, or a
@@ -60,21 +62,22 @@ first use (errors are never stored): () where op kills the key, else
 Kronecker encoding E of ``scalars`` (the identity on a numeric handle,
 where P = 1 and n is the integer D c of the jet formula), and
 ``gen_action`` and ``amon_action`` return the coefficient-rule Action
-((target, c),).
+((target, c),), the one-entry reader of the edges, the cut checks, the
+intertwiner and the reducibility locus.
 
-:func:`act` evaluates an element on a vector by one fold in machine
-integers over that table, the same for every handle.  For each term c_t
-(a (x) g_1 ... g_r) and each vector key it multiplies the entries along
-the factors, right to left and the A-part last, and sums the products over
-one common denominator, (D P)^R times the lcm of the denominators of the
-rational coefficients, R the longest term; a term with no factors checks
-its keys in its turn.  It builds one Fraction (numeric) or one decoded
-Scalar (otherwise) per output coefficient; a Scalar coefficient of a term
-or of the vector multiplies only that result.  The fold bounds the 1-norm
-and the degree in b of every output, and redoes itself over a table at a
-radix that holds an output outside the encoding, filled as the handle's
-table is, so a decoded coefficient is exact.  It builds exactly one
-ModuleVector per call, its result.
+:func:`act` and the module axiom evaluate on a vector by one fold in
+machine integers over that table, the same for every handle.  For each
+term c_t (a (x) g_1 ... g_r) and each vector key it multiplies the entries
+along the factors, right to left and the A-part last, and sums the
+products over one common denominator, (D P)^R times the lcm of the
+denominators of the rational coefficients, R the longest term; a term with
+no factors checks its keys in its turn.  It builds one Fraction (numeric)
+or one decoded Scalar (otherwise) per output coefficient; a Scalar
+coefficient of a term or of the vector multiplies only that result.  The
+fold bounds the 1-norm and the degree in b of every output, and redoes
+itself over a table at a radix that holds an output outside the encoding,
+filled as the handle's table is, so a decoded coefficient is exact.  It
+builds exactly one ModuleVector per call, its result.
 """
 
 from __future__ import annotations
@@ -545,17 +548,20 @@ def _fold(chains: list, vec: dict, mod: GammaModule, table: _ActionTable | None 
 
 
 def module_axiom_residual(x: Gen, y: Gen, key: BasisKey, mod: GammaModule) -> ModuleVector:
-    """Residual of the module axiom on a basis vector, the representation
-    law (``algebra.rep_residual``) over the handle's basis-level action
-    ``mod.gen_action``:
+    """Residual of the module axiom on a basis vector:
 
         (x (y v) - (-1)^{|x||y|} y (x v)) - [x, y] v
 
+    The representation law (``algebra.rep_residual``) over the free table
+    of op chains states it as (ops, c) pairs with the ops in acting order,
+    {(y, x): 1, (x, y): -(-1)^{|x||y|}, ([x, y],): -1}, and ``_fold``
+    evaluates them on v over the handle's one table, as ``act`` does.
     Zero for every pair exactly when the action is a representation.  The
     central charge is zero on these modules, so [x, y] is read without C.
     """
     xy = algebra.bracket_basis(x, y, False)
-    return ModuleVector(rep_residual(mod.gen_action, x, y, xy, key, x.parity and y.parity))
+    chains = rep_residual(lambda op, ops: ((ops + (op,), 1),), x, y, xy, (), x.parity and y.parity)
+    return ModuleVector(_fold(list(chains.items()), {key: 1}, mod))
 
 
 def parse_module_descriptor(

@@ -14,7 +14,7 @@ Canonical form of a Scalar:
   always the one shared ``ParamPoly``.
 
 Arithmetic forms the textbook numerator and denominator and reduces them
-with :func:`_canonicalize` (gcd, then monic), except in four cases whose
+with :func:`_canonicalize` (gcd, then monic), except in three cases whose
 result is canonical by construction:
 
 * rational scaling: ``x * c`` for an int, Fraction or numeric Scalar
@@ -22,8 +22,6 @@ result is canonical by construction:
   keeps the denominator; a nonzero constant keeps the pair coprime;
 * sums over denominator one: the numerators add over the denominator 1,
   which is coprime to anything and monic;
-* products over denominator one: two polynomials multiply to a polynomial,
-  whose denominator 1 is again coprime to it and monic;
 * adding a rational ``q`` to ``n/d`` gives ``(n + q d)/d``, because
   ``gcd(n + q d, d) = gcd(n, d) = 1``.
 
@@ -459,8 +457,6 @@ class Scalar:
         if q is None:
             x, q = other, _rational(self)
             if q is None:
-                if self.den is _ONE_POLY and other.den is _ONE_POLY:
-                    return _scalar(_mul(self.num.terms, other.num.terms), _ONE_POLY)
                 return Scalar(self.num * other.num, self.den * other.den)
         # rational scaling: a nonzero constant keeps num and den coprime
         if not q:

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import nscheck.enveloping as enveloping
 from nscheck.algebra import (
     AElement,
-    AMode,
     AMonomial,
     AlgebraError,
     AlgebraMode,
@@ -404,15 +403,6 @@ class TestActions:
     def test_a_action_xi_on_g(self):
         assert A_action_on_k(AElement.monomial(0, 1), lie(G(half(1)), K)).is_zero()
 
-    def test_a_mode_mixing_rejected(self):
-        a = AElement.monomial(1)
-        a_plus = AElement.monomial(1, mode=AMode.APLUS)
-        with pytest.raises(AlgebraError):
-            a + a_plus
-        with pytest.raises(AlgebraError):
-            a_plus - a
-        assert a != a_plus
-
     @pytest.mark.parametrize("pair", ["lie+vector", "vector+a", "lie+smash", "smash+lie"])
     def test_type_mixing_rejected(self, pair):
         elements = {
@@ -516,10 +506,10 @@ def _pin_lie(rng, mode, coeffs, with_center=True):
 
 
 def _pin_a(rng, mode, coeffs):
-    lo = 0 if mode.a_mode is AMode.APLUS else -2
+    lo = 0 if mode is AlgebraMode.KPLUS else -2
     amons = [AMonomial(k, eps) for k in range(lo, 3) for eps in (0, 1)]
     return AElement({m: Scalar.of(rng.choice(coeffs))
-                     for m in rng.sample(amons, rng.randint(2, 4))}, mode.a_mode)
+                     for m in rng.sample(amons, rng.randint(2, 4))})
 
 
 # each product on the operands it admits in ``mode``: the bracket on any two

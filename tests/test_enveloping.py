@@ -11,7 +11,6 @@ from nscheck.algebra import AMonomial, AlgebraError, AlgebraMode, C, G, L, half
 from nscheck.analysis import a_g_chain, a_l_chain
 from nscheck.enveloping import (
     SmashElement,
-    TElementLabel,
     g_prime,
     gl_sum,
     l_prime,
@@ -125,15 +124,6 @@ class TestNamedElements:
             l_prime(-2)
         with pytest.raises(AlgebraError):
             g_prime(-1)
-
-    def test_labels(self):
-        assert TElementLabel("L", 2).build(AK) == l_prime(2, AK)
-        assert TElementLabel("G", 1).build(AK) == g_prime(1, AK)
-        assert TElementLabel("G", 3).render() == "G'(5/2)"
-        with pytest.raises(AlgebraError):
-            TElementLabel("L", -2)
-        with pytest.raises(AlgebraError):
-            TElementLabel("G", -1)
 
 
 class TestReconstruction:

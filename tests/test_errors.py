@@ -10,10 +10,8 @@ from fractions import Fraction
 import pytest
 
 from nscheck.algebra import (
-    AElement,
     AlgebraError,
     AlgebraMode,
-    AMode,
     AMonomial,
     G,
     Gen,
@@ -25,7 +23,6 @@ from nscheck.algebra import (
 from nscheck.analysis import centralizer_reports, psi_table_reports, reconstruction_reports
 from nscheck.enveloping import (
     SmashElement,
-    TElementLabel,
     omega,
     smash_bracket,
     verify_reconstruction,
@@ -61,8 +58,6 @@ ERRORS = [
      "G index must be strictly half-integral, got 1"),
     ("gen-kind", lambda: Gen("X"), AlgebraError, "unknown generator kind 'X'"),
     ("xi-exponent", lambda: AMonomial(0, 2), AlgebraError, "xi exponent must be 0 or 1"),
-    ("a-element-mode", lambda: AElement({AMonomial(-1, 0): 1}, AMode.APLUS), AlgebraError,
-     "monomial t^-1 not admissible in mode A+"),
     ("compat-center", lambda: compatibility_basis(Gen("C"), ONE, L(1), KHAT), AlgebraError,
      "the central element does not act on A"),
     # enveloping
@@ -77,7 +72,6 @@ ERRORS = [
      lambda: smash_bracket(pbw((L(0),), K) + pbw((G(half(1)),), K), pbw((L(1),), K)),
      AlgebraError, "smash_bracket needs parity-homogeneous inputs"),
     ("omega-order", lambda: omega(0, 0, -1), AlgebraError, "omega order m must be non-negative"),
-    ("primed-kind", lambda: TElementLabel("X", 0), AlgebraError, "unknown primed kind 'X'"),
     ("reconstruction-n", lambda: verify_reconstruction(-1), AlgebraError,
      "reconstruction defined for n >= 0"),
     # modules

@@ -3,9 +3,11 @@
 ``reference_act`` is the module action as it was before the integer fold:
 each term's PBW factors, right to left, then its A-part, each extended
 linearly from the basis-level action with ``algebra.extend`` on plain
-coefficient tables.  ``act`` must agree with it coefficient for coefficient
-and by coefficient type, raise what it raises, and agree also where an
-output leaves the base encoding and the fold is redone.
+coefficient tables; ``reference_axiom`` is the module axiom as it was, the
+representation law over that action.  ``act`` must agree with it
+coefficient for coefficient and by coefficient type, raise what it raises,
+and agree also where an output leaves the base encoding and the fold is
+redone, as must ``module_axiom_residual`` there.
 """
 
 import random
@@ -28,9 +30,11 @@ from nscheck.algebra import (
     L,
     LieElement,
     basis,
+    bracket_basis,
     extend,
     half,
     jet_coefficient,
+    rep_residual,
 )
 from nscheck.analysis import a_g_chain, a_l_chain
 from nscheck.enveloping import SmashElement, g_prime, gl_sum, l_prime, omega, smash_product
@@ -45,6 +49,7 @@ from nscheck.modules import (
     gamma_minus,
     gamma_plus,
     gamma_prime,
+    module_axiom_residual,
     parity_change,
 )
 from nscheck.scalars import B, LAMBDA, Scalar
@@ -79,6 +84,13 @@ def reference_act(x, v: ModuleVector, mod) -> ModuleVector:
         return vec.items()
 
     return ModuleVector(extend(terms, image))
+
+
+def reference_axiom(x: Gen, y: Gen, key: BasisKey, mod) -> ModuleVector:
+    """The module axiom before the fold: the representation law over the
+    basis-level action, kept as an oracle."""
+    return ModuleVector(rep_residual(mod.gen_action, x, y, bracket_basis(x, y, False), key,
+                                     x.parity and y.parity))
 
 
 def describe(c):
@@ -123,7 +135,7 @@ def elements(rng, mode, scalars=True):
     out = [rng.choice(gens) for _ in range(3)]
     out += [LieElement({g: coefficient(rng, scalars) for g in rng.sample(gens, 3)}, mode)
             for _ in range(2)]
-    out += [AElement({m: coefficient(rng, scalars) for m in rng.sample(monos, 2)}, smode.a_mode)
+    out += [AElement({m: coefficient(rng, scalars) for m in rng.sample(monos, 2)})
             for _ in range(2)]
     for smash_mode in (mode, smode):
         gens = basis(2, smash_mode)
@@ -225,8 +237,8 @@ def test_affine_handles_fold_at_the_base_radix(redos):
 def test_outputs_outside_the_encoding_are_redone(monkeypatch, redos):
     """A key of 2^70 gives entries of height above X/2 = 2^63, and a radix
     of (8, 2) holds neither the degree in b nor the height of most outputs;
-    each such fold is redone at a radix that holds it, with the reference
-    result."""
+    each such fold, the module axiom's too, is redone at a radix that holds
+    it, with the reference result."""
     huge = [ModuleVector.basis(BasisKey(2 ** 70, 1)), ModuleVector({BasisKey(-2 ** 70, 0): 3})]
     xs = [L(1), G(half(-1)), omega(1, 0, 2), gl_sum(half(1), 0, 2),
           a_l_chain(3, -1, 3, AlgebraMode.K),
@@ -235,7 +247,19 @@ def test_outputs_outside_the_encoding_are_redone(monkeypatch, redos):
     cases = list(product(xs, huge, mods))
     for x, v, mod in cases:
         assert outcome(act, x, v, mod) == outcome(reference_act, x, v, mod), (mod, x, v)
-    assert len(redos) == len(cases) and min(k for k, _ in redos) > 64
+    # the module axiom folds there too
+    printed = SignConvention.PAPER_PRINTED
+    axioms = list(product([(L(1), G(half(-1))), (G(half(1)), G(half(-1)))],
+                          [BasisKey(2 ** 70, eps) for eps in (0, 1)],
+                          [gamma(LAMBDA, B), gamma(LAMBDA, B, convention=printed),
+                           gamma(F(1, 3), B)]))
+    residuals = set()
+    for (x, y), key, mod in axioms:
+        want = outcome(partial(reference_axiom, x), y, key, mod)
+        assert outcome(partial(module_axiom_residual, x), y, key, mod) == want, (mod, x, y, key)
+        residuals.add(bool(want))
+    assert residuals == {True, False}  # the printed signs fail the odd-odd axiom
+    assert len(redos) == len(cases) + len(axioms) and min(k for k, _ in redos) > 64
     redos.clear()
     monkeypatch.setattr(modules, "_RADIX", (8, 2))
     rng = random.Random("nscheck-fold-radix")

@@ -31,6 +31,7 @@ from nscheck.analysis import (
     find_intertwiner,
     jacobi_family_reports,
     minimal_annihilator,
+    module_axiom_reports,
     psi_table_reports,
     reconstruction_reports,
     simplicity_verdict,
@@ -658,6 +659,31 @@ def test_passing_structure_suites_do_no_scalar_arithmetic(scalar_ops):
     assert module_axiom_residual(G(half(1)), G(half(-1)), BasisKey(0, 0),
                                  gamma(LAMBDA, B)).is_zero()
     assert len(scalar_ops) > 0
+
+
+@pytest.mark.parametrize("convention", list(SignConvention), ids=lambda c: c.value)
+def test_formal_module_axiom_folds_without_symbolic_products(monkeypatch, convention):
+    """The module axiom folds its op chains over the handle's integer table,
+    as ``act`` does: on gamma(l,b) it reads no basis-level action and
+    multiplies no two Scalars in l or b."""
+    products, reads = [], []
+
+    def counted(x, y, _op=Scalar.__mul__):
+        if isinstance(y, Scalar) and not (x.is_numeric() or y.is_numeric()):
+            products.append((x, y))
+        return _op(x, y)
+
+    def read(self, op, key, _read=GammaModule.gen_action):
+        reads.append((op, key))
+        return _read(self, op, key)
+
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(Scalar, name, counted)
+    monkeypatch.setattr(GammaModule, "gen_action", read)
+    reports = module_axiom_reports(gamma(LAMBDA, B, convention=convention), Window(-8, 8), 3)
+    assert len(reports) > 0 and products == [] and reads == []
+    # the counter is live: it does count a product of two symbolic Scalars
+    assert LAMBDA * B and len(products) == 1
 
 
 @pytest.mark.parametrize("suite", [

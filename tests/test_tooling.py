@@ -3,13 +3,14 @@ point, each layer imports only earlier ones, the benchmark's layer tracer
 finds every entry point it wraps, the benchmark's golden CLI invocations
 reproduce their recorded exit codes and report bytes, one sweep of its
 grid workload gets the answers of the classification law, every public
-name of the package has a reader outside the tests, and a module handle
-keeps one action memo."""
+name of the package has a reader outside the tests, a module handle keeps
+one action memo, and every source parses at the declared Python floor."""
 
 import ast
 import dataclasses
 import hashlib
 import importlib
+import re
 import sys
 import types
 from pathlib import Path
@@ -281,3 +282,27 @@ def test_a_module_handle_keeps_one_action_memo(descriptor):
     for x in (L(1), AElement.monomial(2)):
         act(x, ModuleVector.basis(key), mod)
     assert [name for name, size in sized.items() if len(getattr(mod, name)) > size] == ["_table"]
+
+
+def python_floor() -> tuple[int, int]:
+    """The (major, minor) of ``requires-python`` in pyproject.toml, read by
+    regex: ``tomllib`` needs Python 3.11."""
+    text = (ROOT / "pyproject.toml").read_text()
+    major, minor = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)', text, re.M).groups()
+    return int(major), int(minor)
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    floor = python_floor()
+    paths = [p for d in ("src/nscheck", "tests", "perfbench", "demos")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    failed = []
+    for path in paths:
+        try:
+            ast.parse(path.read_text(), str(path), feature_version=floor)
+        except SyntaxError as exc:
+            failed.append(f"{path.relative_to(ROOT)}:{exc.lineno}: {exc.msg}")
+    assert len(paths) > 20 and failed == []
+    # the probe is live: syntax newer than the floor is rejected
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=floor)

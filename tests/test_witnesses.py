@@ -115,10 +115,11 @@ def test_structural_suites_build_only_their_witness(request, built, mutated):
 
 def test_centralizer_witness(monkeypatch):
     original = enveloping.l_prime
-    monkeypatch.setattr(
-        enveloping, "l_prime",
-        lambda n, mode=AlgebraMode.K: original(n, mode) + SmashElement.gen(L(n), mode),
-    )
+    for namespace in (enveloping, analysis):
+        monkeypatch.setattr(
+            namespace, "l_prime",
+            lambda n, mode=AlgebraMode.K: original(n, mode) + SmashElement.gen(L(n), mode),
+        )
     assert sorted(failures(centralizer_reports(2, 2))) == [
         ("centralizer/L'(0)/A", "n=0; |k|<=2 at t^-2", "-2*t^-2 (x) 1"),
         ("centralizer/L'(0)/G(-1/2)", "n=0", "1/2*1 (x) G(-1/2)"),
