@@ -72,10 +72,13 @@ coefficient rule of ``scalars``, like the cached tables:
   representation;
 * no zero coefficient is ever stored, so ``is_zero`` is ``not terms`` and
   an element is falsy exactly at zero, like a residual table;
-* every construction runs the subclass's key admission check;
-* ``+`` and ``-`` combine only elements of one type and one ``mode`` (None
-  for a type without modes) and raise :class:`AlgebraError` otherwise; the
-  type and the mode are part of ``==``;
+* every construction runs the subclass's key admission check, and checks
+  the ``mode``, also for empty terms: a Lie or smash element needs an
+  :class:`AlgebraMode`, and an A-element or a module vector takes none
+  (its ``mode`` is None), or :class:`AlgebraError` is raised;
+* ``+`` and ``-`` combine only elements of one type and one ``mode`` and
+  raise ``AlgebraError`` otherwise; the type and the mode are part of
+  ``==``;
 * ``items`` and ``render`` list the terms in the subclass's canonical order,
   so a rendering is a deterministic function of the value.
 
@@ -151,12 +154,19 @@ class Combination:
     Scalars and stores it under the coefficient rule.
 
     Subclasses supply key admission (``_admit``), term order (``_order``)
-    and term rendering (``_render_term``).
+    and term rendering (``_render_term``), and say by ``_moded`` whether
+    they need an :class:`AlgebraMode` (Lie and smash elements) or take no
+    mode (A-elements and module vectors).
     """
 
     __slots__ = ("terms", "mode")
+    _moded = False
 
     def __init__(self, terms: dict | None = None, mode=None):
+        if isinstance(mode, AlgebraMode) is not self._moded:
+            name = type(self).__name__
+            raise AlgebraError(f"{name} needs an algebra mode, got {mode!r}" if self._moded
+                               else f"{name} takes no algebra mode")
         clean = {}
         if terms:
             self._admit(terms, mode)
@@ -471,6 +481,7 @@ class LieElement(Combination):
     """Finite exact-linear combination of basis generators in one mode."""
 
     __slots__ = ()
+    _moded = True
 
     @staticmethod
     def _admit(terms: dict, mode: AlgebraMode) -> None:
@@ -495,8 +506,8 @@ class LieElement(Combination):
         return LieElement({}, mode)
 
     @staticmethod
-    def basis(gen: Gen, mode: AlgebraMode, coeff=1) -> "LieElement":
-        return LieElement({gen: coeff}, mode)
+    def basis(gen: Gen, mode: AlgebraMode) -> "LieElement":
+        return LieElement({gen: 1}, mode)
 
 
 class AElement(Combination):
@@ -509,8 +520,8 @@ class AElement(Combination):
         return cs if mono == "1" else self._times(cs, mono)
 
     @staticmethod
-    def monomial(k: int, eps: int = 0, coeff=1) -> "AElement":
-        return AElement({AMonomial(k, eps): coeff})
+    def monomial(k: int, eps: int = 0) -> "AElement":
+        return AElement({AMonomial(k, eps): 1})
 
 
 def _phi(g: Gen) -> tuple[AMonomial, int]:

@@ -124,6 +124,7 @@ class SmashElement(Combination):
     """Normal-formed element of one of the smash algebras."""
 
     __slots__ = ()
+    _moded = True
 
     @staticmethod
     def _admit(terms: dict, mode: AlgebraMode) -> None:
@@ -148,12 +149,12 @@ class SmashElement(Combination):
         return SmashElement({}, mode)
 
     @staticmethod
-    def gen(g: Gen, mode: AlgebraMode, coeff=1) -> "SmashElement":
-        return SmashElement({(A_ONE, (g,)): coeff}, mode)
+    def gen(g: Gen, mode: AlgebraMode) -> "SmashElement":
+        return SmashElement({(A_ONE, (g,)): 1}, mode)
 
     @staticmethod
-    def amon(k: int, eps: int = 0, mode: AlgebraMode = AlgebraMode.K, coeff=1) -> "SmashElement":
-        return SmashElement({(AMonomial(k, eps), ()): coeff}, mode)
+    def amon(k: int, eps: int = 0, mode: AlgebraMode = AlgebraMode.K) -> "SmashElement":
+        return SmashElement({(AMonomial(k, eps), ()): 1}, mode)
 
     @staticmethod
     def from_lie(x: LieElement) -> "SmashElement":

@@ -55,13 +55,15 @@ construction (so ``replace`` recomputes them) it decides once, in
 without a membership test, and it makes its one action table ``_table``,
 which lives and dies with the handle: equal handles do not share one.  The
 table makes the one scaling decision, D as above on a numeric handle, and
-D P, clearing every denominator of a coefficient, with a formal parameter.
-Its entry for a generator or A-monomial op on a key is filled once, on
-first use (errors are never stored): () where op kills the key, else
-(target, n, action).  ``act`` reads (target, n), n = E(D P c) for the
-Kronecker encoding E of ``scalars`` (the identity on a numeric handle,
-where P = 1 and n is the integer D c of the jet formula), and
-``gen_action`` and ``amon_action`` return the coefficient-rule Action
+D P, clearing every denominator of a coefficient, with a formal parameter;
+P is the product of the parameters' denominators, polynomials in l and b,
+which ``scalars`` keeps as plain term tables (a Scalar is the reduced pair
+``num``/``den`` of them).  Its entry for a generator or A-monomial op on a
+key is filled once, on first use (errors are never stored): () where op
+kills the key, else (target, n, action).  ``act`` reads (target, n), n =
+E(D P c) for the Kronecker encoding E of ``scalars`` (the identity on a
+numeric handle, where P = 1 and n is the integer D c of the jet formula),
+and ``gen_action`` and ``amon_action`` return the coefficient-rule Action
 ((target, c),), the one-entry reader of the edges, the cut checks, the
 intertwiner and the reducibility locus.
 
@@ -109,10 +111,10 @@ from .scalars import (
     LAMBDA,
     ONE,
     ZERO,
-    ParamPoly,
     Scalar,
     _decode,
     _encode,
+    _mul,
     _rational,
     parse_rational,
 )
@@ -188,8 +190,8 @@ class ModuleVector(Combination):
         return f"{cs} * {key.render()}"
 
     @staticmethod
-    def basis(key: BasisKey, coeff=1) -> "ModuleVector":
-        return ModuleVector({key: coeff})
+    def basis(key: BasisKey) -> "ModuleVector":
+        return ModuleVector({key: 1})
 
 
 @dataclass(frozen=True)
@@ -400,13 +402,15 @@ class _ActionTable(dict):
     c),)), or () where op kills key (see the module docstring).  On a
     numeric handle ``params`` are the ints D lambda and D b, ``den`` is D
     and ``scale`` is None.  With a formal parameter ``params`` are the
-    parameters, ``den`` is 1 and ``scale`` is the polynomial D P, with P
-    the product of the parameters' distinct denominators and D = lcm(2
-    den(coefficients of P), den(coefficients of P lambda and P b)).  Every
-    coefficient is alpha lambda + beta b + gamma with integral alpha, beta
-    and gamma in Z/2 (``fill``), so every n lies in Z[l, b].  ``unit`` is
-    E(D P); ``height`` and ``degree`` bound the 1-norm and the degree in b
-    of D P and of every n made so far."""
+    parameters, ``den`` is 1 and ``scale`` is the polynomial D P as a
+    Scalar over 1, with P the product of the parameters' distinct
+    denominators (each the term table ``den`` of a parameter) and D =
+    lcm(2 den(coefficients of P), den(coefficients of P lambda and P b)).
+    Every coefficient is alpha lambda + beta b + gamma with integral alpha,
+    beta and gamma in Z/2 (``fill``), so every n lies in Z[l, b].  ``unit``
+    is E(D P); ``height`` and ``degree`` bound the 1-norm and the degree in
+    b of D P and of every n made so far; ``value`` decodes n to a term
+    table and divides it by a power of the table ``scale.num``."""
 
     __slots__ = ("radix", "params", "den", "scale", "unit", "height", "degree")
 
@@ -419,17 +423,18 @@ class _ActionTable(dict):
             self.params = tuple(p.numerator * (self.den // p.denominator) for p in params)
             self.scale = None
             return
-        one, poly = ParamPoly({(0, 0): 1}), ONE
-        for d in {p.den for p in params if isinstance(p, Scalar)}:
-            poly = poly * Scalar(d, one)
-        den = math.lcm(*(2 * c.denominator for c in poly.num.terms.values()),
-                       *(c.denominator for p in params for c in (poly * p).num.terms.values()))
+        # the distinct denominators, as Scalars over 1: a table is no set member
+        poly = ONE
+        for d in {Scalar(p.den, {(0, 0): 1}) for p in params if isinstance(p, Scalar)}:
+            poly = poly * d
+        den = math.lcm(*(2 * c.denominator for c in poly.num.values()),
+                       *(c.denominator for p in params for c in (poly * p).num.values()))
         self.params, self.den, self.scale = params, 1, poly * den
         self.unit = self._encoded(1)
 
     def _encoded(self, c) -> int:
         """E(D P c), with ``height`` and ``degree`` raised to cover D P c."""
-        f = (self.scale * c).num.terms
+        f = (self.scale * c).num
         self.height = max(self.height, sum(map(abs, f.values())))
         self.degree = max(self.degree, max(e[1] for e in f))
         return _encode(f, self.radix)
@@ -479,10 +484,10 @@ class _ActionTable(dict):
         if self.scale is None:
             s *= self.den ** r
             return n // s if n % s == 0 else Fraction(n, s)
-        den = ParamPoly({(0, 0): s})
+        den = {(0, 0): s}
         for _ in range(r):
-            den = den * self.scale.num
-        return Scalar(ParamPoly(_decode(n, self.radix)), den)
+            den = _mul(den, self.scale.num)
+        return Scalar(_decode(n, self.radix), den)
 
 
 def _fold(chains: list, vec: dict, mod: GammaModule, table: _ActionTable | None = None) -> dict:

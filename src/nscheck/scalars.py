@@ -3,15 +3,18 @@
 A ``Scalar`` is a quotient of two polynomials in the formal parameters
 ``l`` and ``b`` with rational coefficients, kept in a canonical form so
 that equality-to-zero is decidable by plain representation comparison.
-A coefficient that involves neither parameter is kept as an int or a
-Fraction instead (the coefficient rule below).
+A polynomial is a plain term table, a dict from exponent pairs (deg l,
+deg b) to nonzero coefficients; a Scalar is a reduced pair of them,
+``num`` and ``den``.  A coefficient that involves neither parameter is
+kept as an int or a Fraction instead (the coefficient rule below).
 
 Canonical form of a Scalar:
 
 * numerator and denominator share no polynomial factor (gcd removed),
 * the denominator is monic with respect to the fixed term order,
 * zero is ``0/1``, purely numeric values are ``c/1``; a denominator 1 is
-  always the one shared ``ParamPoly``.
+  always the one shared table ``_ONE_TERMS``, which no code mutates (no
+  code mutates a Scalar's tables at all).
 
 Arithmetic forms the textbook numerator and denominator and reduces them
 with :func:`_canonicalize` (gcd, then monic), except in three cases whose
@@ -27,11 +30,13 @@ result is canonical by construction:
 
 The term order is graded lexicographic with ``l`` before ``b``.
 
-Coefficient rule: every stored polynomial coefficient is exact, and an
+Coefficient rule: every coefficient of a term table is exact, and an
 integral one is a plain ``int``; any other is a :class:`fractions.Fraction`
 whose denominator is greater than 1.  The kernels and the constructors
 normalise their results to this rule, so most arithmetic runs on machine
-ints.  The cached exact tables follow it too, each entry normalised once by
+ints; the constructor ``Scalar(num, den)``, which takes term tables from
+outside, also rejects an exponent that is not a non-negative int.  The
+cached exact tables follow the rule too, each entry normalised once by
 :func:`_coefficient` on its way into the cache: the structure constants of
 ``algebra`` (``bracket_basis``, ``gen_act_amon``, ``amon_act_gen``) and the
 PBW tables of ``enveloping`` (``_insert_gen``, ``_pbw_mul``,
@@ -303,90 +308,35 @@ def _p_render(f: dict) -> str:
     return "".join(pieces)
 
 
-class ParamPoly:
-    """Polynomial in the formal parameters l and b over Q.
-
-    Immutable; ``terms`` maps exponent pairs (deg l, deg b) to nonzero
-    coefficients under the coefficient rule: an int when integral, else a
-    Fraction with denominator > 1.  The constructor validates and
-    normalises outside input (a float raises ScalarError); the kernels hand
-    their already-clean dicts to :func:`_poly`.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Expt, Fraction | int] | None = None):
-        clean: dict = {}
-        if terms:
-            for e, c in terms.items():
-                c = _coefficient(c)
-                if c:
-                    clean[(int(e[0]), int(e[1]))] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("ParamPoly is immutable")
-
-    @staticmethod
-    def variable(name: str) -> "ParamPoly":
-        if name == "l":
-            return ParamPoly({(1, 0): 1})
-        if name == "b":
-            return ParamPoly({(0, 1): 1})
-        raise ValueError(f"unknown parameter {name!r}; only l and b exist")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "ParamPoly") -> "ParamPoly":
-        return _poly(_add_scaled(self.terms, other.terms))
-
-    def __sub__(self, other: "ParamPoly") -> "ParamPoly":
-        return _poly(_add_scaled(self.terms, other.terms, -1))
-
-    def __neg__(self) -> "ParamPoly":
-        return _poly(_p_neg(self.terms))
-
-    def __mul__(self, other: "ParamPoly") -> "ParamPoly":
-        return _poly(_mul(self.terms, other.terms))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ParamPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def substitute(self, l_val: int | Fraction | None, b_val: int | Fraction | None) -> "ParamPoly":
-        l_val = None if l_val is None else _coefficient(l_val)
-        b_val = None if b_val is None else _coefficient(b_val)
-        out: dict = {}
-        for (dl, db), c in self.terms.items():
-            if l_val is not None:
-                c *= l_val ** dl
-                dl = 0
-            if b_val is not None:
-                c *= b_val ** db
-                db = 0
-            out = _add_scaled(out, _ONE_TERMS, c, (dl, db))
-        return _poly(out)
-
-    def render(self) -> str:
-        return _p_render(self.terms)
-
-    def __repr__(self):
-        return f"ParamPoly({self.render()})"
-
-
-def _poly(terms: dict) -> ParamPoly:
-    """ParamPoly over a dict that is already clean: int exponent pairs,
-    nonzero coefficients under the coefficient rule."""
-    p = object.__new__(ParamPoly)
-    object.__setattr__(p, "terms", terms)
-    return p
-
-
 _ONE_TERMS = {(0, 0): 1}
-_ONE_POLY = _poly(_ONE_TERMS)
+
+
+def _p_substitute(f: dict, l_val: int | Fraction | None, b_val: int | Fraction | None) -> dict:
+    """f with l replaced by l_val and b by b_val, each where it is not None."""
+    out: dict = {}
+    for (dl, db), c in f.items():
+        if l_val is not None:
+            c *= l_val ** dl
+            dl = 0
+        if b_val is not None:
+            c *= b_val ** db
+            db = 0
+        out = _add_scaled(out, _ONE_TERMS, c, (dl, db))
+    return out
+
+
+def _terms(f: Mapping[Expt, int | Fraction]) -> dict:
+    """A term table from outside, validated and cleaned: every exponent a
+    pair of non-negative ints, every coefficient under the coefficient rule
+    and nonzero.  Anything else, a float in particular, raises ScalarError."""
+    clean: dict = {}
+    for e, c in f.items():
+        if not (type(e) is tuple and len(e) == 2 and all(type(d) is int and d >= 0 for d in e)):
+            raise ScalarError(f"exponent {e!r} is not a pair of non-negative ints")
+        c = _coefficient(c)
+        if c:
+            clean[e] = c
+    return clean
 
 
 def _rational(x):
@@ -394,23 +344,28 @@ def _rational(x):
     under the coefficient rule; None for a Scalar that involves l or b.
     Any other operand, a float in particular, raises ScalarError."""
     if isinstance(x, Scalar):
-        t = x.num.terms
-        one = x.den is _ONE_POLY or x.den.terms == _ONE_TERMS
-        if one and (not t or (len(t) == 1 and (0, 0) in t)):
+        t = x.num
+        if x.den is _ONE_TERMS and (not t or (len(t) == 1 and (0, 0) in t)):
             return t.get((0, 0), 0)
         return None
     return _coefficient(x)
 
 
 class Scalar:
-    """Canonical element of Q(l, b); see the module docstring."""
+    """Canonical element of Q(l, b); see the module docstring.
+
+    ``num`` and ``den`` are the reduced term tables, which no code mutates.
+    The constructor takes two mappings from outside and validates them as
+    :func:`_terms` does; the arithmetic builds its results by
+    :func:`_scalar`.
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: ParamPoly, den: ParamPoly):
-        n, d = _canonicalize(num.terms, den.terms)
-        object.__setattr__(self, "num", _poly(n))
-        object.__setattr__(self, "den", _ONE_POLY if d == _ONE_TERMS else _poly(d))
+    def __init__(self, num: Mapping[Expt, int | Fraction], den: Mapping[Expt, int | Fraction]):
+        n, d = _canonicalize(_terms(num), _terms(den))
+        object.__setattr__(self, "num", n)
+        object.__setattr__(self, "den", d)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Scalar is immutable")
@@ -421,13 +376,13 @@ class Scalar:
         if isinstance(value, Scalar):
             return value
         value = _coefficient(value)
-        return _scalar({(0, 0): value} if value else {}, _ONE_POLY)
+        return _scalar({(0, 0): value} if value else {}, _ONE_TERMS)
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self.num.terms)
+        return bool(self.num)
 
     def is_numeric(self) -> bool:
         return _rational(self) is not None
@@ -450,18 +405,19 @@ class Scalar:
         return _sum(-self, other, 1)
 
     def __neg__(self) -> "Scalar":
-        return _scalar(_p_neg(self.num.terms), self.den)
+        return _scalar(_p_neg(self.num), self.den)
 
     def __mul__(self, other) -> "Scalar":
         x, q = self, _rational(other)
         if q is None:
             x, q = other, _rational(self)
             if q is None:
-                return Scalar(self.num * other.num, self.den * other.den)
+                n, d = _mul(self.num, other.num), _mul(self.den, other.den)
+                return _scalar(*_canonicalize(n, d))
         # rational scaling: a nonzero constant keeps num and den coprime
         if not q:
             return ZERO
-        return x if q == 1 else _scalar(_p_scale(x.num.terms, q), x.den)
+        return x if q == 1 else _scalar(_p_scale(x.num, q), x.den)
 
     __rmul__ = __mul__
 
@@ -470,15 +426,15 @@ class Scalar:
         if q is not None:
             if not q:
                 raise ScalarError("division by zero Scalar")
-            return _scalar(_p_scale(self.num.terms, 1 / Fraction(q)), self.den)
-        return Scalar(self.num * other.den, self.den * other.num)
+            return _scalar(_p_scale(self.num, 1 / Fraction(q)), self.den)
+        return _scalar(*_canonicalize(_mul(self.num, other.den), _mul(self.den, other.num)))
 
     def __rtruediv__(self, other) -> "Scalar":
         return Scalar.of(other) / self
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Scalar):
-            return self.num.terms == other.num.terms and self.den.terms == other.den.terms
+            return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
             return _rational(self) == other
         return False
@@ -486,22 +442,28 @@ class Scalar:
     def __hash__(self):
         # a numeric Scalar hashes as the rational it equals
         q = _rational(self)
-        return hash((self.num, self.den)) if q is None else hash(q)
+        if q is None:
+            return hash((frozenset(self.num.items()), frozenset(self.den.items())))
+        return hash(q)
 
     def substitute(self, l_val=None, b_val=None) -> "Scalar":
-        den = self.den.substitute(l_val, b_val)
-        if den.is_zero():
-            raise PoleError(self.den.render())
-        return Scalar(self.num.substitute(l_val, b_val), den)
+        """l and b replaced by the rationals l_val and b_val, each where it
+        is not None; a float raises ScalarError."""
+        l_val = None if l_val is None else _coefficient(l_val)
+        b_val = None if b_val is None else _coefficient(b_val)
+        den = _p_substitute(self.den, l_val, b_val)
+        if not den:
+            raise PoleError(_p_render(self.den))
+        return _scalar(*_canonicalize(_p_substitute(self.num, l_val, b_val), den))
 
     def render(self) -> str:
-        ns = self.num.render()
-        if self.den == _ONE_POLY:
+        ns = _p_render(self.num)
+        if self.den is _ONE_TERMS:
             return ns
-        ds = self.den.render()
-        if len(self.num.terms) > 1:
+        ds = _p_render(self.den)
+        if len(self.num) > 1:
             ns = f"({ns})"
-        if len(self.den.terms) > 1 or "*" in ds:
+        if len(self.den) > 1 or "*" in ds:
             ds = f"({ds})"
         return f"{ns}/{ds}"
 
@@ -517,10 +479,11 @@ class Scalar:
         return f"Scalar({self.render()})"
 
 
-def _scalar(num: dict, den: ParamPoly) -> Scalar:
-    """Scalar over a pair that is already canonical."""
+def _scalar(num: dict, den: dict) -> Scalar:
+    """Scalar over a pair of term tables that is already canonical, with
+    the denominator 1 as the shared ``_ONE_TERMS``."""
     s = object.__new__(Scalar)
-    object.__setattr__(s, "num", _poly(num))
+    object.__setattr__(s, "num", num)
     object.__setattr__(s, "den", den)
     return s
 
@@ -532,18 +495,20 @@ def _sum(x: Scalar, y, sign: int) -> Scalar:
         # (n + q d)/d: gcd(n + q d, d) = gcd(n, d) = 1
         if not q:
             return x
-        return _scalar(_add_scaled(x.num.terms, x.den.terms, q if sign == 1 else -q), x.den)
+        return _scalar(_add_scaled(x.num, x.den, q if sign == 1 else -q), x.den)
     q = _rational(x)
     if q is not None:
-        n = y.num.terms if sign == 1 else _p_neg(y.num.terms)
-        return _scalar(_add_scaled(n, y.den.terms, q), y.den)
-    if x.den is _ONE_POLY and y.den is _ONE_POLY:
-        return _scalar(_add_scaled(x.num.terms, y.num.terms, sign), _ONE_POLY)
-    n, m = x.num * y.den, y.num * x.den
-    return Scalar(n + m if sign == 1 else n - m, x.den * y.den)
+        n = y.num if sign == 1 else _p_neg(y.num)
+        return _scalar(_add_scaled(n, y.den, q), y.den)
+    if x.den is _ONE_TERMS and y.den is _ONE_TERMS:
+        return _scalar(_add_scaled(x.num, y.num, sign), _ONE_TERMS)
+    n = _add_scaled(_mul(x.num, y.den), _mul(y.num, x.den), sign)
+    return _scalar(*_canonicalize(n, _mul(x.den, y.den)))
 
 
 def _canonicalize(num: dict, den: dict) -> tuple[dict, dict]:
+    """The canonical pair of num/den, for term tables that no caller reads
+    again: the denominator 1 is the shared ``_ONE_TERMS``."""
     if not den:
         raise ScalarError("division by zero polynomial")
     if not num:
@@ -551,7 +516,7 @@ def _canonicalize(num: dict, den: dict) -> tuple[dict, dict]:
     # constant numerator or denominator: the gcd is a unit
     if den.keys() == {(0, 0)}:
         c = den[(0, 0)]
-        return (dict(num) if c == 1 else _p_scale(num, 1 / Fraction(c))), _ONE_TERMS
+        return (num if c == 1 else _p_scale(num, 1 / Fraction(c))), _ONE_TERMS
     if num.keys() != {(0, 0)}:
         g = _p_gcd(num, den)
         if g != _ONE_TERMS:
@@ -562,12 +527,12 @@ def _canonicalize(num: dict, den: dict) -> tuple[dict, dict]:
         inv = 1 / Fraction(lead)
         num = _p_scale(num, inv)
         den = _p_scale(den, inv)
-    return num, den
+    return num, (_ONE_TERMS if den == _ONE_TERMS else den)
 
 
 ZERO = Scalar.of(0)
 ONE = Scalar.of(1)
-LAMBDA, B = (_scalar(ParamPoly.variable(name).terms, _ONE_POLY) for name in "lb")
+LAMBDA, B = _scalar({(1, 0): 1}, _ONE_TERMS), _scalar({(0, 1): 1}, _ONE_TERMS)
 
 
 def parse_rational(text: str) -> Fraction:

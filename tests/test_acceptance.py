@@ -10,9 +10,7 @@ import time
 from fractions import Fraction
 from itertools import product
 
-import pytest
-
-from nscheck.algebra import AlgebraMode, G, L, basis, half
+from nscheck.algebra import AlgebraMode, G, basis, half
 from nscheck.analysis import (
     centralizer_reports,
     chain_reports,

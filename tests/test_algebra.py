@@ -376,11 +376,11 @@ def test_grading_by_ad_l0():
 class TestActions:
     def test_l_on_t(self):
         got = k_action_on_A(lie(L(1), K), AElement.monomial(2))
-        assert got == AElement.monomial(3, coeff=2)
+        assert got == AElement.monomial(3).scale(2)
 
     def test_g_on_xi(self):
         got = k_action_on_A(lie(G(half(1)), K), AElement.monomial(0, 1))
-        assert got == AElement.monomial(1, 0, coeff=-1)
+        assert got == AElement.monomial(1, 0).scale(-1)
 
     def test_l0_kills_unit(self):
         assert k_action_on_A(lie(L(0), K), AElement.monomial(0)).is_zero()
@@ -484,7 +484,7 @@ def test_rendering():
     e = LieElement({L(0): Scalar.of(-4), C: Scalar.of(Fraction(1, 2))}, KHAT)
     assert e.render() == "-4*L(0) + 1/2*C"
     assert lie(G(half(7))).scale(Scalar.of(Fraction(1, 2))).render() == "1/2*G(7/2)"
-    a = AElement.monomial(2, 1, coeff=3)
+    a = AElement.monomial(2, 1).scale(3)
     assert a.render() == "3*t^2*xi"
 
 

@@ -17,7 +17,7 @@ from itertools import product
 import pytest
 
 import nscheck.analysis as analysis
-from nscheck.algebra import AMonomial, AlgebraMode, G, L, basis, half
+from nscheck.algebra import AMonomial, AlgebraMode, basis
 from nscheck.analysis import (
     JACOBI_FAMILIES,
     AnnihilatorBoundError,

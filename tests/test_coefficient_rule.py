@@ -75,8 +75,8 @@ def elements():
     yield "module_axiom_residual", module_axiom_residual(G(F(1, 2)), G(F(-1, 2)), BasisKey(0, 0),
                                                          formal)
     yield "act/omega", act(omega(1, 0, 1), ModuleVector.basis(BasisKey(0, 1)), gamma(LAMBDA, B))
-    yield "bracket", bracket(LieElement.basis(L(2), K, F(1, 3)), LieElement.basis(G(F(1, 2)), K))
-    yield "k_action_on_A", k_action_on_A(LieElement.basis(L(1), K, F(1, 2)),
+    yield "bracket", bracket(LieElement({L(2): F(1, 3)}, K), LieElement.basis(G(F(1, 2)), K))
+    yield "k_action_on_A", k_action_on_A(LieElement({L(1): F(1, 2)}, K),
                                          AElement.monomial(1, 1))
 
 
@@ -93,10 +93,10 @@ def test_every_coefficient_kind_occurs():
 
 
 @pytest.mark.parametrize("build", [
-    lambda c: LieElement.basis(L(1), K, c),
-    lambda c: AElement.monomial(2, 1, coeff=c),
+    lambda c: LieElement({L(1): c}, K),
+    lambda c: AElement({AMonomial(2, 1): c}),
     lambda c: SmashElement({(AMonomial(1, 0), (L(-1), G(F(1, 2)))): c}, K),
-    lambda c: ModuleVector.basis(BasisKey(1, 1), c),
+    lambda c: ModuleVector({BasisKey(1, 1): c}),
 ], ids=["lie", "A", "smash", "vector"])
 def test_mixed_representations_build_one_element(build):
     for value, forms in ((2, (Scalar.of(2), 2, Fraction(4, 2))),
@@ -115,7 +115,7 @@ def test_mixed_representations_build_one_element(build):
 
 def test_symbolic_coefficient_that_cancels_to_a_rational_is_stored_rational():
     x = LieElement({L(1): LAMBDA + 1, L(2): LAMBDA - LAMBDA}, K)
-    y = x + LieElement.basis(L(1), K, -LAMBDA)
+    y = x + LieElement({L(1): -LAMBDA}, K)
     assert y.terms == {L(1): 1} and type(y.terms[L(1)]) is int
     assert x.terms == {L(1): LAMBDA + 1}
     assert y.render() == "L(1)" and x.render() == "(l + 1)*L(1)"

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from nscheck.algebra import (
+    AElement,
     AlgebraError,
     AlgebraMode,
     AMonomial,
@@ -17,6 +18,7 @@ from nscheck.algebra import (
     Gen,
     HalfInt,
     L,
+    LieElement,
     compatibility_basis,
     half,
 )
@@ -35,7 +37,7 @@ from nscheck.modules import (
     act,
     gamma,
 )
-from nscheck.scalars import LAMBDA, ParamPoly, ScalarError, _divexact
+from nscheck.scalars import LAMBDA, Scalar, ScalarError, _divexact
 
 K, KPLUS, KHAT = AlgebraMode.K, AlgebraMode.KPLUS, AlgebraMode.KHAT
 ONE = AMonomial(0, 0)
@@ -60,6 +62,12 @@ ERRORS = [
     ("xi-exponent", lambda: AMonomial(0, 2), AlgebraError, "xi exponent must be 0 or 1"),
     ("compat-center", lambda: compatibility_basis(Gen("C"), ONE, L(1), KHAT), AlgebraError,
      "the central element does not act on A"),
+    ("element-mode-a", lambda: AElement({AMonomial(-1, 0): 1}, KPLUS), AlgebraError,
+     "AElement takes no algebra mode"),
+    ("element-mode-lie", lambda: LieElement({L(1): 1}, None), AlgebraError,
+     "LieElement needs an algebra mode, got None"),
+    ("element-mode-lie-empty", lambda: LieElement({}, None) + LieElement({}, K), AlgebraError,
+     "LieElement needs an algebra mode, got None"),
     # enveloping
     ("pbw-not-admitted", lambda: pbw((L(-2),), KPLUS), AlgebraError,
      "generator L(-2) not admissible in mode kplus"),
@@ -80,6 +88,8 @@ ERRORS = [
     ("act-type",
      lambda: act("x", ModuleVector.basis(BasisKey(0, 0)), gamma(Fraction(1, 3), Fraction(1, 4))),
      ModuleError, "cannot act with object of type str"),
+    ("element-mode-vector", lambda: ModuleVector({BasisKey(0, 0): 1}, KPLUS), AlgebraError,
+     "ModuleVector takes no algebra mode"),
     # analysis
     ("reconstruction-range", lambda: reconstruction_reports(-1), AlgebraError,
      "max_n must be at least 0"),
@@ -92,8 +102,10 @@ ERRORS = [
     # scalars
     ("divexact-zero", lambda: _divexact({(0, 0): 1}, {}, "Q"), ScalarError,
      "division by zero polynomial"),
-    ("param-name", lambda: ParamPoly.variable("x"), ValueError,
-     "unknown parameter 'x'; only l and b exist"),
+    ("exponent-float", lambda: Scalar({(1.5, 0): 1}, {(0, 0): 1}), ScalarError,
+     "exponent (1.5, 0) is not a pair of non-negative ints"),
+    ("exponent-negative", lambda: Scalar({(0, 0): 1}, {(-1, 0): 1}), ScalarError,
+     "exponent (-1, 0) is not a pair of non-negative ints"),
     ("numeric-value", lambda: LAMBDA.numeric_value(), ScalarError, "l is not numeric"),
 ]
 

@@ -97,7 +97,7 @@ def describe(c):
     """A coefficient with its type, and a Scalar with the terms and their
     types of its numerator and denominator."""
     if isinstance(c, Scalar):
-        return ("Scalar",) + tuple(sorted((e, v, type(v).__name__) for e, v in p.terms.items())
+        return ("Scalar",) + tuple(sorted((e, v, type(v).__name__) for e, v in p.items())
                                    for p in (c.num, c.den))
     return (type(c).__name__, c)
 

@@ -66,7 +66,7 @@ PRINTED = SignConvention.PAPER_PRINTED
 
 
 def vec(k, eps=0, coeff=1):
-    return ModuleVector.basis(BasisKey(k, eps), coeff)
+    return ModuleVector({BasisKey(k, eps): coeff})
 
 
 class TestMakeModule:
@@ -482,9 +482,9 @@ class TestNumericAgainstFormal:
                         continue
                     canonical = Scalar(c.num, c.den)
                     assert not c.is_numeric(), (mod, g, key)
-                    assert [(e, v, type(v)) for e, v in c.num.terms.items()] == \
-                        [(e, v, type(v)) for e, v in canonical.num.terms.items()], (mod, g, key)
-                    assert c.den.terms == canonical.den.terms, (mod, g, key)
+                    assert [(e, v, type(v)) for e, v in c.num.items()] == \
+                        [(e, v, type(v)) for e, v in canonical.num.items()], (mod, g, key)
+                    assert c.den == canonical.den, (mod, g, key)
 
 
     @pytest.mark.parametrize("convention", list(SignConvention))

@@ -16,28 +16,33 @@ from nscheck.scalars import (
     B,
     LAMBDA,
     ONE,
-    ParamPoly,
     PoleError,
     Scalar,
     ScalarError,
     ZERO,
-    _ONE_POLY,
+    _ONE_TERMS,
+    _add_scaled,
     _divexact,
+    _mul,
     _p_gcd,
+    _p_render,
+    _terms,
 )
+
+# a polynomial is a term table {(deg l, deg b): coefficient}; _terms cleans
+# one as the constructor Scalar(num, den) does: zeros dropped, the
+# coefficient rule applied
 
 
 def P(terms):
-    return ParamPoly({e: Fraction(c) for e, c in terms.items()})
+    return _terms({e: Fraction(c) for e, c in terms.items()})
 
 
-L_POLY = ParamPoly.variable("l")
-B_POLY = ParamPoly.variable("b")
-ONE_POLY = ParamPoly({(0, 0): 1})
+ONE_POLY = {(0, 0): 1}
 
 
-def is_constant(p: ParamPoly) -> bool:
-    return all(e == (0, 0) for e in p.terms)
+def is_constant(p: dict) -> bool:
+    return all(e == (0, 0) for e in p)
 
 
 class TestNormalize:
@@ -46,7 +51,7 @@ class TestNormalize:
         assert s == ONE
 
     def test_content_removal(self):
-        s = Scalar(P({(1, 0): 2, (0, 1): 2}), ParamPoly({(0, 0): 2}))
+        s = Scalar(P({(1, 0): 2, (0, 1): 2}), {(0, 0): 2})
         assert s == LAMBDA + B
 
     def test_polynomial_gcd(self):
@@ -57,7 +62,7 @@ class TestNormalize:
         s = Scalar(num, den)
         assert s == LAMBDA + B
         assert s.den == ONE_POLY
-        assert s.num * den == num
+        assert _mul(s.num, den) == num
 
     def test_idempotent(self):
         num = P({(2, 0): 2, (1, 1): 2})
@@ -68,7 +73,7 @@ class TestNormalize:
 
     def test_zero_denominator(self):
         with pytest.raises(ScalarError):
-            Scalar(ONE_POLY, ParamPoly({}))
+            Scalar(ONE_POLY, {})
 
     def test_monic_denominator(self):
         s = Scalar(P({(1, 0): 1}), P({(1, 0): 2, (0, 0): 2}))
@@ -135,27 +140,26 @@ def polys(draw, max_terms=4):
     for _ in range(n):
         e = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
         terms[e] = draw(small_fractions)
-    return ParamPoly({e: c for e, c in terms.items()})
+    return _terms(terms)
 
 
 @st.composite
 def scalars(draw):
     num = draw(polys())
-    den = draw(polys().filter(lambda p: not p.is_zero()))
+    den = draw(polys().filter(bool))
     return Scalar(num, den)
 
 
-@given(polys(), polys().filter(lambda p: not p.is_zero()),
-       polys().filter(lambda p: not p.is_zero()))
+@given(polys(), polys().filter(bool), polys().filter(bool))
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_canonical_form_kills_common_factors(p, q, r):
-    assert Scalar(p * r, q * r) == Scalar(p, q)
+    assert Scalar(_mul(p, r), _mul(q, r)) == Scalar(p, q)
 
 
 @given(scalars(), scalars())
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_canonical_equality_iff_cross_multiplication(a, c):
-    agree = a.num * c.den == c.num * a.den
+    agree = _mul(a.num, c.den) == _mul(c.num, a.den)
     assert (a == c) == agree
 
 
@@ -196,9 +200,9 @@ def test_numeric_hash_agrees_with_rational_equality():
 
 
 def random_poly(rng):
-    return ParamPoly({(rng.randint(0, 2), rng.randint(0, 2)):
-                      Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-                      for _ in range(rng.randint(1, 3))})
+    return _terms({(rng.randint(0, 2), rng.randint(0, 2)):
+                   Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                   for _ in range(rng.randint(1, 3))})
 
 
 def random_operand(rng):
@@ -238,19 +242,19 @@ def general_formula(op, x, y):
     x, y = Scalar.of(x), Scalar.of(y)
     n1, d1, n2, d2 = x.num, x.den, y.num, y.den
     if op is operator.add:
-        return Scalar(n1 * d2 + n2 * d1, d1 * d2)
+        return Scalar(_add_scaled(_mul(n1, d2), _mul(n2, d1)), _mul(d1, d2))
     if op is operator.sub:
-        return Scalar(n1 * d2 - n2 * d1, d1 * d2)
+        return Scalar(_add_scaled(_mul(n1, d2), _mul(n2, d1), -1), _mul(d1, d2))
     if op is operator.mul:
-        return Scalar(n1 * n2, d1 * d2)
-    return Scalar(n1 * d2, d1 * n2)
+        return Scalar(_mul(n1, n2), _mul(d1, d2))
+    return Scalar(_mul(n1, d2), _mul(d1, n2))
 
 
 def test_shortcuts_agree_with_general_path():
     polynomial_pairs = 0  # two Scalars in l or b over the denominator 1
     for x, y in random_pairs("nscheck-scalar-paths", 600):
         polynomial_pairs += all(isinstance(s, Scalar) and not s.is_numeric()
-                                and s.den is _ONE_POLY for s in (x, y))
+                                and s.den is _ONE_TERMS for s in (x, y))
         for op in ARITH:
             if op is operator.truediv and not y:
                 with pytest.raises(ScalarError):
@@ -281,7 +285,7 @@ def test_canonical_form_matches_sympy_cancel():
 
     def poly(p):
         return sympy.Poly.from_dict(
-            {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()},
+            {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.items()},
             l, b, domain="QQ")
 
     for x, y in random_pairs("nscheck-sympy-oracle", 100):
@@ -312,10 +316,10 @@ def obeys_rule(c):
 
 
 def rule_breakers(s):
-    """The stored coefficients of ``s`` (a Scalar or ParamPoly) that break
+    """The stored coefficients of ``s`` (a Scalar or a term table) that break
     the coefficient rule, with their types."""
     polys = (s.num, s.den) if isinstance(s, Scalar) else (s,)
-    return [(c, type(c)) for p in polys for c in p.terms.values() if not obeys_rule(c)]
+    return [(c, type(c)) for p in polys for c in p.values() if not obeys_rule(c)]
 
 
 def test_coefficient_rule_on_seeded_operations():
@@ -342,10 +346,10 @@ def test_coefficient_rule_on_every_division_path():
     results = [
         p / 2, p / Fraction(2, 3), p / Scalar.of(4), p / q, q / p,  # Scalar / rational or Scalar
         1 / p, Fraction(3, 2) / q, 2 / Scalar.of(4),  # __rtruediv__
-        Scalar(ParamPoly({(1, 0): 2, (0, 0): 4}), ParamPoly({(0, 0): 2})),  # constant denominator
-        Scalar(ParamPoly({(1, 1): 3, (0, 2): 6}), ParamPoly({(1, 0): 3, (0, 1): 6})),  # gcd
-        Scalar(ParamPoly({(0, 1): 1}), ParamPoly({(1, 0): 2, (0, 0): 4})),  # monic only
-        Scalar(ParamPoly({(2, 0): 1, (0, 0): -1}), ParamPoly({(1, 0): 2, (0, 0): 2})),
+        Scalar({(1, 0): 2, (0, 0): 4}, {(0, 0): 2}),  # constant denominator
+        Scalar({(1, 1): 3, (0, 2): 6}, {(1, 0): 3, (0, 1): 6}),  # gcd
+        Scalar({(0, 1): 1}, {(1, 0): 2, (0, 0): 4}),  # monic only
+        Scalar({(2, 0): 1, (0, 0): -1}, {(1, 0): 2, (0, 0): 2}),
     ]
     for s in results:
         assert rule_breakers(s) == [], s
@@ -379,11 +383,11 @@ def gcd_factor(rng, kind):
     """Zero, or a polynomial with Fraction coefficients of the given kind:
     constant, in l alone, in b alone, or in both."""
     if kind == "zero":
-        return ParamPoly({})
+        return {}
     dl, db = GCD_FACTOR_DEGREES[kind]
-    return ParamPoly({(rng.randint(0, dl), rng.randint(0, db)):
-                      Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 4]), rng.randint(1, 3))
-                      for _ in range(rng.randint(1, 3))})
+    return _terms({(rng.randint(0, dl), rng.randint(0, db)):
+                   Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 4]), rng.randint(1, 3))
+                   for _ in range(rng.randint(1, 3))})
 
 
 def gcd_corpus(count=300):
@@ -395,9 +399,9 @@ def gcd_corpus(count=300):
     for _ in range(count):
         h = ONE_POLY
         for _ in range(rng.randint(1, 2)):
-            h = h * gcd_factor(rng, rng.choice(kinds))
+            h = _mul(h, gcd_factor(rng, rng.choice(kinds)))
         f, g = (gcd_factor(rng, rng.choice(kinds * 2 + ["zero"])) for _ in range(2))
-        corpus.append((f * h, g * h, h))
+        corpus.append((_mul(f, h), _mul(g, h), h))
     return corpus
 
 
@@ -407,17 +411,17 @@ GCD_PIN_SHA256 = "4991d871d24944b97107edf1b5712fa4549e5ce80859eb63af28d082f1e67b
 def test_gcd_pin_on_seeded_corpus():
     rendered = []
     for fh, gh, h in gcd_corpus():
-        got = _p_gcd(fh.terms, gh.terms)
-        rendered.append(f"{fh.render()} ; {gh.render()} -> {ParamPoly(got).render()}")
+        got = _p_gcd(fh, gh)
+        rendered.append(f"{_p_render(fh)} ; {_p_render(gh)} -> {_p_render(got)}")
         if not got:
-            assert fh.is_zero() and gh.is_zero()
+            assert not fh and not gh
             continue
         assert got[max(got, key=lambda e: (e[0] + e[1], e[0]))] == 1, rendered[-1]
         assert all(obeys_rule(c) for c in got.values()), rendered[-1]
         for p in (fh, gh):
-            assert ParamPoly(_divexact(p.terms, got, "Q")) * ParamPoly(got) == p, rendered[-1]
-        if not h.is_zero():
-            _divexact(got, h.terms, "Q")
+            assert _mul(_divexact(p, got, "Q"), got) == p, rendered[-1]
+        if h:
+            _divexact(got, h, "Q")
     digest = hashlib.sha256("\n".join(rendered).encode()).hexdigest()
     assert digest == GCD_PIN_SHA256
 
@@ -425,8 +429,8 @@ def test_gcd_pin_on_seeded_corpus():
 def test_gcd_matches_sympy_up_to_a_unit():
     sympy = pytest.importorskip("sympy")
     for fh, gh, _ in gcd_corpus()[:100]:
-        want = sympy.gcd(to_sympy(fh.render()), to_sympy(gh.render()))
-        got = to_sympy(ParamPoly(_p_gcd(fh.terms, gh.terms)).render())
+        want = sympy.gcd(to_sympy(_p_render(fh)), to_sympy(_p_render(gh)))
+        got = to_sympy(_p_render(_p_gcd(fh, gh)))
         if want == 0:
             assert got == 0, (fh, gh)
             continue
@@ -456,10 +460,11 @@ def test_gamma_action_cache_obeys_the_coefficient_rule():
     lambda: 0.1 * LAMBDA,
     lambda: LAMBDA + 0.1,
     lambda: LAMBDA / 0.5,
-    lambda: ParamPoly({(0, 0): 0.1}),
-    lambda: LieElement.basis(L(1), AlgebraMode.KHAT, 0.3),
+    lambda: Scalar({(0, 0): 0.1}, ONE_POLY),
+    lambda: Scalar({(0.5, 0): 1}, ONE_POLY),
+    lambda: LieElement.basis(L(1), AlgebraMode.KHAT).scale(0.3),
     lambda: LAMBDA.substitute(0.5, None),
-], ids=["Scalar.of", "mul", "rmul", "add", "truediv", "ParamPoly", "LieElement.basis",
+], ids=["Scalar.of", "mul", "rmul", "add", "truediv", "Scalar", "exponent", "LieElement.basis",
         "substitute"])
 def test_floats_never_enter_the_exact_field(build):
     with pytest.raises(ScalarError):

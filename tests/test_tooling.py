@@ -4,7 +4,8 @@ finds every entry point it wraps, the benchmark's golden CLI invocations
 reproduce their recorded exit codes and report bytes, one sweep of its
 grid workload gets the answers of the classification law, every public
 name of the package has a reader outside the tests, a module handle keeps
-one action memo, and every source parses at the declared Python floor."""
+one action memo, every source parses at the declared Python floor, and
+every imported name is read."""
 
 import ast
 import dataclasses
@@ -33,6 +34,9 @@ ROOT = Path(__file__).resolve().parent.parent
 LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 SOURCES = sorted((ROOT / "src" / "nscheck").glob("*.py"))
+# every Python file of the repository: the package, the tests, the benchmark, the demos
+ALL_SOURCES = [p for d in ("src/nscheck", "tests", "perfbench", "demos")
+               for p in sorted((ROOT / d).rglob("*.py"))]
 
 
 def absolute_imports(path: Path) -> list[str]:
@@ -294,15 +298,36 @@ def python_floor() -> tuple[int, int]:
 
 def test_sources_parse_at_the_declared_python_floor():
     floor = python_floor()
-    paths = [p for d in ("src/nscheck", "tests", "perfbench", "demos")
-             for p in sorted((ROOT / d).rglob("*.py"))]
     failed = []
-    for path in paths:
+    for path in ALL_SOURCES:
         try:
             ast.parse(path.read_text(), str(path), feature_version=floor)
         except SyntaxError as exc:
             failed.append(f"{path.relative_to(ROOT)}:{exc.lineno}: {exc.msg}")
-    assert len(paths) > 20 and failed == []
+    assert len(ALL_SOURCES) > 20 and failed == []
     # the probe is live: syntax newer than the floor is rejected
     with pytest.raises(SyntaxError):
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=floor)
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Every name that an import in ``path`` binds and that no ``ast.Name``
+    of the file reads, as "line: name"; a ``from __future__`` import binds
+    no name."""
+    tree = ast.parse(path.read_text())
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [f"{node.lineno}: {name}" for name in
+                      (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+                      if name not in read]
+    return found
+
+
+def test_every_imported_name_is_read():
+    # the package's __init__ imports to re-export
+    paths = [p for p in ALL_SOURCES if p != ROOT / "src" / "nscheck" / "__init__.py"]
+    assert [f"{p.relative_to(ROOT)}:{u}" for p in paths for u in unused_imports(p)] == []
