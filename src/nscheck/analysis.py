@@ -23,10 +23,12 @@ with the location of its witness, which is empty for the fixed residuals of
 the reconstruction, the centralizer G(-1/2) brackets and the psi table;
 only the annihilator report, which searches its order, uses
 :func:`first_witness` with :func:`_ok`.  One operator sweep,
-:func:`_images`, serves the annihilator and the chains.  The structural
-suites sweep plain {key: coefficient} residual tables and build an element
-only for the witness; the Jacobi family split is one streaming pass that
-keeps the first hit of each family and no list of triples.
+:func:`_images`, serves the annihilator and the chains; it folds each
+operator, as the module axiom each generator pair, once over all the keys.
+The structural suites sweep plain {key: coefficient} residual tables and
+build an element only for the witness; the Jacobi family split is one
+streaming pass that keeps the first hit of each family and no list of
+triples.
 """
 
 from __future__ import annotations
@@ -68,10 +70,10 @@ from .modules import (
     ModuleError,
     ModuleVector,
     Window,
-    act,
+    act_each,
     edge_coeffs,
     gamma,
-    module_axiom_residual,
+    module_axiom_residuals,
 )
 from .scalars import B, LAMBDA, Scalar, _coefficient
 
@@ -144,11 +146,12 @@ def first_witness(cases, where, wrap=None) -> tuple[str | None, str]:
     """The rendered first nonzero residual of ``cases`` and its location.
 
     ``cases`` yields (location, residual) pairs and is consumed lazily, so
-    the search stops at the first hit; ``where(*location)`` renders the
-    location of that hit.  A residual is an element, or with ``wrap`` a
-    plain {key: coefficient} table that ``wrap`` turns into the element
-    rendered, for the hit alone; both are falsy exactly at zero.  Returns
-    (None, "") when every residual is zero.
+    the search stops at the first hit (in a sweep, :func:`_images`, after
+    the operator of that hit, folded once for all its keys);
+    ``where(*location)`` renders the location of that hit.  A residual is an
+    element, or with ``wrap`` a plain {key: coefficient} table that ``wrap``
+    turns into the element rendered, for the hit alone; both are falsy
+    exactly at zero.  Returns (None, "") when every residual is zero.
     """
     for loc, r in cases:
         if r:
@@ -392,13 +395,13 @@ def _sweep(mod: GammaModule, sweep: int, contact_start: int) -> range:
 
 
 def _images(mod: GammaModule, keys, sweep: int, starts: tuple[int, int], build):
-    """The one operator sweep: ((i, j, key), image of the basis vector) for
-    the operator ``build(i, j)`` at every pair of sweep indices (contact
-    starts ``starts``, :func:`_sweep`) and every key, lazily."""
+    """The one operator sweep, lazily: ((i, j, key), the table of the image
+    of the basis vector) for the operator ``build(i, j)``, folded once for
+    all the keys, at every pair of sweep indices (``starts``, :func:`_sweep`)."""
+    vecs = [{key: 1} for key in keys]
     for i, j in product(_sweep(mod, sweep, starts[0]), _sweep(mod, sweep, starts[1])):
-        elem = build(i, j)
-        for key in keys:
-            yield (i, j, key), act(elem, ModuleVector.basis(key), mod)
+        for key, image in zip(keys, act_each(build(i, j), vecs, mod)):
+            yield (i, j, key), image
 
 
 def minimal_annihilator(
@@ -419,7 +422,7 @@ def minimal_annihilator(
     for found in range(1, max_m + 1):
         wit, where = first_witness(
             _images(mod, keys, sweep, (found - 1, -1), lambda k, s: omega(k, s, found, mode)),
-            lambda k, s, key: f"Omega^({found})_{{{k},{s}}} {key.render()}",
+            lambda k, s, key: f"Omega^({found})_{{{k},{s}}} {key.render()}", ModuleVector,
         )
         if wit is None:
             break
@@ -437,6 +440,7 @@ def minimal_annihilator(
         _images(mod, keys, sweep, (found - 1, -1),
                 lambda j, p: gl_sum(HalfInt(2 * j + 1), p, found, mode)),
         lambda j, p, key: f"G-L sum m={found}, k={2 * j + 1}/2, p={p} on {key.render()}",
+        ModuleVector,
     )
     witness = None if wit is None else f"{where}: {wit}"
     report = _ok(f"annihilator/{mod.descriptor()}", f"{OMEGA_ANCHOR} ; {GL_ANCHOR}",
@@ -475,7 +479,7 @@ def chain_reports(
     )
     out = [_check(name, anchor, f"module={mod.descriptor()}; order={order}; sweep={sweep}",
                   _images(mod, keys, sweep, (order, start), partial(build, order=order)),
-                  lambda i, j, key: f" at {label(i, j)}, {key.render()}")
+                  lambda i, j, key: f" at {label(i, j)}, {key.render()}", ModuleVector)
            for name, anchor, order, start, build, label, _ in chains]
 
     if algebra_level:
@@ -531,8 +535,8 @@ def module_axiom_reports(mod: GammaModule, window: Window, gen_range: int) -> li
     keys = _checked_keys(mod, window)
     return [_check(f"module-axiom/{mod.convention.value}/({x.render()},{y.render()})",
                    MODULE_AXIOM_ANCHOR, f"module={mod.descriptor()}; window={window.render()}",
-                   (((key,), module_axiom_residual(x, y, key, mod)) for key in keys),
-                   lambda key: f" at {key.render()}")
+                   (((key,), r) for key, r in zip(keys, module_axiom_residuals(x, y, keys, mod))),
+                   lambda key: f" at {key.render()}", ModuleVector)
             for x, y in combinations_with_replacement(
                 edge_generators(mod.algebra_mode, gen_range), 2)]
 

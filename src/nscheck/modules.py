@@ -35,7 +35,7 @@ an A-monomial: ``AMonomial.shifted``), of weight lambda + b plus that
 degree.  The module axiom (:func:`module_axiom_residual`) is the
 representation law ``algebra.rep_residual`` that the structural suites
 check, over the free table of op chains: the law gives the chains, with
-their coefficients, and ``act``'s fold (below) evaluates them, so every
+their coefficients, and ``act_each``'s fold (below) evaluates them, so every
 composition of the module action runs on the handle's one table.
 
 Sub-quotients: a module is gamma(lambda, b) with a cut, two out-closed
@@ -60,26 +60,27 @@ P is the product of the parameters' denominators, polynomials in l and b,
 which ``scalars`` keeps as plain term tables (a Scalar is the reduced pair
 ``num``/``den`` of them).  Its entry for a generator or A-monomial op on a
 key is filled once, on first use (errors are never stored): () where op
-kills the key, else (target, n, action).  ``act`` reads (target, n), n =
+kills the key, else (target, n, action).  The fold reads (target, n), n =
 E(D P c) for the Kronecker encoding E of ``scalars`` (the identity on a
 numeric handle, where P = 1 and n is the integer D c of the jet formula),
 and ``gen_action`` and ``amon_action`` return the coefficient-rule Action
 ((target, c),), the one-entry reader of the edges, the cut checks, the
 intertwiner and the reducibility locus.
 
-:func:`act` and the module axiom evaluate on a vector by one fold in
-machine integers over that table, the same for every handle.  For each
-term c_t (a (x) g_1 ... g_r) and each vector key it multiplies the entries
-along the factors, right to left and the A-part last, and sums the
-products over one common denominator, (D P)^R times the lcm of the
-denominators of the rational coefficients, R the longest term; a term with
-no factors checks its keys in its turn.  It builds one Fraction (numeric)
-or one decoded Scalar (otherwise) per output coefficient; a Scalar
-coefficient of a term or of the vector multiplies only that result.  The
-fold bounds the 1-norm and the degree in b of every output, and redoes
-itself over a table at a radix that holds an output outside the encoding,
-filled as the handle's table is, so a decoded coefficient is exact.  It
-builds exactly one ModuleVector per call, its result.
+:func:`act_each` and the module axiom (:func:`module_axiom_residuals`)
+evaluate on a list of vectors by one fold in machine integers over that
+table, the same for every handle, which returns one plain table per vector
+(:func:`act` is its one-vector case).  For each term c_t (a (x) g_1...g_r)
+and the keys of all the vectors at once it multiplies the entries along the
+factors, right to left and the A-part last, and sums each vector's products
+over one common denominator, (D P)^R times the lcm of the denominators of
+the rational coefficients, R the longest term; a term with no factors checks
+its keys in its turn.  It builds one Fraction (numeric) or one decoded
+Scalar (otherwise) per output coefficient; a Scalar coefficient of a term or
+of a vector multiplies only that result.  The fold bounds the 1-norm and the
+degree in b of every output, and redoes itself over a table at a radix that
+holds an output outside the encoding, filled as the handle's table is, so a
+decoded coefficient is exact.
 """
 
 from __future__ import annotations
@@ -375,10 +376,12 @@ def parity_change(mod: GammaModule) -> GammaModule:
     return replace(mod, parity_flipped=not mod.parity_flipped)
 
 
-def act(x, v: ModuleVector, mod: GammaModule) -> ModuleVector:
-    """Evaluate x on v.  x may be a Gen, LieElement, AElement or
-    SmashElement; smash terms apply PBW factors right-to-left and the
-    A-part last; see the module docstring for the action contract."""
+def act_each(x, vecs: list[dict], mod: GammaModule) -> list[dict]:
+    """The coefficient table of x on each {key: coefficient} table of
+    ``vecs``, by one fold for all of them, which raises what :func:`act`
+    raises on the vector of all their keys.  x may be a Gen, LieElement,
+    AElement or SmashElement; smash terms apply PBW factors right-to-left
+    and the A-part last; see the module docstring for the action contract."""
     if isinstance(x, Gen):
         chains = [((x,), 1)]
     elif isinstance(x, LieElement):
@@ -390,7 +393,12 @@ def act(x, v: ModuleVector, mod: GammaModule) -> ModuleVector:
                   for (a, pbw), c in x.terms.items()]
     else:
         raise ModuleError(f"cannot act with object of type {type(x).__name__}")
-    return ModuleVector(_fold(chains, v.terms, mod))
+    return _fold(chains, vecs, mod)
+
+
+def act(x, v: ModuleVector, mod: GammaModule) -> ModuleVector:
+    """Evaluate x on v: the one-vector case of :func:`act_each`."""
+    return ModuleVector(act_each(x, [v.terms], mod)[0])
 
 
 # the base radix (K, M) of the integer tables: X = 2^K, deg_b < M
@@ -490,28 +498,34 @@ class _ActionTable(dict):
         return Scalar(_decode(n, self.radix), den)
 
 
-def _fold(chains: list, vec: dict, mod: GammaModule, table: _ActionTable | None = None) -> dict:
-    """The coefficient table of sum_t c_t (a_t (x) g_1 ... g_r) applied to
-    the table ``vec``, for the (ops, c_t) pairs ``chains`` with the factors
-    in the order they act, ops = (g_r, ..., g_1, a_t): one fold over the
-    table of ``mod`` (or ``table``); see the module docstring."""
+def _fold(chains: list, vecs: list, mod: GammaModule, table: _ActionTable | None = None) -> list:
+    """The coefficient tables of sum_t c_t (a_t (x) g_1 ... g_r) applied to
+    each table of ``vecs``, for the (ops, c_t) pairs ``chains`` with the
+    factors in the order they act, ops = (g_r, ..., g_1, a_t): one fold
+    over the table of ``mod`` (or ``table``); see the module docstring."""
     table = mod._table if table is None else table
     get, fill = table.get, table.fill
     longest = max((len(ops) for ops, _ in chains), default=0)
     pads = [table.unit ** (longest - r) for r in range(longest + 1)]
-    # the rational coefficients over common denominators; a Scalar enters
-    # as 1 and multiplies the decoded result of its group
+    # the rational coefficients over common denominators; a Scalar enters as 1
+    # and multiplies the decoded result of its group.  A start entry carries
+    # the groups of its vector, (term Scalar or None, vector Scalar or None)
+    # -> {target: n}; ``norm`` is the largest 1-norm of a vector
     lt = math.lcm(*(c.denominator for _, c in chains if not isinstance(c, Scalar)))
-    lv = math.lcm(*(c.denominator for c in vec.values() if not isinstance(c, Scalar)))
-    start = [(k, lv, c) if isinstance(c, Scalar) else (k, lv // c.denominator * c.numerator, None)
-             for k, c in vec.items()]
-    groups: dict = {}  # (term Scalar or None, vector Scalar or None) -> {target: n}
-    rational = [(k, n, groups.setdefault((None, s), {})) for k, n, s in start]
+    start, dens, norm = [], [], 0
+    for vec in vecs:
+        groups: dict = {}
+        lv = math.lcm(*(c.denominator for c in vec.values() if not isinstance(c, Scalar)))
+        start += [(k, lv, c, groups) if isinstance(c, Scalar)
+                  else (k, lv // c.denominator * c.numerator, None, groups) for k, c in vec.items()]
+        dens.append((lt * lv, groups))
+        norm = max(norm, sum(abs(n) for _, n, _, _ in start[len(start) - len(vec):]))
+    rational = [(k, n, groups.setdefault((None, s), {})) for k, n, s, groups in start]
     weight = 0
     for ops, c in chains:
         if isinstance(c, Scalar):
             w = lt
-            front = [(k, w * n, groups.setdefault((c, s), {})) for k, n, s in start]
+            front = [(k, w * n, groups.setdefault((c, s), {})) for k, n, s, groups in start]
         else:
             w = lt // c.denominator * c.numerator
             front = [(k, w * n, acc) for k, n, acc in rational]
@@ -533,40 +547,47 @@ def _fold(chains: list, vec: dict, mod: GammaModule, table: _ActionTable | None 
         for key, n, acc in front:
             acc[key] = acc.get(key, 0) + n * pad
     if table.scale is not None:
-        # every output is at most weight * height^longest in 1-norm and of
-        # degree at most degree * longest in b; outside the encoding, the
+        # every output is at most weight * norm * height^longest in 1-norm and
+        # of degree at most degree * longest in b; outside the encoding, the
         # fold is redone at a radix that holds it
-        bound = weight * sum(abs(n) for _, n, _ in start) * table.height ** longest
+        bound = weight * norm * table.height ** longest
         degree = table.degree * longest
         if bound >> (table.radix[0] - 1) or degree >= table.radix[1]:
-            return _fold(chains, vec, mod, _ActionTable(mod, (bound.bit_length() + 1, degree + 1)))
-    out: dict = {}
-    for outers, acc in groups.items():
-        for key, n in acc.items():
-            if n:
-                value = table.value(n, longest, lt * lv)
-                for outer in outers:
-                    if outer is not None:
-                        value = value * outer
-                accumulate(out, key, value)
-    return out
+            return _fold(chains, vecs, mod, _ActionTable(mod, (bound.bit_length() + 1, degree + 1)))
+    outs: list = [{} for _ in dens]
+    for (s, groups), out in zip(dens, outs):
+        for outers, acc in groups.items():
+            for key, n in acc.items():
+                if n:
+                    value = table.value(n, longest, s)
+                    for outer in outers:
+                        if outer is not None:
+                            value = value * outer
+                    accumulate(out, key, value)
+    return outs
 
 
-def module_axiom_residual(x: Gen, y: Gen, key: BasisKey, mod: GammaModule) -> ModuleVector:
-    """Residual of the module axiom on a basis vector:
+def module_axiom_residuals(x: Gen, y: Gen, keys: list, mod: GammaModule) -> list[dict]:
+    """Residual table of the module axiom on the basis vector of each key:
 
         (x (y v) - (-1)^{|x||y|} y (x v)) - [x, y] v
 
     The representation law (``algebra.rep_residual``) over the free table
     of op chains states it as (ops, c) pairs with the ops in acting order,
     {(y, x): 1, (x, y): -(-1)^{|x||y|}, ([x, y],): -1}, and ``_fold``
-    evaluates them on v over the handle's one table, as ``act`` does.
-    Zero for every pair exactly when the action is a representation.  The
-    central charge is zero on these modules, so [x, y] is read without C.
+    evaluates them on all the keys at once, as ``act_each`` does.  Zero for
+    every pair exactly when the action is a representation.  The central
+    charge is zero on these modules, so [x, y] is read without C.
     """
     xy = algebra.bracket_basis(x, y, False)
     chains = rep_residual(lambda op, ops: ((ops + (op,), 1),), x, y, xy, (), x.parity and y.parity)
-    return ModuleVector(_fold(list(chains.items()), {key: 1}, mod))
+    return _fold(list(chains.items()), [{key: 1} for key in keys], mod)
+
+
+def module_axiom_residual(x: Gen, y: Gen, key: BasisKey, mod: GammaModule) -> ModuleVector:
+    """The module axiom on one basis vector: the one-key case of
+    :func:`module_axiom_residuals`."""
+    return ModuleVector(module_axiom_residuals(x, y, [key], mod)[0])
 
 
 def parse_module_descriptor(

@@ -7,18 +7,21 @@ coefficient tables; ``reference_axiom`` is the module axiom as it was, the
 representation law over that action.  ``act`` must agree with it
 coefficient for coefficient and by coefficient type, raise what it raises,
 and agree also where an output leaves the base encoding and the fold is
-redone, as must ``module_axiom_residual`` there.
+redone, as must ``module_axiom_residual`` there.  ``act_each`` folds a
+list of vectors at once and must agree with ``act`` on each of them; the
+sweeps fold each operator once over all their keys.
 """
 
 import random
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from test_analysis import exit_lines, lines_run
 from test_modules import NUMERIC_POINTS
 
+import nscheck.analysis as analysis
 import nscheck.modules as modules
 from nscheck.algebra import (
     A_ONE,
@@ -36,7 +39,16 @@ from nscheck.algebra import (
     jet_coefficient,
     rep_residual,
 )
-from nscheck.analysis import a_g_chain, a_l_chain
+from nscheck.analysis import (
+    a_g_chain,
+    a_l_chain,
+    annihilator_reports,
+    chain_reports,
+    edge_generators,
+    minimal_annihilator,
+    module_axiom_reports,
+    window_keys,
+)
 from nscheck.enveloping import SmashElement, g_prime, gl_sum, l_prime, omega, smash_product
 from nscheck.modules import (
     BasisKey,
@@ -44,7 +56,9 @@ from nscheck.modules import (
     ModuleError,
     ModuleVector,
     SignConvention,
+    Window,
     act,
+    act_each,
     gamma,
     gamma_minus,
     gamma_plus,
@@ -103,12 +117,26 @@ def describe(c):
 
 
 def outcome(action, x, v, mod):
-    """The terms of ``action(x, v, mod)``, described, or the error raised."""
+    """The terms of ``action(x, v, mod)`` (of each vector of a list it
+    returns), described, or the error raised."""
     try:
         got = action(x, v, mod)
     except (ValueError, ArithmeticError) as exc:  # both sides must raise the same
         return f"{type(exc).__name__}: {exc}"
-    return sorted((key, describe(c)) for key, c in got.terms.items())
+    terms = [sorted((key, describe(c)) for key, c in w.terms.items())
+             for w in (got if isinstance(got, list) else [got])]
+    return terms if isinstance(got, list) else terms[0]
+
+
+def batched(x, vs, mod) -> list:
+    """``act_each`` on the tables of ``vs``, each output a ModuleVector; a
+    raw output is nonzero at each of its keys, so it is falsy exactly when
+    its vector is zero."""
+    tables = act_each(x, [v.terms for v in vs], mod)
+    assert len(tables) == len(vs)
+    out = [ModuleVector(t) for t in tables]
+    assert [t.keys() for t in tables] == [v.terms.keys() for v in out]
+    return out
 
 
 SCALARS = [LAMBDA + F(1, 2), 2 * B - 3, LAMBDA * B, 1 / (B + 1), LAMBDA / (LAMBDA - B)]
@@ -185,10 +213,10 @@ def redos(monkeypatch) -> list:
     """The radices at which a fold was redone while it is live."""
     seen, fold = [], modules._fold
 
-    def spy(chains, vec, mod, table=None):
+    def spy(chains, vecs, mod, table=None):
         if table is not None:
             seen.append(table.radix)
-        return fold(chains, vec, mod, table)
+        return fold(chains, vecs, mod, table)
 
     monkeypatch.setattr(modules, "_fold", spy)
     return seen
@@ -223,7 +251,10 @@ def test_formal_act_substitutes_to_numeric_act(mode, convention):
 
 def test_affine_handles_fold_at_the_base_radix(redos):
     """Seeded draws on handles with affine parameters, the sweep operators
-    among them, stay inside the base encoding: no fold is redone."""
+    among them, stay inside the base encoding: no fold is redone.  Nor is
+    one of the full annihilator, chain and module-axiom sweeps on
+    gamma(l,b), whose folds read the bound after their table has been
+    filled over the whole window."""
     rng = random.Random("nscheck-fold-base")
     for mode in AlgebraMode:
         xs, vs = elements(rng, mode), vectors(rng)
@@ -232,6 +263,87 @@ def test_affine_handles_fold_at_the_base_radix(redos):
             for x, v in product(xs, vs):
                 act(x, v, mod)
     assert redos == []
+    order, reports = annihilator_reports(gamma(LAMBDA, B), Window(-8, 8), 6)
+    reports += module_axiom_reports(gamma(LAMBDA, B), Window(-8, 8), 3)
+    assert order == 3 and {r.status for r in reports} == {"pass"}
+    assert redos == []
+
+
+@pytest.mark.parametrize("convention", list(SignConvention), ids=lambda c: c.value)
+@pytest.mark.parametrize("mode", list(AlgebraMode), ids=lambda m: m.value)
+def test_batched_fold_agrees_with_act_per_vector(mode, convention):
+    """``act_each`` on a list of vectors gives, for each, what ``act`` and
+    ``reference_act`` give on it.  Where a vector fails, the batch raises
+    what ``act`` raises on the vector of all the batch's keys, which is the
+    error of one of the vectors; an empty list folds to no table."""
+    rng = random.Random(f"nscheck-fold-batch/{mode.value}/{convention.value}")
+    xs = elements(rng, mode)
+    vs = vectors(rng) + [ModuleVector({BasisKey(1, 0): F(-3, 2), BasisKey(2, 1): 2 * B - 3})]
+    union = ModuleVector({key: 1 for v in vs for key in v.terms})
+    assert {type(c) for v in vs for c in v.terms.values()} >= {int, Fraction, Scalar}
+    kinds = set()
+    for mod in handles(mode, convention):
+        for x in rng.sample(xs, 5):
+            want = [outcome(act, x, v, mod) for v in vs]
+            assert want == [outcome(reference_act, x, v, mod) for v in vs], (mod, x)
+            got = outcome(batched, x, vs, mod)
+            if all(isinstance(w, list) for w in want):
+                assert got == want, (mod, x)
+                kinds.add("value")
+            else:
+                assert got == outcome(act, x, union, mod) and got in want, (mod, x)
+                kinds.add("error")
+            assert act_each(x, [], mod) == []
+    assert kinds == {"error", "value"}
+
+
+def test_batched_fold_on_a_cut_that_no_a_monomial_preserves():
+    """gamma'(0,0) projects its key t^0 away, so no A-monomial but 1 acts on
+    it: a batch raises the error of the first factor that fails on any of
+    its vectors, and the unit rejects the inadmissible key in its turn."""
+    mod = gamma_prime(0, 0)
+    vs = [ModuleVector.basis(BasisKey(k, 0)) for k in (1, 2)]
+    for x in (AElement.monomial(1), a_l_chain(3, -1, 3, AlgebraMode.K),
+              a_g_chain(3, -1, 3, AlgebraMode.K)):
+        error = outcome(batched, x, vs, mod)
+        assert error.startswith("ModuleError: A-monomial t")
+        assert error.endswith("does not act on gamma'(0,0): it does not preserve the cut")
+        assert error in [outcome(act, x, v, mod) for v in vs]
+    unit = AElement.monomial(0)
+    assert outcome(batched, unit, vs, mod) == [outcome(act, unit, v, mod) for v in vs]
+    assert outcome(batched, unit, vs + [ModuleVector.basis(BasisKey(0, 0))], mod) == (
+        "ModuleError: key t^0 not admissible for gamma'(0,0)")
+
+
+def test_sweeps_fold_once_per_operator(monkeypatch):
+    """The annihilator and chain sweeps fold each operator they build, and
+    the module axiom each generator pair, once over all the window keys: a
+    fold per key fails here."""
+    folds, fold, built = [], modules._fold, []
+
+    def spy(chains, vecs, mod, table=None):
+        folds.append(len(vecs))
+        return fold(chains, vecs, mod, table)
+
+    monkeypatch.setattr(modules, "_fold", spy)
+    for name in ("omega", "gl_sum", "a_l_chain", "a_g_chain"):
+        def build(*args, _build=getattr(analysis, name)):
+            built.append(args)
+            return _build(*args)
+
+        monkeypatch.setattr(analysis, name, build)
+    mod, window = gamma(LAMBDA, B), Window(-8, 8)
+    keys = len(window_keys(mod, window))
+    order, _ = minimal_annihilator(mod, window, 6)
+    assert order == 3 and len(built) > 25 and folds == [keys] * len(built)
+    folds.clear()
+    built.clear()
+    chain_reports(mod, order, window)
+    assert len(built) == 3 * 25 and folds == [keys] * len(built)
+    folds.clear()
+    module_axiom_reports(mod, window, 3)
+    pairs = list(combinations_with_replacement(edge_generators(mod.algebra_mode, 3), 2))
+    assert keys == 34 and folds == [keys] * len(pairs)
 
 
 def test_outputs_outside_the_encoding_are_redone(monkeypatch, redos):
@@ -272,6 +384,18 @@ def test_outputs_outside_the_encoding_are_redone(monkeypatch, redos):
     assert {m > 2 for _, m in redos} == {True, False}  # a degree redo and a height-only one
 
 
+def test_a_batch_is_bounded_by_its_largest_vector(redos):
+    """The redo bound of a batch reads the vector of largest 1-norm, here a
+    coefficient of 2^70 after a unit vector: each batch is redone and
+    agrees with ``reference_act`` on each vector."""
+    vs = [ModuleVector.basis(BasisKey(1, 0)), ModuleVector({BasisKey(1, 0): 2 ** 70})]
+    xs = [L(1), G(half(-1)), omega(1, 0, 2)]
+    for x in xs:
+        mod = gamma(LAMBDA, B)
+        assert outcome(batched, x, vs, mod) == [outcome(reference_act, x, v, mod) for v in vs]
+    assert len(redos) == len(xs)
+
+
 def test_the_unit_element_rejects_an_inadmissible_key():
     # gamma'(0,0) projects its key t^0 away: every element rejects it, the
     # unit too, whose chain consults no entry
@@ -299,7 +423,8 @@ def test_unscaled_jet_term_folds_like_the_reference(monkeypatch):
             if outcome(act, x, v, mod) != outcome(reference_act, x, v, mod)] == []
 
 
-@pytest.mark.parametrize("func", [act, modules._fold, modules._ActionTable.__init__,
+@pytest.mark.parametrize("func", [act, modules.act_each, modules._fold,
+                                  modules._ActionTable.__init__,
                                   modules._ActionTable.fill, modules._ActionTable.value],
                          ids=lambda f: f.__qualname__)
 def test_every_fold_exit_runs(func):
