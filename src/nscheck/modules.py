@@ -53,7 +53,14 @@ that checks its cut when it is built, by the constructor or by
 construction (so ``replace`` recomputes them) it decides once, in
 ``_cut``, whether it has a cut, so an uncut handle admits every key
 without a membership test, and it makes its one action table ``_table``,
-which lives and dies with the handle: equal handles do not share one.  The
+which lives and dies with the handle: equal handles do not share one.
+All handles share the part of a generator's entry that none of them
+changes, made once per process and keyed by (op, key) (``_gen_part``):
+the target key, A's derivation coefficient and whether the paper-printed
+sign applies.  All else in an entry is the handle's own: the admission of
+the key, of the generator in the mode and of an A-monomial on the cut,
+the jet term (``jet_term``, the one reader of mu), the scaling, the sign
+of the convention, the cut's projection and the coefficient rule.  The
 table makes the one scaling decision, D as above on a numeric handle, and
 D P, clearing every denominator of a coefficient, with a formal parameter;
 P is the product of the parameters' denominators, polynomials in l and b,
@@ -89,6 +96,7 @@ import enum
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 
 from . import algebra
 from .algebra import (
@@ -405,6 +413,18 @@ def act(x, v: ModuleVector, mod: GammaModule) -> ModuleVector:
 _RADIX = (64, 8)
 
 
+# typed, as gen_act_amon: an AMonomial and an equal BasisKey keep their own
+# entries, so every target has the type of its key
+@lru_cache(maxsize=None, typed=True)
+def _gen_part(op: Gen, key: AMonomial) -> tuple[AMonomial, int | Fraction, bool]:
+    """The part of the entry of the generator ``op`` on ``key`` that no
+    handle changes, shared by all of them: the target key, A's derivation
+    coefficient (``gen_act_amon``; 0 where op kills the monomial) and
+    whether the paper-printed sign applies (op odd, key even)."""
+    terms = gen_act_amon(op, key)
+    return key.shifted(op.degree), terms[0][1] if terms else 0, bool(op.parity and not key.eps)
+
+
 class _ActionTable(dict):
     """A handle's table at ``radix``: (op, key) -> (target, n, ((target,
     c),)), or () where op kills key (see the module docstring).  On a
@@ -466,12 +486,13 @@ class _ActionTable(dict):
         else:
             # the derivation action of g on A plus multiplication by mu_g: an
             # int on a numeric handle (D is even and A's coefficient lies in Z/2)
-            target, num = key.shifted(op.degree), 0
+            target, a, printed = _gen_part(op, key)
+            num = 0
             if op.kind != "C":
                 num = mod.jet_term(op, key)
-                for _, c in gen_act_amon(op, key):
-                    num = num + (c if den == 1 else den // c.denominator * c.numerator)
-                if op.parity and not key.eps and mod.convention is SignConvention.PAPER_PRINTED:
+                if a:
+                    num = num + (a if den == 1 else den // a.denominator * a.numerator)
+                if printed and mod.convention is SignConvention.PAPER_PRINTED:
                     num = -num
         # T is out-closed, so the target lies in T; one in S is projected away
         if not num or (mod._cut and target in mod.sub):

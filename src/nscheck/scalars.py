@@ -4,17 +4,19 @@ A ``Scalar`` is a quotient of two polynomials in the formal parameters
 ``l`` and ``b`` with rational coefficients, kept in a canonical form so
 that equality-to-zero is decidable by plain representation comparison.
 A polynomial is a plain term table, a dict from exponent pairs (deg l,
-deg b) to nonzero coefficients; a Scalar is a reduced pair of them,
-``num`` and ``den``.  A coefficient that involves neither parameter is
-kept as an int or a Fraction instead (the coefficient rule below).
+deg b) to nonzero coefficients; a Scalar is a reduced pair of them, read
+from outside through the read-only views ``num`` and ``den``.  A
+coefficient that involves neither parameter is kept as an int or a
+Fraction instead (the coefficient rule below).
 
 Canonical form of a Scalar:
 
 * numerator and denominator share no polynomial factor (gcd removed),
 * the denominator is monic with respect to the fixed term order,
 * zero is ``0/1``, purely numeric values are ``c/1``; a denominator 1 is
-  always the one shared table ``_ONE_TERMS``, which no code mutates (no
-  code mutates a Scalar's tables at all).
+  always the one shared table ``_ONE_TERMS``, itself read-only (no code
+  mutates a Scalar's tables, and no code outside can: a write through
+  ``num`` or ``den`` raises TypeError).
 
 Arithmetic forms the textbook numerator and denominator and reduces them
 with :func:`_canonicalize` (gcd, then monic), except in three cases whose
@@ -56,6 +58,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import Mapping
 
 # Exponent pair: (degree in l, degree in b).
@@ -308,7 +311,8 @@ def _p_render(f: dict) -> str:
     return "".join(pieces)
 
 
-_ONE_TERMS = {(0, 0): 1}
+# read-only, so no Scalar over 1 can change the denominator of the others
+_ONE_TERMS = MappingProxyType({(0, 0): 1})
 
 
 def _p_substitute(f: dict, l_val: int | Fraction | None, b_val: int | Fraction | None) -> dict:
@@ -344,8 +348,8 @@ def _rational(x):
     under the coefficient rule; None for a Scalar that involves l or b.
     Any other operand, a float in particular, raises ScalarError."""
     if isinstance(x, Scalar):
-        t = x.num
-        if x.den is _ONE_TERMS and (not t or (len(t) == 1 and (0, 0) in t)):
+        t = x._num
+        if x._den is _ONE_TERMS and (not t or (len(t) == 1 and (0, 0) in t)):
             return t.get((0, 0), 0)
         return None
     return _coefficient(x)
@@ -354,21 +358,34 @@ def _rational(x):
 class Scalar:
     """Canonical element of Q(l, b); see the module docstring.
 
-    ``num`` and ``den`` are the reduced term tables, which no code mutates.
-    The constructor takes two mappings from outside and validates them as
-    :func:`_terms` does; the arithmetic builds its results by
-    :func:`_scalar`.
+    The reduced term tables live in the private slots ``_num`` and
+    ``_den``, which only this module reads; ``num`` and ``den`` are
+    read-only views of them.  The constructor takes two mappings from
+    outside and validates them as :func:`_terms` does; the arithmetic
+    builds its results by :func:`_scalar`.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_num", "_den")
 
     def __init__(self, num: Mapping[Expt, int | Fraction], den: Mapping[Expt, int | Fraction]):
         n, d = _canonicalize(_terms(num), _terms(den))
-        object.__setattr__(self, "num", n)
-        object.__setattr__(self, "den", d)
+        object.__setattr__(self, "_num", n)
+        object.__setattr__(self, "_den", d)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Scalar is immutable")
+
+    @property
+    def num(self) -> Mapping[Expt, int | Fraction]:
+        """The numerator's term table, read-only."""
+        return MappingProxyType(self._num)
+
+    @property
+    def den(self) -> Mapping[Expt, int | Fraction]:
+        """The denominator's term table, read-only: ``_ONE_TERMS`` itself
+        over 1."""
+        d = self._den
+        return d if d is _ONE_TERMS else MappingProxyType(d)
 
     @staticmethod
     def of(value) -> "Scalar":
@@ -379,10 +396,10 @@ class Scalar:
         return _scalar({(0, 0): value} if value else {}, _ONE_TERMS)
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        return bool(self._num)
 
     def is_numeric(self) -> bool:
         return _rational(self) is not None
@@ -405,19 +422,19 @@ class Scalar:
         return _sum(-self, other, 1)
 
     def __neg__(self) -> "Scalar":
-        return _scalar(_p_neg(self.num), self.den)
+        return _scalar(_p_neg(self._num), self._den)
 
     def __mul__(self, other) -> "Scalar":
         x, q = self, _rational(other)
         if q is None:
             x, q = other, _rational(self)
             if q is None:
-                n, d = _mul(self.num, other.num), _mul(self.den, other.den)
+                n, d = _mul(self._num, other._num), _mul(self._den, other._den)
                 return _scalar(*_canonicalize(n, d))
         # rational scaling: a nonzero constant keeps num and den coprime
         if not q:
             return ZERO
-        return x if q == 1 else _scalar(_p_scale(x.num, q), x.den)
+        return x if q == 1 else _scalar(_p_scale(x._num, q), x._den)
 
     __rmul__ = __mul__
 
@@ -426,15 +443,15 @@ class Scalar:
         if q is not None:
             if not q:
                 raise ScalarError("division by zero Scalar")
-            return _scalar(_p_scale(self.num, 1 / Fraction(q)), self.den)
-        return _scalar(*_canonicalize(_mul(self.num, other.den), _mul(self.den, other.num)))
+            return _scalar(_p_scale(self._num, 1 / Fraction(q)), self._den)
+        return _scalar(*_canonicalize(_mul(self._num, other._den), _mul(self._den, other._num)))
 
     def __rtruediv__(self, other) -> "Scalar":
         return Scalar.of(other) / self
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Scalar):
-            return self.num == other.num and self.den == other.den
+            return self._num == other._num and self._den == other._den
         if isinstance(other, (int, Fraction)):
             return _rational(self) == other
         return False
@@ -443,7 +460,7 @@ class Scalar:
         # a numeric Scalar hashes as the rational it equals
         q = _rational(self)
         if q is None:
-            return hash((frozenset(self.num.items()), frozenset(self.den.items())))
+            return hash((frozenset(self._num.items()), frozenset(self._den.items())))
         return hash(q)
 
     def substitute(self, l_val=None, b_val=None) -> "Scalar":
@@ -451,19 +468,19 @@ class Scalar:
         is not None; a float raises ScalarError."""
         l_val = None if l_val is None else _coefficient(l_val)
         b_val = None if b_val is None else _coefficient(b_val)
-        den = _p_substitute(self.den, l_val, b_val)
+        den = _p_substitute(self._den, l_val, b_val)
         if not den:
-            raise PoleError(_p_render(self.den))
-        return _scalar(*_canonicalize(_p_substitute(self.num, l_val, b_val), den))
+            raise PoleError(_p_render(self._den))
+        return _scalar(*_canonicalize(_p_substitute(self._num, l_val, b_val), den))
 
     def render(self) -> str:
-        ns = _p_render(self.num)
-        if self.den is _ONE_TERMS:
+        ns = _p_render(self._num)
+        if self._den is _ONE_TERMS:
             return ns
-        ds = _p_render(self.den)
-        if len(self.num) > 1:
+        ds = _p_render(self._den)
+        if len(self._num) > 1:
             ns = f"({ns})"
-        if len(self.den) > 1 or "*" in ds:
+        if len(self._den) > 1 or "*" in ds:
             ds = f"({ds})"
         return f"{ns}/{ds}"
 
@@ -483,8 +500,8 @@ def _scalar(num: dict, den: dict) -> Scalar:
     """Scalar over a pair of term tables that is already canonical, with
     the denominator 1 as the shared ``_ONE_TERMS``."""
     s = object.__new__(Scalar)
-    object.__setattr__(s, "num", num)
-    object.__setattr__(s, "den", den)
+    object.__setattr__(s, "_num", num)
+    object.__setattr__(s, "_den", den)
     return s
 
 
@@ -495,15 +512,15 @@ def _sum(x: Scalar, y, sign: int) -> Scalar:
         # (n + q d)/d: gcd(n + q d, d) = gcd(n, d) = 1
         if not q:
             return x
-        return _scalar(_add_scaled(x.num, x.den, q if sign == 1 else -q), x.den)
+        return _scalar(_add_scaled(x._num, x._den, q if sign == 1 else -q), x._den)
     q = _rational(x)
     if q is not None:
-        n = y.num if sign == 1 else _p_neg(y.num)
-        return _scalar(_add_scaled(n, y.den, q), y.den)
-    if x.den is _ONE_TERMS and y.den is _ONE_TERMS:
-        return _scalar(_add_scaled(x.num, y.num, sign), _ONE_TERMS)
-    n = _add_scaled(_mul(x.num, y.den), _mul(y.num, x.den), sign)
-    return _scalar(*_canonicalize(n, _mul(x.den, y.den)))
+        n = y._num if sign == 1 else _p_neg(y._num)
+        return _scalar(_add_scaled(n, y._den, q), y._den)
+    if x._den is _ONE_TERMS and y._den is _ONE_TERMS:
+        return _scalar(_add_scaled(x._num, y._num, sign), _ONE_TERMS)
+    n = _add_scaled(_mul(x._num, y._den), _mul(y._num, x._den), sign)
+    return _scalar(*_canonicalize(n, _mul(x._den, y._den)))
 
 
 def _canonicalize(num: dict, den: dict) -> tuple[dict, dict]:

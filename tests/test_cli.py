@@ -431,6 +431,23 @@ def test_module_entry_point():
     assert b"invalid choice" in proc.stderr
 
 
+@pytest.mark.parametrize("hash_seed", ["0", "12345"])
+def test_verdicts_do_not_depend_on_the_hash_seed(tmp_path, hash_seed):
+    # the verdicts on gamma'(0,0) walk sets and dicts of keys; under other
+    # string and tuple hashes they keep their exit codes and report bytes
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=hash_seed)
+    commands = [["module-simplicity", "--module", "gamma'(0,0)", "--algebra", "khat"],
+                ["module-iso", "--module", "gamma'(0,0)", "--module2", "pi(gamma'(0,1/2))"]]
+    rows = [row for row in TestDeterminism.GOLDEN if row[0] in commands]
+    assert len(rows) == 2
+    for argv, want_code, want_digest in rows:
+        out = tmp_path / f"{argv[0]}.json"
+        proc = subprocess.run([sys.executable, "-m", "nscheck.cli", *argv, "--format", "json",
+                               "--out", str(out)], env=env, capture_output=True, timeout=120)
+        assert proc.returncode == want_code, proc.stderr.decode()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want_digest
+
+
 def test_classify_lists_all_families(tmp_path):
     code, doc, _ = invoke(tmp_path, "classify", out_name="cls.json")
     assert code == 0

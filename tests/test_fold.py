@@ -425,10 +425,12 @@ def test_unscaled_jet_term_folds_like_the_reference(monkeypatch):
 
 @pytest.mark.parametrize("func", [act, modules.act_each, modules._fold,
                                   modules._ActionTable.__init__,
-                                  modules._ActionTable.fill, modules._ActionTable.value],
+                                  modules._ActionTable.fill, modules._ActionTable.value,
+                                  modules._gen_part.__wrapped__],
                          ids=lambda f: f.__qualname__)
-def test_every_fold_exit_runs(func):
-    # a new exit of the fold needs a case that reaches it
+def test_every_fold_exit_runs(func, fresh_tables):
+    # a new exit of the fold needs a case that reaches it; the caches start
+    # empty, so a cached function runs
     def run():
         rng = random.Random("nscheck-fold-exits")
         for mod in (gamma(F(1, 3), F(1, 4)), gamma(LAMBDA, B), gamma_plus(B)):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nscheck.modules as modules
 from nscheck.algebra import (
     A_ONE,
     XI,
@@ -21,6 +22,7 @@ from nscheck.algebra import (
     L,
     LieElement,
     basis,
+    gen_act_amon,
     half,
     jet_coefficient,
 )
@@ -579,6 +581,57 @@ def test_numeric_handles_act_without_fraction_arithmetic(monkeypatch, fresh_tabl
         counts.append(len(calls))
     # the formal handle is the control: it does count
     assert counts[:4] == [0, 0, 0, 0] and counts[4] > 0
+
+
+def fill_table(mod, key=BasisKey) -> int:
+    """Fill the entries of the generators of ``basis(3)`` that the mode of
+    ``mod`` admits on its admissible keys ``key(k, eps)``, k in -10..10;
+    returns the size of its table."""
+    for g, k, eps in product(basis(3, mod.algebra_mode), range(-10, 11), (0, 1)):
+        if mod.admissible(BasisKey(k, eps)):
+            mod.gen_action(g, key(k, eps))
+    return len(mod._table)
+
+
+def test_handles_share_the_handle_free_part_of_an_entry(fresh_tables):
+    """The target, A's coefficient and the sign condition of a generator's
+    entry depend on no handle, so they are made once per process: after one
+    handle's table is filled, the same entries of a handle with other
+    parameters or another mode make no miss in the shared cache and call no
+    ``gen_act_amon``."""
+    entries = len(basis(3)) * 42
+    assert fill_table(gamma(F(1, 3), F(1, 4))) == entries
+    made, calls = modules._gen_part.cache_info().misses, gen_act_amon.cache_info()
+    assert made == entries
+    sizes = [fill_table(mod) for mod in (gamma(F(-7, 3), F(5, 4)),
+                                         gamma(F(1, 2), F(1, 3), AlgebraMode.KPLUS))]
+    assert sizes == [entries, len(basis(3, AlgebraMode.KPLUS)) * 42]
+    assert modules._gen_part.cache_info().misses == made
+    assert gen_act_amon.cache_info() == calls
+
+
+def test_tables_do_not_depend_on_the_order_of_handles(fresh_tables):
+    """The shared part of an entry is keyed by (op, key) alone, so it holds
+    nothing that depends on a handle (its convention's sign, say): the same
+    handles, filled in two opposite orders from empty caches, get identical
+    tables.  A handle keyed by A-monomials fills first, and every target
+    still has the type of its key."""
+    def tables(order) -> list[dict]:
+        for cache in fresh_tables:
+            cache.cache_clear()
+        fill_table(gamma(F(1, 3), F(1, 4)), AMonomial)
+        mods = [make(c) for c in (CORRECTED, PRINTED) for make in (
+            lambda c: gamma(F(1, 3), F(1, 4), convention=c),
+            lambda c: gamma(LAMBDA, B, convention=c),
+            lambda c: gamma_plus(B, c),
+            lambda c: parity_change(gamma_prime(0, F(1, 2), convention=c)))]
+        for mod in order(mods):
+            fill_table(mod)
+        return [dict(mod._table) for mod in mods]
+
+    forward, backward = tables(list), tables(reversed)
+    assert forward == backward
+    assert {type(entry[0]) for table in forward for entry in table.values() if entry} == {BasisKey}
 
 
 def test_numeric_handles_fold_without_fraction_arithmetic(monkeypatch):

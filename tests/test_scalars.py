@@ -199,6 +199,28 @@ def test_numeric_hash_agrees_with_rational_equality():
     assert {0: "zero"}[ZERO] == "zero"
 
 
+def test_term_tables_are_read_only():
+    # every Scalar over 1 shares one denominator table: a write through any
+    # Scalar's view raises, and the arithmetic after the attempts is unchanged
+    rational = Scalar(P({(1, 0): 1, (0, 0): 1}), P({(0, 1): 1, (0, 0): 2}))
+
+    def results():
+        return [s.render() for s in (LAMBDA + 1, B * LAMBDA - 3, Scalar.of(2) / B,
+                                     rational + ONE, rational * rational, ZERO + ONE)]
+
+    before = results()
+    for s in (Scalar.of(2), rational, LAMBDA, B, ZERO, ONE):
+        for table in (s.num, s.den):
+            with pytest.raises(TypeError):
+                table[(0, 1)] = 1
+            with pytest.raises(TypeError):
+                del table[next(iter(table), (0, 0))]
+            with pytest.raises(AttributeError):
+                table.clear()
+    assert results() == before == ["l + 1", "l*b - 3", "2/b", "(l + b + 3)/(b + 2)",
+                                    "(l^2 + 2*l + 1)/(b^2 + 4*b + 4)", "1"]
+
+
 def random_poly(rng):
     return _terms({(rng.randint(0, 2), rng.randint(0, 2)):
                    Fraction(rng.randint(-5, 5), rng.randint(1, 4))
