@@ -46,11 +46,17 @@ module axiom, ``modules``: the free table of op chains, whose chains the
 module's integer fold evaluates over the handle's one action table).  A
 residual is a plain {key: coefficient} table, so a passing check does no
 Scalar arithmetic.  The cached tables keep the coefficient rule of
-``scalars``, so an integral structure constant is an int and most of that
-arithmetic runs on machine ints.  The structural suites test the table and
-wrap only their witness, the first nonzero residual, into its element type
-(whose constructor takes the table as it is): a passing check builds no
-element.
+``scalars`` and their displayed values.  The structural suites read them in
+one scaled basis, stated once (``_SCALE``): L~ = 2L and C~ = C/3, with G
+and A unscaled.  There every entry of ``bracket_basis`` (center on),
+``gen_act_amon`` and ``amon_act_gen`` is an integer, since 2r - m, m^3 - m
+and r^2 - 1/4 (r half-integral) are.  The integer tables are derived from
+the cached ones entry by entry, each entry still under the coefficient
+rule, so exactness never rests on that claim.  The scaling is diagonal and
+invertible, so a scaled residual is zero exactly when the displayed one is,
+key by key: a passing check runs on machine ints alone.  The suites unscale
+(:func:`unscaled`) and wrap into its element type only their witness, the
+first nonzero residual: a passing check builds no element.
 
 Keys: the basis keys are tuple values, so they hash, compare and build in
 C.  :class:`HalfInt` is ``(doubled,)``, :class:`Gen` is ``(kind, index)``
@@ -84,13 +90,14 @@ coefficient rule of ``scalars``, like the cached tables:
 
 :func:`accumulate` is the one merge rule for sparse coefficient tables, and
 :func:`extend` the one linear extension of a basis-level table: the PBW
-rewriting, the finite-difference sums and the representation law are each
-``extend`` over plain dicts (the module action is the integer fold of
-``modules.act``).  :func:`bilinear`
-is ``extend`` over the pairs of terms of two elements: :func:`bracket`,
-:func:`k_action_on_A` and :func:`A_action_on_k` are each one call of it,
-as :func:`compatibility_residual` is ``extend`` over the triples; it
-returns the residual as the Lie element it is, like ``bracket`` and
+rewriting and the finite-difference sums are each ``extend`` over plain
+dicts (the module action is the integer fold of ``modules.act``; the
+representation law, run for every key of the structural sweeps, is three
+direct loops into one dict).  :func:`bilinear` is ``extend`` over the
+pairs of terms of two elements: :func:`bracket`, :func:`k_action_on_A` and
+:func:`A_action_on_k` are each one call of it, as
+:func:`compatibility_residual` is ``extend`` over the triples; it returns
+the residual as the Lie element it is, like ``bracket`` and
 ``A_action_on_k``.  This module imports only ``scalars``: no layer imports
 a later one (``tests/test_tooling.py``).
 ``enveloping.smash_product`` keeps its double loop: its pair table is the
@@ -617,19 +624,74 @@ def amon_act_gen(m: AMonomial, g: Gen) -> tuple[tuple[Gen, int | Fraction], ...]
     return ((target, _coefficient(Fraction(scale, target_scale))),)
 
 
-def _a_act(m: AMonomial, g: Gen, mode: AlgebraMode) -> tuple[tuple[Gen, int | Fraction], ...]:
-    """:func:`amon_act_gen`, with every target admitted by ``mode``."""
-    out = amon_act_gen(m, g)
-    for target, _ in out:
+def _admitted(entries, mode: AlgebraMode):
+    """``entries``, a table of the module action, with every target admitted
+    by ``mode``."""
+    for target, _ in entries:
         if not mode.admits(target):
             raise AlgebraError(f"action result {target.render()} violates mode {mode.value}")
-    return out
+    return entries
 
 
 def A_action_on_k(a: AElement, x: LieElement) -> LieElement:
     """Module action a x = phi^-1(a phi(x)) of A on the algebra, extended
     bilinearly from :func:`amon_act_gen`."""
-    return LieElement(bilinear(x, a, lambda g, m: _a_act(m, g, x.mode)), x.mode)
+    return LieElement(bilinear(x, a, lambda g, m: _admitted(amon_act_gen(m, g), x.mode)),
+                      x.mode)
+
+
+# the scaled basis of the structural suites, key~ = s(key) key with s(key)
+# = num/den as (num, den): L~ = 2L and C~ = C/3, with G and every A-monomial
+# unscaled
+_SCALE = {"L": (2, 1), "G": (1, 1), "C": (1, 3)}
+
+
+def _s(key) -> tuple[int, int]:
+    """s(key) as (num, den)."""
+    return _SCALE[key.kind] if isinstance(key, Gen) else (1, 1)
+
+
+def _to_scaled(c, target, keys) -> int | Fraction:
+    """c prod s(keys) / s(target) under the coefficient rule: the coefficient
+    c at ``target`` of a table of the basis keys ``keys``, in the scaled
+    basis."""
+    p, q = 1, 1
+    for key in keys:
+        num, den = _s(key)
+        p, q = p * num, q * den
+    num, den = _s(target)
+    return _coefficient(Fraction(c * p * den, q * num))
+
+
+def _scaled(entries, *keys) -> tuple:
+    """The table ``entries`` of the basis keys ``keys`` in the scaled basis."""
+    return tuple((t, _to_scaled(c, t, keys)) for t, c in entries)
+
+
+def unscaled(table: dict, keys: tuple) -> dict:
+    """A residual table of the basis keys ``keys`` in the scaled basis, as
+    the {key: coefficient} table of the displayed basis."""
+    return {t: _coefficient(Fraction(c, _to_scaled(1, t, keys))) for t, c in table.items()}
+
+
+@lru_cache(maxsize=None)
+def _int_bracket_basis(x: Gen, y: Gen, with_center: bool) -> tuple:
+    """:func:`bracket_basis` in the scaled basis: integers."""
+    return _scaled(bracket_basis(x, y, with_center), x, y)
+
+
+# typed, as gen_act_amon: every target has the type of its m
+@lru_cache(maxsize=None, typed=True)
+def _int_gen_act_amon(g: Gen, m: AMonomial) -> tuple:
+    """:func:`gen_act_amon` in the scaled basis: integers."""
+    return _scaled(gen_act_amon(g, m), g, m)
+
+
+@lru_cache(maxsize=None)
+def _int_amon_act_gen(m: AMonomial, g: Gen, mode: AlgebraMode) -> tuple:
+    """:func:`amon_act_gen`, with every target admitted by ``mode``, in the
+    scaled basis: integers."""
+    return _scaled(_admitted(amon_act_gen(m, g), mode), m, g)
 
 
 def rep_residual(rho, x, y, xy, v, odd) -> dict:
@@ -644,30 +706,44 @@ def rep_residual(rho, x, y, xy, v, odd) -> dict:
     module's rho is the free table of op chains, rho(e, w) = ((w + (e,),
     1),) from v = (): the law then gives the chains in acting order, which
     ``modules`` folds over its action table."""
-    terms = [((x, w), c) for w, c in rho(y, v)]
-    terms += [((y, w), c if odd else -c) for w, c in rho(x, v)]
-    terms += [((e, v), -c) for e, c in xy]
-    return extend(terms, lambda ew: rho(*ew))
+    out: dict = {}
+    get = out.get
+    for w, c in rho(y, v):
+        for t, d in rho(x, w):
+            out[t] = get(t, 0) + c * d
+    for w, c in rho(x, v):
+        if not odd:
+            c = -c
+        for t, d in rho(y, w):
+            out[t] = get(t, 0) + c * d
+    for e, c in xy:
+        for t, d in rho(e, v):
+            out[t] = get(t, 0) - c * d
+    return {t: c for t, c in out.items() if c}
 
 
 def compatibility_basis(v: Gen, m: AMonomial, x: Gen, mode: AlgebraMode) -> dict:
     """The law of A # k acting on the algebra on basis keys, v(m x) -
     (-1)^{|v||m|} m(v x) - (v o m) x, as a {generator: coefficient} table
-    (:func:`rep_residual`): a generator acts by the bracket, an A-monomial
-    by the module action admitted by ``mode``."""
+    in the scaled basis (:func:`rep_residual` over the integer tables;
+    :func:`unscaled` of keys (v, m, x) gives the displayed one): a generator
+    acts by the bracket, an A-monomial by the module action admitted by
+    ``mode``."""
     if v.kind == "C":
         raise AlgebraError("the central element does not act on A")
     wc = mode.has_center
 
     def rho(e, w):
-        return bracket_basis(e, w, wc) if isinstance(e, Gen) else _a_act(e, w, mode)
+        if isinstance(e, Gen):
+            return _int_bracket_basis(e, w, wc)
+        return _int_amon_act_gen(e, w, mode)
 
-    return rep_residual(rho, v, m, gen_act_amon(v, m), x, v.parity and m.eps)
+    return rep_residual(rho, v, m, _int_gen_act_amon(v, m), x, v.parity and m.eps)
 
 
 def compatibility_residual(v: LieElement, a: AElement, x: LieElement) -> LieElement:
     """Residual of v(ax) - (-1)^{|v||a|} a(vx) - (v o a) x, the law of A # k
-    acting on the algebra, extended trilinearly from
+    acting on the algebra, extended trilinearly from the displayed form of
     :func:`compatibility_basis`; expected zero for all homogeneous inputs.
     """
     if v.parity() is None or a.parity() is None or x.parity() is None:
@@ -675,4 +751,5 @@ def compatibility_residual(v: LieElement, a: AElement, x: LieElement) -> LieElem
     v._check_mode(x)
     terms = (((gv, m, gx), cv * cm * cx) for (gv, cv), (m, cm), (gx, cx)
              in product(v.terms.items(), a.terms.items(), x.terms.items()))
-    return LieElement(extend(terms, lambda vmx: compatibility_basis(*vmx, x.mode).items()), x.mode)
+    return LieElement(extend(terms, lambda vmx: unscaled(compatibility_basis(*vmx, x.mode),
+                                                         vmx).items()), x.mode)

@@ -25,10 +25,10 @@ only the annihilator report, which searches its order, uses
 :func:`first_witness` with :func:`_ok`.  One operator sweep,
 :func:`_images`, serves the annihilator and the chains; it folds each
 operator, as the module axiom each generator pair, once over all the keys.
-The structural suites sweep plain {key: coefficient} residual tables and
-build an element only for the witness; the Jacobi family split is one
-streaming pass that keeps the first hit of each family and no list of
-triples.
+The structural suites sweep plain {key: coefficient} residual tables over
+the integer tables of ``algebra``'s scaled basis and unscale and build an
+element only for the witness; the Jacobi family split is one streaming pass
+that keeps the first hit of each family and no list of triples.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from functools import partial
 from itertools import combinations_with_replacement, product
 from typing import NamedTuple
 
-from . import algebra
 from .algebra import (
     AElement,
     AMonomial,
@@ -50,9 +49,12 @@ from .algebra import (
     HalfInt,
     L,
     LieElement,
+    _int_bracket_basis,
+    _int_gen_act_amon,
     basis,
     compatibility_basis,
     rep_residual,
+    unscaled,
 )
 from .enveloping import (
     SmashElement,
@@ -149,13 +151,14 @@ def first_witness(cases, where, wrap=None) -> tuple[str | None, str]:
     the search stops at the first hit (in a sweep, :func:`_images`, after
     the operator of that hit, folded once for all its keys);
     ``where(*location)`` renders the location of that hit.  A residual is an
-    element, or with ``wrap`` a plain {key: coefficient} table that ``wrap``
-    turns into the element rendered, for the hit alone; both are falsy
-    exactly at zero.  Returns (None, "") when every residual is zero.
+    element, or with ``wrap`` a plain {key: coefficient} table that
+    ``wrap(residual, location)`` turns into the element rendered, for the
+    hit alone; both are falsy exactly at zero.  Returns (None, "") when
+    every residual is zero.
     """
     for loc, r in cases:
         if r:
-            return (r if wrap is None else wrap(r)).render(), where(*loc)
+            return (r if wrap is None else wrap(r, loc)).render(), where(*loc)
     return None, ""
 
 
@@ -179,20 +182,20 @@ COMPAT_ANCHOR = "v(a x) - (-1)^{|v||a|} a(v x) = (v o a) x"
 ACTION_ANCHOR = "x o (y o a) - (-1)^{|x||y|} y o (x o a) = [x,y] o a"
 
 
+def _ad(e: Gen, w: Gen) -> tuple:
+    """ad on the integer bracket table, center on."""
+    return _int_bracket_basis(e, w, True)
+
+
 def _jacobi_table(x: Gen, y: Gen, z: Gen) -> dict:
     """The Jacobi identity as the representation law of ad, on basis keys,
-    as a {generator: coefficient} table."""
-    table = algebra.bracket_basis
-
-    def ad(e, w):
-        return table(e, w, True)
-
-    return rep_residual(ad, x, y, ad(x, y), z, x.parity and y.parity)
+    as a {generator: coefficient} table in the scaled basis of ``algebra``."""
+    return rep_residual(_ad, x, y, _ad(x, y), z, x.parity and y.parity)
 
 
 def jacobi_residual(x: Gen, y: Gen, z: Gen) -> LieElement:
     """The Jacobi identity as the representation law of ad, on basis keys."""
-    return LieElement(_jacobi_table(x, y, z), AlgebraMode.KHAT)
+    return LieElement(unscaled(_jacobi_table(x, y, z), (x, y, z)), AlgebraMode.KHAT)
 
 
 JACOBI_FAMILIES = ("LLL", "LLG", "LGG", "GGG", "center")
@@ -216,7 +219,7 @@ def _jacobi_triples(index_range: int):
 def _jacobi_report(index_range: int, family: str, cases) -> CheckReport:
     """The report of one family from its (triple, residual table) cases."""
     return _check(f"jacobi/{family}/range={index_range}", JACOBI_ANCHOR, f"range={index_range}",
-                  cases, wrap=lambda r: LieElement(r, AlgebraMode.KHAT))
+                  cases, wrap=lambda r, keys: LieElement(unscaled(r, keys), AlgebraMode.KHAT))
 
 
 def verify_jacobi(index_range: int) -> CheckReport:
@@ -252,7 +255,7 @@ def compat_reports(index_range: int) -> list[CheckReport]:
     return [_check(f"compat/({vkind},{aname},{xkind})", COMPAT_ANCHOR, f"range={index_range}",
                    (((v, a, x), compatibility_basis(v, a, x, mode))
                     for v, a, x in product(kinds[vkind], amons[aname], kinds[xkind])),
-                   wrap=lambda r: SmashElement.from_lie(LieElement(r, mode)))
+                   wrap=lambda r, keys: SmashElement.from_lie(LieElement(unscaled(r, keys), mode)))
             for vkind, aname, xkind in product(kinds, amons, kinds)]
 
 
@@ -262,16 +265,18 @@ def action_rep_reports(index_range: int) -> list[CheckReport]:
     gens = basis(index_range, mode)
     kinds = {kind: [g for g in gens if g.kind == kind] for kind in ("L", "G")}
     amons = [AMonomial(i, eps) for i in range(-index_range, index_range + 1) for eps in (0, 1)]
-    rho, ad, wc = algebra.gen_act_amon, algebra.bracket_basis, mode.has_center
+    wc = mode.has_center
 
     def cases(xs, ys):
         for x, y in product(xs, ys):
-            xy, odd = ad(x, y, wc), x.parity and y.parity  # once per pair, not per a
+            # once per pair, not per a
+            xy, odd = _int_bracket_basis(x, y, wc), x.parity and y.parity
             for a in amons:
-                yield (x, y, a), rep_residual(rho, x, y, xy, a, odd)
+                yield (x, y, a), rep_residual(_int_gen_act_amon, x, y, xy, a, odd)
 
     return [_check(f"action-rep/({xkind},{ykind})", ACTION_ANCHOR, f"range={index_range}",
-                   cases(kinds[xkind], kinds[ykind]), wrap=AElement)
+                   cases(kinds[xkind], kinds[ykind]),
+                   wrap=lambda r, keys: AElement(unscaled(r, keys)))
             for xkind, ykind in product(kinds, repeat=2)]
 
 

@@ -97,6 +97,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from . import algebra
 from .algebra import (
@@ -297,8 +298,9 @@ class GammaModule:
         return f"GammaModule({self.descriptor()}, {self.algebra_mode.value})"
 
 
-# the generators each mode admits, three or more indices of each kind (_check_out_closed)
-_PROBE_GENS = {mode: basis(3, mode) for mode in AlgebraMode}
+# the generators each mode admits, three or more indices of each kind
+# (_check_out_closed), read-only
+_PROBE_GENS = MappingProxyType({mode: tuple(basis(3, mode)) for mode in AlgebraMode})
 
 
 def edge_coeffs(mod: GammaModule, key: BasisKey, gens) -> tuple[list, list]:
@@ -419,9 +421,10 @@ _RADIX = (64, 8)
 def _gen_part(op: Gen, key: AMonomial) -> tuple[AMonomial, int | Fraction, bool]:
     """The part of the entry of the generator ``op`` on ``key`` that no
     handle changes, shared by all of them: the target key, A's derivation
-    coefficient (``gen_act_amon``; 0 where op kills the monomial) and
+    coefficient (``gen_act_amon``'s rule, read past its cache, so that this
+    is the module path's one copy of it; 0 where op kills the monomial) and
     whether the paper-printed sign applies (op odd, key even)."""
-    terms = gen_act_amon(op, key)
+    terms = gen_act_amon.__wrapped__(op, key)
     return key.shifted(op.degree), terms[0][1] if terms else 0, bool(op.parity and not key.eps)
 
 

@@ -142,6 +142,40 @@ def test_structural_sweep_memory_is_bounded_by_the_table_caches(suite, index_ran
     assert peak <= TestJacobi.BYTES_PER_CACHE_ENTRY * entries
 
 
+FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+                       "__rmul__", "__truediv__", "__rtruediv__")
+
+
+def test_passing_structural_suites_run_without_fractions(monkeypatch, fresh_tables):
+    """The structural suites sweep the integer tables of ``algebra``'s scaled
+    basis: once a first pass has filled the tables (and built the Fractions
+    of the displayed ones), the passing Jacobi, compatibility and
+    derivation-action sweeps construct no Fraction and do no Fraction
+    arithmetic."""
+    arithmetic, built, new = [], [], Fraction.__new__
+    for name in FRACTION_ARITHMETIC:
+        def counted(*args, _op=getattr(Fraction, name)):
+            arithmetic.append(_op)
+            return _op(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+
+    def counted_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    suites = (jacobi_family_reports, compat_reports, action_rep_reports)
+    counts = []
+    for _ in range(2):
+        arithmetic.clear()
+        built.clear()
+        assert {r.status for suite in suites for r in suite(3)} == {"pass"}
+        counts.append((len(arithmetic), len(built)))
+    # the first pass, which fills the tables, is the control: it does count
+    assert counts[0][1] > 0 and counts[1] == (0, 0)
+
+
 class TestReachability:
     def test_isolated_seed_at_origin(self):
         m = gamma(0, 0)

@@ -610,6 +610,21 @@ def test_handles_share_the_handle_free_part_of_an_entry(fresh_tables):
     assert gen_act_amon.cache_info() == calls
 
 
+def test_module_tables_keep_no_copy_of_the_derivation_cache(fresh_tables):
+    """``_gen_part`` reads A's derivation rule past the cache of
+    ``gen_act_amon``, so filling a handle's table leaves that cache empty:
+    the module path keeps one copy of the rule's values, its own."""
+    assert fill_table(gamma(F(1, 3), F(1, 4))) == len(basis(3)) * 42
+    assert gen_act_amon.cache_info().currsize == 0
+
+
+def test_probe_generators_are_read_only():
+    # the probe generators are shared by every cut check: a write raises
+    assert {type(gens) for gens in modules._PROBE_GENS.values()} == {tuple}
+    with pytest.raises(TypeError):
+        modules._PROBE_GENS[AlgebraMode.K] = ()
+
+
 def test_tables_do_not_depend_on_the_order_of_handles(fresh_tables):
     """The shared part of an entry is keyed by (op, key) alone, so it holds
     nothing that depends on a handle (its convention's sign, say): the same

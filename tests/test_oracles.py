@@ -132,8 +132,10 @@ def multilinear(residual, zero, *tables):
     return out
 
 
-def corrupt_bracket(monkeypatch):
-    """Double every structure constant [L(1), y] and [G(1/2), y]."""
+@pytest.fixture
+def corrupt_bracket(monkeypatch, fresh_tables):
+    """Double every structure constant [L(1), y] and [G(1/2), y], from empty
+    caches."""
     original = algebra.bracket_basis
 
     def corrupted(x, y, with_center):
@@ -148,9 +150,9 @@ TABLES = ["tables", "corrupted"]
 
 @pytest.mark.parametrize("coeffs", list(LAW_COEFFS))
 @pytest.mark.parametrize("tables", TABLES)
-def test_jacobi_law_matches_bracket(monkeypatch, coeffs, tables):
+def test_jacobi_law_matches_bracket(request, coeffs, tables):
     if tables == "corrupted":
-        corrupt_bracket(monkeypatch)
+        request.getfixturevalue("corrupt_bracket")
     rng = random.Random(f"table-law/jacobi/{coeffs}/{tables}")
     gens, hits = basis(LAW_RANGE), 0
     for _ in range(LAW_SAMPLES):
@@ -165,9 +167,9 @@ def test_jacobi_law_matches_bracket(monkeypatch, coeffs, tables):
 
 @pytest.mark.parametrize("coeffs", list(LAW_COEFFS))
 @pytest.mark.parametrize("tables", TABLES)
-def test_compatibility_law_matches_actions(monkeypatch, coeffs, tables):
+def test_compatibility_law_matches_actions(request, coeffs, tables):
     if tables == "corrupted":
-        corrupt_bracket(monkeypatch)
+        request.getfixturevalue("corrupt_bracket")
     rng = random.Random(f"table-law/compat/{coeffs}/{tables}")
     gens = basis(LAW_RANGE, K)
     amons = [AMonomial(i, eps) for i in range(-LAW_RANGE, LAW_RANGE + 1) for eps in (0, 1)]
@@ -186,11 +188,11 @@ def test_compatibility_law_matches_actions(monkeypatch, coeffs, tables):
 
 
 @pytest.mark.parametrize("tables", TABLES)
-def test_action_rep_law_matches_k_action(monkeypatch, tables):
+def test_action_rep_law_matches_k_action(request, tables):
     # the suite sweeps basis keys only: its failures must be the first
     # nonzero element-level residuals, in its sweep order
     if tables == "corrupted":
-        corrupt_bracket(monkeypatch)
+        request.getfixturevalue("corrupt_bracket")
     gens = basis(LAW_RANGE, K)
     amons = [AElement.monomial(i, eps) for i in range(-LAW_RANGE, LAW_RANGE + 1) for eps in (0, 1)]
     want = []

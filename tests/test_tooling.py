@@ -4,8 +4,9 @@ finds every entry point it wraps, the benchmark's golden CLI invocations
 reproduce their recorded exit codes and report bytes, one sweep of its
 grid workload gets the answers of the classification law, every public
 name of the package has a reader outside the tests, a module handle keeps
-one action memo, every source parses at the declared Python floor, and
-every imported name is read."""
+one action memo, every source parses at the declared Python floor, every
+imported name is read, and every mutant of a table rule runs on cleared
+caches."""
 
 import ast
 import dataclasses
@@ -13,6 +14,7 @@ import hashlib
 import importlib
 import re
 import sys
+import textwrap
 import types
 from pathlib import Path
 
@@ -157,6 +159,55 @@ def test_fresh_tables_clears_every_lru_cache(fresh_tables):
     # a cache that the fixture missed would keep stale entries under a mutant
     cleared = [f"{c.__module__.rpartition('.')[2]}.{c.__name__}" for c in fresh_tables]
     assert sorted(cleared) == sorted(name for path in SOURCES for name in lru_cached(path))
+
+
+# the table rules that a mutant patches by name; the cached tables derived
+# from them (the integer tables of the structural suites among them) keep a
+# mutant's entries unless the caches are cleared around it
+TABLE_RULES = ("bracket_basis", "gen_act_amon", "amon_act_gen", "jet_coefficient")
+
+
+def uncleared_table_patches(source: str) -> list[str]:
+    """Every ``setattr`` call in ``source`` that names a rule of
+    ``TABLE_RULES`` (as an attribute or a dotted target) outside any function
+    that requests ``fresh_tables``, as "line: function"."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
+            scope = scope + [(getattr(node, "name", "lambda"), "fresh_tables" in params)]
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "attr", getattr(func, "id", None))
+            patched = [arg.value.rpartition(".")[2] for arg in node.args
+                       if isinstance(arg, ast.Constant) and isinstance(arg.value, str)]
+            if (name == "setattr" and any(p in TABLE_RULES for p in patched)
+                    and not any(cleared for _, cleared in scope)):
+                found.append(f"{node.lineno}: {scope[-1][0] if scope else '<module>'}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_table_mutants_clear_the_caches():
+    # a mutant of a table rule that leaves the derived caches filled would
+    # be missed by the suites, or leak into the tests after it
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    assert [f"{p.name}:{u}" for p in tests for u in uncleared_table_patches(p.read_text())] == []
+    # the probe is live: a patch in a test without the fixture is found
+    probe = textwrap.dedent("""
+        def test_mutant(monkeypatch):
+            monkeypatch.setattr(algebra, "bracket_basis", None)
+            monkeypatch.setattr("nscheck.algebra.jet_coefficient", None)
+
+        def test_cleared(monkeypatch, fresh_tables):
+            monkeypatch.setattr(algebra, "gen_act_amon", None)
+    """)
+    assert uncleared_table_patches(probe) == ["3: test_mutant", "4: test_mutant"]
 
 
 def public_definitions(path: Path) -> list[str]:

@@ -17,7 +17,7 @@ import nscheck.algebra as algebra
 import nscheck.analysis as analysis
 import nscheck.enveloping as enveloping
 import nscheck.modules as modules
-from nscheck.algebra import AlgebraMode, L
+from nscheck.algebra import AlgebraMode, C, L
 from nscheck.analysis import (
     action_rep_reports,
     centralizer_reports,
@@ -41,8 +41,8 @@ def failures(reports):
 
 
 @pytest.fixture
-def corrupt_l1_l2(monkeypatch):
-    """Double the structure constant of [L(1), L(2)]."""
+def corrupt_l1_l2(monkeypatch, fresh_tables):
+    """Double the structure constant of [L(1), L(2)], from empty caches."""
     original = algebra.bracket_basis
 
     def corrupted(x, y, with_center):
@@ -60,6 +60,30 @@ def test_jacobi_witness(corrupt_l1_l2):
         ("jacobi/LLL/range=2", *want),
         ("jacobi/LLG/range=2", "range=2 at (L(1),L(2),G(-3/2))", "3*G(3/2)"),
         ("jacobi/LGG/range=2", "range=2 at (L(1),G(1/2),G(3/2))", "-2*L(3)"),
+    ]
+    assert failures([verify_jacobi(2)]) == [("jacobi/all/range=2", *want)]
+
+
+@pytest.fixture
+def doubled_central_l2(monkeypatch, fresh_tables):
+    """Double only the central term of [L(2), L(-2)], from empty caches."""
+    original = algebra.bracket_basis
+
+    def corrupted(x, y, with_center):
+        out = original(x, y, with_center)
+        if (x, y) == (L(2), L(-2)):
+            out = tuple((g, 2 * c if g == C else c) for g, c in out)
+        return out
+
+    monkeypatch.setattr(algebra, "bracket_basis", corrupted)
+
+
+def test_jacobi_central_witness(doubled_central_l2):
+    # a witness with a central term: the suites sweep C/3, the witness shows C
+    want = ("range=2 at (L(-2),L(2),L(0))", "-C")
+    assert failures(jacobi_family_reports(2)) == [
+        ("jacobi/LLL/range=2", *want),
+        ("jacobi/LGG/range=2", "range=2 at (L(2),G(-3/2),G(-1/2))", "-C"),
     ]
     assert failures([verify_jacobi(2)]) == [("jacobi/all/range=2", *want)]
 
