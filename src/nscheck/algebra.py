@@ -38,21 +38,24 @@ the summed degree (:meth:`AMonomial.shifted`).
 
 Four suites check one law, :func:`rep_residual`: rho(x) rho(y) -
 (-1)^{|x||y|} rho(y) rho(x) = rho([x, y]), stated once on basis keys over
-a cached basis-level table rho: ad (Jacobi, :func:`bracket_basis`), A # k
-on the algebra (compatibility, [v, a] = v o a: ``bracket_basis`` for a
-generator, :func:`amon_act_gen` for an A-monomial), the algebra on A
-(derivation action, :func:`gen_act_amon`) and the algebra on a module (the
-module axiom, ``modules``: the free table of op chains, whose chains the
-module's integer fold evaluates over the handle's one action table).  A
-residual is a plain {key: coefficient} table, so a passing check does no
-Scalar arithmetic.  The cached tables keep the coefficient rule of
-``scalars`` and their displayed values.  The structural suites read them in
-one scaled basis, stated once (``_SCALE``): L~ = 2L and C~ = C/3, with G
-and A unscaled.  There every entry of ``bracket_basis`` (center on),
+a basis-level table rho: ad (Jacobi, :func:`bracket_basis`), A # k on the
+algebra (compatibility, [v, a] = v o a: ``bracket_basis`` for a generator,
+:func:`amon_act_gen` for an A-monomial), the algebra on A (derivation
+action, :func:`gen_act_amon`) and the algebra on a module (the module
+axiom, ``modules``: the free table of op chains, whose chains the module's
+integer fold evaluates over the handle's one action table).  A residual is
+a plain {key: coefficient} table, so a passing check does no Scalar
+arithmetic.  ``bracket_basis``, ``gen_act_amon`` and ``amon_act_gen`` are
+the one plain rule of each table, with the coefficient rule of ``scalars``
+and their displayed values; each consumer keeps the one cache it needs (the
+integer tables below, the PBW tables of ``enveloping`` and
+``modules._gen_part``).  The structural suites read them in one scaled
+basis, stated once (``_SCALE``): L~ = 2L and C~ = C/3, with G and A
+unscaled.  There every entry of ``bracket_basis`` (center on),
 ``gen_act_amon`` and ``amon_act_gen`` is an integer, since 2r - m, m^3 - m
-and r^2 - 1/4 (r half-integral) are.  The integer tables are derived from
-the cached ones entry by entry, each entry still under the coefficient
-rule, so exactness never rests on that claim.  The scaling is diagonal and
+and r^2 - 1/4 (r half-integral) are.  The cached integer tables are derived
+from the rules entry by entry, each entry still under the coefficient rule,
+so exactness never rests on that claim.  The scaling is diagonal and
 invertible, so a scaled residual is zero exactly when the displayed one is,
 key by key: a passing check runs on machine ints alone.  The suites unscale
 (:func:`unscaled`) and wrap into its element type only their witness, the
@@ -68,7 +71,7 @@ never share a table.
 Every element type of the package (``LieElement`` and ``AElement`` here,
 ``SmashElement`` and ``ModuleVector`` downstream) is a :class:`Combination`,
 an immutable finite exact-linear combination of basis keys under the
-coefficient rule of ``scalars``, like the cached tables:
+coefficient rule of ``scalars``, like the table rules:
 
 * the constructor normalises each coefficient once: an int when integral,
   a Fraction with denominator > 1 when otherwise rational, and a Scalar
@@ -541,11 +544,10 @@ def _phi_inv(m: AMonomial) -> tuple[Gen, int]:
     return Gen("G" if m.eps else "L", m.degree), 1 + m.eps
 
 
-@lru_cache(maxsize=None)
 def bracket_basis(x: Gen, y: Gen, with_center: bool) -> tuple[tuple[Gen, int | Fraction], ...]:
     """Structure constants of [x, y] on basis generators: phi^-1 of x acting
     on phi(y) in A_1 (x) C_{-1}, plus the central cell on degree 0; each
-    under the coefficient rule of ``scalars``, like every cached table."""
+    under the coefficient rule of ``scalars``."""
     if x.kind == "C" or y.kind == "C":
         return ()
     mono, scale = _phi(y)
@@ -570,9 +572,6 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
     return LieElement(bilinear(x, y, lambda gx, gy: bracket_basis(gx, gy, wc)), x.mode)
 
 
-# typed: an AMonomial and an equal BasisKey keep their own entries, so every
-# target has the type of its m
-@lru_cache(maxsize=None, typed=True)
 def gen_act_amon(g: Gen, m: AMonomial) -> tuple[tuple[AMonomial, int | Fraction], ...]:
     """Superderivation action g o (t^k xi^e) of a generator L or G on an
     A-monomial, as (monomial, coefficient) pairs:
@@ -610,7 +609,6 @@ def k_action_on_A(x: LieElement, a: AElement) -> AElement:
     return AElement(bilinear(x, a, gen_act_amon))
 
 
-@lru_cache(maxsize=None)
 def amon_act_gen(m: AMonomial, g: Gen) -> tuple[tuple[Gen, int | Fraction], ...]:
     """Module action m g = phi^-1(m phi(g)) of an A-monomial on a generator,
     as (generator, coefficient) pairs; () when xi G_r = 0."""
@@ -680,7 +678,8 @@ def _int_bracket_basis(x: Gen, y: Gen, with_center: bool) -> tuple:
     return _scaled(bracket_basis(x, y, with_center), x, y)
 
 
-# typed, as gen_act_amon: every target has the type of its m
+# typed: an AMonomial and an equal BasisKey keep their own entries, so every
+# target has the type of its m
 @lru_cache(maxsize=None, typed=True)
 def _int_gen_act_amon(g: Gen, m: AMonomial) -> tuple:
     """:func:`gen_act_amon` in the scaled basis: integers."""

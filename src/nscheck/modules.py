@@ -55,9 +55,10 @@ construction (so ``replace`` recomputes them) it decides once, in
 without a membership test, and it makes its one action table ``_table``,
 which lives and dies with the handle: equal handles do not share one.
 All handles share the part of a generator's entry that none of them
-changes, made once per process and keyed by (op, key) (``_gen_part``):
-the target key, A's derivation coefficient and whether the paper-printed
-sign applies.  All else in an entry is the handle's own: the admission of
+changes, made once per process and keyed by (op, key) (``_gen_part``, the
+module path's one cache of the plain rule ``algebra.gen_act_amon``): the
+target key, A's derivation coefficient and whether the paper-printed sign
+applies.  All else in an entry is the handle's own: the admission of
 the key, of the generator in the mode and of an A-monomial on the cut,
 the jet term (``jet_term``, the one reader of mu), the scaling, the sign
 of the convention, the cut's projection and the coefficient rule.  The
@@ -366,13 +367,11 @@ def gamma_prime(lam, b, algebra_mode: AlgebraMode = AlgebraMode.KHAT,
     (S = {key}); with no edge into it, it is left out (T = all other keys).
     Otherwise, or with no key of weight 0, it is gamma(lambda, b)."""
     mod = replace(gamma(lam, b, algebra_mode, convention), family=Family.GAMMA_PRIME)
-    if mod.is_numeric():
-        weight0 = mod.lam.numeric_value() + mod.b.numeric_value()
-    else:  # l + b may still be numeric, as for gamma'(l, 1 - l)
-        weight0 = _rational(mod.lam + mod.b)
-        if weight0 is None:
-            return mod
-    if (2 * weight0).denominator != 1:
+    # the weight lambda + b of t^0, None unless numeric: in Q on a numeric
+    # handle, and l + b may be numeric on a formal one, as for gamma'(l, 1 - l)
+    weight0 = (mod.lam.numeric_value() + mod.b.numeric_value() if mod.is_numeric()
+               else _rational(mod.lam + mod.b))
+    if weight0 is None or (2 * weight0).denominator != 1:
         return mod
     key = BasisKey(0, 0).shifted(-HalfInt.of(weight0))
     outs, ins = edge_coeffs(mod, key, _PROBE_GENS[mod.algebra_mode])
@@ -415,16 +414,16 @@ def act(x, v: ModuleVector, mod: GammaModule) -> ModuleVector:
 _RADIX = (64, 8)
 
 
-# typed, as gen_act_amon: an AMonomial and an equal BasisKey keep their own
-# entries, so every target has the type of its key
+# typed: an AMonomial and an equal BasisKey keep their own entries, so every
+# target has the type of its key
 @lru_cache(maxsize=None, typed=True)
 def _gen_part(op: Gen, key: AMonomial) -> tuple[AMonomial, int | Fraction, bool]:
     """The part of the entry of the generator ``op`` on ``key`` that no
     handle changes, shared by all of them: the target key, A's derivation
-    coefficient (``gen_act_amon``'s rule, read past its cache, so that this
-    is the module path's one copy of it; 0 where op kills the monomial) and
-    whether the paper-printed sign applies (op odd, key even)."""
-    terms = gen_act_amon.__wrapped__(op, key)
+    coefficient (``gen_act_amon``'s rule, of which this cache is the module
+    path's one copy; 0 where op kills the monomial) and whether the
+    paper-printed sign applies (op odd, key even)."""
+    terms = gen_act_amon(op, key)
     return key.shifted(op.degree), terms[0][1] if terms else 0, bool(op.parity and not key.eps)
 
 

@@ -38,18 +38,18 @@ whose denominator is greater than 1.  The kernels and the constructors
 normalise their results to this rule, so most arithmetic runs on machine
 ints; the constructor ``Scalar(num, den)``, which takes term tables from
 outside, also rejects an exponent that is not a non-negative int.  The
-cached exact tables follow the rule too, each entry normalised once by
-:func:`_coefficient` on its way into the cache: the structure constants of
-``algebra`` (``bracket_basis``, ``gen_act_amon``, ``amon_act_gen``) and the
-PBW tables of ``enveloping`` (``_insert_gen``, ``_pbw_mul``,
-``_pbw_past_amon``).  So do the elements (``algebra.Combination``: Lie, A,
-smash and module elements), whose constructor turns a numeric Scalar into
-its value by :func:`_rational` and keeps a Scalar only when it involves l
-or b, and so does the basis-level module action
-(``modules.GammaModule.gen_action``), with its edge records and the
-scalings of an intertwiner.  Every division of a coefficient goes through
-``Fraction`` (``1 / Fraction(c)`` here, ``Fraction(p, q)`` in the other
-layers, which write no ``/``), so ``int / int`` never yields a float.
+exact tables follow the rule too, each entry normalised by
+:func:`_coefficient` as it is made: the structure constants of ``algebra``
+(``bracket_basis``, ``gen_act_amon``, ``amon_act_gen`` and their cached
+integer tables) and the cached PBW tables of ``enveloping``
+(``_insert_gen``, ``_pbw_mul``, ``_pbw_past_amon``).  So do the elements
+(``algebra.Combination``: Lie, A, smash and module elements), whose
+constructor turns a numeric Scalar into its value by :func:`_rational` and
+keeps a Scalar only when it involves l or b, and so does the basis-level
+module action (``modules.GammaModule.gen_action``), with its edge records
+and the scalings of an intertwiner.  Every division of a coefficient goes
+through ``Fraction`` (``1 / Fraction(c)`` here, ``Fraction(p, q)`` in the
+other layers, which write no ``/``), so ``int / int`` never yields a float.
 Operands must be ints, Fractions or Scalars: a float raises
 :class:`ScalarError`, and no floating point appears anywhere.
 """

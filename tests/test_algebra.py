@@ -24,6 +24,7 @@ from nscheck.algebra import (
     HalfInt,
     L,
     LieElement,
+    _int_gen_act_amon,
     amon_act_gen,
     basis,
     bracket,
@@ -168,10 +169,12 @@ class TestKeyContract:
         assert sorted([L(2), G(Fraction(1, 2)), C], key=Gen.sort_key) == [C, G(Fraction(1, 2)), L(2)]
 
     def test_action_memo_keeps_the_key_type(self):
-        # equal keys of the two sibling types share no gen_act_amon entry
+        # the derivation rule gives every target the type of its key, and
+        # equal keys of the two sibling types share no entry of its cache
         for m in (AMonomial(2, 1), BasisKey(2, 1)):
-            (target, _), = gen_act_amon(L(1), m)
-            assert type(target) is type(m)
+            for table in (gen_act_amon, _int_gen_act_amon):
+                (target, _), = table(L(1), m)
+                assert type(target) is type(m)
 
     def test_equality_is_by_fields(self):
         # the accepted contract: equality is by fields, also across the

@@ -102,7 +102,7 @@ class TestJacobi:
             verify_jacobi(1)
 
     # the streaming sweep's traced peak per cached table entry (keys, value
-    # tuples, cache bookkeeping and the sweep's transients) measured 190-340
+    # tuples, cache bookkeeping and the sweep's transients) measured 240-285
     # bytes on CPython 3.11 at ranges 4 to 8
     BYTES_PER_CACHE_ENTRY = 400
 
@@ -112,7 +112,9 @@ class TestJacobi:
         by the entries of the table caches that it fills, which grow as the
         square of the range, and not by the triples, which grow as its cube:
         sorting the triples into per-family lists first peaked at 590-670
-        bytes per entry at these ranges."""
+        bytes per entry at these ranges.  It fills the integer bracket table
+        alone, so a new derived cache fails here instead of raising the
+        bound."""
         tracemalloc.start()
         try:
             reports = jacobi_family_reports(index_range)
@@ -120,8 +122,22 @@ class TestJacobi:
         finally:
             tracemalloc.stop()
         assert [r.status for r in reports] == ["pass"] * 5
-        entries = sum(cache.cache_info().currsize for cache in fresh_tables)
-        assert peak <= self.BYTES_PER_CACHE_ENTRY * entries
+        entries = filled_caches(fresh_tables)
+        assert set(entries) == {"_int_bracket_basis"}
+        assert peak <= self.BYTES_PER_CACHE_ENTRY * sum(entries.values())
+
+
+def filled_caches(caches) -> dict:
+    """{name: entries} of each cache of ``caches`` that holds an entry."""
+    sizes = {cache.__name__: cache.cache_info().currsize for cache in caches}
+    return {name: size for name, size in sizes.items() if size}
+
+
+# the caches that each structural sweep fills, and no other
+SWEEP_CACHES = {
+    "compat_reports": {"_int_bracket_basis", "_int_gen_act_amon", "_int_amon_act_gen"},
+    "action_rep_reports": {"_int_bracket_basis", "_int_gen_act_amon"},
+}
 
 
 @pytest.mark.parametrize("index_range", [5, 6])
@@ -129,8 +145,9 @@ class TestJacobi:
 def test_structural_sweep_memory_is_bounded_by_the_table_caches(suite, index_range, fresh_tables):
     """The compatibility and derivation-action sweeps stream their cases and
     keep no list that grows with the range, so their traced peak is bounded
-    like the Jacobi family sweep's; they measured 250-325 (compat) and
-    130-170 (action-rep) bytes per cached table entry at these ranges."""
+    like the Jacobi family sweep's, by the entries of exactly the integer
+    tables that each sweep reads; they measured 205-230 (compat) and 195-205
+    (action-rep) bytes per cached table entry at these ranges."""
     tracemalloc.start()
     try:
         reports = suite(index_range)
@@ -138,8 +155,9 @@ def test_structural_sweep_memory_is_bounded_by_the_table_caches(suite, index_ran
     finally:
         tracemalloc.stop()
     assert {r.status for r in reports} == {"pass"}
-    entries = sum(cache.cache_info().currsize for cache in fresh_tables)
-    assert peak <= TestJacobi.BYTES_PER_CACHE_ENTRY * entries
+    entries = filled_caches(fresh_tables)
+    assert set(entries) == SWEEP_CACHES[suite.__name__]
+    assert peak <= TestJacobi.BYTES_PER_CACHE_ENTRY * sum(entries.values())
 
 
 FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",

@@ -593,7 +593,21 @@ def fill_table(mod, key=BasisKey) -> int:
     return len(mod._table)
 
 
-def test_handles_share_the_handle_free_part_of_an_entry(fresh_tables):
+@pytest.fixture
+def derivation_calls(monkeypatch, fresh_tables) -> list:
+    """A list that records each call of A's derivation rule
+    ``gen_act_amon`` made by ``modules``, from empty caches."""
+    calls = []
+
+    def counted(op, key):
+        calls.append((op, key))
+        return gen_act_amon(op, key)
+
+    monkeypatch.setattr(modules, "gen_act_amon", counted)
+    return calls
+
+
+def test_handles_share_the_handle_free_part_of_an_entry(derivation_calls):
     """The target, A's coefficient and the sign condition of a generator's
     entry depend on no handle, so they are made once per process: after one
     handle's table is filled, the same entries of a handle with other
@@ -601,21 +615,27 @@ def test_handles_share_the_handle_free_part_of_an_entry(fresh_tables):
     ``gen_act_amon``."""
     entries = len(basis(3)) * 42
     assert fill_table(gamma(F(1, 3), F(1, 4))) == entries
-    made, calls = modules._gen_part.cache_info().misses, gen_act_amon.cache_info()
-    assert made == entries
+    made = modules._gen_part.cache_info().misses
+    assert made == len(derivation_calls) == entries
     sizes = [fill_table(mod) for mod in (gamma(F(-7, 3), F(5, 4)),
                                          gamma(F(1, 2), F(1, 3), AlgebraMode.KPLUS))]
     assert sizes == [entries, len(basis(3, AlgebraMode.KPLUS)) * 42]
     assert modules._gen_part.cache_info().misses == made
-    assert gen_act_amon.cache_info() == calls
+    assert len(derivation_calls) == entries
 
 
-def test_module_tables_keep_no_copy_of_the_derivation_cache(fresh_tables):
-    """``_gen_part`` reads A's derivation rule past the cache of
-    ``gen_act_amon``, so filling a handle's table leaves that cache empty:
-    the module path keeps one copy of the rule's values, its own."""
+def test_module_tables_keep_no_copy_of_the_derivation_cache(derivation_calls):
+    """``gen_act_amon`` is a plain rule with no cache of its own, and
+    ``_gen_part`` calls it once per entry it makes, so filling a handle's
+    table keeps one copy of the rule's values on the module path, its own:
+    refilling the table of an equal handle calls the rule no more."""
+    assert not hasattr(gen_act_amon, "cache_info")
+    calls = derivation_calls
     assert fill_table(gamma(F(1, 3), F(1, 4))) == len(basis(3)) * 42
-    assert gen_act_amon.cache_info().currsize == 0
+    made = len(calls)
+    assert made == len(set(calls)) == modules._gen_part.cache_info().currsize
+    assert fill_table(gamma(F(1, 3), F(1, 4))) == len(basis(3)) * 42
+    assert len(calls) == made
 
 
 def test_probe_generators_are_read_only():

@@ -5,8 +5,8 @@ reproduce their recorded exit codes and report bytes, one sweep of its
 grid workload gets the answers of the classification law, every public
 name of the package has a reader outside the tests, a module handle keeps
 one action memo, every source parses at the declared Python floor, every
-imported name is read, and every mutant of a table rule runs on cleared
-caches."""
+imported name is read, every mutant of a table rule runs on cleared
+caches, and each structure table is cached once."""
 
 import ast
 import dataclasses
@@ -159,6 +159,30 @@ def test_fresh_tables_clears_every_lru_cache(fresh_tables):
     # a cache that the fixture missed would keep stale entries under a mutant
     cleared = [f"{c.__module__.rpartition('.')[2]}.{c.__name__}" for c in fresh_tables]
     assert sorted(cleared) == sorted(name for path in SOURCES for name in lru_cached(path))
+
+
+def wrapped_reads(source: str) -> list[int]:
+    """The line of every read of ``__wrapped__`` in ``source``, as an
+    attribute or as a name string (``getattr``)."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if getattr(node, "attr", None) == "__wrapped__"
+            or (isinstance(node, ast.Constant) and node.value == "__wrapped__")]
+
+
+def test_each_structure_table_has_one_cache():
+    # the table rules of algebra are plain functions, and the integer tables
+    # of the structural suites its only caches: no table is cached twice,
+    # and no source reads a rule past a cache
+    assert sorted(lru_cached(ROOT / "src" / "nscheck" / "algebra.py")) == [
+        "algebra._int_amon_act_gen", "algebra._int_bracket_basis", "algebra._int_gen_act_amon"]
+    assert [f"{p.name}:{line}" for p in SOURCES for line in wrapped_reads(p.read_text())] == []
+    # the probe is live: both kinds of read are found
+    probe = textwrap.dedent("""
+        def part(op, key):
+            terms = gen_act_amon.__wrapped__(op, key)
+            return getattr(bracket_basis, "__wrapped__")
+    """)
+    assert wrapped_reads(probe) == [3, 4]
 
 
 # the table rules that a mutant patches by name; the cached tables derived
