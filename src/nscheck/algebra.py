@@ -49,17 +49,19 @@ arithmetic.  ``bracket_basis``, ``gen_act_amon`` and ``amon_act_gen`` are
 the one plain rule of each table, with the coefficient rule of ``scalars``
 and their displayed values; each consumer keeps the one cache it needs (the
 integer tables below, the PBW tables of ``enveloping`` and
-``modules._gen_part``).  The structural suites read them in one scaled
-basis, stated once (``_SCALE``): L~ = 2L and C~ = C/3, with G and A
-unscaled.  There every entry of ``bracket_basis`` (center on),
-``gen_act_amon`` and ``amon_act_gen`` is an integer, since 2r - m, m^3 - m
-and r^2 - 1/4 (r half-integral) are.  The cached integer tables are derived
-from the rules entry by entry, each entry still under the coefficient rule,
-so exactness never rests on that claim.  The scaling is diagonal and
-invertible, so a scaled residual is zero exactly when the displayed one is,
-key by key: a passing check runs on machine ints alone.  The suites unscale
-(:func:`unscaled`) and wrap into its element type only their witness, the
-first nonzero residual: a passing check builds no element.
+``modules._gen_part``).  The structural suites read them times one
+constant, ``_N`` = 6.  Every entry of ``bracket_basis`` (center on),
+``gen_act_amon`` and ``amon_act_gen`` has denominator 1, 2 or 3: the
+halves of r - m/2 and of the A-actions, (m^3 - m)/12 with 6 | m^3 - m, and
+(r^2 - 1/4)/3 with r^2 - 1/4 = j(j + 1) for r = j + 1/2.  So every entry
+of the scaled tables is an integer; they are derived from the rules entry
+by entry, each entry still under the coefficient rule, so exactness never
+rests on that claim.  Every term of :func:`rep_residual` is a product of
+two table entries, so a residual over the scaled tables is exactly _N**2
+times the displayed one and zero exactly when it is: a passing check runs
+on machine ints alone.  The suites divide by _N**2 (:func:`unscaled`) and
+wrap into its element type only their witness, the first nonzero residual:
+a passing check builds no element.
 
 Keys: the basis keys are tuple values, so they hash, compare and build in
 C.  :class:`HalfInt` is ``(doubled,)``, :class:`Gen` is ``(kind, index)``
@@ -173,7 +175,7 @@ class Combination:
     _moded = False
 
     def __init__(self, terms: dict | None = None, mode=None):
-        if isinstance(mode, AlgebraMode) is not self._moded:
+        if not (isinstance(mode, AlgebraMode) if self._moded else mode is None):
             name = type(self).__name__
             raise AlgebraError(f"{name} needs an algebra mode, got {mode!r}" if self._moded
                                else f"{name} takes no algebra mode")
@@ -638,59 +640,42 @@ def A_action_on_k(a: AElement, x: LieElement) -> LieElement:
                       x.mode)
 
 
-# the scaled basis of the structural suites, key~ = s(key) key with s(key)
-# = num/den as (num, den): L~ = 2L and C~ = C/3, with G and every A-monomial
-# unscaled
-_SCALE = {"L": (2, 1), "G": (1, 1), "C": (1, 3)}
+# the one integer scale of the structural suites: every entry of the three
+# tables has denominator 1, 2 or 3, and every term of rep_residual is a
+# product of two entries
+_N = 6
 
 
-def _s(key) -> tuple[int, int]:
-    """s(key) as (num, den)."""
-    return _SCALE[key.kind] if isinstance(key, Gen) else (1, 1)
+def _scaled(entries) -> tuple:
+    """The table ``entries`` times :data:`_N`, under the coefficient rule."""
+    return tuple((t, _coefficient(c * _N)) for t, c in entries)
 
 
-def _to_scaled(c, target, keys) -> int | Fraction:
-    """c prod s(keys) / s(target) under the coefficient rule: the coefficient
-    c at ``target`` of a table of the basis keys ``keys``, in the scaled
-    basis."""
-    p, q = 1, 1
-    for key in keys:
-        num, den = _s(key)
-        p, q = p * num, q * den
-    num, den = _s(target)
-    return _coefficient(Fraction(c * p * den, q * num))
-
-
-def _scaled(entries, *keys) -> tuple:
-    """The table ``entries`` of the basis keys ``keys`` in the scaled basis."""
-    return tuple((t, _to_scaled(c, t, keys)) for t, c in entries)
-
-
-def unscaled(table: dict, keys: tuple) -> dict:
-    """A residual table of the basis keys ``keys`` in the scaled basis, as
-    the {key: coefficient} table of the displayed basis."""
-    return {t: _coefficient(Fraction(c, _to_scaled(1, t, keys))) for t, c in table.items()}
+def unscaled(table: dict) -> dict:
+    """A residual table over the scaled tables as the displayed one: each
+    coefficient divided by _N**2."""
+    return {t: _coefficient(Fraction(c, _N * _N)) for t, c in table.items()}
 
 
 @lru_cache(maxsize=None)
 def _int_bracket_basis(x: Gen, y: Gen, with_center: bool) -> tuple:
-    """:func:`bracket_basis` in the scaled basis: integers."""
-    return _scaled(bracket_basis(x, y, with_center), x, y)
+    """:func:`bracket_basis` times _N: integers."""
+    return _scaled(bracket_basis(x, y, with_center))
 
 
 # typed: an AMonomial and an equal BasisKey keep their own entries, so every
 # target has the type of its m
 @lru_cache(maxsize=None, typed=True)
 def _int_gen_act_amon(g: Gen, m: AMonomial) -> tuple:
-    """:func:`gen_act_amon` in the scaled basis: integers."""
-    return _scaled(gen_act_amon(g, m), g, m)
+    """:func:`gen_act_amon` times _N: integers."""
+    return _scaled(gen_act_amon(g, m))
 
 
 @lru_cache(maxsize=None)
 def _int_amon_act_gen(m: AMonomial, g: Gen, mode: AlgebraMode) -> tuple:
-    """:func:`amon_act_gen`, with every target admitted by ``mode``, in the
-    scaled basis: integers."""
-    return _scaled(_admitted(amon_act_gen(m, g), mode), m, g)
+    """:func:`amon_act_gen`, with every target admitted by ``mode``, times
+    _N: integers."""
+    return _scaled(_admitted(amon_act_gen(m, g), mode))
 
 
 def rep_residual(rho, x, y, xy, v, odd) -> dict:
@@ -724,10 +709,10 @@ def rep_residual(rho, x, y, xy, v, odd) -> dict:
 def compatibility_basis(v: Gen, m: AMonomial, x: Gen, mode: AlgebraMode) -> dict:
     """The law of A # k acting on the algebra on basis keys, v(m x) -
     (-1)^{|v||m|} m(v x) - (v o m) x, as a {generator: coefficient} table
-    in the scaled basis (:func:`rep_residual` over the integer tables;
-    :func:`unscaled` of keys (v, m, x) gives the displayed one): a generator
-    acts by the bracket, an A-monomial by the module action admitted by
-    ``mode``."""
+    over the integer tables, _N**2 times the displayed one
+    (:func:`rep_residual`; :func:`unscaled` gives the displayed one): a
+    generator acts by the bracket, an A-monomial by the module action
+    admitted by ``mode``."""
     if v.kind == "C":
         raise AlgebraError("the central element does not act on A")
     wc = mode.has_center
@@ -750,5 +735,5 @@ def compatibility_residual(v: LieElement, a: AElement, x: LieElement) -> LieElem
     v._check_mode(x)
     terms = (((gv, m, gx), cv * cm * cx) for (gv, cv), (m, cm), (gx, cx)
              in product(v.terms.items(), a.terms.items(), x.terms.items()))
-    return LieElement(extend(terms, lambda vmx: unscaled(compatibility_basis(*vmx, x.mode),
-                                                         vmx).items()), x.mode)
+    return LieElement(extend(terms, lambda vmx:
+                             unscaled(compatibility_basis(*vmx, x.mode)).items()), x.mode)

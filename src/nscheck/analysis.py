@@ -26,9 +26,10 @@ only the annihilator report, which searches its order, uses
 :func:`_images`, serves the annihilator and the chains; it folds each
 operator, as the module axiom each generator pair, once over all the keys.
 The structural suites sweep plain {key: coefficient} residual tables over
-the integer tables of ``algebra``'s scaled basis and unscale and build an
-element only for the witness; the Jacobi family split is one streaming pass
-that keeps the first hit of each family and no list of triples.
+``algebra``'s integer tables, _N times the displayed ones, and only for the
+witness divide by _N**2 and build an element.  The Jacobi family split is
+one streaming pass that keeps the first hit of each family and no list of
+triples.
 """
 
 from __future__ import annotations
@@ -152,13 +153,13 @@ def first_witness(cases, where, wrap=None) -> tuple[str | None, str]:
     the operator of that hit, folded once for all its keys);
     ``where(*location)`` renders the location of that hit.  A residual is an
     element, or with ``wrap`` a plain {key: coefficient} table that
-    ``wrap(residual, location)`` turns into the element rendered, for the
-    hit alone; both are falsy exactly at zero.  Returns (None, "") when
-    every residual is zero.
+    ``wrap(residual)`` turns into the element rendered, for the hit alone;
+    both are falsy exactly at zero.  Returns (None, "") when every residual
+    is zero.
     """
     for loc, r in cases:
         if r:
-            return (r if wrap is None else wrap(r, loc)).render(), where(*loc)
+            return (r if wrap is None else wrap(r)).render(), where(*loc)
     return None, ""
 
 
@@ -189,13 +190,14 @@ def _ad(e: Gen, w: Gen) -> tuple:
 
 def _jacobi_table(x: Gen, y: Gen, z: Gen) -> dict:
     """The Jacobi identity as the representation law of ad, on basis keys,
-    as a {generator: coefficient} table in the scaled basis of ``algebra``."""
+    as a {generator: coefficient} table over the integer bracket table:
+    _N**2 times the displayed one (``algebra.unscaled``)."""
     return rep_residual(_ad, x, y, _ad(x, y), z, x.parity and y.parity)
 
 
 def jacobi_residual(x: Gen, y: Gen, z: Gen) -> LieElement:
     """The Jacobi identity as the representation law of ad, on basis keys."""
-    return LieElement(unscaled(_jacobi_table(x, y, z), (x, y, z)), AlgebraMode.KHAT)
+    return LieElement(unscaled(_jacobi_table(x, y, z)), AlgebraMode.KHAT)
 
 
 JACOBI_FAMILIES = ("LLL", "LLG", "LGG", "GGG", "center")
@@ -219,7 +221,7 @@ def _jacobi_triples(index_range: int):
 def _jacobi_report(index_range: int, family: str, cases) -> CheckReport:
     """The report of one family from its (triple, residual table) cases."""
     return _check(f"jacobi/{family}/range={index_range}", JACOBI_ANCHOR, f"range={index_range}",
-                  cases, wrap=lambda r, keys: LieElement(unscaled(r, keys), AlgebraMode.KHAT))
+                  cases, wrap=lambda r: LieElement(unscaled(r), AlgebraMode.KHAT))
 
 
 def verify_jacobi(index_range: int) -> CheckReport:
@@ -255,7 +257,7 @@ def compat_reports(index_range: int) -> list[CheckReport]:
     return [_check(f"compat/({vkind},{aname},{xkind})", COMPAT_ANCHOR, f"range={index_range}",
                    (((v, a, x), compatibility_basis(v, a, x, mode))
                     for v, a, x in product(kinds[vkind], amons[aname], kinds[xkind])),
-                   wrap=lambda r, keys: SmashElement.from_lie(LieElement(unscaled(r, keys), mode)))
+                   wrap=lambda r: SmashElement.from_lie(LieElement(unscaled(r), mode)))
             for vkind, aname, xkind in product(kinds, amons, kinds)]
 
 
@@ -276,7 +278,7 @@ def action_rep_reports(index_range: int) -> list[CheckReport]:
 
     return [_check(f"action-rep/({xkind},{ykind})", ACTION_ANCHOR, f"range={index_range}",
                    cases(kinds[xkind], kinds[ykind]),
-                   wrap=lambda r, keys: AElement(unscaled(r, keys)))
+                   wrap=lambda r: AElement(unscaled(r)))
             for xkind, ykind in product(kinds, repeat=2)]
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -24,6 +25,9 @@ from nscheck.algebra import (
     HalfInt,
     L,
     LieElement,
+    _N,
+    _int_amon_act_gen,
+    _int_bracket_basis,
     _int_gen_act_amon,
     amon_act_gen,
     basis,
@@ -343,6 +347,24 @@ class TestDisplayedTables:
                                (amon_act_gen(m, g), self.displayed_action(m.k, m.eps, g))):
                 assert all(coefficient_rule(c) for _, c in got), (g.render(), m.render(), got)
                 assert got == (() if shown is None else (shown,)), (g.render(), m.render())
+
+
+def test_structural_tables_share_one_integer_scale(fresh_tables):
+    """Over the keys that the structural suites read at range 8, every entry
+    of the three integer tables is an int equal to _N times its displayed
+    entry, and _N is exactly the lcm of the displayed denominators."""
+    amons = [AMonomial(k, eps) for k in range(-8, 9) for eps in (0, 1)]
+    pairs = [(bracket_basis(x, y, wc), _int_bracket_basis(x, y, wc))
+             for wc in (True, False) for x, y in product(basis(8), repeat=2)]
+    for g, m in product(basis(8, K), amons):
+        pairs.append((gen_act_amon(g, m), _int_gen_act_amon(g, m)))
+        pairs.append((amon_act_gen(m, g), _int_amon_act_gen(m, g, K)))
+    denominators = set()
+    for shown, scaled in pairs:
+        assert all(type(c) is int for _, c in scaled), scaled
+        assert scaled == tuple((t, _N * c) for t, c in shown)
+        denominators.update(Fraction(c).denominator for _, c in shown)
+    assert math.lcm(*denominators) == _N
 
 
 def test_pbw_tables_keep_the_coefficient_rule(monkeypatch, fresh_tables):

@@ -179,6 +179,20 @@ class TestExitCodes:
         assert err.startswith(f"nscheck: error: cannot write report to {out}: {reason}\n")
         assert [p.name for p in tmp_path.rglob(".nscheck-*")] == []
 
+    def test_failed_out_write_that_is_no_os_error_exits_three(self, capsys, monkeypatch,
+                                                              tmp_path):
+        # any other error of the write is re-raised: an internal error, with
+        # neither the temporary file nor the report left behind
+        def broken(src, dst):
+            raise RuntimeError("replace broken")
+
+        monkeypatch.setattr(cli.os, "replace", broken)
+        out = tmp_path / "r.json"
+        assert run(["classify", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "nscheck: internal error: RuntimeError: replace broken\n"
+        assert [p.name for p in tmp_path.rglob(".nscheck-*")] == []
+        assert not out.exists()
+
     def test_info_never_fails_a_run(self, tmp_path):
         code, doc, _ = invoke(tmp_path, "classify", out_name="classify.json")
         assert code == 0

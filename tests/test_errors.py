@@ -64,6 +64,10 @@ ERRORS = [
      "the central element does not act on A"),
     ("element-mode-a", lambda: AElement({AMonomial(-1, 0): 1}, KPLUS), AlgebraError,
      "AElement takes no algebra mode"),
+    ("element-mode-a-string", lambda: AElement({AMonomial(-1, 0): 1}, "khat"), AlgebraError,
+     "AElement takes no algebra mode"),
+    ("element-mode-vector-tuple", lambda: ModuleVector({BasisKey(0, 0): 1}, (BasisKey(0, 0),)),
+     AlgebraError, "ModuleVector takes no algebra mode"),
     ("element-mode-lie", lambda: LieElement({L(1): 1}, None), AlgebraError,
      "LieElement needs an algebra mode, got None"),
     ("element-mode-lie-empty", lambda: LieElement({}, None) + LieElement({}, K), AlgebraError,
