@@ -105,12 +105,14 @@ pairs of terms of two elements: :func:`bracket`, :func:`k_action_on_A` and
 the residual as the Lie element it is, like ``bracket`` and
 ``A_action_on_k``.  This module imports only ``scalars``: no layer imports
 a later one (``tests/test_tooling.py``).
-``enveloping.smash_product`` keeps its double loop: its pair table is the
-composite of two cached tables (a PBW monomial moved past an A-monomial,
-then the PBW product) with xi*xi = 0 dropped in between, and caching that
-composite per pair of keys cost the ``identities`` run 12% more time and
-25% more peak memory.  The structural suites call the tables, not these
-products.
+``enveloping.smash_product`` is one pass over the pairs of terms into one
+plain dict, like the representation law: its pair table is the composite
+of two cached tables (a PBW monomial moved past an A-monomial, then the PBW
+product) with xi*xi = 0 (:meth:`AMonomial.times`) dropped in between, and
+``smash_bracket`` sums both orders into one dict, so it builds one element.
+The composite itself is not cached: caching it per pair of keys cost the
+``identities`` run 12% more time and 25% more peak memory.  The structural
+suites call the tables, not these products.
 """
 
 from __future__ import annotations
@@ -469,10 +471,12 @@ class AMonomial(tuple):
         return tuple.__new__(type(self), (d // 2, d % 2))  # valid by construction
 
     def times(self, other: "AMonomial") -> "AMonomial | None":
-        """Product in A, of ``other``'s type; None encodes xi*xi = 0."""
-        if self.eps and other.eps:
+        """Product in A, of ``other``'s type; None encodes xi*xi = 0.  At
+        most one factor carries xi, so the exponents add: the monomial of
+        the summed degree."""
+        if self[1] and other[1]:
             return None
-        return other.shifted(self.degree)
+        return tuple.__new__(type(other), (self[0] + other[0], self[1] + other[1]))
 
     def render(self) -> str:
         if self.eps == 0:

@@ -9,6 +9,12 @@ are reduced to this normal form by the rewriting rules
     x * y      = (-1)^{|x||y|} y * x + [x, y]          (x, y out of order)
     g * g      = 1/2 [g, g]                            (g odd)
 
+A product is one pass over the pairs of terms into one plain dict
+(:func:`smash_product`; :func:`smash_bracket` sums both orders into the same
+dict), read through the three cached rewriting tables.  Every element it
+builds still runs the admission check of its mode, whose per-monomial part
+is cached for the monomials it accepts.
+
 The :class:`AlgebraMode` of an element names its algebra:
 
 * ``KHAT``  - U(khat), the enveloping algebra of the centered algebra alone
@@ -42,7 +48,6 @@ from .algebra import (
     HalfInt,
     L,
     LieElement,
-    accumulate,
     bracket_basis,
     extend,
     gen_act_amon,
@@ -55,7 +60,11 @@ DEGREE_GUARD = 6
 PBWMonomial = tuple[Gen, ...]
 
 
+@lru_cache(maxsize=None)
 def _validate_pbw(p: PBWMonomial, mode: AlgebraMode) -> None:
+    """Raise AlgebraError unless ``p`` is a sorted PBW monomial of generators
+    that ``mode`` admits; an accepted (monomial, mode) is cached, a rejected
+    one raises on every call."""
     prev = None
     for g in p:
         if not mode.admits(g):
@@ -128,10 +137,11 @@ class SmashElement(Combination):
 
     @staticmethod
     def _admit(terms: dict, mode: AlgebraMode) -> None:
+        pure, plus = mode.has_center, mode is AlgebraMode.KPLUS
         for a, p in terms:
-            if mode.has_center and a != A_ONE:
+            if pure and a != A_ONE:
                 raise AlgebraError("the enveloping algebra U(khat) admits no A-part")
-            if mode is AlgebraMode.KPLUS and a.k < 0:
+            if plus and a.k < 0:
                 raise AlgebraError(f"A-monomial {a.render()} not admissible in mode {mode.value}")
             _validate_pbw(p, mode)
 
@@ -168,52 +178,66 @@ class SmashElement(Combination):
         return max((len(p) for _, p in self.terms), default=0)
 
 
-def smash_product(x: SmashElement, y: SmashElement) -> SmashElement:
-    """Associative product in normal form."""
+def _add_product(out: dict, x: SmashElement, y: SmashElement, sign: int) -> None:
+    """Add sign * x y, in normal form, into the table ``out``.  Entries may
+    sum to zero: the element built from ``out`` drops them."""
     x._check_mode(y)
     if x.pbw_degree() + y.pbw_degree() > DEGREE_GUARD:
         raise AlgebraError(f"product would exceed PBW degree guard {DEGREE_GUARD}")
     wc = x.mode.has_center
-    out: dict = {}
+    get = out.get
+    yterms = y.terms.items()
     for (ax, px), cx in x.terms.items():
-        for (ay, py), cy in y.terms.items():
+        if sign < 0:
+            cx = -cx
+        for (ay, py), cy in yterms:
             base = cx * cy
             for (amid, pmid), c1 in _pbw_past_amon(px, ay):
                 afull = ax.times(amid)
                 if afull is None:
                     continue
+                c = base * c1
                 for pout, c2 in _pbw_mul(pmid, py, wc):
-                    accumulate(out, (afull, pout), base * (c1 * c2))
+                    key = (afull, pout)
+                    cur = get(key)
+                    out[key] = c * c2 if cur is None else cur + c * c2
+
+
+def smash_product(x: SmashElement, y: SmashElement) -> SmashElement:
+    """Associative product in normal form."""
+    out: dict = {}
+    _add_product(out, x, y, 1)
     return SmashElement(out, x.mode)
 
 
 def smash_bracket(x: SmashElement, y: SmashElement) -> SmashElement:
-    """Super-commutator x y - (-1)^{|x||y|} y x of homogeneous elements."""
+    """Super-commutator x y - (-1)^{|x||y|} y x of homogeneous elements,
+    both orders summed into one table."""
     if x.is_zero() or y.is_zero():
         x._check_mode(y)
         return SmashElement.zero(x.mode)
     px, py = x.parity(), y.parity()
     if px is None or py is None:
         raise AlgebraError("smash_bracket needs parity-homogeneous inputs")
-    xy = smash_product(x, y)
-    yx = smash_product(y, x)
-    if px and py:
-        return xy + yx
-    return xy - yx
+    out: dict = {}
+    _add_product(out, x, y, 1)
+    _add_product(out, y, x, 1 if px and py else -1)
+    return SmashElement(out, x.mode)
 
 
 def alternating_sum(order: int, term, mode: AlgebraMode) -> SmashElement:
     """The finite difference sum_{i=0}^{order} (-1)^i binom(order, i) term(i),
     where ``term(i)`` is a table {(A-monomial, PBW monomial): coefficient}
-    such as ``SmashElement.terms``; see the module docstring."""
+    such as ``SmashElement.terms``; see the module docstring.  A negative
+    order is an AlgebraError: the empty sum would pass for an identity."""
+    if order < 0:
+        raise AlgebraError(f"finite-difference order must be non-negative, got {order}")
     weights = ((i, (-1) ** i * comb(order, i)) for i in range(order + 1))
     return SmashElement(extend(weights, lambda i: term(i).items()), mode)
 
 
 def omega(k: int, s: int, m: int, mode: AlgebraMode = AlgebraMode.KHAT) -> SmashElement:
     """Normal form of sum_i (-1)^i binom(m, i) L_{k-i} L_{s+i}."""
-    if m < 0:
-        raise AlgebraError("omega order m must be non-negative")
     return alternating_sum(m, lambda i: smash_product(
         SmashElement.gen(L(k - i), mode), SmashElement.gen(L(s + i), mode)).terms, mode)
 
@@ -237,6 +261,8 @@ def l_prime(n: int, mode: AlgebraMode = AlgebraMode.K) -> SmashElement:
     if n < -1:
         raise AlgebraError("l_prime defined for n >= -1 only")
     l_part = alternating_sum(n + 1, lambda i: {(AMonomial(n - i + 1, 0), (L(i - 1),)): -1}, mode)
+    if n < 0:  # the G-part is the empty sum
+        return l_part
     g_part = alternating_sum(
         n, lambda i: {(AMonomial(n - i, 1), (G(Fraction(2 * i - 1, 2)),)): Fraction(n + 1, 2)}, mode)
     return l_part + g_part

@@ -1,5 +1,14 @@
-"""Smash-algebra normal forms, named elements, reconstruction identities."""
+"""Smash-algebra normal forms, named elements, reconstruction identities.
 
+``reference_product`` is the smash product as it was before the one-pass
+table: a double loop over the pairs of terms, merged with ``accumulate``,
+with the A-parts multiplied by the degree rule of ``AMonomial``.
+``smash_product`` and ``smash_bracket`` must agree with it, and with the
+bracket built from it, coefficient for coefficient and by coefficient type.
+"""
+
+import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -7,10 +16,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nscheck.algebra import AMonomial, AlgebraError, AlgebraMode, C, G, L, half
+import nscheck.enveloping as enveloping
+from nscheck.algebra import (
+    A_ONE,
+    AMonomial,
+    AlgebraError,
+    AlgebraMode,
+    C,
+    G,
+    HalfInt,
+    L,
+    accumulate,
+    half,
+)
 from nscheck.analysis import a_g_chain, a_l_chain
 from nscheck.enveloping import (
     SmashElement,
+    _pbw_mul,
+    _pbw_past_amon,
     g_prime,
     gl_sum,
     l_prime,
@@ -19,7 +42,8 @@ from nscheck.enveloping import (
     smash_product,
     verify_reconstruction,
 )
-from nscheck.scalars import Scalar
+from nscheck.modules import BasisKey
+from nscheck.scalars import B, LAMBDA, Scalar
 
 U = AlgebraMode.KHAT
 AK = AlgebraMode.K
@@ -311,3 +335,188 @@ def test_rendering():
     e = term(2, 1, [G(half(-1)), L(3)], AK)
     assert e.render() == "t^2*xi (x) G(-1/2)L(3)"
     assert term(0, 0, [], AK).render() == "1 (x) 1"
+
+
+def reference_product(x, y):
+    """The smash product before the one-pass table, kept as an oracle: the
+    product of two A-monomials is the monomial of the summed degree, or 0
+    when both carry xi."""
+    x._check_mode(y)
+    wc = x.mode.has_center
+    out = {}
+    for (ax, px), cx in x.terms.items():
+        for (ay, py), cy in y.terms.items():
+            base = cx * cy
+            for (amid, pmid), c1 in _pbw_past_amon(px, ay):
+                if ax.eps and amid.eps:
+                    continue
+                afull = amid.shifted(ax.degree)
+                for pout, c2 in _pbw_mul(pmid, py, wc):
+                    accumulate(out, (afull, pout), base * (c1 * c2))
+    return SmashElement(out, x.mode)
+
+
+def reference_bracket(x, y):
+    """x y - (-1)^{|x||y|} y x from two reference products."""
+    xy, yx = reference_product(x, y), reference_product(y, x)
+    return xy + yx if x.parity() and y.parity() else xy - yx
+
+
+def typed(e):
+    """The term table of ``e`` with each coefficient's type, and its mode."""
+    return e.mode, {key: (type(c), c) for key, c in e.terms.items()}
+
+
+FRACTIONS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3))
+SCALARS = (LAMBDA, -LAMBDA, LAMBDA + Fraction(1, 2), LAMBDA * LAMBDA * Fraction(1, 3),
+           LAMBDA * B - 2, 1 - LAMBDA)
+
+
+def random_element(rng, mode, coeffs, parity):
+    """A seeded element of ``mode`` with 1 to 3 terms of PBW degree <= 2
+    and the given parity, each coefficient drawn from ``coeffs``."""
+    low = -1 if mode is APKP else -2
+    gens = [L(n) for n in range(low, 3)] + [G(half(d)) for d in range(2 * low + 1, 5, 2)]
+    if mode.has_center:
+        gens.append(C)
+    size, terms = rng.randint(1, 3), {}
+    while len(terms) < size:
+        if mode.has_center:
+            a = A_ONE
+        else:
+            a = AMonomial(rng.randint(0 if mode is APKP else -2, 2), rng.randint(0, 1))
+        mono = sorted(rng.sample(gens, rng.randint(0, 2)), key=lambda g: g.sort_key())
+        if (a.eps + sum(g.parity for g in mono)) % 2 == parity:
+            terms[(a, tuple(mono))] = rng.choice(coeffs)
+    return SmashElement(terms, mode)
+
+
+def corpus():
+    """Seeded pairs (x, y) in every mode, with Fraction and with Scalar
+    coefficients in l and b."""
+    rng = random.Random(3601)
+    pairs = []
+    for mode in (U, AK, APKP):
+        for kind, coeffs in (("fraction", FRACTIONS), ("scalar", SCALARS)):
+            for i in range(12):
+                x = random_element(rng, mode, coeffs, rng.randint(0, 1))
+                y = random_element(rng, mode, coeffs, rng.randint(0, 1))
+                pairs.append(pytest.param(x, y, id=f"{mode.value}-{kind}-{i}"))
+    return pairs
+
+
+def psi_pairs(mode):
+    """Every pair of the primed family L'(0..3), G'(1/2..5/2) in ``mode``."""
+    family = [(f"L'({n})", l_prime(n, mode)) for n in range(4)]
+    family += [(f"G'({2 * n - 1}/2)", g_prime(n, mode)) for n in range(1, 4)]
+    return [pytest.param(x, y, id=f"{mode.value}-{nx}-{ny}")
+            for nx, x in family for ny, y in family]
+
+
+PAIRS = corpus() + psi_pairs(AK) + psi_pairs(APKP)
+
+
+# products and brackets that cancel to zero: xi xi = 0, the center, and
+# the centralizer of A and of G(-1/2)
+ZERO_PRODUCTS = [
+    (SmashElement.amon(0, 1, AK), SmashElement.amon(0, 1, AK)),
+    (SmashElement.amon(1, 1, APKP), term(0, 1, [L(0)], APKP, LAMBDA)),
+]
+ZERO_BRACKETS = [
+    (gen(C), gen(L(1)).scale(LAMBDA)),
+    (l_prime(2, AK), SmashElement.amon(-1, 1, AK)),
+    (l_prime(1, APKP).scale(LAMBDA), SmashElement.amon(2, 0, APKP)),
+    (gen(G(half(-1)), APKP), g_prime(2, APKP).scale(Fraction(1, 2))),
+]
+
+
+class TestAgainstReferenceProduct:
+    @pytest.mark.parametrize("x, y", PAIRS)
+    def test_product(self, x, y):
+        assert typed(smash_product(x, y)) == typed(reference_product(x, y))
+
+    @pytest.mark.parametrize("x, y", PAIRS)
+    def test_bracket(self, x, y):
+        assert typed(smash_bracket(x, y)) == typed(reference_bracket(x, y))
+
+    @pytest.mark.parametrize("x, y", ZERO_PRODUCTS)
+    def test_product_cancelling_to_zero(self, x, y):
+        assert smash_product(x, y) == reference_product(x, y) == SmashElement.zero(x.mode)
+
+    @pytest.mark.parametrize("x, y", ZERO_BRACKETS)
+    def test_bracket_cancelling_to_zero(self, x, y):
+        got = smash_bracket(x, y)
+        assert got == reference_bracket(x, y) == SmashElement.zero(x.mode)
+        assert got.terms == {}
+
+    def test_corpus_reaches_every_kind_of_term(self):
+        # the corpus has odd-odd pairs, Scalar outputs and products with
+        # more than one term, in every mode
+        for mode in (U, AK, APKP):
+            pairs = [p.values for p in corpus() if p.values[0].mode is mode]
+            assert any(x.parity() and y.parity() for x, y in pairs)
+            outs = [smash_product(x, y) for x, y in pairs]
+            assert any(isinstance(c, Scalar) for e in outs for c in e.terms.values())
+            assert any(isinstance(c, Fraction) for e in outs for c in e.terms.values())
+            assert any(len(e.terms) > 3 for e in outs)
+
+
+@pytest.mark.parametrize("cls", [AMonomial, BasisKey])
+def test_amonomial_product_is_the_degree_rule(cls):
+    for k1 in range(-3, 4):
+        for k2 in range(-3, 4):
+            for e1 in (0, 1):
+                for e2 in (0, 1):
+                    a, b = AMonomial(k1, e1), cls(k2, e2)
+                    got = a.times(b)
+                    if e1 and e2:
+                        assert got is None
+                    else:
+                        assert got == b.shifted(a.degree)
+                        assert type(got) is cls
+
+
+@pytest.mark.parametrize("call", [
+    lambda: omega(0, 0, -1),
+    lambda: gl_sum(HalfInt(1), 0, -1),
+    lambda: a_l_chain(0, 0, -2, AK),
+    lambda: a_g_chain(0, 1, -1, AK),
+], ids=["omega", "gl_sum", "a_l_chain", "a_g_chain"])
+def test_negative_difference_order_raises(call):
+    # an empty finite difference is the zero element, which would pass for
+    # an identity: every caller of alternating_sum refuses it
+    with pytest.raises(AlgebraError, match="finite-difference order must be non-negative, got -"):
+        call()
+
+
+class TestAdmissionGuardsEveryProduct:
+    @pytest.mark.parametrize("mode, extra", [(APKP, L(-2)), (AK, C)], ids=["kplus", "k"])
+    def test_inadmissible_product_raises(self, monkeypatch, fresh_tables, mode, extra):
+        # a PBW swap rule whose [L(1), L(-1)] also emits a generator that
+        # the mode does not admit: the product it builds must be refused
+        original = enveloping.bracket_basis
+
+        def mutant(x, y, with_center):
+            out = original(x, y, with_center)
+            return out + ((extra, 1),) if (x, y) == (L(1), L(-1)) else out
+
+        monkeypatch.setattr(enveloping, "bracket_basis", mutant)
+        message = re.escape(f"generator {extra.render()} not admissible in mode {mode.value}")
+        for _ in range(2):
+            with pytest.raises(AlgebraError, match=message):
+                smash_product(gen(L(1), mode), gen(L(-1), mode))
+            with pytest.raises(AlgebraError, match=message):
+                smash_bracket(gen(L(1), mode), gen(L(-1), mode))
+
+    @pytest.mark.parametrize("terms, mode", [
+        ({(A_ONE, (L(-2),)): 1}, APKP),
+        ({(A_ONE, (C, L(0))): 1}, AK),
+        ({(A_ONE, (L(1), L(0))): 1}, AK),
+        ({(A_ONE, (G(half(1)), G(half(1)))): 1}, U),
+        ({(AMonomial(1, 0), (L(0),)): 1}, U),
+        ({(AMonomial(-1, 0), (L(0),)): 1}, APKP),
+    ], ids=["not-admitted", "center", "order", "odd-square", "a-part", "negative-a"])
+    def test_inadmissible_element_raises_every_time(self, terms, mode):
+        for _ in range(2):
+            with pytest.raises(AlgebraError):
+                SmashElement(terms, mode)

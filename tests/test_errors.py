@@ -83,7 +83,8 @@ ERRORS = [
     ("smash-bracket-inhomogeneous",
      lambda: smash_bracket(pbw((L(0),), K) + pbw((G(half(1)),), K), pbw((L(1),), K)),
      AlgebraError, "smash_bracket needs parity-homogeneous inputs"),
-    ("omega-order", lambda: omega(0, 0, -1), AlgebraError, "omega order m must be non-negative"),
+    ("omega-order", lambda: omega(0, 0, -1), AlgebraError,
+     "finite-difference order must be non-negative, got -1"),
     ("reconstruction-n", lambda: verify_reconstruction(-1), AlgebraError,
      "reconstruction defined for n >= 0"),
     # modules

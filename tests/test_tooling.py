@@ -6,7 +6,8 @@ grid workload gets the answers of the classification law, every public
 name of the package has a reader outside the tests, a module handle keeps
 one action memo, every source parses at the declared Python floor, every
 imported name is read, every mutant of a table rule runs on cleared
-caches, and each structure table is cached once."""
+caches, each structure table is cached once, and the smash algebra caches
+only its PBW tables and the admission of a PBW monomial."""
 
 import ast
 import dataclasses
@@ -183,6 +184,15 @@ def test_each_structure_table_has_one_cache():
             return getattr(bracket_basis, "__wrapped__")
     """)
     assert wrapped_reads(probe) == [3, 4]
+
+
+def test_enveloping_caches_are_the_pbw_tables_and_admission():
+    # enveloping caches its three PBW rewrite tables and the admission of a
+    # PBW monomial, nothing else: a product is not cached per pair of keys
+    # (a composite pair cache cost time and memory; see the algebra docstring)
+    assert sorted(lru_cached(ROOT / "src" / "nscheck" / "enveloping.py")) == [
+        "enveloping._insert_gen", "enveloping._pbw_mul", "enveloping._pbw_past_amon",
+        "enveloping._validate_pbw"]
 
 
 # the table rules that a mutant patches by name; the cached tables derived
